@@ -5,7 +5,8 @@
 Run from the repository root.  The op list is generated from the seed
 (workloads.py) and executed by a fresh interpreter (worker.py) for about
 S seconds; the outputs are then checked by oracle.py, outside the timed
-region.  With --trace 0 the last line of stdout is a JSON object with the
+region.  Times are scaled by a yardstick timed beside them (yardstick.py).
+With --trace 0 the last line of stdout is a JSON object with the
 end-to-end metrics of BENCHMARK.json; with --trace 1 a second, traced
 worker runs one pass and the object carries the per-layer metrics.  A
 fuller result file, with seed, git hash, Python version, nproc and one
@@ -22,6 +23,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -48,33 +50,35 @@ def fail(message: str) -> int:
 
 
 def git_hash() -> str | None:
-    """HEAD of the checkout, read from .git without running git."""
-    head = ROOT / ".git" / "HEAD"
-    if not head.is_file():
+    """HEAD of the checkout, or None outside a git repository."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                              text=True, timeout=30)
+    except OSError:
         return None
-    ref = head.read_text(encoding="utf-8").strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[5:]
-    loose = ROOT / ".git" / name
-    if loose.is_file():
-        return loose.read_text(encoding="utf-8").strip()
-    packed = ROOT / ".git" / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text(encoding="utf-8").splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def measure_setup() -> list[float]:
-    times = []
-    for _ in range(SETUP_RUNS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT, check=True,
-                       timeout=60, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return times
+def time_child(code: str) -> float:
+    """Wall seconds of a fresh interpreter running code."""
+    t0 = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-c", code], cwd=ROOT, stdout=subprocess.DEVNULL)
+    # wait(timeout=...) polls in steps of up to 50 ms, which would round
+    # the time up; a timer kills a hung child instead.
+    guard = threading.Timer(60, child.kill)
+    guard.start()
+    status = child.wait()
+    elapsed = time.perf_counter() - t0
+    guard.cancel()
+    if status != 0:
+        raise subprocess.CalledProcessError(status, child.args)
+    return elapsed
+
+
+def measure_setup(yardstick) -> list[tuple[float, float]]:
+    """(seconds, start-up gauge seconds) of SETUP_RUNS fresh interpreters."""
+    return [(time_child(SETUP_CODE), time_child(yardstick.START_CODE))
+            for _ in range(SETUP_RUNS)]
 
 
 def run_worker(rundir: Path, seconds: float, traced: bool) -> dict:
@@ -119,6 +123,7 @@ def main(argv=None) -> int:
     import oracle
     import spans
     import workloads
+    import yardstick
     if args.workload not in workloads.WORKLOADS:
         return fail(f"unknown workload {args.workload!r}; choose from {workloads.WORKLOADS}")
 
@@ -129,15 +134,23 @@ def main(argv=None) -> int:
     gen_s = time.perf_counter() - t0
     (rundir / "spec.json").write_text(json.dumps({"ops": ops}), encoding="utf-8")
 
-    setup = measure_setup()
+    setup = measure_setup(yardstick)
     run = run_worker(rundir, args.seconds, traced=False)
     failures, attempted, failed = verify(ops, run, oracle)
-    # An op's latency is its fastest pass: other tenants of the machine
-    # only ever add time, and they come and go within seconds.
-    op_ms = [1000.0 * min(times) for times in zip(*run["op_s"])]
-    run_s = statistics.median(run["pass_s"])
+
+    def scaled(seconds, yard):
+        return seconds * yardstick.NOMINAL_S / yard
+
+    # An op's time is the median over the passes of its time scaled by
+    # the yardstick, which takes out the drift of the machine's speed;
+    # run_s is the sum of these times.
+    op_s = [statistics.median(scaled(t, y) for t, y in zip(times, yards))
+            for times, yards in zip(zip(*run["op_s"]), zip(*run["yard_s"]))]
+    op_ms = [1000.0 * t for t in op_s]
+    run_s = sum(op_s)
+    wall_run_s = sum(min(times) for times in zip(*run["op_s"]))
     end_to_end = {
-        "setup_s": (statistics.median(setup), "s"),
+        "setup_s": (statistics.median(t * yardstick.START_NOMINAL_S / g for t, g in setup), "s"),
         "run_s": (run_s, "s"),
         "op_p50_ms": (percentile(op_ms, 50), "ms"),
         "op_p90_ms": (percentile(op_ms, 90), "ms"),
@@ -161,7 +174,10 @@ def main(argv=None) -> int:
                 failed += 1
         attempted += len(ops)
         per_layer = spans.layer_metrics(traced["layers"], traced["counters"],
-                                        traced["pass_s"][0], run_s)
+                                        traced["pass_s"][0], wall_run_s)
+        # The machine's speed during the untraced run, as the yardstick saw it.
+        per_layer["bench.yardstick_ms"] = 1000.0 * statistics.median(
+            y for yards in run["yard_s"] for y in yards)
         metrics = {k: {"value": v, "unit": spans.unit(k)} for k, v in per_layer.items()}
         result.update(per_layer=metrics, layer_map=spans.LAYER_MAP,
                       spans_file=(rundir / "spans.tsv").relative_to(ROOT).as_posix())

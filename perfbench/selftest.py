@@ -27,12 +27,9 @@ import hkcone  # noqa: E402
 from hkcone import cone, fixtures, linalg  # noqa: E402
 from hkcone.errors import PreconditionError  # noqa: E402
 
-SMALL_BANDS = ((8_000, 16_000, 6), (50_000, 65_000, 1))
-
-
 @pytest.fixture
 def small_path_chain(monkeypatch):
-    monkeypatch.setattr(workloads, "PATH_BANDS", SMALL_BANDS)
+    monkeypatch.setattr(workloads, "PATH_SEGMENTS", 8)
 
 
 @pytest.fixture(autouse=True)
@@ -57,7 +54,8 @@ def sample_ops(tmp_path):
 
 def test_wrapping_leaves_outputs_byte_identical(tmp_path):
     ops = sample_ops(tmp_path)
-    _, _, plain_results = worker.run_pass(ops)
+    _, yards, plain_results = worker.run_pass(ops)
+    assert len(yards) == len(ops) and all(y > 0 for y in yards)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -151,3 +149,19 @@ def test_generation_is_deterministic(workload, tmp_path, small_path_chain):
     other = workloads.generate(workload, 8, tmp_path / "c")
     assert [json.dumps(op) for op in other] != \
         [json.dumps(op).replace(str(tmp_path / "a"), str(tmp_path / "c")) for op in first]
+
+
+@pytest.mark.parametrize("workload, table", [("cone-render", workloads.VIEW_HISTOGRAM),
+                                             ("path-chain", workloads.PATH_HISTOGRAM)])
+def test_band_counts_follow_the_measured_histogram(workload, table):
+    measured = workloads.histogram(workload)
+    assert sum(n for _, _, n in measured) == workloads.HISTOGRAM_DRAWS
+    assert list(table) == measured[:len(table)]
+
+
+def test_stratified_counts_are_proportional():
+    counts = workloads.stratified(workloads.PATH_HISTOGRAM, 100)
+    assert sum(c for _, _, c in counts) == 100
+    draws = sum(n for _, _, n in workloads.PATH_HISTOGRAM)
+    for (_, _, c), (_, _, n) in zip(counts, workloads.PATH_HISTOGRAM):
+        assert abs(c - 100 * n / draws) < 1

@@ -200,6 +200,8 @@ _OBSERVERS = {
 def unit(metric: str) -> str:
     if metric.endswith("_s"):
         return "s"
+    if metric.endswith("_ms"):
+        return "ms"
     if metric.endswith("_bytes"):
         return "bytes"
     return "ratio" if metric.endswith(".yield") else "count"

@@ -6,8 +6,9 @@ SPEC holds {"ops": [...]} from workloads.py.  Without --spans the op list
 runs in passes until the next pass would overrun S seconds (at least one
 pass); with --spans the wrappers of spans.py are installed and exactly
 one pass runs, whose spans are written to PATH.  OUT receives the pass
-times, per-op times, the first pass's outputs with their sha256, the ops
-whose output changed between passes, and ru_maxrss.
+times, per-op times, per-op local yardstick times (yardstick.py), the
+first pass's outputs with their sha256, the ops whose output changed
+between passes, and ru_maxrss.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import hkcone.cli  # noqa: E402  (timed ops must not pay the import)
-from hkcone import linalg, mbm, mukai, symplectic as sp  # noqa: E402
-from hkcone.lattice import make_lattice  # noqa: E402
+import yardstick  # noqa: E402
+from hkcone import lattice, linalg, mbm, mukai, symplectic as sp  # noqa: E402
+
+
+YARDSTICK_EVERY_S = 0.1
 
 
 def plain(value):
@@ -83,11 +87,11 @@ def run_matrix(op):
 
 
 def run_lorentz(op):
-    lattice = make_lattice(op["gram"])
+    lat = lattice.make_lattice(op["gram"])
     table = mbm.table_from_dict(op["table"])
-    disc = lattice.discriminant_group()
-    rows = [mbm.classify(lattice, table, x) for x in op["classes"]]
-    return {"factors": disc.invariant_factors, "signature": lattice.signature(),
+    disc = lat.discriminant_group()
+    rows = [mbm.classify(lat, table, x) for x in op["classes"]]
+    return {"factors": disc.invariant_factors, "signature": lat.signature(),
             "rows": [None if r is None else r.name for r in rows]}
 
 
@@ -109,10 +113,16 @@ def digest(result) -> str:
 
 
 def run_pass(ops, tracer=None):
-    """(pass seconds, per-op seconds, per-op results)."""
+    """(per-op seconds, per-op local yardstick seconds, per-op results).
+
+    The yardstick is timed before the first op, after the last, and after
+    any op that ends YARDSTICK_EVERY_S or more after the previous
+    yardstick; an op's local yardstick time is the mean of the samples
+    on either side of it.
+    """
     clock = time.perf_counter
-    times, results = [], []
-    start = clock()
+    times, results, before, yard = [], [], [], [yardstick.measure()]
+    last = clock()
     for i, op in enumerate(ops):
         if tracer is not None:
             tracer.current_op = i
@@ -121,10 +131,15 @@ def run_pass(ops, tracer=None):
             raw = run_cli(op) if op["kind"] == "cli" else LIB[op["kind"]](op)
         except Exception as exc:  # an op that raises is recorded as failed, the run goes on
             raw = {"error": f"{type(exc).__name__}: {exc}"}
-        times.append(clock() - t0)
+        t1 = clock()
+        times.append(t1 - t0)
         results.append(raw)
-    total = clock() - start
-    return total, times, [r if "error" in r else finish(op, r) for op, r in zip(ops, results)]
+        before.append(len(yard) - 1)
+        if t1 - last >= YARDSTICK_EVERY_S or i == len(ops) - 1:
+            yard.append(yardstick.measure())
+            last = clock()
+    local = [(yard[k] + yard[k + 1]) / 2 for k in before]
+    return times, local, [r if "error" in r else finish(op, r) for op, r in zip(ops, results)]
 
 
 def main(argv=None) -> int:
@@ -142,21 +157,23 @@ def main(argv=None) -> int:
         tracer = spans.Tracer()
         tracer.install()
 
-    pass_s, op_s, outputs, sha, changed = [], [], None, None, set()
+    pass_s, op_s, yard_s, outputs, sha, changed = [], [], [], None, None, set()
+    started = time.perf_counter()
     while True:
-        total, times, results = run_pass(ops, tracer)
-        pass_s.append(total)
+        times, local, results = run_pass(ops, tracer)
+        pass_s.append(sum(times))
         op_s.append(times)
+        yard_s.append(local)
         digests = [digest(r) for r in results]
         if outputs is None:
             outputs, sha = results, digests
         else:
             changed.update(i for i, (a, b) in enumerate(zip(sha, digests)) if a != b)
-        elapsed = sum(pass_s)
-        if tracer is not None or elapsed + total > args.seconds:
+        elapsed = time.perf_counter() - started
+        if tracer is not None or elapsed * (len(pass_s) + 1) / len(pass_s) > args.seconds:
             break
 
-    doc = {"pass_s": pass_s, "op_s": op_s, "outputs": outputs, "sha256": sha,
+    doc = {"pass_s": pass_s, "op_s": op_s, "yard_s": yard_s, "outputs": outputs, "sha256": sha,
            "changed": sorted(changed),
            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
     if tracer is not None:

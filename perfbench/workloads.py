@@ -7,17 +7,23 @@ An op is a JSON-able dict.  `{"kind": "cli", "argv": [...]}` runs
 endpoints come from the oracle's numpy scan.  The same workload and
 seed always give the same op list and the same input files.
 
-Path-chain segments and the rank-4 base point are drawn in bands of
-search volume (canonical box points a box scan must visit), with a
-fixed count per band.  Enumeration cost follows that volume, so the
-bands keep a run's total work nearly the same from seed to seed while
-still mixing cheap, ill-conditioned and near-boundary base points.
+Path-chain segments and cone-render views are drawn by stratified
+sampling on search volume (canonical box points a box scan must visit,
+which enumeration cost follows): a fixed count per volume band, in the
+proportions of a histogram of unbanded seeded draws.  The counts keep a
+run's total work nearly the same from seed to seed, while the mix
+follows what the generator draws when left alone.
+
+    python3 perfbench/workloads.py
+
+recomputes both histograms.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -33,21 +39,30 @@ BASE = (4, 4, -1)
 PATH_BOUND = 8          # README bound of the bundled chamber chain
 PATH_BOUND_CAP = 16     # largest bound a path-chain segment may need
 # B = 400 (10 s per op at the seed) is left out so that a pass stays near
-# 6 s and every run repeats each op several times.
+# 8 s and every run times each op at least twice.
 RENDER_BOUNDS = (15, 100)
 
-# (lowest volume, highest volume, segments): the p50 falls in the first
-# band and the p90 in the second.
-PATH_BANDS = ((8_000, 16_000, 60), (50_000, 65_000, 8), (200_000, 240_000, 2),
-              (600_000, 700_000, 1))
-# Seeded local render-cone views: enough small ops, spread over the pass
-# by the shuffle, that cone-render's op_p50_ms and op_p90_ms are
-# quantiles of many samples rather than the time of one heavy op.  The
-# band is wide so that their times spread out and the p50 moves smoothly
-# with machine speed instead of jumping between like-sized ops.
-VIEWS = 96
+# Search-volume histograms of HISTOGRAM_DRAWS unbanded draws, as
+# histogram() gives them: (lowest volume, highest volume, draws).  The
+# heavy tail beyond the last band is left out of the workloads (cone-render
+# runs the big searches): 239 views (12 %) at 64k-8.2M box points and 114
+# segments (6 %) at 256k-11.6M.
+HISTOGRAM_DRAWS = 2000
+VIEW_HISTOGRAM = ((2_828, 4_000, 15), (4_000, 5_657, 557), (5_657, 8_000, 343),
+                  (8_000, 11_314, 265), (11_314, 16_000, 170), (16_000, 22_627, 142),
+                  (22_627, 32_000, 82), (32_000, 45_255, 108), (45_255, 64_000, 79))
+PATH_HISTOGRAM = ((8_000, 11_314, 254), (11_314, 16_000, 489), (16_000, 22_627, 303),
+                  (22_627, 32_000, 243), (32_000, 45_255, 194), (45_255, 64_000, 130),
+                  (64_000, 90_510, 94), (90_510, 128_000, 81), (128_000, 181_019, 58),
+                  (181_019, 256_000, 40))
+# Local render-cone views at VIEW_BOUND, so that cone-render's op_p50_ms
+# and op_p90_ms are quantiles of many samples rather than the time of
+# one heavy op.
+VIEWS = 128
 VIEW_BOUND = 4
-VIEW_BAND = (4_000, 16_000)
+PATH_SEGMENTS = 100     # with the README ops and the chain, 108 ops a pass
+# One rank-4 search whose base is drawn in a fixed volume band, so that
+# its cost does not change with the seed.
 RANK4_GRAM = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -4]]
 RANK4_BOUND = 24
 RANK4_BAND = (200_000, 260_000)
@@ -131,6 +146,17 @@ def _cone_point(rng: random.Random, lat: Quartic):
             return x
 
 
+def stratified(histogram, total: int):
+    """(lowest, highest, count) per band, counts in proportion to the
+    histogram's draws and summing to total (largest remainder)."""
+    draws = sum(n for _, _, n in histogram)
+    quotas = [Fraction(total * n, draws) for _, _, n in histogram]
+    counts = [math.floor(q) for q in quotas]
+    for i in sorted(range(len(quotas)), key=lambda i: counts[i] - quotas[i])[:total - sum(counts)]:
+        counts[i] += 1
+    return [(lo, hi, c) for (lo, hi, _), c in zip(histogram, counts)]
+
+
 # ---------------------------------------------------------------- cone-render
 
 def _rank4_files(rundir: Path):
@@ -154,6 +180,15 @@ def rank4_base(rng: random.Random):
             return v
 
 
+def _view_base(rng: random.Random, lat: Quartic, band=None):
+    """A view base whose search volume at VIEW_BOUND is in band (any if None)."""
+    while True:
+        base = _cone_point(rng, lat)
+        if band is None or \
+           band[0] <= oracle.search_volume(lat.gram, base, VIEW_BOUND, lat.squares) < band[1]:
+            return base
+
+
 def cone_render(rng: random.Random, rundir: Path) -> list[dict]:
     both = ("--lattice", QUARTIC, "--table", TABLE)
     ops = []
@@ -162,14 +197,11 @@ def cone_render(rng: random.Random, rundir: Path) -> list[dict]:
         ops.append(cli("render-cone", *both, "--base", _csv(BASE), "--bound", bound,
                        "--out", (rundir / f"cone-{bound}.svg").as_posix()))
     lat = Quartic()
-    for i in range(VIEWS):
-        while True:
-            base = _cone_point(rng, lat)
-            vol = oracle.search_volume(lat.gram, base, VIEW_BOUND, lat.squares)
-            if VIEW_BAND[0] <= vol < VIEW_BAND[1]:
-                break
-        ops.append(cli("render-cone", *both, "--base", _csv(base), "--bound", VIEW_BOUND,
-                       "--out", (rundir / f"view-{i}.svg").as_posix()))
+    for lo, hi, count in stratified(VIEW_HISTOGRAM, VIEWS):
+        for _ in range(count):
+            base = _view_base(rng, lat, (lo, hi))
+            ops.append(cli("render-cone", *both, "--base", _csv(base), "--bound", VIEW_BOUND,
+                           "--out", (rundir / f"view-{len(ops)}.svg").as_posix()))
     lattice, table = _rank4_files(rundir)
     ops.append(cli("enumerate-walls", "--lattice", lattice, "--table", table,
                    "--base", _csv(rank4_base(rng)), "--bound", RANK4_BOUND))
@@ -204,9 +236,9 @@ def _two_wall_point(rng: random.Random, lat: Quartic, a, walls):
     return rng.choice(cands) if cands else None
 
 
-def _segment(rng: random.Random, lat: Quartic, band, mode: str):
-    """(a, b, bound) with the search volume of (a, bound) inside band."""
-    lo, hi = band
+def _segment(rng: random.Random, lat: Quartic, mode: str, band=None):
+    """(a, b, bound) with the search volume of (a, bound) in band (any if None)."""
+    lo, hi = band or (0, math.inf)
     while True:
         a = _cone_point(rng, lat)
         b = _cone_point(rng, lat)
@@ -247,9 +279,9 @@ def path_chain(rng: random.Random, rundir: Path) -> list[dict]:
     lat = Quartic()
     both = ("--lattice", QUARTIC, "--table", TABLE)
     segments = []
-    for lo, hi, count in PATH_BANDS:
+    for lo, hi, count in stratified(PATH_HISTOGRAM, PATH_SEGMENTS):
         for i in range(count):
-            a, b, bound = _segment(rng, lat, (lo, hi), PATH_MODES[i % len(PATH_MODES)])
+            a, b, bound = _segment(rng, lat, PATH_MODES[i % len(PATH_MODES)], (lo, hi))
             segments.append(cli("factor-path", *both, "--from", _csv(a), "--to", _csv(b),
                                 "--bound", bound))
     rng.shuffle(segments)
@@ -370,3 +402,39 @@ def generate(workload: str, seed: int, rundir: Path) -> list[dict]:
     """The op list of one workload; writes its input files into rundir."""
     rundir.mkdir(parents=True, exist_ok=True)
     return GENERATORS[workload](random.Random(f"{workload}:{seed}"), rundir)
+
+
+# ---------------------------------------------------------------- histograms
+
+def _band(volume: int) -> tuple[int, int]:
+    """The half-octave band [1000 * 2^(k/2), 1000 * 2^((k+1)/2)) holding volume."""
+    k = max(0, math.floor(2 * math.log2(volume / 1000)))
+    return round(1000 * 2 ** (k / 2)), round(1000 * 2 ** ((k + 1) / 2))
+
+
+def histogram(workload: str, draws: int = HISTOGRAM_DRAWS):
+    """Search volumes of unbanded seeded draws, counted in half-octave bands.
+
+    Views are drawn as cone-render draws them, segments as path-chain
+    draws them, with the endpoint modes cycled in the same way.
+    """
+    rng = random.Random(f"histogram:{workload}")
+    lat = Quartic()
+    counts = {}
+    for i in range(draws):
+        if workload == "cone-render":
+            vol = oracle.search_volume(lat.gram, _view_base(rng, lat), VIEW_BOUND, lat.squares)
+        else:
+            a, _, bound = _segment(rng, lat, PATH_MODES[i % len(PATH_MODES)])
+            vol = oracle.search_volume(lat.gram, a, bound, lat.squares)
+        band = _band(vol)
+        counts[band] = counts.get(band, 0) + 1
+    return [(lo, hi, counts[lo, hi]) for lo, hi in sorted(counts)]
+
+
+if __name__ == "__main__":
+    os.chdir(oracle.ROOT)
+    for name in ("cone-render", "path-chain"):
+        print(name, "search-volume histogram of", HISTOGRAM_DRAWS, "draws")
+        for lo, hi, n in histogram(name):
+            print(f"  {lo:>9} {hi:>9} {n:>5}")
