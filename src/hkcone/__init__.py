@@ -13,9 +13,8 @@ from .errors import PreconditionError
 from .lattice import (DiscriminantGroup, IntegralLattice, is_primitive,
                       lattice_from_dict, load_lattice, make_lattice,
                       mod_four_class)
-from .mbm import (OrbitSignature, SignatureTable, classify, codimension_of,
-                  dual_solve, is_divisorial, load_table, primitive_rescale,
-                  table_from_dict)
+from .mbm import (OrbitSignature, SignatureTable, classify, dual_solve,
+                  is_divisorial, load_table, primitive_rescale, table_from_dict)
 from .cone import (ConePoint, FlopFactorization, WallCrossing,
                    component_sign, crossing_parameter, enumerate_wall_classes,
                    factor_path, factorization_report, group_hu_yau,

@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .lattice import IntegralLattice, _vec
-from .mbm import OrbitSignature, SignatureTable
+from .mbm import OrbitSignature, SignatureTable, primitive_rescale
 from .rational import frac_str, vector_strs
 
 STATUS_OK = "ok"
@@ -98,14 +98,6 @@ def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
     return lattice.pairing(p.coords, q_pt.coords) > 0
 
 
-def _primitive_int_vector(coords) -> tuple[int, ...]:
-    fracs = [Fraction(c) for c in coords]
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = linalg.vec_content(ints)
-    return tuple(c // g for c in ints)
-
-
 def _isqrt_frac(x: Fraction) -> int:
     """Largest integer n with n^2 <= x (x >= 0)."""
     return isqrt(x.numerator // x.denominator)
@@ -141,7 +133,7 @@ def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
     (2B + 1) max|s|, and the box follows from the inverse of the
     majorant's Gram matrix.
     """
-    p = _primitive_int_vector(as_cone_point(lattice, base).coords)
+    p = primitive_rescale(as_cone_point(lattice, base).coords)[0]
     g = int(lattice.square(p))
     gp = [int(v) for v in lattice.pairing_row(p)]
     cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
@@ -169,7 +161,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
         raise PreconditionError("signature table is empty")
     base = as_cone_point(lattice, base)
 
-    p = _primitive_int_vector(base.coords)
+    p = primitive_rescale(base.coords)[0]
     g = int(lattice.square(p))
     gp = [int(v) for v in lattice.pairing_row(p)]
     squares = set(table.squares)
@@ -314,15 +306,13 @@ def group_hu_yau(steps) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b, bound,
-                perturb: bool = True) -> FlopFactorization:
+def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
+                bound) -> FlopFactorization:
     """Factor the segment from a to b into its ordered wall crossings.
 
     Endpoints on a wall, or walls meeting the segment at a coincident
     parameter, are resolved by a deterministic perturbation of the
-    offending endpoint; the perturbed endpoints are reported.  With
-    perturb=False only strict sign changes are counted and the endpoints
-    are left untouched (used for chamber membership checks).
+    offending endpoint; the perturbed endpoints are reported.
     """
     _require_lorentzian(lattice)
     bound = Fraction(bound)
@@ -337,27 +327,26 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b, bound,
 
     pa, pb = a.coords, b.coords
     perturbed = False
-    if perturb:
-        if any(lattice.pairing(x, pa) == 0 for x, _ in walls):
-            pa = _fix_endpoint(lattice, walls, bound, a.coords, pa, lambda _c: True)
-            perturbed = True
+    if any(lattice.pairing(x, pa) == 0 for x, _ in walls):
+        pa = _fix_endpoint(lattice, walls, bound, a.coords, pa, lambda _c: True)
+        perturbed = True
 
-        def b_ok(cand):
-            ts = [crossing_parameter(lattice, x, pa, cand) for x, _ in walls]
-            ts = [t for t in ts if t is not None]
-            return len(ts) == len(set(ts))
+    def b_ok(cand):
+        ts = [crossing_parameter(lattice, x, pa, cand) for x, _ in walls]
+        ts = [t for t in ts if t is not None]
+        return len(ts) == len(set(ts))
 
-        if any(lattice.pairing(x, pb) == 0 for x, _ in walls) or not b_ok(pb):
-            pb = _fix_endpoint(lattice, walls, bound, a.coords, pb, b_ok)
-            perturbed = True
+    if any(lattice.pairing(x, pb) == 0 for x, _ in walls) or not b_ok(pb):
+        pb = _fix_endpoint(lattice, walls, bound, a.coords, pb, b_ok)
+        perturbed = True
 
+    # No check that the crossings stay in the cone: pa and pb lie in one
+    # component, so q(pa, pb) > 0 and q(t pa + (1-t) pb) = t^2 q(pa)
+    # + (1-t)^2 q(pb) + 2t(1-t) q(pa, pb) > 0 for every t in [0, 1].
     steps = _strict_crossings(lattice, walls, pa, pb)
-    if perturb:
-        ts = [s.t for s in steps]
-        assert len(ts) == len(set(ts)), "crossing parameters must be distinct"
-    for s in steps:
-        point = tuple(x + s.t * (y - x) for x, y in zip(pa, pb))
-        assert lattice.square(point) > 0, "segment left the positive cone"
+    ts = [s.t for s in steps]
+    if len(ts) != len(set(ts)):
+        raise InvariantError("crossing parameters must be distinct")
 
     if any(s.codimension == 1 for s in steps):
         status = STATUS_DIVISORIAL

@@ -22,8 +22,6 @@ Vector = tuple
 
 
 def _vec(x) -> tuple:
-    if isinstance(x, (list, tuple)):
-        return tuple(x)
     return tuple(x)
 
 
@@ -73,7 +71,7 @@ class IntegralLattice:
         if n < 1:
             raise PreconditionError("rank must be >= 1")
         for row in self.gram:
-            if len(row) != n or not all(isinstance(x, int) for x in row):
+            if len(row) != n or not all(type(x) is int for x in row):
                 raise PreconditionError("gram must be a square integer matrix")
         if self.gram != linalg.transpose(self.gram):
             raise PreconditionError("gram must be symmetric")
@@ -81,7 +79,7 @@ class IntegralLattice:
             raise PreconditionError("basis_names length must equal rank")
         if self.ambient_ideals is not None:
             if len(self.ambient_ideals) != n or \
-               not all(isinstance(a, int) and a > 0 for a in self.ambient_ideals):
+               not all(type(a) is int and a > 0 for a in self.ambient_ideals):
                 raise PreconditionError("ambient_ideals must be positive integers, one per basis vector")
 
     @property
@@ -215,7 +213,7 @@ def make_lattice(gram, basis_names=None, ambient_ideals=None,
     return IntegralLattice(
         gram=gram,
         basis_names=tuple(str(n) for n in basis_names),
-        ambient_ideals=None if ambient_ideals is None else tuple(int(a) for a in ambient_ideals),
+        ambient_ideals=None if ambient_ideals is None else tuple(ambient_ideals),
         fujiki_constant=None if fujiki_constant is None else parse_frac(fujiki_constant),
     )
 

@@ -2,12 +2,22 @@
 
 Matrices are tuples of row tuples, vectors are tuples.  Entries are
 Python ints or Fractions; no floating point anywhere in this module.
+
+rank, determinant, invert, solve and nullspace share one elimination
+core, _echelon: rows are scaled to integers, then reduced by
+fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968),
+optionally on to d times the reduced row echelon form.  It returns
+(rows, pivots, d, sign, scale): the integer rows, the pivot columns, the
+last pivot, the parity of the row swaps and the product of the row
+scales.  Fractions are formed only from d at the end.
+smith_normal_form (unimodular, over Z) and congruence_diagonalize
+(symmetric, Lagrange) are not field elimination and keep their own loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError
 
@@ -47,101 +57,81 @@ def vec_content(v) -> int:
     return g
 
 
-def is_integral(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+def _echelon(m, width=None, reduce=False):
+    """Fraction-free (Bareiss) row echelon form of m.
 
+    Each row holding a non-integer is first scaled to integers by the lcm
+    of its denominators; ``scale`` is the product of those factors.  The
+    integer rows are then eliminated over the first ``width`` columns
+    (default: all), pivoting on the first nonzero entry at or below the
+    current row, with every update divided exactly by the previous pivot.
+    With ``reduce`` the entries above each pivot are cleared as well, so
+    the pivot rows end as ``d`` times the reduced row echelon form.
 
-def _all_int(rows) -> bool:
-    return all(isinstance(x, int) for row in rows for x in row)
+    Returns ``(rows, pivots, d, sign, scale)``: the eliminated integer rows
+    (pivot rows first), the pivot columns, the last pivot (1 if none), and
+    the parity of the row swaps as +-1.  For square m of full rank,
+    det(m) = sign * d / scale.
+    """
+    rows = []
+    scale = 1
+    for row in m:
+        if all(isinstance(x, int) for x in row):
+            rows.append(list(row))
+        else:
+            row = [Fraction(x) for x in row]
+            s = lcm(*(x.denominator for x in row))
+            scale *= s
+            rows.append([x.numerator * (s // x.denominator) for x in row])
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    d = sign = 1
+    for c in range(ncols if width is None else width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            # rows above hold earlier pivots and free columns left of c,
+            # which must be rescaled too
+            for j in range(0 if i < r else c + 1, ncols):
+                row[j] = (row[j] * p - f * top[j]) // d
+            row[c] = 0
+        d = p
+        pivots.append(c)
+    return rows, pivots, d, sign, scale
 
 
 def rank(m) -> int:
-    rows = [list(r) for r in m]
-    if not rows or not rows[0]:
-        return 0
-    if _all_int(rows):
-        return _rank_bareiss(rows)
-    return _rank_gauss([[Fraction(x) for x in r] for r in rows])
-
-
-def _rank_bareiss(a) -> int:
-    """Fraction-free elimination; mutates its argument."""
-    nrows, ncols = len(a), len(a[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rank_gauss(a) -> int:
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        for i in range(r + 1, nrows):
-            if a[i][c]:
-                f = a[i][c] * inv
-                for j in range(c, ncols):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_echelon(m)[1])
 
 
 def determinant(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= f * a[c][j]
-    return det
+    _rows, pivots, d, sign, scale = _echelon(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def invert(m):
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise PreconditionError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    rows, pivots, d, _sign, _scale = _echelon(aug, width=n, reduce=True)
+    if len(pivots) < n:
+        raise PreconditionError("singular matrix")
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
 def solve(a, b):
@@ -156,61 +146,29 @@ def solve(a, b):
     ncols = len(a[0])
     if len(b) != nrows:
         raise PreconditionError("dimension mismatch")
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)]
-           for row, rhs in zip(a, b)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for row in aug[r:]:
+    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    rows, pivots, d, _sign, _scale = _echelon(aug, width=ncols, reduce=True)
+    r = len(pivots)
+    for row in rows[r:]:
         if row[ncols] != 0:
             raise PreconditionError("inconsistent system")
     if r < ncols:
         raise PreconditionError("underdetermined system")
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return tuple(x)
+    return tuple(Fraction(row[ncols], d) for row in rows[:r])
 
 
 def nullspace(m):
     """Deterministic rational basis of the kernel of m (rows act on vectors)."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots, d, _sign, _scale = _echelon(m, reduce=True)
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return tuple(basis)
 

@@ -82,10 +82,6 @@ class SignatureTable:
         raise KeyError(name)
 
 
-def codimension_of(sig: OrbitSignature) -> int:
-    return sig.codimension
-
-
 def is_divisorial(sig: OrbitSignature) -> bool:
     return sig.codimension == 1
 

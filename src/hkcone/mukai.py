@@ -42,13 +42,11 @@ def _check_member(u, a):
         raise PreconditionError("u must be nonzero")
     if len(a) != n or any(len(row) != n for row in a):
         raise PreconditionError("matrix size must match dim V")
-    # columns of A lie on the line of u
-    for j in range(n):
-        col = tuple(a[i][j] for i in range(n))
-        if any(col) and not proportional(col, u):
-            raise PreconditionError("image of A must lie in the line of u")
-    sq = linalg.mat_mul(a, a)
-    if any(any(row) for row in sq):
+    # A = u c^t exactly when A maps into the line of u; then A^2 = (c.u) A
+    c = _kernel_covector(u, a)
+    if any(a[i][j] != u[i] * c[j] for i in range(n) for j in range(n)):
+        raise PreconditionError("image of A must lie in the line of u")
+    if linalg.dot(c, u) != 0:
         raise PreconditionError("A^2 must vanish")
 
 
@@ -109,9 +107,9 @@ def contract_dual(point: DualMukaiPoint):
 
 
 def _kernel_covector(u, a):
-    """The covector c with A = u c^t, for A != 0 of the membership shape."""
+    """The covector c with A = u c^t when A maps into the line of u != 0."""
     i0 = next(i for i, c in enumerate(u) if c)
-    return tuple(a[i0][j] / u[i0] for j in range(len(u)))
+    return tuple(Fraction(a[i0][j]) / u[i0] for j in range(len(u)))
 
 
 def flop(point: MukaiPoint) -> DualMukaiPoint:

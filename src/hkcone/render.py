@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cone import FlopFactorization, enumerate_wall_classes
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .lattice import IntegralLattice, mod_four_class, _vec
 from .mbm import SignatureTable
 
@@ -99,7 +99,8 @@ def wall_chord(lattice: IntegralLattice, tdiag, w) -> tuple[tuple[float, float],
     b = lattice.pairing(f1, f2)
     c = lattice.pairing(f2, f2)
     disc = b * b - a * c
-    assert disc > 0, "orthogonal plane of a negative class must be hyperbolic"
+    if disc <= 0:
+        raise InvariantError("orthogonal plane of a negative class must be hyperbolic")
     if a == 0:
         roots = [(Fraction(1), Fraction(0)), (-c, 2 * b)]
         dirs = [tuple(s * p + t * q for p, q in zip(f1, f2)) for s, t in roots]

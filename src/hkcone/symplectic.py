@@ -2,15 +2,16 @@
 
 The rank of omega restricted to a subspace W with basis rows R is the
 rank of R omega R^t; it is even, at most dim W, and at least
-dim W - codim W with equality exactly for coisotropic W.  All ranks are
-computed by exact elimination; no thresholds.
+dim W - codim W with equality exactly for coisotropic W, since
+rank(omega|_W) = dim W - dim(W cap W^perp) and dim W^perp = codim W.
+is_coisotropic tests that equality instead of computing W^perp.  All
+ranks are computed by exact elimination; no thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from . import linalg
@@ -103,18 +104,12 @@ def is_isotropic(space: SymplecticSpace, w: Subspace) -> bool:
 
 
 def is_coisotropic(space: SymplecticSpace, w: Subspace) -> bool:
-    """True iff W contains its omega-orthogonal complement."""
-    _check_ambient(space, w)
-    perp = linalg.nullspace(linalg.mat_mul(w.basis, space.omega))
-    m = len(w.basis)
-    for v in perp:
-        denom = 1
-        for c in v:
-            denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-        vi = tuple(int(c * denom) for c in v)
-        if linalg.rank(w.basis + (vi,)) != m:
-            return False
-    return True
+    """True iff W contains its omega-orthogonal complement.
+
+    That holds exactly when rank(omega|_W) = dim W - codim W, the lower
+    bound on the restriction rank.
+    """
+    return restriction_rank(space, w) == 2 * w.dim - space.dim
 
 
 def pullback_rank(space: SymplecticSpace, f) -> int:

@@ -243,6 +243,12 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             make_lattice([[0, 1], [2, 0]])
 
+    def test_bool_entries_rejected(self):
+        with pytest.raises(PreconditionError):
+            make_lattice([[True, 0], [0, -1]])
+        with pytest.raises(PreconditionError):
+            make_lattice([[2, 0], [0, -1]], ambient_ideals=[True, 1])
+
     def test_fujiki_constant_is_inert_metadata(self):
         lat = make_lattice([[-4]], fujiki_constant="15/2")
         assert lat.fujiki_constant == Fraction(15, 2)

@@ -6,6 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+import sympy
 
 from hkcone import linalg
 from hkcone.errors import PreconditionError
@@ -89,6 +90,8 @@ def test_solve_roundtrip_and_errors():
         linalg.solve([[1, 0], [2, 0]], (1, 2))  # rank 1 < 2 columns
     with pytest.raises(PreconditionError):
         linalg.solve([[1, 0], [1, 0], [0, 1]], (1, 2, 0))  # inconsistent
+    with pytest.raises(PreconditionError, match="inconsistent"):
+        linalg.solve([[1, 1], [2, 2]], (1, 3))  # inconsistent wins over rank 1 < 2
 
 
 def test_nullspace_is_kernel():
@@ -108,3 +111,98 @@ def test_invert():
     assert linalg.mat_mul(a, inv) == linalg.identity(2)
     with pytest.raises(PreconditionError):
         linalg.invert([[1, 1], [1, 1]])
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def random_cases(seed, count=300):
+    """Integer and Fraction matrices of every shape from 1x1 to 6x6.
+
+    About half have a row replaced by a multiple of another, so square
+    cases include singular ones and all shapes include rank deficiency.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rational = k % 2 == 1
+
+        def entry():
+            if rational and rng.random() < 0.6:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            return rng.randint(-6, 6)
+
+        m = [[entry() for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(nr), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rational else rng.randint(-3, 3)
+            m[i] = [c * x for x in m[j]]
+        yield m
+
+
+def test_rank_determinant_against_sympy():
+    singular = 0
+    for m in random_cases(21):
+        ref = sympy.Matrix(m)
+        assert linalg.rank(m) == ref.rank()
+        if len(m) == len(m[0]):
+            det = linalg.determinant(m)
+            assert type(det) is Fraction
+            assert det == from_sympy(ref.det())
+            singular += det == 0
+    assert singular > 10
+
+
+def test_invert_against_sympy():
+    for m in random_cases(22):
+        if len(m) != len(m[0]):
+            continue
+        ref = sympy.Matrix(m)
+        if ref.det() == 0:
+            with pytest.raises(PreconditionError, match="singular matrix"):
+                linalg.invert(m)
+            continue
+        inv = linalg.invert(m)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert inv == tuple(tuple(from_sympy(x) for x in ref.inv().row(i))
+                            for i in range(len(m)))
+
+
+def test_nullspace_against_sympy():
+    for m in random_cases(23):
+        basis = linalg.nullspace(m)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        assert basis == tuple(tuple(from_sympy(x) for x in v)
+                              for v in sympy.Matrix(m).nullspace())
+
+
+def test_solve_against_sympy():
+    rng = random.Random(24)
+    seen = set()
+    for m in random_cases(25):
+        nc = len(m[0])
+        if rng.random() < 0.5:
+            x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+            b = [sum(a * x for a, x in zip(row, x0)) for row in m]
+        else:
+            b = [rng.randint(-4, 4) for _ in m]
+        ref, rhs = sympy.Matrix(m), sympy.Matrix(b)
+        ref_rank = ref.rank()
+        if ref.row_join(rhs).rank() > ref_rank:
+            outcome = "inconsistent system"
+        elif ref_rank < nc:
+            outcome = "underdetermined system"
+        else:
+            outcome = "solved"
+        seen.add(outcome)
+        if outcome != "solved":
+            with pytest.raises(PreconditionError, match=outcome):
+                linalg.solve(m, b)
+            continue
+        x = linalg.solve(m, b)
+        assert all(type(c) is Fraction for c in x)
+        sol, params = ref.gauss_jordan_solve(rhs)
+        assert params.shape[0] == 0
+        assert x == tuple(from_sympy(c) for c in sol)
+    assert seen == {"inconsistent system", "underdetermined system", "solved"}

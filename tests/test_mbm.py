@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from hkcone.errors import PreconditionError
 from hkcone.lattice import is_primitive
-from hkcone.mbm import (OrbitSignature, classify,
-                        codimension_of, dual_solve, is_divisorial,
+from hkcone.mbm import (OrbitSignature, classify, dual_solve, is_divisorial,
                         primitive_rescale, table_from_dict)
 
 from conftest import NAMED_ORDER
@@ -78,10 +77,10 @@ class TestTable:
 
     def test_codimension_helpers(self, table):
         delta = table.by_name("delta")
-        assert codimension_of(delta) == 1 and is_divisorial(delta)
+        assert delta.codimension == 1 and is_divisorial(delta)
         codim2 = table.by_name("codim2")
-        assert codimension_of(codim2) == 2 and not is_divisorial(codim2)
-        assert codimension_of(table.by_name("codim3")) == 3
+        assert codim2.codimension == 2 and not is_divisorial(codim2)
+        assert table.by_name("codim3").codimension == 3
 
     def test_positive_square_rejected(self):
         with pytest.raises(PreconditionError):

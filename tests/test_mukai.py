@@ -51,8 +51,10 @@ class TestMakePoint:
             make_point((0, 0), (0, 1))
 
     def test_membership_enforced_on_direct_construction(self):
-        with pytest.raises(PreconditionError):
-            mukai_point((1, 0), ((1, 0), (0, 1)))  # identity is not square-zero
+        with pytest.raises(PreconditionError, match="line of u"):
+            mukai_point((1, 0), ((1, 0), (0, 1)))  # identity leaves the line of u
+        with pytest.raises(PreconditionError, match="A\\^2 must vanish"):
+            mukai_point((1, 0), ((1, 0), (0, 0)))  # image in the line, c.u = 1
         with pytest.raises(PreconditionError):
             mukai_point((1, 0), ((0, 0), (0, 0), (0, 0)))
 

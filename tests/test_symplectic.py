@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hkcone import linalg
 from hkcone.errors import PreconditionError
@@ -69,6 +70,39 @@ class TestIsotropicCoisotropic:
                 linalg.dot(u, linalg.mat_vec(s.omega, v)) == 0
                 for u in w.basis for v in w.basis)
             assert is_isotropic(s, w) == all_zero
+
+
+class TestCoisotropicDefinition:
+    def test_against_sympy_perp(self):
+        """is_coisotropic agrees with W^perp <= W, W^perp computed by sympy."""
+        rng = random.Random(13)
+        verdicts = []
+        for k in range(300):
+            n = rng.randint(1, 4)
+            dim = 2 * n
+            if k % 2:
+                # a random form omega = P^t J P with P invertible
+                while True:
+                    p = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+                    if linalg.determinant(p) != 0:
+                        break
+                j = standard_space(n).omega
+                s = symplectic_space(linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), j), p))
+            else:
+                s = standard_space(n)
+            # sparse small entries make isotropic and coisotropic W common
+            while True:
+                rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)]
+                        for _ in range(rng.randint(1, dim))]
+                if linalg.rank(rows) == len(rows):
+                    break
+            w = subspace(rows)
+            basis = sympy.Matrix(rows)
+            perp = (basis * sympy.Matrix(s.omega)).nullspace()
+            contained = all(basis.col_join(v.T).rank() == len(rows) for v in perp)
+            assert is_coisotropic(s, w) == contained
+            verdicts.append(contained)
+        assert 50 < sum(verdicts) < 250
 
 
 class TestPullback:
