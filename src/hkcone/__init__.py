@@ -15,7 +15,7 @@ from .lattice import (DiscriminantGroup, IntegralLattice, is_primitive,
                       mod_four_class)
 from .mbm import (OrbitSignature, SignatureTable, classify, dual_solve,
                   is_divisorial, load_table, primitive_rescale, table_from_dict)
-from .cone import (ConePoint, FlopFactorization, WallCrossing,
+from .cone import (FlopFactorization, WallCrossing,
                    component_sign, crossing_parameter, enumerate_wall_classes,
                    factor_path, factorization_report, group_hu_yau,
                    same_chamber, same_component)

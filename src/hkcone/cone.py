@@ -7,6 +7,12 @@ segment between two cone points meets finitely many of them inside any
 fixed compact region, and the crossings factor the corresponding
 bimeromorphic map into flops, grouped so that every block carries
 exactly one codimension-two crossing.
+
+Enumeration scans the canonical half of the box from ``enumeration_box``
+(first nonzero coordinate positive) as one flat product per position of
+that coordinate.  Segment work computes, once per endpoint, its side
+list: the pairings q(x, p) with every enumerated wall x.  A zero marks
+incidence; opposite signs mark separation and a crossing.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import product
+from math import floor, isqrt, lcm
 
 from . import linalg
 from .errors import InvariantError, PreconditionError
-from .lattice import IntegralLattice, _vec
+from .lattice import IntegralLattice
 from .mbm import OrbitSignature, SignatureTable, primitive_rescale
 from .rational import frac_str, vector_strs
 
@@ -29,26 +36,12 @@ STATUS_REGULAR = "regular_in_codim_two"
 _PERTURB_ATTEMPTS = 64
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    """A rational vector of exactly positive square."""
-
-    coords: tuple[Fraction, ...]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
-def as_cone_point(lattice: IntegralLattice, p) -> ConePoint:
-    if isinstance(p, ConePoint):
-        return p
-    coords = tuple(Fraction(c) for c in _vec(p))
+def as_cone_point(lattice: IntegralLattice, p) -> tuple[Fraction, ...]:
+    """The coordinates of p as Fractions, checked to have positive square."""
+    coords = tuple(Fraction(c) for c in p)
     if lattice.square(coords) <= 0:
         raise PreconditionError("point must have positive square")
-    return ConePoint(coords)
+    return coords
 
 
 def component_sign(lattice: IntegralLattice, p) -> int:
@@ -57,9 +50,8 @@ def component_sign(lattice: IntegralLattice, p) -> int:
     The tag is the pairing sign against a fixed positive reference vector
     derived from the diagonalization of the lattice.
     """
-    p = as_cone_point(lattice, p)
-    ref = lattice.positive_reference()
-    s = lattice.pairing(p.coords, ref)
+    _require_lorentzian(lattice)
+    s = lattice.pairing(as_cone_point(lattice, p), lattice.positive_reference())
     return 1 if s > 0 else -1
 
 
@@ -93,34 +85,18 @@ def _require_lorentzian(lattice: IntegralLattice):
 def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
     """True iff two positive-square points lie in the same cone component."""
     _require_lorentzian(lattice)
-    p = as_cone_point(lattice, p)
-    q_pt = as_cone_point(lattice, q_pt)
-    return lattice.pairing(p.coords, q_pt.coords) > 0
-
-
-def _isqrt_frac(x: Fraction) -> int:
-    """Largest integer n with n^2 <= x (x >= 0)."""
-    return isqrt(x.numerator // x.denominator)
+    return lattice.pairing(as_cone_point(lattice, p), as_cone_point(lattice, q_pt)) > 0
 
 
 def _canonical_box(bounds):
-    """Nonzero integer vectors in the box, first nonzero coordinate positive."""
-    n = len(bounds)
-    cur = [0] * n
+    """Nonzero integer vectors in the box, first nonzero coordinate positive.
 
-    def rec(i, all_zero):
-        if i == n:
-            if not all_zero:
-                yield tuple(cur)
-            return
-        m = bounds[i]
-        start = 0 if all_zero else -m
-        for v in range(start, m + 1):
-            cur[i] = v
-            yield from rec(i + 1, all_zero and v == 0)
-        cur[i] = 0
-
-    yield from rec(0, True)
+    Grouped by the position k of the first nonzero coordinate: zeros
+    before it, 1..bounds[k] at it, the full range after it.
+    """
+    for k in range(len(bounds)):
+        yield from product(*([(0,)] * k), range(1, bounds[k] + 1),
+                           *(range(-b, b + 1) for b in bounds[k + 1:]))
 
 
 def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
@@ -133,7 +109,7 @@ def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
     (2B + 1) max|s|, and the box follows from the inverse of the
     majorant's Gram matrix.
     """
-    p = primitive_rescale(as_cone_point(lattice, base).coords)[0]
+    p = primitive_rescale(as_cone_point(lattice, base))[0]
     g = int(lattice.square(p))
     gp = [int(v) for v in lattice.pairing_row(p)]
     cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
@@ -141,7 +117,7 @@ def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
     majorant = [[Fraction(2 * gp[i] * gp[j], g) - lattice.gram[i][j]
                  for j in range(n)] for i in range(n)]
     inv = linalg.invert(majorant)
-    return tuple(_isqrt_frac(cap * inv[i][i]) for i in range(n))
+    return tuple(isqrt(floor(cap * inv[i][i])) for i in range(n))
 
 
 def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
@@ -161,7 +137,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
         raise PreconditionError("signature table is empty")
     base = as_cone_point(lattice, base)
 
-    p = primitive_rescale(base.coords)[0]
+    p = primitive_rescale(base)[0]
     g = int(lattice.square(p))
     gp = [int(v) for v in lattice.pairing_row(p)]
     squares = set(table.squares)
@@ -193,10 +169,6 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     return found
 
 
-def _coords(p):
-    return p.coords if isinstance(p, ConePoint) else tuple(Fraction(c) for c in _vec(p))
-
-
 def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
     """Parameter of the wall of x on the segment a + t(b - a), if crossed.
 
@@ -204,11 +176,8 @@ def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
     opposite signs, None otherwise (including an endpoint on the wall).
     Pure segment arithmetic: cone membership is the caller's concern.
     """
-    qa = lattice.pairing(x, _coords(a))
-    qb = lattice.pairing(x, _coords(b))
-    if (qa > 0 and qb < 0) or (qa < 0 and qb > 0):
-        return Fraction(qa, qa - qb)
-    return None
+    qa, qb = lattice.pairing(x, a), lattice.pairing(x, b)
+    return Fraction(qa, qa - qb) if qa * qb < 0 else None
 
 
 def _covers(lattice, bound, base, point) -> bool:
@@ -218,14 +187,10 @@ def _covers(lattice, bound, base, point) -> bool:
     return qq * qq <= bound * lattice.square(base) * lattice.square(point)
 
 
-def _separated(lattice, walls, p, q_pt) -> bool:
-    """Some enumerated wall has strictly opposite pairing signs at p and q_pt."""
-    for x, _sig in walls:
-        sp = lattice.pairing(x, p)
-        sq = lattice.pairing(x, q_pt)
-        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            return True
-    return False
+def _sides(lattice, walls, p) -> list:
+    """q(x, p) for every enumerated wall x; a zero means p lies on that wall."""
+    gp = lattice.pairing_row(p)
+    return [sum(xi * gi for xi, gi in zip(x, gp)) for x, _sig in walls]
 
 
 def _perturbation_shifts(coords):
@@ -241,7 +206,7 @@ def _perturbation_shifts(coords):
         yield k % n, eps0 / (2 ** (k // n))
 
 
-def _fix_endpoint(lattice, walls, bound, base, original, extra_ok):
+def _fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok):
     """Accumulate shifts until the endpoint reaches general position.
 
     Shifts compound: a point sitting on several walls whose normals have
@@ -249,38 +214,31 @@ def _fix_endpoint(lattice, walls, bound, base, original, extra_ok):
     A candidate is accepted once it has positive square, keeps the
     original's component, stays inside the enumerated region (so the
     wall list remains complete), avoids every wall, is not separated
-    from the original point by any wall, and passes the caller's extra
-    predicate.
+    from the original point (side list ``sides``) by any wall, and its
+    side list passes the caller's predicate; returns both.
     """
     current = list(original)
     for j, eps in _perturbation_shifts(original):
         current[j] += eps
         cand = tuple(current)
-        if lattice.square(cand) <= 0:
+        if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0 \
+                or not _covers(lattice, bound, base, cand):
             continue
-        if lattice.pairing(cand, original) <= 0:
+        cand_sides = _sides(lattice, walls, cand)
+        if any(c == 0 or c * o < 0 for c, o in zip(cand_sides, sides)):
             continue
-        if not _covers(lattice, bound, base, cand):
-            continue
-        if any(lattice.pairing(x, cand) == 0 for x, _ in walls):
-            continue
-        if _separated(lattice, walls, original, cand):
-            continue
-        if not extra_ok(cand):
-            continue
-        return cand
+        if extra_ok(cand_sides):
+            return cand, cand_sides
     raise PreconditionError("could not perturb an endpoint into general position")
 
 
-def _strict_crossings(lattice, walls, a, b):
+def _strict_crossings(walls, sa, sb):
+    """Crossings of the walls with opposite sides at a and b, signed positive at a."""
     steps = []
-    for x, sig in walls:
-        qa = lattice.pairing(x, a)
-        qb = lattice.pairing(x, b)
-        if qa < 0 and qb > 0:
-            x = tuple(-c for c in x)
-            qa, qb = -qa, -qb
-        if qa > 0 and qb < 0:
+    for (x, sig), qa, qb in zip(walls, sa, sb):
+        if qa * qb < 0:
+            if qa < 0:
+                x = tuple(-c for c in x)
             steps.append(WallCrossing(wall_class=x, t=Fraction(qa, qa - qb), signature=sig))
     steps.sort(key=lambda s: (s.t, s.wall_class))
     return steps
@@ -318,32 +276,32 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     bound = Fraction(bound)
     a = as_cone_point(lattice, a)
     b = as_cone_point(lattice, b)
-    if lattice.pairing(a.coords, b.coords) <= 0:
+    if lattice.pairing(a, b) <= 0:
         raise PreconditionError("endpoints lie in different components of the positive cone")
-    if bound < 1 or not _covers(lattice, bound, a.coords, b.coords):
+    if bound < 1 or not _covers(lattice, bound, a, b):
         raise PreconditionError("bound too small: the region does not cover the segment")
 
     walls = enumerate_wall_classes(lattice, table, a, bound)
 
-    pa, pb = a.coords, b.coords
+    pa, pb = a, b
+    sa, sb = _sides(lattice, walls, a), _sides(lattice, walls, b)
     perturbed = False
-    if any(lattice.pairing(x, pa) == 0 for x, _ in walls):
-        pa = _fix_endpoint(lattice, walls, bound, a.coords, pa, lambda _c: True)
+    if 0 in sa:
+        pa, sa = _fix_endpoint(lattice, walls, bound, a, a, sa, lambda _s: True)
         perturbed = True
 
-    def b_ok(cand):
-        ts = [crossing_parameter(lattice, x, pa, cand) for x, _ in walls]
-        ts = [t for t in ts if t is not None]
+    def b_ok(sides):
+        ts = [s.t for s in _strict_crossings(walls, sa, sides)]
         return len(ts) == len(set(ts))
 
-    if any(lattice.pairing(x, pb) == 0 for x, _ in walls) or not b_ok(pb):
-        pb = _fix_endpoint(lattice, walls, bound, a.coords, pb, b_ok)
+    if 0 in sb or not b_ok(sb):
+        pb, sb = _fix_endpoint(lattice, walls, bound, a, b, sb, b_ok)
         perturbed = True
 
     # No check that the crossings stay in the cone: pa and pb lie in one
     # component, so q(pa, pb) > 0 and q(t pa + (1-t) pb) = t^2 q(pa)
     # + (1-t)^2 q(pb) + 2t(1-t) q(pa, pb) > 0 for every t in [0, 1].
-    steps = _strict_crossings(lattice, walls, pa, pb)
+    steps = _strict_crossings(walls, sa, sb)
     ts = [s.t for s in steps]
     if len(ts) != len(set(ts)):
         raise InvariantError("crossing parameters must be distinct")

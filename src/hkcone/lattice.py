@@ -21,10 +21,6 @@ from .rational import parse_frac
 Vector = tuple
 
 
-def _vec(x) -> tuple:
-    return tuple(x)
-
-
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """Cokernel of the Gram matrix in invariant-factor form.
@@ -39,7 +35,7 @@ class DiscriminantGroup:
     _factors_full: tuple[int, ...]
 
     def residues(self, dual_coords) -> tuple[int, ...]:
-        w = linalg.mat_vec(self.transform, _vec(dual_coords))
+        w = linalg.mat_vec(self.transform, tuple(dual_coords))
         return tuple(int(wi) % f
                      for wi, f in zip(w, self._factors_full) if f > 1)
 
@@ -53,7 +49,7 @@ class DiscriminantGroup:
 
 def is_primitive(coords) -> bool:
     """True iff the integer vector has coordinate gcd 1."""
-    v = _vec(coords)
+    v = tuple(coords)
     if all(c == 0 for c in v):
         raise PreconditionError("zero vector")
     return linalg.vec_content(v) == 1
@@ -87,7 +83,7 @@ class IntegralLattice:
         return len(self.gram)
 
     def pairing(self, x, y):
-        x, y = _vec(x), _vec(y)
+        x, y = tuple(x), tuple(y)
         if len(x) != self.rank or len(y) != self.rank:
             raise PreconditionError("dimension mismatch")
         return sum(xi * sum(g * yj for g, yj in zip(row, y))
@@ -98,7 +94,7 @@ class IntegralLattice:
 
     def pairing_row(self, x) -> tuple:
         """Pairings of x against the basis vectors, i.e. G x."""
-        return linalg.mat_vec(self.gram, _vec(x))
+        return linalg.mat_vec(self.gram, tuple(x))
 
     def divisibility(self, x) -> int:
         """Positive generator of the pairing ideal of x.
@@ -110,7 +106,7 @@ class IntegralLattice:
         vector's pairing ideal in the ambient lattice, and the divisibility
         becomes gcd_i(ambient_i * x_i).
         """
-        v = _vec(x)
+        v = tuple(x)
         if len(v) != self.rank:
             raise PreconditionError("dimension mismatch")
         if all(c == 0 for c in v):
@@ -144,7 +140,7 @@ class IntegralLattice:
         The tuple and its negation describe the same wall; the smaller of
         the two (lexicographically) is returned.
         """
-        v = _vec(x)
+        v = tuple(x)
         if not is_primitive(v):
             raise PreconditionError("class must be primitive")
         d = self.divisibility(v)
@@ -160,21 +156,24 @@ class IntegralLattice:
         minus = disc.residues([-w for w in dual])
         return min(plus, minus)
 
+    @functools.cache
+    def _congruence(self):
+        return linalg.congruence_diagonalize(self.gram)
+
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
-        _t, diag = linalg.congruence_diagonalize(self.gram)
+        _t, diag = self._congruence()
         plus = sum(1 for d in diag if d > 0)
         minus = sum(1 for d in diag if d < 0)
         return plus, minus, len(diag) - plus - minus
 
-    @functools.cache
     def diagonalize(self):
         """(T, diag) with T^t G T = diag(diag), exact rationals.
 
         For Lorentzian input (one positive inertia index) the positive
         entry is listed first.
         """
-        t, diag = linalg.congruence_diagonalize(self.gram)
+        t, diag = self._congruence()
         if any(d == 0 for d in diag):
             raise PreconditionError("degenerate lattice")
         positives = [i for i, d in enumerate(diag) if d > 0]

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
-from .lattice import IntegralLattice, is_primitive, _vec
+from .lattice import IntegralLattice, is_primitive
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     Invariant under x -> -x: square, divisibility and the sign-folded
     residue all are.
     """
-    v = _vec(x)
+    v = tuple(x)
     if not is_primitive(v):
         raise PreconditionError("class must be primitive")
     square = lattice.square(v)
@@ -109,7 +109,7 @@ def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:
     rows = []
     rhs = []
     for cls, value in constraints:
-        rows.append(lattice.pairing_row(_vec(cls)))
+        rows.append(lattice.pairing_row(cls))
         rhs.append(Fraction(value))
     try:
         return linalg.solve(rows, rhs)
@@ -121,7 +121,7 @@ def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:
 
 def primitive_rescale(x) -> tuple[tuple[int, ...], Fraction]:
     """Primitive integral y and scale s > 0 with y = s * x."""
-    v = [Fraction(c) for c in _vec(x)]
+    v = [Fraction(c) for c in x]
     if all(c == 0 for c in v):
         raise PreconditionError("zero vector")
     denom = lcm(*(c.denominator for c in v))

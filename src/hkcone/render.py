@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .cone import FlopFactorization, enumerate_wall_classes
 from .errors import InvariantError, PreconditionError
-from .lattice import IntegralLattice, mod_four_class, _vec
+from .lattice import IntegralLattice, mod_four_class
 from .mbm import SignatureTable
 
 BOUNDARY_TOL = 1e-9
@@ -72,7 +72,7 @@ def klein_coords(lattice: IntegralLattice, tdiag, x) -> tuple[float, float]:
     exactly, before any float appears.
     """
     tinv, sx, sy = _diagonal_frame(lattice, tdiag)
-    coords = tuple(Fraction(c) for c in _vec(x))
+    coords = tuple(Fraction(c) for c in x)
     if lattice.square(coords) < 0:
         raise PreconditionError("point must have nonnegative square")
     y = linalg.mat_vec(tinv, coords)
@@ -90,7 +90,7 @@ def wall_chord(lattice: IntegralLattice, tdiag, w) -> tuple[tuple[float, float],
     directions are the roots of an exact quadratic, projected to the
     boundary circle.  Endpoints are sorted for determinism.
     """
-    w = _vec(w)
+    w = tuple(w)
     if lattice.square(w) >= 0:
         raise PreconditionError("wall classes have negative square")
     tinv, sx, sy = _diagonal_frame(lattice, tdiag)

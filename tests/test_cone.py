@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from hkcone import fixtures, linalg
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR,
-                         WallCrossing, component_sign,
+                         WallCrossing, _canonical_box, component_sign,
                          crossing_parameter, enumerate_wall_classes,
                          enumeration_box, factor_path, factorization_report,
                          group_hu_yau, same_chamber, same_component)
@@ -71,6 +72,10 @@ class TestSameComponent:
         definite = make_lattice([[2, 0], [0, 2]])
         with pytest.raises(PreconditionError):
             same_component(definite, (1, 0), (0, 1))
+        for lat, p in [(make_lattice([[1, 0], [0, 1]]), (0, 1)),
+                       (make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), (0, 1, 0))]:
+            with pytest.raises(PreconditionError, match="signature"):
+                component_sign(lat, p)
 
     def test_component_sign_is_consistent(self, quartic):
         assert component_sign(quartic, (4, 4, -1)) == -component_sign(quartic, (-4, -4, 1))
@@ -115,48 +120,69 @@ class TestEnumerate:
 
     def test_random_lorentzian_completeness(self, table):
         rng = random.Random(42)
-        tested = 0
-        while tested < 12:
-            gram = [[0] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(i, 3):
-                    gram[i][j] = gram[j][i] = rng.randint(-10, 10)
-            lat = make_lattice(gram)
-            if linalg.determinant(gram) == 0 or lat.signature() != (1, 2, 0):
-                continue
-            base = None
-            for _ in range(50):
-                cand = tuple(rng.randint(-4, 4) for _ in range(3))
-                if any(cand) and lat.square(cand) > 0:
-                    base = cand
-                    break
-            if base is None:
-                continue
-            pairs = set()
-            for _ in range(200):
-                v = tuple(rng.randint(-4, 4) for _ in range(3))
-                if not any(v) or lat.square(v) >= 0:
+        # (rank, lattices, entry span, vector reach, oracle margin).  Above
+        # rank 3 a uniform Gram draw is rarely Lorentzian and its boxes are
+        # far too big for the oracle, so the diagonal is redrawn with signs
+        # (+, -, ..., -) to dominate off-diagonal entries of at most 1.  The
+        # oracle grid (2 (max(box) + margin) + 1)^rank must stay under 10^6
+        # points, and the margins keep the test near 2 s.
+        for rank, wanted, span, reach, margin in [(3, 13, 10, 4, 5), (4, 5, 1, 2, 3),
+                                                  (5, 3, 1, 2, 1)]:
+            tested = 0
+            while tested < wanted:
+                gram = [[0] * rank for _ in range(rank)]
+                for i in range(rank):
+                    for j in range(i, rank):
+                        gram[i][j] = gram[j][i] = rng.randint(-span, span)
+                if rank > 3:
+                    for i in range(rank):
+                        gram[i][i] = rng.randint(2, 6) * (1 if i == 0 else -1)
+                lat = make_lattice(gram)
+                if linalg.determinant(gram) == 0 or lat.signature() != (1, rank - 1, 0):
                     continue
-                if linalg.vec_content(v) != 1:
+                base = None
+                for _ in range(50):
+                    cand = tuple(rng.randint(-reach, reach) for _ in range(rank))
+                    if any(cand) and lat.square(cand) > 0:
+                        base = cand
+                        break
+                if base is None:
                     continue
-                pairs.add((int(lat.square(v)), lat.divisibility(v)))
-                if len(pairs) >= 3:
-                    break
-            if not pairs:
-                continue
-            rows = tuple(OrbitSignature(name=f"o{i}", square=s, divisibility=d,
-                                        codimension=(i % 3) + 1)
-                         for i, (s, d) in enumerate(sorted(pairs)))
-            sub = SignatureTable(orbits=rows)
-            bound = F(1)
-            box = enumeration_box(lat, base, bound, [r.square for r in rows])
-            if max(box) > 25:
-                continue
-            walls = enumerate_wall_classes(lat, sub, base, bound)
-            oracle = oracle_scan(lat, sub, base, bound, max(box) + 5)
-            assert [(x, sig.name) for x, sig in walls] == \
-                [(x, sig.name) for x, sig in oracle]
-            tested += 1
+                pairs = set()
+                for _ in range(200):
+                    v = tuple(rng.randint(-reach, reach) for _ in range(rank))
+                    if not any(v) or lat.square(v) >= 0:
+                        continue
+                    if linalg.vec_content(v) != 1:
+                        continue
+                    pairs.add((int(lat.square(v)), lat.divisibility(v)))
+                    if len(pairs) >= 3:
+                        break
+                if not pairs:
+                    continue
+                rows = tuple(OrbitSignature(name=f"o{i}", square=s, divisibility=d,
+                                            codimension=(i % 3) + 1)
+                             for i, (s, d) in enumerate(sorted(pairs)))
+                sub = SignatureTable(orbits=rows)
+                bound = F(1)
+                box = enumeration_box(lat, base, bound, [r.square for r in rows])
+                if (2 * (max(box) + margin) + 1) ** rank > 10 ** 6:
+                    continue
+                walls = enumerate_wall_classes(lat, sub, base, bound)
+                oracle = oracle_scan(lat, sub, base, bound, max(box) + margin)
+                assert [(x, sig.name) for x, sig in walls] == \
+                    [(x, sig.name) for x, sig in oracle]
+                tested += 1
+
+    @pytest.mark.parametrize("bounds", [(0, 2, 0), (3,), (0, 0, 1), (0,), (2, 0, 3),
+                                        (1, 2, 0, 1)])
+    def test_canonical_box_against_full_box(self, bounds):
+        got = list(_canonical_box(bounds))
+        full = itertools.product(*(range(-b, b + 1) for b in bounds))
+        want = {x for x in full if any(x) and next(c for c in x if c) > 0}
+        assert len(got) == len(set(got))
+        assert set(got) == want
+        assert not any(all(c == 0 for c in x) for x in got)
 
     def test_bad_bound_rejected(self, quartic, table):
         with pytest.raises(PreconditionError):
@@ -244,6 +270,24 @@ class TestFactorPath:
         assert f.b != (1, 1, 0)
         ts = [s.t for s in f.steps]
         assert len(ts) == len(set(ts))
+
+    def test_endpoint_on_two_walls_perturbs(self, quartic, table):
+        # (3/2, 1, -1) lies on exactly two enumerated walls, those of alpha
+        # (1, 0, 0) and codim2 (12, 8, -9); it is tried as either endpoint
+        p, bound = (F(3, 2), 1, -1), F(113, 15)
+        for a, b in [(M3, p), (p, M3)]:
+            walls = enumerate_wall_classes(quartic, table, a, bound)
+            assert sorted(x for x, _ in walls if quartic.pairing(x, p) == 0) == \
+                [(1, 0, 0), (12, 8, -9)]
+            f = factor_path(quartic, table, a, b, bound)
+            assert f.perturbed
+            ts = [s.t for s in f.steps]
+            assert all(s < t for s, t in zip(ts, ts[1:]))
+            moved = f.b if b == p else f.a
+            assert moved != tuple(p)
+            for x, _ in walls:
+                assert quartic.pairing(x, moved) != 0
+                assert quartic.pairing(x, moved) * quartic.pairing(x, p) >= 0
 
     def test_coincident_crossings_perturb(self, quartic, table):
         # the walls of alpha, beta and gamma share the interior line through
