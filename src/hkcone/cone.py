@@ -8,11 +8,17 @@ fixed compact region, and the crossings factor the corresponding
 bimeromorphic map into flops, grouped so that every block carries
 exactly one codimension-two crossing.
 
-Enumeration scans the canonical half of the box from ``enumeration_box``
-(first nonzero coordinate positive) as one flat product per position of
-that coordinate.  Segment work computes, once per endpoint, its side
-list: the pairings q(x, p) with every enumerated wall x.  A zero marks
-incidence; opposite signs mark separation and a crossing.
+Enumeration visits the integer points of an ellipsoid, not of its
+bounding box: every wall lies where a positive definite majorant is
+bounded.  One coordinate is solved for exactly; the others walk the
+projected ellipsoid Fincke-Pohst style (U. Fincke and M. Pohst, Math.
+Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic Number
+Theory, 2.7.3), one of each +-pair, in integer arithmetic.  Per prefix
+and table square the solved coordinate is the root of an integer
+quadratic (or linear) equation, found by an ``isqrt`` perfect-square
+test.  Segment work computes, once per endpoint, its side list: the
+pairings q(x, p) with every enumerated wall x.  A zero marks incidence;
+opposite signs mark separation and a crossing.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import floor, isqrt, lcm
 
 from . import linalg
@@ -88,15 +93,17 @@ def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
     return lattice.pairing(as_cone_point(lattice, p), as_cone_point(lattice, q_pt)) > 0
 
 
-def _canonical_box(bounds):
-    """Nonzero integer vectors in the box, first nonzero coordinate positive.
+def _majorant(lattice: IntegralLattice, p) -> tuple[int, list[list[int]]]:
+    """(g, g M) at a primitive integer cone point p, with g = q(p).
 
-    Grouped by the position k of the first nonzero coordinate: zeros
-    before it, 1..bounds[k] at it, the full range after it.
+    M = 2 (Gp)(Gp)^t / g - G is the majorant: positive definite for a
+    Lorentzian lattice, since it is g > 0 on p and -q > 0 on p-perp.
+    Scaled by g it is an integer matrix.
     """
-    for k in range(len(bounds)):
-        yield from product(*([(0,)] * k), range(1, bounds[k] + 1),
-                           *(range(-b, b + 1) for b in bounds[k + 1:]))
+    g = int(lattice.square(p))
+    gp = [int(v) for v in lattice.pairing_row(p)]
+    return g, [[2 * gi * gj - g * gij for gj, gij in zip(gp, row)]
+               for gi, row in zip(gp, lattice.gram)]
 
 
 def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
@@ -109,15 +116,58 @@ def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
     (2B + 1) max|s|, and the box follows from the inverse of the
     majorant's Gram matrix.
     """
-    p = primitive_rescale(as_cone_point(lattice, base))[0]
-    g = int(lattice.square(p))
-    gp = [int(v) for v in lattice.pairing_row(p)]
+    g, scaled = _majorant(lattice, primitive_rescale(as_cone_point(lattice, base))[0])
     cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
-    n = lattice.rank
-    majorant = [[Fraction(2 * gp[i] * gp[j], g) - lattice.gram[i][j]
-                 for j in range(n)] for i in range(n)]
-    inv = linalg.invert(majorant)
-    return tuple(isqrt(floor(cap * inv[i][i])) for i in range(n))
+    inv = linalg.invert(scaled)
+    return tuple(isqrt(floor(cap * g * inv[i][i])) for i in range(lattice.rank))
+
+
+def _ellipsoid_slices(a, budget):
+    """Integer y != 0 with y^t A y <= budget, one of each +-pair.
+
+    A is a positive definite integer m x m matrix, m >= 1.  Yields
+    (outer, lo, hi): the outer coordinates y[1:] and the range lo..hi
+    of y[0] that completes them.  Of y and -y only the one whose last
+    nonzero coordinate is positive is produced.
+
+    The walk is Fincke-Pohst's, outermost coordinate first, on a
+    fraction-free LDL^t: ``t[i]`` is det A[:i,:i] times the Schur
+    complement of A[:i,:i] in A (an integer matrix on coordinates
+    i..m-1), so d_i = t[i][0][0] = det A[:i+1,:i+1].  With y[i+1:]
+    fixed and V = t[i+1](y[i+1:]), y[i] is in range iff
+    (d_i y[i] + beta)^2 <= d_{i-1} (d_i budget - V), with d_{-1} = 1
+    and beta the cross term of t[i]; all node arithmetic is on integers.
+    """
+    m = len(a)
+    t = [a]
+    for i in range(1, m):
+        prev = t[-1]
+        dp = t[-2][0][0] if i > 1 else 1
+        t.append([[(prev[0][0] * prev[r][c] - prev[r][0] * prev[0][c]) // dp
+                    for c in range(1, len(prev))] for r in range(1, len(prev))])
+    y = [0] * m
+
+    def walk(i, v, zero):
+        row = t[i][0]
+        d = row[0]
+        dp = t[i - 1][0][0] if i else 1
+        beta = sum(row[j - i] * y[j] for j in range(i + 1, m))
+        r = isqrt(dp * (d * budget - v))
+        hi = (r - beta) // d
+        lo = -((r + beta) // d)
+        if zero:  # y[i+1:] = 0, so beta = 0: keep y[i] >= 0, and > 0 in y[0]
+            lo = 0 if i else 1
+        if i == 0:
+            if lo <= hi:
+                yield tuple(y[1:]), lo, hi
+            return
+        for yi in range(lo, hi + 1):
+            y[i] = yi
+            u = d * yi + beta
+            yield from walk(i - 1, (u * u + dp * v) // d, zero and yi == 0)
+        y[i] = 0
+
+    return walk(m - 1, 0, True)
 
 
 def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
@@ -128,6 +178,18 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     nonzero coordinate positive, its (square, divisibility[, residue])
     matches a table row, and q(x, base)^2 <= B |q(x)| q(base).  The
     search region is compact, so the output is complete.
+
+    Every such x with q(x) = s < 0 has M(x) <= (2B + 1)|s| for the
+    majorant M of ``_majorant``.  One coordinate x_k, the one whose
+    lines through the ellipsoid are longest (least M_kk), is solved
+    for; the other coordinates (the prefix) walk the projection of the
+    ellipsoid, the Schur complement of M_kk, one of each +-pair.  Per
+    prefix and table square, q(x) = s is the integer equation
+    G_kk z^2 + 2 L z + Q - s = 0 in z = x_k, solved exactly by an
+    ``isqrt`` perfect-square test and divisibility; when G_kk = 0 it
+    is linear, and when L = 0 as well every z of the ellipsoid slice is
+    tried.  Candidates then pass the region inequality, primitivity
+    and the table match.
     """
     _require_lorentzian(lattice)
     bound = Fraction(bound)
@@ -137,34 +199,93 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
         raise PreconditionError("signature table is empty")
     base = as_cone_point(lattice, base)
 
+    # A square s >= 0 never passes the region inequality (s = 0 would
+    # need q(x, p) = 0 too, i.e. M(x) = 0 and x = 0).
+    squares = [s for s in table.squares if s < 0]
+    if not squares:
+        return []
     p = primitive_rescale(base)[0]
-    g = int(lattice.square(p))
+    g, mt = _majorant(lattice, p)
     gp = [int(v) for v in lattice.pairing_row(p)]
-    squares = set(table.squares)
     bn, bd = bound.numerator, bound.denominator
     gram = lattice.gram
     n = lattice.rank
+    cap = floor(g * (2 * bound + 1) * -squares[0])  # g M(x) <= cap, integer
+
+    k = min(range(n), key=lambda i: mt[i][i])
+    free = [j for j in range(n) if j != k]
+    mkk, gkk = mt[k][k], gram[k][k]
+
+    def roots(y, lin, quad):
+        """(s, z) for each table square s and integer z with q(x) = s,
+        x = y with z at k, where q(x) = G_kk z^2 + 2 lin z + quad."""
+        out = []
+        if gkk:
+            d0 = lin * lin - gkk * quad
+            for s in squares:
+                disc = d0 + gkk * s
+                if disc >= 0:
+                    r = isqrt(disc)
+                    if r * r == disc:
+                        out += [(s, num // gkk) for num in {r - lin, -r - lin}
+                                if num % gkk == 0]
+        elif lin:
+            out = [(s, (s - quad) // (2 * lin)) for s in squares
+                   if (s - quad) % (2 * lin) == 0]
+        elif quad in squares:
+            # q(x) = quad on the whole line: scan the ellipsoid slice
+            b = sum(mt[k][j] * v for j, v in zip(free, y))
+            rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
+            top = mkk * (cap - rest) + b * b
+            if top >= 0:
+                r = isqrt(top)
+                out = [(quad, z) for z in range(-((r + b) // mkk), (r - b) // mkk + 1)]
+        return out
 
     found = []
-    for x in _canonical_box(enumeration_box(lattice, base, bound, squares)):
-        s = 0
-        for i in range(n):
-            row = gram[i]
-            acc = 0
-            for j in range(n):
-                acc += row[j] * x[j]
-            s += x[i] * acc
-        if s not in squares:
-            continue
-        t = sum(xi * gpi for xi, gpi in zip(x, gp))
+
+    def emit(y, t, s, z):
+        # t = q(x, p) less the x_k term
+        t += gp[k] * z
         if bd * t * t > bn * (-s) * g:
-            continue
+            return
+        x = [0] * n
+        for j, v in zip(free, y):
+            x[j] = v
+        x[k] = z
+        if next(c for c in x if c) < 0:
+            x = [-c for c in x]
+        x = tuple(x)
         if linalg.vec_content(x) != 1:
-            continue
+            return
         d = lattice.divisibility(x)
-        row = table.match(s, d, lambda v=x: lattice.discriminant_image(v))
+        row = table.match(s, d, lambda: lattice.discriminant_image(x))
         if row is not None:
             found.append((x, row))
+
+    # the zero prefix: x = z e_k, one of +-z
+    zero = (0,) * len(free)
+    for s, z in roots(zero, 0, 0):
+        if z > 0:
+            emit(zero, 0, s, z)
+
+    if free:
+        schur = [[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free] for i in free]
+        gk = [gram[k][j] for j in free]
+        gf = [[gram[i][j] for j in free] for i in free]
+        pf = [gp[j] for j in free]
+        g00, gk0, pf0 = gf[0][0], gk[0], pf[0]
+        for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
+            # lin, quad and t of the prefix as polynomials in y0
+            lin0 = sum(c * v for c, v in zip(gk[1:], outer))
+            quad0 = sum(v * gf[i][j] * w for i, v in enumerate(outer, 1)
+                        for j, w in enumerate(outer, 1))
+            cross0 = 2 * sum(c * v for c, v in zip(gf[0][1:], outer))
+            t0 = sum(c * v for c, v in zip(pf[1:], outer))
+            for y0 in range(lo, hi + 1):
+                y = (y0,) + outer
+                for s, z in roots(y, lin0 + gk0 * y0, quad0 + y0 * (cross0 + g00 * y0)):
+                    emit(y, t0 + pf0 * y0, s, z)
     found.sort(key=lambda item: item[0])
     return found
 

@@ -18,8 +18,6 @@ from . import linalg
 from .errors import PreconditionError
 from .rational import parse_frac
 
-Vector = tuple
-
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
@@ -191,12 +189,18 @@ class IntegralLattice:
 
 
 def mod_four_class(lattice: IntegralLattice, x) -> int:
-    """Reduction mod 4 of the leading discriminant residue, folded by sign.
+    """Reduction mod 4 of the last discriminant residue, folded by sign.
 
-    Returns 0, 1 or 2, standing for the classes 0, +-1 and 2 (mod 4).
-    Meaningful when the last invariant factor is divisible by 4, which
-    holds for the bundled quartic-K3 data; always deterministic.
+    Returns 0, 1 or 2, standing for the classes 0, +-1 and 2 (mod 4); 0
+    when the discriminant group is trivial.  The reduction is well
+    defined only when the last invariant factor is divisible by 4 (the
+    bundled quartic-K3 data has group Z/36); any other factor is a
+    PreconditionError.
     """
+    factors = lattice.discriminant_group().invariant_factors
+    if factors and factors[-1] % 4:
+        raise PreconditionError(
+            f"residue mod 4 needs the last invariant factor divisible by 4; got {factors[-1]}")
     image = lattice.discriminant_image(x)
     if not image:
         return 0

@@ -7,10 +7,11 @@ import pytest
 
 from hkcone import fixtures, linalg
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR,
-                         WallCrossing, _canonical_box, component_sign,
-                         crossing_parameter, enumerate_wall_classes,
-                         enumeration_box, factor_path, factorization_report,
-                         group_hu_yau, same_chamber, same_component)
+                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
+                         _sides, component_sign, crossing_parameter,
+                         enumerate_wall_classes, enumeration_box, factor_path,
+                         factorization_report, group_hu_yau, same_chamber,
+                         same_component)
 from hkcone.errors import PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable
@@ -56,6 +57,48 @@ def oracle_scan(lattice, table, base, bound, box):
             hits.append((tuple(int(c) for c in x[i]), rows[key]))
     hits.sort(key=lambda item: item[0])
     return hits
+
+
+def canonical_box(bounds):
+    """Nonzero integer vectors in the box, first nonzero coordinate positive.
+
+    Grouped by the position k of the first nonzero coordinate: zeros
+    before it, 1..bounds[k] at it, the full range after it.
+    """
+    for k in range(len(bounds)):
+        yield from itertools.product(*([(0,)] * k), range(1, bounds[k] + 1),
+                                     *(range(-b, b + 1) for b in bounds[k + 1:]))
+
+
+def box_scan(lattice, table, base, bound):
+    """The exact box scan: every canonical point of ``enumeration_box``
+    through the same filters as ``enumerate_wall_classes``."""
+    p = [int(c) for c in base]
+    g = lattice.square(p)
+    squares = set(table.squares)
+    found = []
+    for x in canonical_box(enumeration_box(lattice, base, bound, squares)):
+        s = lattice.square(x)
+        if s not in squares:
+            continue
+        t = lattice.pairing(x, p)
+        if t * t > bound * (-s) * g or linalg.vec_content(x) != 1:
+            continue
+        row = table.match(s, lattice.divisibility(x),
+                          lambda v=x: lattice.discriminant_image(v))
+        if row is not None:
+            found.append((x, row))
+    found.sort(key=lambda item: item[0])
+    return found
+
+
+# U + <-2> and U + <-2> + <-4>: hyperbolic coordinates have G_kk = 0
+U2 = make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+U24 = make_lattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -4]])
+U_TABLE = SignatureTable(orbits=tuple(
+    OrbitSignature(name=f"m{-sq}d{d}", square=sq, divisibility=d,
+                   codimension=1 if sq == -2 else 2)
+    for sq, ds in ((-2, (1, 2)), (-4, (1, 2, 4))) for d in ds))
 
 
 class TestSameComponent:
@@ -177,7 +220,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("bounds", [(0, 2, 0), (3,), (0, 0, 1), (0,), (2, 0, 3),
                                         (1, 2, 0, 1)])
     def test_canonical_box_against_full_box(self, bounds):
-        got = list(_canonical_box(bounds))
+        got = list(canonical_box(bounds))
         full = itertools.product(*(range(-b, b + 1) for b in bounds))
         want = {x for x in full if any(x) and next(c for c in x if c) > 0}
         assert len(got) == len(set(got))
@@ -187,6 +230,64 @@ class TestEnumerate:
     def test_bad_bound_rejected(self, quartic, table):
         with pytest.raises(PreconditionError):
             enumerate_wall_classes(quartic, table, (4, 4, -1), 0)
+
+    def test_quartic_b100_against_box_scan(self, quartic, table):
+        assert enumerate_wall_classes(quartic, table, (4, 4, -1), 100) == \
+            box_scan(quartic, table, (4, 4, -1), F(100))
+
+    @pytest.mark.parametrize("lat, base", [(U2, (3, 1, 0)), (U2, (5, 2, 1)),
+                                           (U24, (3, 1, 0, 0)), (U24, (4, 2, 1, 1))])
+    @pytest.mark.parametrize("bound", [F(1), F(3), F(8), F(7, 3)])
+    def test_hyperbolic_solved_coordinate(self, lat, base, bound):
+        # The solved coordinate is the one of least majorant diagonal; for
+        # these bases it is e (index 0), where G_kk = 0, so q(x) = s is
+        # linear in x_0 with slope 2 x_1.  Prefixes with x_1 = 0 make it
+        # vanish altogether, and the ellipsoid slice is scanned.
+        _g, mt = _majorant(lat, base)
+        assert min(range(lat.rank), key=lambda i: mt[i][i]) == 0
+        walls = enumerate_wall_classes(lat, U_TABLE, base, bound)
+        box = enumeration_box(lat, base, bound, U_TABLE.squares)
+        oracle = oracle_scan(lat, U_TABLE, base, bound, max(box) + 1)
+        assert [(x, sig.name) for x, sig in walls] == [(x, sig.name) for x, sig in oracle]
+        if bound == 8:
+            assert any(x[1] == 0 and x[0] != 0 for x, _ in walls)
+
+    @pytest.mark.parametrize("gram, base, wall, bound", [
+        ([[-1, 1, 0], [1, 3, 2], [0, 2, -1]], (0, 2, 2), (1, -3, 2), 3),
+        ([[1, 4, 2], [4, 3, 3], [2, 3, 2]], (1, 3, -3), (3, 4, -7), 1),
+        ([[-4, 3, 0], [3, -1, -3], [0, -3, 3]], (-3, -3, 0), (5, 5, 1), 2)])
+    def test_wall_on_the_region_boundary(self, gram, base, wall, bound):
+        # q(x, p)^2 = B |q(x)| q(p) for the wall, and its prefix lies on the
+        # boundary of the projected ellipsoid: one less in the budget drops it
+        lat = make_lattice(gram)
+        s = lat.square(wall)
+        assert lat.pairing(wall, base) ** 2 == bound * -s * lat.square(base)
+        sub = SignatureTable(orbits=(OrbitSignature(name="w", square=s,
+                                                    divisibility=lat.divisibility(wall),
+                                                    codimension=2),))
+        walls = enumerate_wall_classes(lat, sub, base, bound)
+        assert wall in {x for x, _ in walls}
+        box = enumeration_box(lat, base, F(bound), sub.squares)
+        oracle = oracle_scan(lat, sub, base, F(bound), max(box) + 1)
+        assert [(x, sig.name) for x, sig in walls] == [(x, sig.name) for x, sig in oracle]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_ellipsoid_slices_against_brute_force(self, m):
+        rng = random.Random(m)
+        for _ in range(40):
+            b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+            a = [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(m)]
+                 for i in range(m)]
+            budget = rng.randint(0, 24)
+            got = [(y0,) + outer for outer, lo, hi in _ellipsoid_slices(a, budget)
+                   for y0 in range(lo, hi + 1)]
+            # the eigenvalues of A are >= 1, so |y_i| <= sqrt(budget) < 5
+            reach = range(-4, 5)
+            want = {y for y in itertools.product(reach, repeat=m)
+                    if any(y) and [c for c in y if c][-1] > 0 and
+                    sum(y[i] * a[i][j] * y[j] for i in range(m) for j in range(m)) <= budget}
+            assert len(got) == len(set(got))
+            assert set(got) == want
 
 
 class TestCrossingParameter:
@@ -288,6 +389,24 @@ class TestFactorPath:
             for x, _ in walls:
                 assert quartic.pairing(x, moved) != 0
                 assert quartic.pairing(x, moved) * quartic.pairing(x, p) >= 0
+
+    def test_fix_endpoint_rejects_a_shift_across_a_wall(self, quartic, table):
+        # (1, 1, 0) is on the wall of w1 = (3, -1, 0) and at pairing 1 from
+        # that of w2 = (22, -7, 0), with q(w2, e_0) = -65: the first shift,
+        # 1/64 e_0, clears w1 but crosses w2 (pairing 1 - 65/64 < 0).
+        sig = table.by_name("codim2")
+        walls = [((3, -1, 0), sig), ((22, -7, 0), sig)]
+        original = (F(1), F(1), F(0))
+        sides = _sides(quartic, walls, original)
+        assert sides == [0, 1]
+        first = (F(65, 64), F(1), F(0))
+        assert _sides(quartic, walls, first) == [F(-9, 64), F(-1, 64)]
+        moved, moved_sides = _fix_endpoint(quartic, walls, F(8), original, original,
+                                           sides, lambda _s: True)
+        assert moved != first
+        assert moved_sides == _sides(quartic, walls, moved)
+        for c, o in zip(moved_sides, sides):
+            assert c != 0 and c * o >= 0
 
     def test_coincident_crossings_perturb(self, quartic, table):
         # the walls of alpha, beta and gamma share the interior line through

@@ -141,6 +141,12 @@ class TestDiscriminantImage:
         assert colors == {"alpha": 0, "delta": 1, "beta": 1, "eta": 1,
                           "zeta": 1, "eps": 2, "gamma": 2}
 
+    def test_mod_four_needs_factor_divisible_by_four(self):
+        lat = make_lattice([[2, 0, 0], [0, -3, 0], [0, 0, -5]])
+        assert lat.discriminant_group().invariant_factors == (30,)
+        with pytest.raises(PreconditionError, match="invariant factor.*30"):
+            mod_four_class(lat, (1, 0, 0))
+
     def test_sign_normalization(self, quartic):
         rng = random.Random(4)
         for _ in range(200):
