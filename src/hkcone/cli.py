@@ -30,25 +30,34 @@ def _emit_json(obj, out: str | None):
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
+def _doc_vector(path: str, doc, key: str):
+    """The list of rationals under ``key`` in a JSON document read from path."""
+    coords = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(coords, list):
+        raise PreconditionError(f"{path}: expected a {key!r} array")
+    try:
+        return tuple(parse_frac(c) for c in coords)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {key!r}: {exc}") from exc
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_point(spec_text: str):
     """A point is either inline coordinates "a,b,c" or a JSON file path."""
     if "," in spec_text:
         return parse_vector(spec_text)
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return tuple(parse_frac(c) for c in doc["point"])
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"{spec_text}: expected a 'point' array") from exc
+    return _doc_vector(spec_text, _load_json(spec_text), "point")
 
 
 def _named_classes(lattice, path: str | None) -> dict:
     names = {name: tuple(int(i == j) for j in range(lattice.rank))
              for i, name in enumerate(lattice.basis_names)}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key, coords in doc.items():
+        for key, coords in _load_json(path).items():
             names[key] = tuple(int(c) for c in coords)
     return names
 
@@ -135,13 +144,10 @@ def _cmd_render(args) -> int:
     base = parse_vector(args.base)
     path = None
     if args.path is not None:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_json(args.path)
         path = cone.FlopFactorization(
-            a=tuple(parse_frac(c) for c in doc["a"]),
-            b=tuple(parse_frac(c) for c in doc["b"]),
-            steps=(), groups=(), status=doc.get("status", "ok"),
-            perturbed=bool(doc.get("perturbed", False)),
+            a=_doc_vector(args.path, doc, "a"), b=_doc_vector(args.path, doc, "b"),
+            steps=(), groups=(), status=cone.STATUS_OK, perturbed=False,
         )
     markers = []
     for mark in args.mark or ():
@@ -169,10 +175,8 @@ def _cmd_mukai_flop(args) -> int:
 
 
 def _cmd_symp_rank(args) -> int:
-    with open(args.omega, "r", encoding="utf-8") as fh:
-        omega_doc = json.load(fh)
-    with open(args.basis, "r", encoding="utf-8") as fh:
-        basis_doc = json.load(fh)
+    omega_doc = _load_json(args.omega)
+    basis_doc = _load_json(args.basis)
     space = symplectic.symplectic_space(
         [[parse_frac(c) for c in row] for row in omega_doc["omega"]])
     w = symplectic.subspace(

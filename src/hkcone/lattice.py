@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .errors import PreconditionError
@@ -39,10 +39,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return math.prod(self.invariant_factors)
 
 
 def is_primitive(coords) -> bool:
@@ -113,9 +110,7 @@ class IntegralLattice:
             vals = [a * c for a, c in zip(self.ambient_ideals, v)]
         else:
             vals = self.pairing_row(v)
-        g = 0
-        for val in vals:
-            g = gcd(g, int(val))
+        g = linalg.vec_content(map(int, vals))
         if g == 0:
             raise PreconditionError("vector pairs to zero with the whole lattice")
         return g

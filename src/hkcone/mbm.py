@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import PreconditionError
@@ -126,9 +126,7 @@ def primitive_rescale(x) -> tuple[tuple[int, ...], Fraction]:
         raise PreconditionError("zero vector")
     denom = lcm(*(c.denominator for c in v))
     ints = [int(c * denom) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = linalg.vec_content(ints)
     y = tuple(c // g for c in ints)
     return y, Fraction(denom, g)
 

@@ -1,10 +1,16 @@
 """Klein-disk rendering of the projectivized positive cone.
 
-In the Klein model geodesics are straight chords, so every wall is a
-single SVG line between its two ideal endpoints (the isotropic
-directions orthogonal to the wall class).  All incidence decisions are
-made upstream in exact arithmetic; floats only enter in the final
-projection to screen coordinates.
+With (T, d) = lattice.diagonalize() and t_i the columns of T, a class x
+has coordinates z_i = q(x, t_i) / d_i in the orthogonal basis; that is
+T^-1 x, since T^-1 = D^-1 T^t G, so nothing is inverted.  A ray maps to
+(sx z1/z0, sy z2/z0) with sx = sqrt(-d1/d0), sy = sqrt(-d2/d0).  In the
+Klein model geodesics are straight chords: the wall of w is the polar
+line n.X = z0 of its coordinates, n = (sx z1, sy z2), and it meets the
+unit circle at (z0 n +- h n_perp) / |n|^2 with
+h^2 = |n|^2 - z0^2 = -q(w)/d0, exact and positive for every wall class.
+All incidence decisions are made upstream in exact arithmetic; floats
+only enter with the square roots of the final projection to screen
+coordinates.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.
@@ -18,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cone import FlopFactorization, enumerate_wall_classes
-from .errors import InvariantError, PreconditionError
+from .errors import PreconditionError
 from .lattice import IntegralLattice, mod_four_class
 from .mbm import SignatureTable
 
@@ -52,101 +58,87 @@ class DiskScene:
                 raise PreconditionError("markers must lie strictly inside the disk")
 
 
-def _diagonal_frame(lattice: IntegralLattice, tdiag):
-    t, diag = tdiag
+def _diagonal_frame(lattice: IntegralLattice):
+    """Columns t_i of T, the diagonal d and the disk scales sx, sy."""
+    t, diag = lattice.diagonalize()
     if len(diag) != 3:
         raise PreconditionError("disk rendering needs a rank-3 lattice")
     if not (diag[0] > 0 and diag[1] < 0 and diag[2] < 0):
         raise PreconditionError("diagonalization must be Lorentzian, positive entry first")
-    tinv = linalg.invert(t)
     sx = math.sqrt(float(-diag[1] / diag[0]))
     sy = math.sqrt(float(-diag[2] / diag[0]))
-    return tinv, sx, sy
+    return tuple(zip(*t)), diag, sx, sy
 
 
-def klein_coords(lattice: IntegralLattice, tdiag, x) -> tuple[float, float]:
+def _basis_coords(lattice: IntegralLattice, columns, diag, x) -> tuple[Fraction, ...]:
+    """Exact coordinates z_i = q(x, t_i) / d_i of x in the orthogonal basis."""
+    gx = lattice.pairing_row(x)
+    return tuple(linalg.dot(t, gx) / d for t, d in zip(columns, diag))
+
+
+def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
     """Disk coordinates of a ray of nonnegative square.
 
     Interior points land strictly inside the unit circle, isotropic rays
-    on it.  The representative is normalized to the positive component
-    exactly, before any float appears.
+    on it.  The ratios z1/z0 and z2/z0 are exact and do not depend on
+    the sign of the representative.
     """
-    tinv, sx, sy = _diagonal_frame(lattice, tdiag)
+    columns, diag, sx, sy = _diagonal_frame(lattice)
     coords = tuple(Fraction(c) for c in x)
     if lattice.square(coords) < 0:
         raise PreconditionError("point must have nonnegative square")
-    y = linalg.mat_vec(tinv, coords)
-    if y[0] == 0:
+    z0, z1, z2 = _basis_coords(lattice, columns, diag, coords)
+    if z0 == 0:
         raise PreconditionError("ray projects to infinity in the disk model")
-    if y[0] < 0:
-        y = tuple(-c for c in y)
-    return (float(y[1] / y[0]) * sx, float(y[2] / y[0]) * sy)
+    return (float(z1 / z0) * sx, float(z2 / z0) * sy)
 
 
-def wall_chord(lattice: IntegralLattice, tdiag, w) -> tuple[tuple[float, float], tuple[float, float]]:
+def wall_chord(lattice: IntegralLattice, w) -> tuple[tuple[float, float], tuple[float, float]]:
     """Ideal endpoints of the wall of a negative-square class.
 
-    The orthogonal plane of w has signature (1,1); its two isotropic
-    directions are the roots of an exact quadratic, projected to the
-    boundary circle.  Endpoints are sorted for determinism.
+    The wall is the polar line n.X = z0 with n = (sx z1, sy z2); its
+    endpoints are (z0 n +- h n_perp) / |n|^2, where |n|^2 and
+    h^2 = -q(w)/d0 are exact.  Endpoints are sorted for determinism.
     """
     w = tuple(w)
-    if lattice.square(w) >= 0:
+    square = lattice.square(w)
+    if square >= 0:
         raise PreconditionError("wall classes have negative square")
-    tinv, sx, sy = _diagonal_frame(lattice, tdiag)
-    f1, f2 = linalg.nullspace((lattice.pairing_row(w),))
-    a = lattice.pairing(f1, f1)
-    b = lattice.pairing(f1, f2)
-    c = lattice.pairing(f2, f2)
-    disc = b * b - a * c
-    if disc <= 0:
-        raise InvariantError("orthogonal plane of a negative class must be hyperbolic")
-    if a == 0:
-        roots = [(Fraction(1), Fraction(0)), (-c, 2 * b)]
-        dirs = [tuple(s * p + t * q for p, q in zip(f1, f2)) for s, t in roots]
-        dirs_f = [tuple(float(c) for c in d) for d in dirs]
-    else:
-        sq = math.sqrt(float(disc))
-        af, bf = float(a), float(b)
-        f1f = tuple(float(v) for v in f1)
-        f2f = tuple(float(v) for v in f2)
-        dirs_f = [tuple(((-bf + sign * sq) / af) * p + q for p, q in zip(f1f, f2f))
-                  for sign in (1.0, -1.0)]
-    tinv_f = tuple(tuple(float(v) for v in row) for row in tinv)
-    out = []
-    for d in dirs_f:
-        y = [sum(r * c for r, c in zip(row, d)) for row in tinv_f]
-        if y[0] < 0:
-            y = [-v for v in y]
-        out.append((y[1] / y[0] * sx, y[2] / y[0] * sy))
-    out.sort()
-    return tuple(out)
+    columns, diag, sx, sy = _diagonal_frame(lattice)
+    z0, z1, z2 = _basis_coords(lattice, columns, diag, w)
+    norm = -(diag[1] * z1 * z1 + diag[2] * z2 * z2) / diag[0]
+    h = math.sqrt(float(-square / diag[0]))
+    # midpoint z0 n / |n|^2 and half-chord h n_perp / |n|^2
+    mx, my = float(z0 * z1 / norm) * sx, float(z0 * z2 / norm) * sy
+    hx, hy = -float(z2 / norm) * sy * h, float(z1 / norm) * sx * h
+    return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
 
 
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
                 markers=(), cusps=(), path: FlopFactorization | None = None) -> DiskScene:
     """Assemble the disk picture of all walls near a base point."""
-    tdiag = lattice.diagonalize()
     walls = enumerate_wall_classes(lattice, table, base, bound)
     chords = tuple(
-        WallChord(endpoints=wall_chord(lattice, tdiag, x),
+        WallChord(endpoints=wall_chord(lattice, x),
                   residue=mod_four_class(lattice, x),
                   wall_class=x)
         for x, _sig in walls
     )
-    marks = tuple((klein_coords(lattice, tdiag, coords), str(label))
+    marks = tuple((klein_coords(lattice, coords), str(label))
                   for coords, label in markers)
-    cusp_pts = tuple(klein_coords(lattice, tdiag, c) for c in cusps)
+    cusp_pts = tuple(klein_coords(lattice, c) for c in cusps)
     polyline = None
     if path is not None:
-        polyline = (klein_coords(lattice, tdiag, path.a),
-                    klein_coords(lattice, tdiag, path.b))
+        polyline = (klein_coords(lattice, path.a),
+                    klein_coords(lattice, path.b))
         marks = marks + ((polyline[0], "a"), (polyline[1], "b"))
     return DiskScene(walls=chords, markers=marks, cusps=cusp_pts, path=polyline)
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.10f}"
+    """Ten decimals; a value that rounds to zero prints unsigned."""
+    text = f"{x:.10f}"
+    return text[1:] if text == "-0.0000000000" else text
 
 
 def render_svg(scene: DiskScene, out=None) -> str:

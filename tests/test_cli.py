@@ -154,6 +154,27 @@ class TestRender:
         assert rc == 0
         assert "<polyline" in out.read_text()
 
+    def test_path_report_without_b_exit_2(self, tmp_path, capsys):
+        rep = tmp_path / "path.json"
+        rep.write_text(json.dumps({"a": ["1", "1", "-1/4"], "status": "ok"}))
+        rc = main(["render-cone", "--lattice", LAT, "--table", TAB,
+                   "--base", "4,4,-1", "--bound", "4", "--out", str(tmp_path / "cone.svg"),
+                   "--path", str(rep)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(rep) in err and "'b'" in err
+        assert "malformed" not in err
+
+    def test_path_report_with_bad_entry_exit_2(self, tmp_path, capsys):
+        rep = tmp_path / "path.json"
+        rep.write_text(json.dumps({"a": ["1", "x", "0"], "b": ["1", "1", "0"]}))
+        rc = main(["render-cone", "--lattice", LAT, "--table", TAB,
+                   "--base", "4,4,-1", "--bound", "4", "--out", str(tmp_path / "cone.svg"),
+                   "--path", str(rep)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(rep) in err and "'a'" in err
+
 
 class TestDeterminism:
     def test_byte_identical_invocations(self):

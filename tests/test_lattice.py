@@ -66,6 +66,12 @@ class TestDivisibility:
         with pytest.raises(PreconditionError):
             quartic.divisibility((0, 0, 0))
 
+    def test_integer_valued_fractions(self, quartic, named):
+        plain = make_lattice([[-2, 3, 0], [3, 0, 0], [0, 0, -4]])
+        for lat in (quartic, plain):
+            for x in named.values():
+                assert lat.divisibility(tuple(Fraction(c) for c in x)) == lat.divisibility(x)
+
     def test_divides_every_pairing(self, quartic):
         rng = random.Random(2)
         for _ in range(300):

@@ -1,13 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from hkcone import fixtures
-from hkcone.cone import factor_path
+from hkcone import fixtures, linalg
+from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
-from hkcone.render import (DiskScene, WallChord, build_scene, klein_coords,
-                           render_svg, wall_chord)
+from hkcone.lattice import make_lattice
+from hkcone.render import (DiskScene, WallChord, _basis_coords, _diagonal_frame,
+                           _fmt, build_scene, klein_coords, render_svg, wall_chord)
 
 F = Fraction
 
@@ -26,13 +29,13 @@ def tdiag(quartic):
 
 
 class TestKleinCoords:
-    def test_isotropic_cusps_on_boundary(self, quartic, tdiag):
+    def test_isotropic_cusps_on_boundary(self, quartic):
         for cusp in [(0, 1, 0), (1, 1, -1)]:
-            u, v = klein_coords(quartic, tdiag, cusp)
+            u, v = klein_coords(quartic, cusp)
             assert abs(u * u + v * v - 1.0) < 1e-9
 
-    def test_interior_point_strictly_inside(self, quartic, tdiag):
-        u, v = klein_coords(quartic, tdiag, (4, 4, -1))
+    def test_interior_point_strictly_inside(self, quartic):
+        u, v = klein_coords(quartic, (4, 4, -1))
         assert u * u + v * v < 1.0
 
     def test_diagonal_axis_maps_to_center(self, quartic, tdiag):
@@ -40,44 +43,142 @@ class TestKleinCoords:
         axis = tuple(row[0] for row in t)
         num = [c.denominator for c in axis]
         scaled = tuple(c * max(num) for c in axis)
-        assert klein_coords(quartic, tdiag, scaled) == (0.0, 0.0)
+        assert klein_coords(quartic, scaled) == (0.0, 0.0)
 
-    def test_component_normalization(self, quartic, tdiag):
-        p = klein_coords(quartic, tdiag, (4, 4, -1))
-        q = klein_coords(quartic, tdiag, (-4, -4, 1))
+    def test_component_normalization(self, quartic):
+        p = klein_coords(quartic, (4, 4, -1))
+        q = klein_coords(quartic, (-4, -4, 1))
         assert p == q
 
-    def test_negative_square_rejected(self, quartic, tdiag):
+    def test_negative_square_rejected(self, quartic):
         with pytest.raises(PreconditionError):
-            klein_coords(quartic, tdiag, (0, 0, 1))
+            klein_coords(quartic, (0, 0, 1))
 
 
 class TestWallChord:
-    def test_delta_chord_matches_exact_isotropic_directions(self, quartic, tdiag):
+    def test_delta_chord_matches_exact_isotropic_directions(self, quartic):
         # q(s C + t F) = -2 s^2 + 6 s t vanishes for F and 3C + F
-        ends = wall_chord(quartic, tdiag, (0, 0, 1))
-        oracle = sorted([klein_coords(quartic, tdiag, (0, 1, 0)),
-                         klein_coords(quartic, tdiag, (3, 1, 0))])
+        ends = wall_chord(quartic, (0, 0, 1))
+        oracle = sorted([klein_coords(quartic, (0, 1, 0)),
+                         klein_coords(quartic, (3, 1, 0))])
         for got, want in zip(ends, oracle):
             assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-12
 
-    def test_endpoints_on_circle(self, quartic, tdiag, table):
+    def test_endpoints_on_circle(self, quartic, table):
         from hkcone.cone import enumerate_wall_classes
         for x, _sig in enumerate_wall_classes(quartic, table, (4, 4, -1), F(4)):
-            for u, v in wall_chord(quartic, tdiag, x):
+            for u, v in wall_chord(quartic, x):
                 assert abs(u * u + v * v - 1.0) < 1e-9
 
-    def test_incidence_decided_by_exact_pairing(self, quartic, tdiag):
+    def test_incidence_decided_by_exact_pairing(self, quartic):
         cusp_cls = (1, 1, -1)
-        cusp = klein_coords(quartic, tdiag, cusp_cls)
+        cusp = klein_coords(quartic, cusp_cls)
         assert quartic.pairing((0, 4, -3), cusp_cls) == 0
-        assert dist_point_segmentline(cusp, wall_chord(quartic, tdiag, (0, 4, -3))) < 1e-6
+        assert dist_point_segmentline(cusp, wall_chord(quartic, (0, 4, -3))) < 1e-6
         assert quartic.pairing((2, 0, -1), cusp_cls) != 0
-        assert dist_point_segmentline(cusp, wall_chord(quartic, tdiag, (2, 0, -1))) > 1e-6
+        assert dist_point_segmentline(cusp, wall_chord(quartic, (2, 0, -1))) > 1e-6
 
-    def test_positive_square_rejected(self, quartic, tdiag):
+    def test_positive_square_rejected(self, quartic):
         with pytest.raises(PreconditionError):
-            wall_chord(quartic, tdiag, (1, 1, 0))
+            wall_chord(quartic, (1, 1, 0))
+
+
+def random_lorentzian_lattices(count, seed):
+    """Random rank-3 integral lattices of signature (1, 2)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c, d, e, f = (rng.randint(-6, 6) for _ in range(6))
+        lat = make_lattice([[a, b, c], [b, d, e], [c, e, f]])
+        if linalg.determinant(lat.gram) != 0 and lat.signature() == (1, 2, 0):
+            out.append(lat)
+    return out
+
+
+def random_classes(lattice, rng, count, keep):
+    out = []
+    while len(out) < count:
+        x = tuple(rng.randint(-5, 5) for _ in range(3))
+        if any(x) and keep(lattice.square(x)):
+            out.append(x)
+    return out
+
+
+def rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def oracle_chord(lattice, w):
+    """Wall endpoints from the exact isotropic directions of w-perp.
+
+    sympy finds a basis f1, f2 of the plane orthogonal to w and the roots
+    s of q(s f1 + f2) = 0 (plus f1 itself when q(f1) = 0); the directions
+    are mapped to the disk through linalg.invert(T) and evaluated to 30
+    digits only at the end.
+    """
+    g = sympy.Matrix(lattice.gram)
+    f1, f2 = (g * sympy.Matrix(w)).T.nullspace()
+    a, b, c = (f1.T * g * f1)[0], (f1.T * g * f2)[0], (f2.T * g * f2)[0]
+    s = sympy.Symbol("s")
+    dirs = [root * f1 + f2 for root in sympy.solve(a * s ** 2 + 2 * b * s + c, s)]
+    if a == 0:
+        dirs.append(f1)
+    assert len(dirs) == 2
+    t, diag = lattice.diagonalize()
+    tinv = sympy.Matrix([[rational(v) for v in row] for row in linalg.invert(t)])
+    sx = sympy.sqrt(rational(-diag[1] / diag[0]))
+    sy = sympy.sqrt(rational(-diag[2] / diag[0]))
+    ends = []
+    for direction in dirs:
+        y = tinv * direction
+        ends.append((float(sympy.N(y[1] / y[0] * sx, 30)),
+                     float(sympy.N(y[2] / y[0] * sy, 30))))
+    return sorted(ends)
+
+
+def assert_chord_matches_oracle(lattice, w):
+    for got, want in zip(wall_chord(lattice, w), oracle_chord(lattice, w)):
+        assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-12, (w, got, want)
+
+
+class TestAgainstInverseOracle:
+    """The polar-line chord and the orthogonal-basis coordinates against
+    the route through linalg.invert(T) and exact isotropic directions."""
+
+    def test_quartic_walls_at_b100(self, quartic, table):
+        walls = enumerate_wall_classes(quartic, table, (4, 4, -1), F(100))
+        assert len(walls) == 108
+        for w, _sig in walls:
+            assert_chord_matches_oracle(quartic, w)
+
+    def test_first_perp_basis_vector_isotropic(self, quartic):
+        # The first nullspace vector of w-perp is itself isotropic: the
+        # case a quadratic in that basis degenerates to a linear equation.
+        w = (0, 4, -3)
+        f1, _f2 = linalg.nullspace((quartic.pairing_row(w),))
+        assert quartic.square(f1) == 0
+        assert_chord_matches_oracle(quartic, w)
+
+    def test_random_lorentzian_walls(self):
+        rng = random.Random(7)
+        for lat in random_lorentzian_lattices(12, seed=5):
+            for w in random_classes(lat, rng, 4, lambda q: q < 0):
+                assert_chord_matches_oracle(lat, w)
+
+    def test_klein_coords_equal_inverse_route(self, quartic):
+        rng = random.Random(11)
+        lattices = [quartic] + random_lorentzian_lattices(12, seed=5)
+        for lat in lattices:
+            points = random_classes(lat, rng, 4, lambda q: q >= 0)
+            if lat is quartic:
+                points += [(0, 1, 0), (1, 1, -1), (4, 4, -1)]
+            columns, diag, sx, sy = _diagonal_frame(lat)
+            tinv = linalg.invert(lat.diagonalize()[0])
+            for x in points:
+                y = linalg.mat_vec(tinv, x)
+                assert _basis_coords(lat, columns, diag, x) == y
+                assert klein_coords(lat, x) == (float(y[1] / y[0]) * sx,
+                                                float(y[2] / y[0]) * sy)
 
 
 class TestScene:
@@ -105,6 +206,12 @@ class TestScene:
 
 
 class TestSvg:
+    def test_zero_prints_unsigned(self):
+        assert _fmt(-0.0) == "0.0000000000"
+        assert _fmt(-1e-13) == "0.0000000000"
+        assert _fmt(1e-13) == "0.0000000000"
+        assert _fmt(-1e-10) == "-0.0000000001"
+
     def test_empty_scene(self, tmp_path):
         doc = render_svg(DiskScene(), tmp_path / "empty.svg")
         assert doc.count("<circle") == 1
