@@ -30,13 +30,26 @@ def _emit_json(obj, out: str | None):
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
-def _doc_vector(path: str, doc, key: str):
-    """The list of rationals under ``key`` in a JSON document read from path."""
-    coords = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(coords, list):
-        raise PreconditionError(f"{path}: expected a {key!r} array")
+def _array(value, parse=parse_frac) -> tuple:
+    """A JSON array with every entry parsed (default: as a rational)."""
+    if not isinstance(value, list):
+        raise PreconditionError(f"expected an array, got {value!r}")
+    return tuple(parse(c) for c in value)
+
+
+def _integers(value) -> tuple:
+    coords = _array(value)
+    if any(c.denominator != 1 for c in coords):
+        raise PreconditionError(f"expected integers, got {value!r}")
+    return tuple(map(int, coords))
+
+
+def _doc_value(path: str, doc, key: str, parse=_array):
+    """parse(doc[key]) for a JSON document read from path; errors name both."""
     try:
-        return tuple(parse_frac(c) for c in coords)
+        if not isinstance(doc, dict) or key not in doc:
+            raise PreconditionError("missing")
+        return parse(doc[key])
     except PreconditionError as exc:
         raise PreconditionError(f"{path}: {key!r}: {exc}") from exc
 
@@ -50,15 +63,18 @@ def _load_point(spec_text: str):
     """A point is either inline coordinates "a,b,c" or a JSON file path."""
     if "," in spec_text:
         return parse_vector(spec_text)
-    return _doc_vector(spec_text, _load_json(spec_text), "point")
+    return _doc_value(spec_text, _load_json(spec_text), "point")
 
 
 def _named_classes(lattice, path: str | None) -> dict:
     names = {name: tuple(int(i == j) for j in range(lattice.rank))
              for i, name in enumerate(lattice.basis_names)}
     if path is not None:
-        for key, coords in _load_json(path).items():
-            names[key] = tuple(int(c) for c in coords)
+        doc = _load_json(path)
+        if not isinstance(doc, dict):
+            raise PreconditionError(f"{path}: expected an object of named classes")
+        for key in doc:
+            names[key] = _doc_value(path, doc, key, _integers)
     return names
 
 
@@ -146,7 +162,7 @@ def _cmd_render(args) -> int:
     if args.path is not None:
         doc = _load_json(args.path)
         path = cone.FlopFactorization(
-            a=_doc_vector(args.path, doc, "a"), b=_doc_vector(args.path, doc, "b"),
+            a=_doc_value(args.path, doc, "a"), b=_doc_value(args.path, doc, "b"),
             steps=(), groups=(), status=cone.STATUS_OK, perturbed=False,
         )
     markers = []
@@ -175,12 +191,11 @@ def _cmd_mukai_flop(args) -> int:
 
 
 def _cmd_symp_rank(args) -> int:
-    omega_doc = _load_json(args.omega)
-    basis_doc = _load_json(args.basis)
-    space = symplectic.symplectic_space(
-        [[parse_frac(c) for c in row] for row in omega_doc["omega"]])
-    w = symplectic.subspace(
-        [[parse_frac(c) for c in row] for row in basis_doc["basis"]])
+    def matrix(path, key):
+        return _doc_value(path, _load_json(path), key, lambda rows: _array(rows, _array))
+
+    space = symplectic.symplectic_space(matrix(args.omega, "omega"))
+    w = symplectic.subspace(matrix(args.basis, "basis"))
     _emit_json({
         "rank": symplectic.restriction_rank(space, w),
         "isotropic": symplectic.is_isotropic(space, w),

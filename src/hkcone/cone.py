@@ -106,22 +106,6 @@ def _majorant(lattice: IntegralLattice, p) -> tuple[int, list[list[int]]]:
                for gi, row in zip(gp, lattice.gram)]
 
 
-def enumeration_box(lattice: IntegralLattice, base, bound: Fraction,
-                    squares) -> tuple[int, ...]:
-    """Per-coordinate bounds containing every candidate wall class.
-
-    Splitting x against the base point p, the region inequality
-    q(x,p)^2 <= B |q(x)| q(p) together with a fixed square q(x) = s
-    bounds the positive definite majorant 2 q(x,p)^2/q(p) - q(x) by
-    (2B + 1) max|s|, and the box follows from the inverse of the
-    majorant's Gram matrix.
-    """
-    g, scaled = _majorant(lattice, primitive_rescale(as_cone_point(lattice, base))[0])
-    cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
-    inv = linalg.invert(scaled)
-    return tuple(isqrt(floor(cap * g * inv[i][i])) for i in range(lattice.rank))
-
-
 def _ellipsoid_slices(a, budget):
     """Integer y != 0 with y^t A y <= budget, one of each +-pair.
 

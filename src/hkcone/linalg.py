@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PreconditionError
 
@@ -37,16 +38,22 @@ def transpose(m):
 def dot(u, v):
     if len(u) != len(v):
         raise PreconditionError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
+    n = len(v)
+    if any(len(row) != n for row in m):
+        raise PreconditionError("dimension mismatch")
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+    # every column of b has len(b) entries; with no columns nothing is paired
+    if bt and any(len(ra) != len(b) for ra in a):
+        raise PreconditionError("dimension mismatch")
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def vec_content(v) -> int:

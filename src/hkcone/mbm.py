@@ -131,24 +131,33 @@ def primitive_rescale(x) -> tuple[tuple[int, ...], Fraction]:
     return y, Fraction(denom, g)
 
 
+_ROW_TYPES = {"name": str, "square": int, "divisibility": int, "codimension": int}
+
+
 def table_from_dict(doc: dict) -> SignatureTable:
-    try:
-        rows = doc["orbits"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError("signature-table document needs an 'orbits' list") from exc
+    rows = doc.get("orbits") if isinstance(doc, dict) else None
+    if not isinstance(rows, (list, tuple)):
+        raise PreconditionError("signature-table document needs an 'orbits' list")
     orbits = []
-    for row in rows:
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise PreconditionError(f"orbit {i}: expected an object, got {row!r}")
+        for key, kind in _ROW_TYPES.items():
+            if type(row.get(key)) is not kind:
+                raise PreconditionError(f"orbit {i}: {key!r} must be {kind.__name__}")
         residue = row.get("disc_residue")
-        orbits.append(OrbitSignature(
-            name=str(row["name"]),
-            square=int(row["square"]),
-            divisibility=int(row["divisibility"]),
-            codimension=int(row["codimension"]),
-            disc_residue=None if residue is None else tuple(int(r) for r in residue),
-        ))
+        if residue is not None and not (isinstance(residue, (list, tuple))
+                                        and all(type(r) is int for r in residue)):
+            raise PreconditionError(f"orbit {i}: 'disc_residue' must be a list of integers")
+        orbits.append(OrbitSignature(**{key: row[key] for key in _ROW_TYPES},
+                                     disc_residue=None if residue is None else tuple(residue)))
     return SignatureTable(orbits=tuple(orbits))
 
 
 def load_table(path) -> SignatureTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return table_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return table_from_dict(doc)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc

@@ -1,11 +1,13 @@
 """Exact local model of the Mukai flop on rank-one square-zero matrices.
 
-Points are pairs ([u], A) with u a nonzero vector of V, A an
-endomorphism with image inside the line of u and A^2 = 0.  Contraction
-forgets u; the flop sends such a pair to ([ker A], A^t) on the dual
-side.  Everything is exact rational arithmetic; projective data is
+A point of T*P^k is a pair (u, phi) with u != 0 and phi(u) = 0; its
+matrix A = u phi^t maps into the line of u and squares to zero, and
+phi = 0 is the zero section.  Contraction forgets u.  The flop reads the
+same pair from the other side, ([phi], phi u^t) with matrix A^t (S. Mukai,
+Invent. Math. 77, 1984), so membership is checked once, at construction,
+and a flop only relabels.  Everything is exact; projective data is
 compared by proportionality (vanishing 2x2 minors), never normal forms.
-An optional tuple of transverse-slice coordinates rides along untouched.
+Transverse-slice coordinates ride along untouched.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from .errors import PreconditionError
 
 
 def _qvec(v):
-    v = tuple(Fraction(c) for c in v)
-    if not v:
-        raise PreconditionError("empty vector")
-    return v
-
-
-def _qmat(m):
-    return tuple(tuple(Fraction(c) for c in row) for row in m)
+    return tuple(Fraction(c) for c in v)
 
 
 def proportional(v, w) -> bool:
@@ -36,65 +31,72 @@ def proportional(v, w) -> bool:
     return all(v[i] * w[j] == v[j] * w[i] for i in range(n) for j in range(i + 1, n))
 
 
-def _check_member(u, a):
-    n = len(u)
-    if all(c == 0 for c in u):
-        raise PreconditionError("u must be nonzero")
-    if len(a) != n or any(len(row) != n for row in a):
-        raise PreconditionError("matrix size must match dim V")
-    # A = u c^t exactly when A maps into the line of u; then A^2 = (c.u) A
-    c = _kernel_covector(u, a)
-    if any(a[i][j] != u[i] * c[j] for i in range(n) for j in range(n)):
-        raise PreconditionError("image of A must lie in the line of u")
-    if linalg.dot(c, u) != 0:
-        raise PreconditionError("A^2 must vanish")
+def _check_pair(marked, cov, names):
+    """The one membership test: marked != 0 and cov(marked) = 0."""
+    if len(cov) != len(marked):
+        raise PreconditionError("{} and {} must have the same length".format(*names))
+    if not any(marked):
+        raise PreconditionError("{} must be nonzero".format(*names))
+    if linalg.dot(cov, marked) != 0:
+        raise PreconditionError("{1} must vanish on {0}".format(*names))
+
+
+def _outer(v, w):
+    return tuple(tuple(vi * wj for wj in w) for vi in v)
 
 
 @dataclass(frozen=True)
 class MukaiPoint:
+    """([u], u phi^t) on T*P^k."""
     u: tuple[Fraction, ...]
-    a: tuple[tuple[Fraction, ...], ...]
+    phi: tuple[Fraction, ...]
     slice_coords: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        _check_member(self.u, self.a)
+        _check_pair(self.u, self.phi, ("u", "phi"))
 
     @property
-    def k(self) -> int:
-        return len(self.u) - 1
+    def a(self):
+        return _outer(self.u, self.phi)
 
 
 @dataclass(frozen=True)
 class DualMukaiPoint:
+    """([phi], phi u^t) on the dual side T*P^k dual."""
     phi: tuple[Fraction, ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    u: tuple[Fraction, ...]
     slice_coords: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        _check_member(self.phi, self.b)
+        _check_pair(self.phi, self.u, ("phi", "u"))
 
     @property
-    def k(self) -> int:
-        return len(self.phi) - 1
+    def b(self):
+        return _outer(self.phi, self.u)
 
 
 def mukai_point(u, a, slice_coords=()) -> MukaiPoint:
-    return MukaiPoint(u=_qvec(u), a=_qmat(a),
-                      slice_coords=tuple(Fraction(c) for c in slice_coords))
+    """The point ([u], A), factoring A = u phi^t once."""
+    u = _qvec(u)
+    a = [_qvec(row) for row in a]
+    n = len(u)
+    if not any(u):
+        raise PreconditionError("u must be nonzero")
+    if len(a) != n or any(len(row) != n for row in a):
+        raise PreconditionError("matrix size must match dim V")
+    i0 = next(i for i, c in enumerate(u) if c)
+    phi = tuple(c / u[i0] for c in a[i0])
+    if any(a[i][j] != u[i] * phi[j] for i in range(n) for j in range(n)):
+        raise PreconditionError("image of A must lie in the line of u")
+    # A = u phi^t, so A^2 = (phi . u) A
+    if linalg.dot(phi, u) != 0:
+        raise PreconditionError("A^2 must vanish")
+    return MukaiPoint(u, phi, _qvec(slice_coords))
 
 
 def make_point(u, phi, slice_coords=()) -> MukaiPoint:
     """([u], u phi^t) for a covector phi vanishing on u; phi = 0 gives the zero section."""
-    u = _qvec(u)
-    phi = tuple(Fraction(c) for c in phi)
-    if len(phi) != len(u):
-        raise PreconditionError("u and phi must have the same length")
-    if all(c == 0 for c in u):
-        raise PreconditionError("u must be nonzero")
-    if linalg.dot(phi, u) != 0:
-        raise PreconditionError("phi must vanish on u")
-    a = tuple(tuple(ui * pj for pj in phi) for ui in u)
-    return MukaiPoint(u=u, a=a, slice_coords=tuple(Fraction(c) for c in slice_coords))
+    return MukaiPoint(_qvec(u), _qvec(phi), _qvec(slice_coords))
 
 
 def contract(point: MukaiPoint):
@@ -106,28 +108,18 @@ def contract_dual(point: DualMukaiPoint):
     return point.b
 
 
-def _kernel_covector(u, a):
-    """The covector c with A = u c^t when A maps into the line of u != 0."""
-    i0 = next(i for i, c in enumerate(u) if c)
-    return tuple(Fraction(a[i0][j]) / u[i0] for j in range(len(u)))
-
-
 def flop(point: MukaiPoint) -> DualMukaiPoint:
-    """([u], A) -> ([ker A], A^t); undefined on the zero section."""
-    if not any(any(row) for row in point.a):
+    """([u], u phi^t) -> ([phi], phi u^t); undefined on the zero section."""
+    if not any(point.phi):
         raise PreconditionError("flop is undefined on the zero section")
-    phi = _kernel_covector(point.u, point.a)
-    return DualMukaiPoint(phi=phi, b=linalg.transpose(point.a),
-                          slice_coords=point.slice_coords)
+    return DualMukaiPoint(point.phi, point.u, point.slice_coords)
 
 
 def flop_dual(point: DualMukaiPoint) -> MukaiPoint:
     """Inverse direction, identifying the double dual with V."""
-    if not any(any(row) for row in point.b):
+    if not any(point.u):
         raise PreconditionError("flop is undefined on the zero section")
-    u = _kernel_covector(point.phi, point.b)
-    return MukaiPoint(u=u, a=linalg.transpose(point.b),
-                      slice_coords=point.slice_coords)
+    return MukaiPoint(point.u, point.phi, point.slice_coords)
 
 
 def check_diagram(point: MukaiPoint) -> bool:

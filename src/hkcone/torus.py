@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .errors import PreconditionError
 
 
@@ -109,21 +107,14 @@ def is_torsion(p: TorusPoint):
     raise PreconditionError("real-mode torsion is undecidable without the irrationality flag")
 
 
-def _closure(gens):
-    group = {(Fraction(0), Fraction(0))}
-    frontier = list(group)
-    steps = [g for g in gens] + [-g for g in gens]
+def _closure(t1, t2):
+    """The subgroup of (Q/Z)^2 generated by t1, t2, as coordinate pairs
+    (all of finite order, so sums of t1 and t2 reach their negatives)."""
+    group = frontier = {(Fraction(0), Fraction(0))}
     while frontier:
-        nxt = []
-        for gx, gy in frontier:
-            base = TorusPoint(gx, gy)
-            for s in steps:
-                moved = base + s
-                key = (moved.x, moved.y)
-                if key not in group:
-                    group.add(key)
-                    nxt.append(key)
-        frontier = nxt
+        frontier = {((gx + t.x) % 1, (gy + t.y) % 1)
+                    for gx, gy in frontier for t in (t1, t2)} - group
+        group = group | frontier
     return group
 
 
@@ -131,26 +122,25 @@ def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ..
     """Points x + a t1 + b t2 with |a| + |b| <= depth, sorted.
 
     In exact mode the generated subgroup is finite and the whole coset is
-    returned, independent of depth.
+    returned, independent of depth.  Both modes work on coordinate pairs
+    and build points only for the result.
     """
     if depth < 1:
         raise PreconditionError("depth must be positive")
     _same_mode(fiber.e0, x)
     t1, t2, _t3 = generators(fiber)
     if fiber.exact:
-        group = _closure([t1, t2])
-        points = {x + TorusPoint(gx, gy) for gx, gy in group}
-        return tuple(sorted(points, key=lambda p: (p.x, p.y)))
+        pairs = {((x.x + gx) % 1, (x.y + gy) % 1) for gx, gy in _closure(t1, t2)}
+        return tuple(TorusPoint(px, py, True, x.irrational) for px, py in sorted(pairs))
+    irrational = x.irrational or t1.irrational or t2.irrational
     seen = {}
     for a in range(-depth, depth + 1):
         for b in range(-(depth - abs(a)), depth - abs(a) + 1):
             px = (x.x + a * t1.x + b * t2.x) % 1.0
             py = (x.y + a * t1.y + b * t2.y) % 1.0
-            key = (round(px, 12) % 1.0, round(py, 12) % 1.0)
-            if key not in seen:
-                seen[key] = TorusPoint(px, py, exact=False,
-                                       irrational=x.irrational or t1.irrational or t2.irrational)
-    return tuple(sorted(seen.values(), key=lambda p: (p.x, p.y)))
+            seen.setdefault((round(px, 12) % 1.0, round(py, 12) % 1.0), (px, py))
+    return tuple(TorusPoint(px, py, exact=False, irrational=irrational)
+                 for px, py in sorted(seen.values()))
 
 
 def covering_radius(points, grid: int) -> float:
@@ -163,16 +153,12 @@ def covering_radius(points, grid: int) -> float:
         raise PreconditionError("empty point set")
     if grid < 1:
         raise PreconditionError("grid must be positive")
+    import numpy as np  # only this function needs it; keeps it out of CLI start-up
     arr = np.asarray(pts)
     samples = np.arange(grid) / grid
     dx = np.abs(arr[:, 0][None, :] - samples[:, None])
     dx = np.minimum(dx, 1.0 - dx)          # (grid, npoints)
     dy = np.abs(arr[:, 1][None, :] - samples[:, None])
     dy = np.minimum(dy, 1.0 - dy)
-    worst = 0.0
-    for i in range(grid):
-        row = dx[i]
-        for j in range(grid):
-            nearest = np.min(np.maximum(row, dy[j]))
-            worst = max(worst, float(nearest))
-    return worst
+    # row i: the nearest point to every sample (i/grid, j/grid) at once
+    return max(float(np.maximum(row, dy).min(axis=1).max()) for row in dx)

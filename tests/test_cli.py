@@ -39,6 +39,16 @@ class TestClassify:
                    "--class", "4,0,-1"])
         assert rc == 1
 
+    def test_orbit_row_without_name_exit_2(self, tmp_path, capsys):
+        tab = tmp_path / "table.json"
+        tab.write_text(json.dumps({"orbits": [
+            {"square": -4, "divisibility": 4, "codimension": 1}]}))
+        rc = main(["classify", "--lattice", LAT, "--table", str(tab), "--class", "4,0,-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tab) in err and "'name'" in err
+        assert "malformed" not in err
+
 
 class TestDualSolve:
     def test_curve_class(self, capsys):
@@ -57,6 +67,16 @@ class TestDualSolve:
     def test_unknown_name_exit_2(self):
         rc = main(["dual-solve", "--lattice", LAT, "--pair", "nope=1"])
         assert rc == 2
+
+    def test_fractional_named_class_exit_2(self, tmp_path, capsys):
+        named = tmp_path / "classes.json"
+        named.write_text(json.dumps({"half": ["1/2", 0, 0]}))
+        rc = main(["dual-solve", "--lattice", LAT, "--classes", str(named),
+                   "--pair", "half=1", "--pair", "F=3", "--pair", "delta=0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(named) in err and "'half'" in err
+        assert "malformed" not in err
 
 
 class TestFactorPath:
@@ -110,6 +130,17 @@ class TestSympRank:
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {
             "rank": 0, "isotropic": True, "coisotropic": True}
+
+    def test_missing_omega_exit_2(self, tmp_path, capsys):
+        omega = tmp_path / "omega.json"
+        basis = tmp_path / "basis.json"
+        omega.write_text(json.dumps({"form": [[0, 1], [-1, 0]]}))
+        basis.write_text(json.dumps({"basis": [[1, 0]]}))
+        rc = main(["symp-rank", "--omega", str(omega), "--basis", str(basis)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(omega) in err and "'omega'" in err
+        assert "malformed" not in err
 
 
 class TestSigmaOrbit:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import floor, isqrt
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ import pytest
 from hkcone import fixtures, linalg
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR,
                          WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
-                         _sides, component_sign, crossing_parameter,
-                         enumerate_wall_classes, enumeration_box, factor_path,
+                         _sides, as_cone_point, component_sign, crossing_parameter,
+                         enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau, same_chamber,
                          same_component)
 from hkcone.errors import PreconditionError
 from hkcone.lattice import make_lattice
-from hkcone.mbm import OrbitSignature, SignatureTable
+from hkcone.mbm import OrbitSignature, SignatureTable, primitive_rescale
 
 F = Fraction
 
@@ -57,6 +58,21 @@ def oracle_scan(lattice, table, base, bound, box):
             hits.append((tuple(int(c) for c in x[i]), rows[key]))
     hits.sort(key=lambda item: item[0])
     return hits
+
+
+def enumeration_box(lattice, base, bound, squares):
+    """Per-coordinate bounds containing every candidate wall class.
+
+    Splitting x against the base point p, the region inequality
+    q(x,p)^2 <= B |q(x)| q(p) together with a fixed square q(x) = s
+    bounds the positive definite majorant 2 q(x,p)^2/q(p) - q(x) by
+    (2B + 1) max|s|, and the box follows from the inverse of the
+    majorant's Gram matrix.
+    """
+    g, scaled = _majorant(lattice, primitive_rescale(as_cone_point(lattice, base))[0])
+    cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
+    inv = linalg.invert(scaled)
+    return tuple(isqrt(floor(cap * g * inv[i][i])) for i in range(lattice.rank))
 
 
 def canonical_box(bounds):

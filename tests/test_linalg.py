@@ -206,3 +206,32 @@ def test_solve_against_sympy():
         assert params.shape[0] == 0
         assert x == tuple(from_sympy(c) for c in sol)
     assert seen == {"inconsistent system", "underdetermined system", "solved"}
+
+
+def test_products_against_sympy():
+    rng = random.Random(41)
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+             for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+        want = sympy.Matrix(a) * sympy.Matrix(b)
+        got = linalg.mat_mul(a, b)
+        assert [[sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction)
+                 else c for c in row] for row in got] == want.tolist()
+        assert linalg.mat_vec(a, v) == tuple(linalg.dot(row, v) for row in a)
+        assert linalg.dot(v, v) == sum(c * c for c in v)
+
+
+def test_products_reject_dimension_mismatch():
+    with pytest.raises(PreconditionError, match="dimension mismatch"):
+        linalg.dot((1, 2), (1, 2, 3))
+    with pytest.raises(PreconditionError, match="dimension mismatch"):
+        linalg.mat_vec(((1, 2), (3, 4, 5)), (1, 2))
+    with pytest.raises(PreconditionError, match="dimension mismatch"):
+        linalg.mat_mul(((1, 2), (3, 4)), ((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(PreconditionError, match="dimension mismatch"):
+        linalg.mat_mul(((1, 2), (3,)), ((1, 0), (0, 1)))
+    # with no columns in b nothing is paired: an empty product per row
+    assert linalg.mat_mul(((1, 2),), ()) == ((),)

@@ -75,6 +75,20 @@ class TestTable:
                 {"name": "a", "square": -2, "divisibility": 1, "codimension": 1},
             ]})
 
+    @pytest.mark.parametrize("row, key", [
+        ({"square": -4, "divisibility": 2, "codimension": 1}, "'name'"),
+        ({"name": "a", "square": "-4", "divisibility": 2, "codimension": 1}, "'square'"),
+        ({"name": "a", "square": -4, "divisibility": 2.0, "codimension": 1},
+         "'divisibility'"),
+        ({"name": "a", "square": -4, "divisibility": 2}, "'codimension'"),
+        ({"name": "a", "square": -4, "divisibility": 2, "codimension": 1,
+          "disc_residue": ["1/2"]}, "'disc_residue'"),
+        (["a", -4, 2, 1], "object"),
+    ])
+    def test_malformed_row_names_the_key(self, row, key):
+        with pytest.raises(PreconditionError, match=f"orbit 0: .*{key}"):
+            table_from_dict({"orbits": [row]})
+
     def test_codimension_helpers(self, table):
         delta = table.by_name("delta")
         assert delta.codimension == 1 and is_divisorial(delta)

@@ -143,3 +143,39 @@ def test_projective_invariance(k, su, sphi):
     d1, d2 = flop(m), flop(scaled)
     assert proportional(d1.phi, d2.phi)
     assert check_diagram(scaled)
+
+
+def _row_covector(u, a):
+    """The matrix route's covector: row i0 of A over u[i0], i0 the first nonzero."""
+    i0 = next(i for i, c in enumerate(u) if c)
+    return tuple(Fraction(a[i0][j]) / u[i0] for j in range(len(u)))
+
+
+class TestAgainstMatrixRoute:
+    """The pair (u, phi) against a slow oracle that stores A = u phi^t and
+    re-derives every covector from the rows of A and of its transpose."""
+
+    def test_random_points(self):
+        rng = random.Random(6)
+        for k in (1, 2, 3, 4):
+            for _ in range(40):
+                m = random_point(rng, k, with_slice=True)
+                a = tuple(tuple(ui * pj for pj in m.phi) for ui in m.u)
+                phi = _row_covector(m.u, a)
+                b = linalg.transpose(a)
+                u = _row_covector(phi, b)
+                d = flop(m)
+                back = flop_dual(d)
+                assert m.a == a
+                assert d.phi == phi and d.b == b
+                assert back.u == u and back.a == linalg.transpose(b)
+                assert mukai_point(m.u, a) == make_point(m.u, m.phi, ())
+                assert all(type(c) is Fraction for v in (d.phi, back.u) for c in v)
+
+    def test_zero_section(self):
+        rng = random.Random(7)
+        for k in (1, 2, 3, 4):
+            u = tuple(F(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(k + 1))
+            zero = tuple((0,) * (k + 1) for _ in range(k + 1))
+            assert mukai_point(u, zero) == make_point(u, (0,) * (k + 1))
+            assert make_point(u, (0,) * (k + 1)).a == zero

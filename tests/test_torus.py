@@ -1,8 +1,14 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hkcone
 from hkcone import linalg
 from hkcone.errors import PreconditionError
 from hkcone.torus import (MarkedFiber, covering_radius, exact_point,
@@ -120,7 +126,6 @@ class TestOrbit:
         assert points == (x,)
 
     def test_oracle_on_random_fibers(self):
-        import random
         rng = random.Random(23)
         for _ in range(40):
             pts = [exact_point(F(rng.randint(0, 5), rng.randint(1, 6)),
@@ -179,3 +184,56 @@ class TestCoveringRadius:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             covering_radius([], 10)
+
+
+def covering_radius_loops(points, grid):
+    """The covering radius by plain loops over samples and points, with
+    the same float formulas: |p - i/grid| wrapped by min(d, 1 - d)."""
+    worst = 0.0
+    for i in range(grid):
+        for j in range(grid):
+            nearest = math.inf
+            for p in points:
+                dx = abs(p.x - i / grid)
+                dy = abs(p.y - j / grid)
+                nearest = min(nearest, max(min(dx, 1.0 - dx), min(dy, 1.0 - dy)))
+            worst = max(worst, nearest)
+    return worst
+
+
+class TestCoveringRadiusAgainstLoops:
+    def test_random_point_sets(self):
+        rng = random.Random(29)
+        for grid in (1, 2, 3, 5, 8, 13, 16):
+            for n in (1, 2, 7, 40):
+                pts = [real_point(rng.random(), rng.random()) for _ in range(n)]
+                assert covering_radius(pts, grid) == covering_radius_loops(pts, grid)
+
+    def test_real_orbit(self):
+        e1 = real_point(math.sqrt(2), 0, irrational=True)
+        e2 = real_point(math.sqrt(2), math.sqrt(3), irrational=True)
+        pts = orbit(MarkedFiber(real_point(0, 0), e1, e2), real_point(0.1, 0.7), 8)
+        for grid in (1, 7, 12):
+            assert covering_radius(pts, grid) == covering_radius_loops(pts, grid)
+
+    def test_points_at_zero_and_near_one(self):
+        below = math.nextafter(1.0, 0.0)
+        sets = [
+            [real_point(0, 0)],
+            [real_point(below, below)],
+            [real_point(0, below), real_point(below, 0)],
+            [real_point(0.5, 0.5), real_point(below, 0.25), real_point(0.0, 0.75)],
+            [real_point(1 - 1e-9, 1e-9), real_point(0.3, 1 - 1e-12)],
+        ]
+        for pts in sets:
+            for grid in (1, 2, 4, 9):
+                assert covering_radius(pts, grid) == covering_radius_loops(pts, grid)
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(hkcone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, hkcone.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
