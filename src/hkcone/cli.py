@@ -15,7 +15,8 @@ import sys
 from . import cone, mbm, mukai, render, symplectic, torus
 from .errors import PreconditionError
 from .lattice import load_lattice
-from .rational import frac_str, parse_frac, parse_vector, vector_strs
+from .rational import (frac_str, parse_array, parse_field, parse_frac, parse_int,
+                       parse_vector, vector_strs)
 
 
 def _emit(text: str, out: str | None):
@@ -30,30 +31,6 @@ def _emit_json(obj, out: str | None):
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
-def _array(value, parse=parse_frac) -> tuple:
-    """A JSON array with every entry parsed (default: as a rational)."""
-    if not isinstance(value, list):
-        raise PreconditionError(f"expected an array, got {value!r}")
-    return tuple(parse(c) for c in value)
-
-
-def _integers(value) -> tuple:
-    coords = _array(value)
-    if any(c.denominator != 1 for c in coords):
-        raise PreconditionError(f"expected integers, got {value!r}")
-    return tuple(map(int, coords))
-
-
-def _doc_value(path: str, doc, key: str, parse=_array):
-    """parse(doc[key]) for a JSON document read from path; errors name both."""
-    try:
-        if not isinstance(doc, dict) or key not in doc:
-            raise PreconditionError("missing")
-        return parse(doc[key])
-    except PreconditionError as exc:
-        raise PreconditionError(f"{path}: {key!r}: {exc}") from exc
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -63,7 +40,7 @@ def _load_point(spec_text: str):
     """A point is either inline coordinates "a,b,c" or a JSON file path."""
     if "," in spec_text:
         return parse_vector(spec_text)
-    return _doc_value(spec_text, _load_json(spec_text), "point")
+    return parse_field(_load_json(spec_text), "point", parse_array, spec_text)
 
 
 def _named_classes(lattice, path: str | None) -> dict:
@@ -74,14 +51,14 @@ def _named_classes(lattice, path: str | None) -> dict:
         if not isinstance(doc, dict):
             raise PreconditionError(f"{path}: expected an object of named classes")
         for key in doc:
-            names[key] = _doc_value(path, doc, key, _integers)
+            names[key] = parse_field(doc, key, lambda v: parse_array(v, parse_int), path)
     return names
 
 
 def _cmd_classify(args) -> int:
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
-    coords = tuple(int(c) for c in parse_vector(getattr(args, "class")))
+    coords = tuple(map(parse_int, parse_vector(getattr(args, "class"))))
     sig = mbm.classify(lattice, table, coords)
     if sig is None:
         _emit_json({"orbit": None}, args.out)
@@ -107,7 +84,7 @@ def _cmd_dual_solve(args) -> int:
         if key in names:
             cls = names[key]
         elif "," in key:
-            cls = tuple(int(c) for c in parse_vector(key))
+            cls = tuple(map(parse_int, parse_vector(key)))
         else:
             raise PreconditionError(f"unknown class name {key!r}")
         constraints.append((cls, parse_frac(value.strip())))
@@ -162,7 +139,8 @@ def _cmd_render(args) -> int:
     if args.path is not None:
         doc = _load_json(args.path)
         path = cone.FlopFactorization(
-            a=_doc_value(args.path, doc, "a"), b=_doc_value(args.path, doc, "b"),
+            a=parse_field(doc, "a", parse_array, args.path),
+            b=parse_field(doc, "b", parse_array, args.path),
             steps=(), groups=(), status=cone.STATUS_OK, perturbed=False,
         )
     markers = []
@@ -192,7 +170,7 @@ def _cmd_mukai_flop(args) -> int:
 
 def _cmd_symp_rank(args) -> int:
     def matrix(path, key):
-        return _doc_value(path, _load_json(path), key, lambda rows: _array(rows, _array))
+        return parse_field(_load_json(path), key, lambda v: parse_array(v, parse_array), path)
 
     space = symplectic.symplectic_space(matrix(args.omega, "omega"))
     w = symplectic.subspace(matrix(args.basis, "basis"))

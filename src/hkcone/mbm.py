@@ -16,6 +16,7 @@ from math import lcm
 from . import linalg
 from .errors import PreconditionError
 from .lattice import IntegralLattice, is_primitive
+from .rational import parse_array, parse_field, parse_int
 
 
 @dataclass(frozen=True)
@@ -131,26 +132,24 @@ def primitive_rescale(x) -> tuple[tuple[int, ...], Fraction]:
     return y, Fraction(denom, g)
 
 
-_ROW_TYPES = {"name": str, "square": int, "divisibility": int, "codimension": int}
-
-
 def table_from_dict(doc: dict) -> SignatureTable:
     rows = doc.get("orbits") if isinstance(doc, dict) else None
     if not isinstance(rows, (list, tuple)):
         raise PreconditionError("signature-table document needs an 'orbits' list")
     orbits = []
     for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise PreconditionError(f"orbit {i}: expected an object, got {row!r}")
-        for key, kind in _ROW_TYPES.items():
-            if type(row.get(key)) is not kind:
-                raise PreconditionError(f"orbit {i}: {key!r} must be {kind.__name__}")
-        residue = row.get("disc_residue")
-        if residue is not None and not (isinstance(residue, (list, tuple))
-                                        and all(type(r) is int for r in residue)):
-            raise PreconditionError(f"orbit {i}: 'disc_residue' must be a list of integers")
-        orbits.append(OrbitSignature(**{key: row[key] for key in _ROW_TYPES},
-                                     disc_residue=None if residue is None else tuple(residue)))
+        def field(key, parse=parse_int):
+            return parse_field(row, key, parse, f"orbit {i}")
+
+        residue = row.get("disc_residue") if isinstance(row, dict) else None
+        orbits.append(OrbitSignature(
+            name=field("name", str),
+            square=field("square"),
+            divisibility=field("divisibility"),
+            codimension=field("codimension"),
+            disc_residue=None if residue is None else field(
+                "disc_residue", lambda r: parse_array(r, parse_int)),
+        ))
     return SignatureTable(orbits=tuple(orbits))
 
 

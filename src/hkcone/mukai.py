@@ -1,11 +1,12 @@
 """Exact local model of the Mukai flop on rank-one square-zero matrices.
 
-A point of T*P^k is a pair (u, phi) with u != 0 and phi(u) = 0; its
-matrix A = u phi^t maps into the line of u and squares to zero, and
-phi = 0 is the zero section.  Contraction forgets u.  The flop reads the
-same pair from the other side, ([phi], phi u^t) with matrix A^t (S. Mukai,
-Invent. Math. 77, 1984), so membership is checked once, at construction,
-and a flop only relabels.  Everything is exact; projective data is
+A point of T*P^k is a pair (u, phi) with u != 0 and phi(u) = 0: its
+matrix A = u phi^t maps into the line of u and squares to zero; phi = 0 is
+the zero section.  Contraction forgets u.  The flop reads the same pair
+from the other side, ([phi], phi u^t) with matrix A^t (S. Mukai, Invent.
+Math. 77, 1984).  Every point checks its pair when built (lengths, nonzero
+marked vector, one dot product), so a flop re-checks the pair it relabels
+but re-derives no covector.  Everything is exact; projective data is
 compared by proportionality (vanishing 2x2 minors), never normal forms.
 Transverse-slice coordinates ride along untouched.
 """
@@ -76,7 +77,11 @@ class DualMukaiPoint:
 
 
 def mukai_point(u, a, slice_coords=()) -> MukaiPoint:
-    """The point ([u], A), factoring A = u phi^t once."""
+    """The point ([u], A), factoring A = u phi^t once.
+
+    The nonzero and A^2 checks come first for their matrix error texts;
+    the point then checks its pair again.
+    """
     u = _qvec(u)
     a = [_qvec(row) for row in a]
     n = len(u)

@@ -7,6 +7,7 @@ or bare integer strings; integers proper stay JSON integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import PreconditionError
 
@@ -15,7 +16,7 @@ def parse_frac(value) -> Fraction:
     """Accept an int, a Fraction, or a "p/q" / "p" string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, Rational):  # int, and integer types such as numpy's
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -23,6 +24,33 @@ def parse_frac(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(f"not a rational: {value!r}") from exc
     raise PreconditionError(f"not a rational: {value!r}")
+
+
+def parse_int(value) -> int:
+    """parse_frac(value), which must be an integer."""
+    f = parse_frac(value)
+    if f.denominator != 1:
+        raise PreconditionError(f"not an integer: {str(value)!r}")
+    return f.numerator
+
+
+def parse_array(value, parse=parse_frac) -> tuple:
+    """A JSON array with every entry parsed (default: as a rational)."""
+    if not isinstance(value, (list, tuple)):
+        raise PreconditionError(f"expected an array, got {value!r}")
+    return tuple(parse(c) for c in value)
+
+
+def parse_field(doc, key: str, parse, where: str):
+    """parse(doc[key]) for a JSON object; errors name where and the key."""
+    try:
+        if not isinstance(doc, dict):
+            raise PreconditionError(f"expected an object, got {doc!r}")
+        if key not in doc:
+            raise PreconditionError("missing")
+        return parse(doc[key])
+    except PreconditionError as exc:
+        raise PreconditionError(f"{where}: {key!r}: {exc}") from exc
 
 
 def frac_str(value) -> str:

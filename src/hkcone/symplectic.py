@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 from . import linalg
@@ -50,7 +49,6 @@ class SymplecticSpace:
         return len(self.omega)
 
 
-@cache  # frozen, so built (and its determinant checked) once per n
 def standard_space(n: int) -> SymplecticSpace:
     """Standard form on dimension 2n: omega(e_i, f_i) = 1."""
     dim = 2 * n

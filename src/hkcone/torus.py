@@ -40,9 +40,6 @@ class TorusPoint:
         return TorusPoint((self.x - other.x) % 1, (self.y - other.y) % 1,
                           self.exact, self.irrational or other.irrational)
 
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint((-self.x) % 1, (-self.y) % 1, self.exact, self.irrational)
-
 
 def exact_point(x, y) -> TorusPoint:
     return TorusPoint(Fraction(x) % 1, Fraction(y) % 1, exact=True)
@@ -160,5 +157,10 @@ def covering_radius(points, grid: int) -> float:
     dx = np.minimum(dx, 1.0 - dx)          # (grid, npoints)
     dy = np.abs(arr[:, 1][None, :] - samples[:, None])
     dy = np.minimum(dy, 1.0 - dy)
-    # row i: the nearest point to every sample (i/grid, j/grid) at once
-    return max(float(np.maximum(row, dy).min(axis=1).max()) for row in dx)
+    worst = 0.0
+    for i in range(grid):
+        row = dx[i]
+        for j in range(grid):
+            nearest = np.min(np.maximum(row, dy[j]))
+            worst = max(worst, float(nearest))
+    return worst

@@ -34,6 +34,12 @@ class TestClassify:
         rc = main(["classify", "--lattice", LAT, "--table", TAB, "--class", "0,1,0"])
         assert rc == 2
 
+    def test_fractional_class_exit_2(self, capsys):
+        # 9/2 is rejected, not truncated to 4 (which would classify 4,0,-1)
+        rc = main(["classify", "--lattice", LAT, "--table", TAB, "--class", "9/2,0,-1"])
+        assert rc == 2
+        assert "'9/2'" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self):
         rc = main(["classify", "--lattice", "/nonexistent.json", "--table", TAB,
                    "--class", "4,0,-1"])
@@ -67,6 +73,12 @@ class TestDualSolve:
     def test_unknown_name_exit_2(self):
         rc = main(["dual-solve", "--lattice", LAT, "--pair", "nope=1"])
         assert rc == 2
+
+    def test_fractional_inline_class_exit_2(self, capsys):
+        rc = main(["dual-solve", "--lattice", LAT,
+                   "--pair", "1/2,0,0=1", "--pair", "F=3", "--pair", "delta=0"])
+        assert rc == 2
+        assert "'1/2'" in capsys.readouterr().err
 
     def test_fractional_named_class_exit_2(self, tmp_path, capsys):
         named = tmp_path / "classes.json"

@@ -77,7 +77,7 @@ class TestTable:
 
     @pytest.mark.parametrize("row, key", [
         ({"square": -4, "divisibility": 2, "codimension": 1}, "'name'"),
-        ({"name": "a", "square": "-4", "divisibility": 2, "codimension": 1}, "'square'"),
+        ({"name": "a", "square": "-4/3", "divisibility": 2, "codimension": 1}, "'square'"),
         ({"name": "a", "square": -4, "divisibility": 2.0, "codimension": 1},
          "'divisibility'"),
         ({"name": "a", "square": -4, "divisibility": 2}, "'codimension'"),
@@ -88,6 +88,15 @@ class TestTable:
     def test_malformed_row_names_the_key(self, row, key):
         with pytest.raises(PreconditionError, match=f"orbit 0: .*{key}"):
             table_from_dict({"orbits": [row]})
+
+    def test_integer_fields_take_any_integral_rational(self):
+        import numpy as np
+        row = {"name": "a", "square": "-4", "divisibility": Fraction(4, 2),
+               "codimension": np.int64(1), "disc_residue": ["3", 0]}
+        orbit = table_from_dict({"orbits": [row]}).orbits[0]
+        assert (orbit.square, orbit.divisibility, orbit.codimension) == (-4, 2, 1)
+        assert orbit.disc_residue == (3, 0)
+        assert all(type(v) is int for v in (orbit.square, *orbit.disc_residue))
 
     def test_codimension_helpers(self, table):
         delta = table.by_name("delta")
