@@ -8,6 +8,7 @@ Diagnostics go to stderr; data goes to the declared output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -230,7 +231,9 @@ def _cmd_sigma_orbit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="hkcone",
         description="Exact wall-and-chamber computations on a Picard lattice.",
@@ -298,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except PreconditionError as exc:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .rational import parse_frac
+from .rational import parse_array, parse_field, parse_frac, parse_int
 
 
 @dataclass(frozen=True)
@@ -216,19 +216,33 @@ def make_lattice(gram, basis_names=None, ambient_ideals=None,
     )
 
 
-def lattice_from_dict(doc: dict) -> IntegralLattice:
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise PreconditionError(f"expected a string, got {value!r}")
+    return value
+
+
+def lattice_from_dict(doc: dict, where: str = "lattice document") -> IntegralLattice:
+    """Read a lattice document; every error names where and the key.
+
+    Integer entries follow the one rule for document integers
+    (rational.parse_int); basis_names must be an array of strings.
+    """
+    def field(key, parse, optional=False):
+        if optional and (not isinstance(doc, dict) or doc.get(key) is None):
+            return None
+        return parse_field(doc, key, parse, where)
+
+    gram = field("gram", lambda v: parse_array(v, lambda row: parse_array(row, parse_int)))
+    basis_names = field("basis_names", lambda v: parse_array(v, _name), optional=True)
+    ambient_ideals = field("ambient_ideals", lambda v: parse_array(v, parse_int), optional=True)
+    fujiki_constant = field("fujiki_constant", parse_frac, optional=True)
     try:
-        gram = doc["gram"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError("lattice document needs a 'gram' matrix") from exc
-    return make_lattice(
-        gram,
-        basis_names=doc.get("basis_names"),
-        ambient_ideals=doc.get("ambient_ideals"),
-        fujiki_constant=doc.get("fujiki_constant"),
-    )
+        return make_lattice(gram, basis_names, ambient_ideals, fujiki_constant)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{where}: {exc}") from exc
 
 
 def load_lattice(path) -> IntegralLattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_dict(json.load(fh))
+        return lattice_from_dict(json.load(fh), str(path))

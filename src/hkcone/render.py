@@ -8,9 +8,14 @@ Klein model geodesics are straight chords: the wall of w is the polar
 line n.X = z0 of its coordinates, n = (sx z1, sy z2), and it meets the
 unit circle at (z0 n +- h n_perp) / |n|^2 with
 h^2 = |n|^2 - z0^2 = -q(w)/d0, exact and positive for every wall class.
-All incidence decisions are made upstream in exact arithmetic; floats
-only enter with the square roots of the final projection to screen
-coordinates.
+
+A scene builds its disk frame once: integer rows R_i and scales L_i with
+z_i = (x . R_i) / L_i for integral x, and the integer numerators and
+denominators of -d1/d0 and -d2/d0.  Each wall then costs three integer
+dot products and a few integer products.  All incidence decisions are
+exact; floats only enter at the final quotients, each one int / int
+(correctly rounded, so equal to float() of the same Fraction), and with
+the square roots of the projection to screen coordinates.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.
@@ -22,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .cone import FlopFactorization, enumerate_wall_classes
 from .errors import PreconditionError
 from .lattice import IntegralLattice, mod_four_class
@@ -58,22 +62,84 @@ class DiskScene:
                 raise PreconditionError("markers must lie strictly inside the disk")
 
 
-def _diagonal_frame(lattice: IntegralLattice):
-    """Columns t_i of T, the diagonal d and the disk scales sx, sy."""
-    t, diag = lattice.diagonalize()
-    if len(diag) != 3:
-        raise PreconditionError("disk rendering needs a rank-3 lattice")
-    if not (diag[0] > 0 and diag[1] < 0 and diag[2] < 0):
-        raise PreconditionError("diagonalization must be Lorentzian, positive entry first")
-    sx = math.sqrt(float(-diag[1] / diag[0]))
-    sy = math.sqrt(float(-diag[2] / diag[0]))
-    return tuple(zip(*t)), diag, sx, sy
+def _integral(x) -> tuple[tuple[int, ...], int]:
+    """(X, m) with X integral, m > 0 and x = X / m."""
+    coords = tuple(Fraction(c) for c in x)
+    if len(coords) != 3:
+        raise PreconditionError("dimension mismatch")
+    m = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (m // c.denominator) for c in coords), m
 
 
-def _basis_coords(lattice: IntegralLattice, columns, diag, x) -> tuple[Fraction, ...]:
-    """Exact coordinates z_i = q(x, t_i) / d_i of x in the orthogonal basis."""
-    gx = lattice.pairing_row(x)
-    return tuple(linalg.dot(t, gx) / d for t, d in zip(columns, diag))
+class _DiskFrame:
+    """The orthogonal basis of a rank-3 Lorentzian lattice, in integers.
+
+    Rows R_i and scales L_i > 0 give z_i = a_i / (m L_i), a_i = X . R_i,
+    for x = X / m with X integral; -d1/d0 = p1/q1 and -d2/d0 = p2/q2.
+    With s = (a1 L2, a2 L1), P1 = p1 q2, P2 = p2 q1, K = q1 q2 L1 L2 and
+    Q = K L1 L2:
+      |n|^2 = N / (Q m^2),  N = P1 s1^2 + P2 s2^2 > 0 for a wall,
+      h^2 = |n|^2 - z0^2 = -q(x)/d0 = H / (Q L0^2 m^2),  H = N L0^2 - Q a0^2,
+      z0 z1 / |n|^2 = a0 K s1 / (L0 N),  z1 / |n|^2 = K s1 m / N,
+    and likewise for z2 with s2: each quotient is the exact rational of
+    the Fraction formulas, over a positive integer denominator.
+    """
+
+    __slots__ = ("rows", "scales", "p1", "p2", "k", "q", "sx", "sy")
+
+    def __init__(self, lattice: IntegralLattice):
+        t, diag = lattice.diagonalize()
+        if len(diag) != 3:
+            raise PreconditionError("disk rendering needs a rank-3 lattice")
+        if not (diag[0] > 0 and diag[1] < 0 and diag[2] < 0):
+            raise PreconditionError("diagonalization must be Lorentzian, positive entry first")
+        rows, scales = [], []
+        for column, d in zip(zip(*t), diag):
+            # t_i = C / c with C integral, so G t_i / d_i = G C / r with r = c d_i
+            big, c = _integral(column)
+            r = c * d
+            sign = 1 if r > 0 else -1
+            rows.append(tuple(sign * r.denominator * g for g in lattice.pairing_row(big)))
+            scales.append(abs(r.numerator))
+        self.rows, self.scales = tuple(rows), tuple(scales)
+        e1, e2 = -diag[1] / diag[0], -diag[2] / diag[0]
+        self.p1 = e1.numerator * e2.denominator
+        self.p2 = e2.numerator * e1.denominator
+        self.k = e1.denominator * e2.denominator * scales[1] * scales[2]
+        self.q = self.k * scales[1] * scales[2]
+        self.sx, self.sy = math.sqrt(float(e1)), math.sqrt(float(e2))
+
+    def _polar(self, x):
+        """a0, s1, s2, N and H of an integral vector x."""
+        a0, a1, a2 = (x[0] * r[0] + x[1] * r[1] + x[2] * r[2] for r in self.rows)
+        l0, l1, l2 = self.scales
+        s1, s2 = a1 * l2, a2 * l1
+        n = self.p1 * s1 * s1 + self.p2 * s2 * s2
+        return a0, s1, s2, n, n * l0 * l0 - self.q * a0 * a0
+
+    def chord(self, w, m=1):
+        """Sorted ideal endpoints of the wall of w / m, w integral."""
+        a0, s1, s2, n, h2 = self._polar(w)
+        if h2 <= 0:
+            raise PreconditionError("wall classes have negative square")
+        l0, k, sx, sy = self.scales[0], self.k, self.sx, self.sy
+        h = math.sqrt(h2 / (self.q * l0 * l0 * m * m))
+        # midpoint z0 n / |n|^2 and half-chord h n_perp / |n|^2
+        mx, my = (a0 * k * s1) / (l0 * n) * sx, (a0 * k * s2) / (l0 * n) * sy
+        hx, hy = -((k * s2 * m) / n) * sy * h, ((k * s1 * m) / n) * sx * h
+        return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
+
+    def point(self, x) -> tuple[float, float]:
+        """Disk coordinates (sx z1/z0, sy z2/z0) of a rational x."""
+        x, _m = _integral(x)
+        a0, s1, s2, _n, h2 = self._polar(x)
+        if h2 > 0:
+            raise PreconditionError("point must have nonnegative square")
+        if a0 == 0:
+            raise PreconditionError("ray projects to infinity in the disk model")
+        l0, l1, l2 = self.scales
+        # z1/z0 = a1 L0 / (a0 L1) = s1 L0 / (a0 L1 L2)
+        return ((s1 * l0) / (a0 * l1 * l2) * self.sx, (s2 * l0) / (a0 * l1 * l2) * self.sy)
 
 
 def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
@@ -83,14 +149,7 @@ def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
     on it.  The ratios z1/z0 and z2/z0 are exact and do not depend on
     the sign of the representative.
     """
-    columns, diag, sx, sy = _diagonal_frame(lattice)
-    coords = tuple(Fraction(c) for c in x)
-    if lattice.square(coords) < 0:
-        raise PreconditionError("point must have nonnegative square")
-    z0, z1, z2 = _basis_coords(lattice, columns, diag, coords)
-    if z0 == 0:
-        raise PreconditionError("ray projects to infinity in the disk model")
-    return (float(z1 / z0) * sx, float(z2 / z0) * sy)
+    return _DiskFrame(lattice).point(x)
 
 
 def wall_chord(lattice: IntegralLattice, w) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -100,37 +159,25 @@ def wall_chord(lattice: IntegralLattice, w) -> tuple[tuple[float, float], tuple[
     endpoints are (z0 n +- h n_perp) / |n|^2, where |n|^2 and
     h^2 = -q(w)/d0 are exact.  Endpoints are sorted for determinism.
     """
-    w = tuple(w)
-    square = lattice.square(w)
-    if square >= 0:
-        raise PreconditionError("wall classes have negative square")
-    columns, diag, sx, sy = _diagonal_frame(lattice)
-    z0, z1, z2 = _basis_coords(lattice, columns, diag, w)
-    norm = -(diag[1] * z1 * z1 + diag[2] * z2 * z2) / diag[0]
-    h = math.sqrt(float(-square / diag[0]))
-    # midpoint z0 n / |n|^2 and half-chord h n_perp / |n|^2
-    mx, my = float(z0 * z1 / norm) * sx, float(z0 * z2 / norm) * sy
-    hx, hy = -float(z2 / norm) * sy * h, float(z1 / norm) * sx * h
-    return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
+    return _DiskFrame(lattice).chord(*_integral(w))
 
 
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
                 markers=(), cusps=(), path: FlopFactorization | None = None) -> DiskScene:
     """Assemble the disk picture of all walls near a base point."""
     walls = enumerate_wall_classes(lattice, table, base, bound)
+    frame = _DiskFrame(lattice)
     chords = tuple(
-        WallChord(endpoints=wall_chord(lattice, x),
+        WallChord(endpoints=frame.chord(x),
                   residue=mod_four_class(lattice, x),
                   wall_class=x)
         for x, _sig in walls
     )
-    marks = tuple((klein_coords(lattice, coords), str(label))
-                  for coords, label in markers)
-    cusp_pts = tuple(klein_coords(lattice, c) for c in cusps)
+    marks = tuple((frame.point(coords), str(label)) for coords, label in markers)
+    cusp_pts = tuple(frame.point(c) for c in cusps)
     polyline = None
     if path is not None:
-        polyline = (klein_coords(lattice, path.a),
-                    klein_coords(lattice, path.b))
+        polyline = (frame.point(path.a), frame.point(path.b))
         marks = marks + ((polyline[0], "a"), (polyline[1], "b"))
     return DiskScene(walls=chords, markers=marks, cusps=cusp_pts, path=polyline)
 

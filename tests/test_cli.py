@@ -1,9 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 from hkcone import fixtures
-from hkcone.cli import main
+from hkcone.cli import build_parser, main
 
 
 LAT = fixtures.fixture_path("k3_3_quartic.json")
@@ -236,3 +239,100 @@ class TestDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestSharedParser:
+    """In-process calls of main share one parser; repeated, omitted and
+    rejected options leave nothing behind for the next call."""
+
+    def test_calls_match_fresh_processes(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        both = ["--lattice", LAT, "--table", TAB, "--base", "4,4,-1", "--bound", "4"]
+        three = ["dual-solve", "--lattice", LAT, "--classes", NAMED,
+                 "--pair", "C=1", "--pair", "F=3", "--pair", "eps=1"]
+        calls = [
+            three,
+            ["dual-solve", "--lattice", LAT, "--pair", "C=-2", "--pair", "F=3"],
+            ["render-cone", *both, "--mark", "4,4,-1:base", "--mark", "1,1,-1/4",
+             "--cusp", "0,1,0", "--cusp", "1,1,-1"],
+            ["render-cone", "--lattice", LAT, "--mark", "4,4,-1"],  # usage error
+            ["render-cone", *both],
+            three,
+        ]
+
+        def with_out(argv, name):
+            """render-cone writes its SVG only to --out: one file per run."""
+            if argv[0] != "render-cone":
+                return argv, None
+            return argv + ["--out", str(tmp_path / name)], tmp_path / name
+
+        for i, argv in enumerate(calls):
+            mine, mine_svg = with_out(argv, f"main-{i}.svg")
+            try:
+                rc = main(mine)
+            except SystemExit as exc:
+                rc = exc.code
+            out, err = capsys.readouterr()
+            theirs, fresh_svg = with_out(argv, f"fresh-{i}.svg")
+            fresh = run_cli(*theirs)
+            assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            if mine_svg is not None:
+                assert mine_svg.exists() == fresh_svg.exists() == (rc == 0)
+                assert rc or mine_svg.read_bytes() == fresh_svg.read_bytes(), argv
+
+
+class TestGoldenSvg:
+    """The README render-cone command, byte for byte."""
+
+    @pytest.mark.parametrize("bound, digest", [
+        ("15", "39d92a3866e525826b6f60d4650685aa8c8edc783cbf2d632836a60e9ebc83b6"),
+        ("100", "a1f872aae9ae6cfd0e0b25f6f85040c4e2d780d34913c3473f7093907c4975f8"),
+    ])
+    def test_readme_render_cone(self, tmp_path, bound, digest):
+        rep = tmp_path / "path.json"
+        assert main(["factor-path", "--lattice", LAT, "--table", TAB,
+                     "--from", CH1, "--to", CH4, "--bound", "8", "--out", str(rep)]) == 0
+        out = tmp_path / "cone.svg"
+        assert main(["render-cone", "--lattice", LAT, "--table", TAB,
+                     "--base", "4,4,-1", "--bound", bound, "--out", str(out),
+                     "--cusp", "0,1,0", "--cusp", "1,1,-1", "--path", str(rep)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
+
+
+class TestLatticeDocument:
+    @pytest.mark.parametrize("doc, key", [
+        ({"gram": [[2, 1], [1, "x"]]}, "'gram'"),
+        ({"gram": [[2, 1], [1, 2.0]]}, "'gram'"),
+        ({"gram": [[2, 1], [1, "1/2"]]}, "'gram'"),
+        ({"gram": 5}, "'gram'"),
+        ({"gram": [[2, 1], [1]]}, "gram"),
+        ({"gram": [[2, 1], [0, -2]]}, "gram"),
+        ({"basis_names": ["a", "b"]}, "'gram'"),
+        ({"gram": GRAM, "basis_names": "abc"}, "'basis_names'"),
+        ({"gram": GRAM, "basis_names": ["C", "F", 3]}, "'basis_names'"),
+        ({"gram": GRAM, "basis_names": ["C", "F"]}, "basis_names"),
+        ({"gram": GRAM, "ambient_ideals": [1, 1, "x"]}, "'ambient_ideals'"),
+        ({"gram": GRAM, "ambient_ideals": [1, 1, 0]}, "ambient_ideals"),
+        ({"gram": GRAM, "fujiki_constant": "x"}, "'fujiki_constant'"),
+        ([GRAM], "'gram'"),
+    ])
+    def test_bad_entry_exit_2_names_file_and_key(self, tmp_path, capsys, doc, key):
+        lat = tmp_path / "lattice.json"
+        lat.write_text(json.dumps(doc))
+        rc = main(["classify", "--lattice", str(lat), "--table", TAB, "--class", "4,0,-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(lat) in err and key in err
+        assert "malformed" not in err
+
+    def test_integer_entries_follow_the_document_rule(self, tmp_path, capsys):
+        lat = tmp_path / "lattice.json"
+        lat.write_text(json.dumps({"gram": [["-2", 3, 0], [3, "0", 0], [0, 0, "-8/2"]],
+                                   "basis_names": ["C", "F", "delta"],
+                                   "ambient_ideals": [1, "1", 4]}))
+        rc = main(["classify", "--lattice", str(lat), "--table", TAB, "--class", "4,0,-1"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["orbit"] == "codim2"

@@ -9,8 +9,8 @@ from hkcone import fixtures, linalg
 from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
 from hkcone.lattice import make_lattice
-from hkcone.render import (DiskScene, WallChord, _basis_coords, _diagonal_frame,
-                           _fmt, build_scene, klein_coords, render_svg, wall_chord)
+from hkcone.render import (DiskScene, WallChord, _DiskFrame, _fmt, _integral, build_scene,
+                           klein_coords, render_svg, wall_chord)
 
 F = Fraction
 
@@ -172,13 +172,102 @@ class TestAgainstInverseOracle:
             points = random_classes(lat, rng, 4, lambda q: q >= 0)
             if lat is quartic:
                 points += [(0, 1, 0), (1, 1, -1), (4, 4, -1)]
-            columns, diag, sx, sy = _diagonal_frame(lat)
+            frame = _DiskFrame(lat)
             tinv = linalg.invert(lat.diagonalize()[0])
             for x in points:
                 y = linalg.mat_vec(tinv, x)
-                assert _basis_coords(lat, columns, diag, x) == y
-                assert klein_coords(lat, x) == (float(y[1] / y[0]) * sx,
-                                                float(y[2] / y[0]) * sy)
+                big, m = _integral(x)
+                assert tuple(F(linalg.dot(big, r), m * s)
+                             for r, s in zip(frame.rows, frame.scales)) == y
+                assert klein_coords(lat, x) == (float(y[1] / y[0]) * frame.sx,
+                                                float(y[2] / y[0]) * frame.sy)
+
+
+def fraction_frame(lattice, x):
+    """Coordinates z_i = q(x, t_i) / d_i in Fractions, the diagonal, sx, sy."""
+    t, diag = lattice.diagonalize()
+    z = tuple(lattice.pairing(x, column) / d for column, d in zip(zip(*t), diag))
+    return z, diag, math.sqrt(float(-diag[1] / diag[0])), math.sqrt(float(-diag[2] / diag[0]))
+
+
+def fraction_klein(lattice, x):
+    """klein_coords by Fraction arithmetic, float() of each final ratio."""
+    x = tuple(F(c) for c in x)
+    assert lattice.square(x) >= 0
+    (z0, z1, z2), _diag, sx, sy = fraction_frame(lattice, x)
+    return (float(z1 / z0) * sx, float(z2 / z0) * sy)
+
+
+def fraction_chord(lattice, w):
+    """wall_chord by Fraction arithmetic: the same formulas, in the same
+    float order, with float() of each exact quotient."""
+    square = lattice.square(w)
+    assert square < 0
+    (z0, z1, z2), diag, sx, sy = fraction_frame(lattice, w)
+    norm = -(diag[1] * z1 * z1 + diag[2] * z2 * z2) / diag[0]
+    h = math.sqrt(float(-square / diag[0]))
+    mx, my = float(z0 * z1 / norm) * sx, float(z0 * z2 / norm) * sy
+    hx, hy = -float(z2 / norm) * sy * h, float(z1 / norm) * sx * h
+    return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
+
+
+class TestAgainstFractionOracle:
+    """The integer disk frame gives exactly (==) the floats of the
+    Fraction route: each quotient is the same rational, and int / int and
+    float(Fraction) are both correctly rounded."""
+
+    def test_quartic_walls_at_b100(self, quartic, table):
+        walls = enumerate_wall_classes(quartic, table, (4, 4, -1), F(100))
+        assert len(walls) == 108
+        for w, _sig in walls:
+            assert wall_chord(quartic, w) == fraction_chord(quartic, w), w
+
+    def test_scene_at_b100(self, quartic, table):
+        path = factor_path(quartic, table, fixtures.chamber_point(1),
+                           fixtures.chamber_point(4), fixtures.PATH_BOUND)
+        markers = [((4, 4, -1), "base"), ((1, 1, F(-1, 4)), "p")]
+        cusps = [(0, 1, 0), (1, 1, -1)]
+        scene = build_scene(quartic, table, (4, 4, -1), F(100),
+                            markers=markers, cusps=cusps, path=path)
+        assert len(scene.walls) == 108
+        for chord in scene.walls:
+            assert chord.endpoints == fraction_chord(quartic, chord.wall_class)
+        assert scene.cusps == tuple(fraction_klein(quartic, c) for c in cusps)
+        ends = (fraction_klein(quartic, path.a), fraction_klein(quartic, path.b))
+        assert scene.path == ends
+        assert scene.markers == tuple((fraction_klein(quartic, x), label)
+                                      for x, label in markers) + ((ends[0], "a"), (ends[1], "b"))
+
+    def test_random_lorentzian_walls(self):
+        rng = random.Random(13)
+        lattices = random_lorentzian_lattices(12, seed=5)
+        assert any(d.denominator > 1 for lat in lattices for d in lat.diagonalize()[1])
+        for lat in lattices:
+            for w in random_classes(lat, rng, 4, lambda q: q < 0):
+                assert wall_chord(lat, w) == fraction_chord(lat, w), (lat.gram, w)
+                # w/3 runs with m = 3, whose factors the half-chord must carry
+                third = tuple(F(c, 3) for c in w)
+                assert wall_chord(lat, third) == fraction_chord(lat, third), (lat.gram, w)
+
+    def test_points(self, quartic):
+        rng = random.Random(17)
+        cases = [(quartic, [(0, 1, 0), (1, 1, -1), (4, 4, -1), (-4, -4, 1), (2, F(3, 2), -1)])]
+        cases += [(lat, []) for lat in random_lorentzian_lattices(12, seed=5)]
+        for lat, points in cases:
+            points = points + random_classes(lat, rng, 6, lambda q: q >= 0)
+            points += [tuple(F(c, 7) for c in x) for x in points[:3]]
+            for x in points:
+                assert klein_coords(lat, x) == fraction_klein(lat, x), (lat.gram, x)
+
+    def test_boundary_cases_rejected(self, quartic):
+        with pytest.raises(PreconditionError, match="negative square"):
+            wall_chord(quartic, (0, 1, 0))  # isotropic: h = 0
+        with pytest.raises(PreconditionError, match="negative square"):
+            wall_chord(quartic, (0, 0, 0))
+        with pytest.raises(PreconditionError, match="infinity"):
+            klein_coords(quartic, (0, 0, 0))
+        with pytest.raises(PreconditionError, match="dimension"):
+            wall_chord(quartic, (0, 1))
 
 
 class TestScene:
