@@ -1,7 +1,8 @@
 """Command-line surface: JSON in, JSON/SVG out.
 
-Exit codes: 0 success, 1 I/O or malformed-file errors, 2 precondition
-violations (including a factorization whose status is not "ok").
+Exit codes: 0 success, 1 I/O errors and files that are not JSON, 2
+precondition violations (including a factorization whose status is not
+"ok"), 3 internal errors.
 Diagnostics go to stderr; data goes to the declared output.
 """
 
@@ -151,7 +152,7 @@ def _cmd_render(args) -> int:
     cusps = [parse_vector(c) for c in args.cusp or ()]
     scene = render.build_scene(lattice, table, base, parse_frac(args.bound),
                                markers=markers, cusps=cusps, path=path)
-    render.render_svg(scene, args.out)
+    _emit(render.render_svg(scene), args.out)
     return 0
 
 
@@ -310,9 +311,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"hkcone: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"hkcone: malformed input: {exc!r}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a bug, never a fault in the input
+        print(f"hkcone: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,9 +16,14 @@ Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic Number
 Theory, 2.7.3), one of each +-pair, in integer arithmetic.  Per prefix
 and table square the solved coordinate is the root of an integer
 quadratic (or linear) equation, found by an ``isqrt`` perfect-square
-test.  Segment work computes, once per endpoint, its side list: the
-pairings q(x, p) with every enumerated wall x.  A zero marks incidence;
-opposite signs mark separation and a crossing.
+test.  Segment work is in integers: each endpoint p becomes P / m once
+(``rational.integral``), and its side list holds the pairings q(x, P)
+with every enumerated wall x, dot products with the rows x^t G.  A zero
+marks incidence; opposite signs a crossing, at
+t = q(x, A) mb / (q(x, A) mb - q(x, B) ma).  A perturbed endpoint is
+y / d, d = 64 m 2^h: a shift adds 1 to one y_j and column j of the rows
+to the side list, and halving the shift doubles y, d and the side list.
+Fractions are built only for the reported endpoints and t.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, isqrt
+from operator import mul
 
 from . import linalg
 from .errors import InvariantError, PreconditionError
 from .lattice import IntegralLattice
 from .mbm import OrbitSignature, SignatureTable, primitive_rescale
-from .rational import frac_str, vector_strs
+from .rational import frac_str, integral, vector_strs
 
 STATUS_OK = "ok"
 STATUS_DIVISORIAL = "leaves_birational_cone"
@@ -41,12 +47,19 @@ STATUS_REGULAR = "regular_in_codim_two"
 _PERTURB_ATTEMPTS = 64
 
 
+def _integral_cone_point(lattice: IntegralLattice, p) -> tuple[tuple[int, ...], int, int]:
+    """(X, m, q(X)) with p = X / m, checked to have positive square."""
+    x, m = integral(p)
+    q = lattice.square(x)
+    if q <= 0:
+        raise PreconditionError("point must have positive square")
+    return x, m, q
+
+
 def as_cone_point(lattice: IntegralLattice, p) -> tuple[Fraction, ...]:
     """The coordinates of p as Fractions, checked to have positive square."""
-    coords = tuple(Fraction(c) for c in p)
-    if lattice.square(coords) <= 0:
-        raise PreconditionError("point must have positive square")
-    return coords
+    x, m, _q = _integral_cone_point(lattice, p)
+    return tuple(Fraction(c, m) for c in x)
 
 
 def component_sign(lattice: IntegralLattice, p) -> int:
@@ -181,14 +194,8 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
         raise PreconditionError("bound must be positive")
     if not table.orbits:
         raise PreconditionError("signature table is empty")
-    base = as_cone_point(lattice, base)
-
-    # A square s >= 0 never passes the region inequality (s = 0 would
-    # need q(x, p) = 0 too, i.e. M(x) = 0 and x = 0).
-    squares = [s for s in table.squares if s < 0]
-    if not squares:
-        return []
-    p = primitive_rescale(base)[0]
+    p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
+    squares = table.squares  # all negative: an OrbitSignature checks it
     g, mt = _majorant(lattice, p)
     gp = [int(v) for v in lattice.pairing_row(p)]
     bn, bd = bound.numerator, bound.denominator
@@ -285,66 +292,61 @@ def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
     return Fraction(qa, qa - qb) if qa * qb < 0 else None
 
 
-def _covers(lattice, bound, base, point) -> bool:
+def _covers(bound, qq, q_base, q_point) -> bool:
     # region inequality with the cone point in the wall slot:
-    # q(base, y)^2 <= B q(base) q(y)
-    qq = lattice.pairing(base, point)
-    return qq * qq <= bound * lattice.square(base) * lattice.square(point)
+    # q(base, y)^2 <= B q(base) q(y), given qq = q(base, y)
+    return bound.denominator * qq * qq <= bound.numerator * q_base * q_point
 
 
-def _sides(lattice, walls, p) -> list:
-    """q(x, p) for every enumerated wall x; a zero means p lies on that wall."""
-    gp = lattice.pairing_row(p)
-    return [sum(xi * gi for xi, gi in zip(x, gp)) for x, _sig in walls]
+def _sides(rows, x) -> list[int]:
+    """q(w, x) for every wall row w^t G; a zero means x lies on that wall."""
+    return [sum(map(mul, row, x)) for row in rows]
 
 
-def _perturbation_shifts(coords):
-    """Shifts eps * e_j, j cycling over basis directions, eps halving.
+def _fix_endpoint(lattice, rows, bound, base, x, m, sides, ok):
+    """Accumulate shifts until the endpoint x / m reaches general position.
 
-    eps starts at 1/(64 D) with D the lcm of the original coordinate
-    denominators.
-    """
-    n = len(coords)
-    d = lcm(*(Fraction(c).denominator for c in coords))
-    eps0 = Fraction(1, 64 * d)
-    for k in range(_PERTURB_ATTEMPTS):
-        yield k % n, eps0 / (2 ** (k // n))
-
-
-def _fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok):
-    """Accumulate shifts until the endpoint reaches general position.
-
-    Shifts compound: a point sitting on several walls whose normals have
+    Shift k is eps e_j with j = k mod n and eps = 1/(64 m 2^h), h = k div n.
+    Shifts compound: a point on several walls whose normals have
     disjoint coordinate support needs moves in more than one direction.
-    A candidate is accepted once it has positive square, keeps the
-    original's component, stays inside the enumerated region (so the
-    wall list remains complete), avoids every wall, is not separated
-    from the original point (side list ``sides``) by any wall, and its
-    side list passes the caller's predicate; returns both.
+    The candidate is y / d with d = 64 m 2^h, so a shift adds 1 to y_j
+    and column j of ``rows`` to its side list, and a halving doubles y,
+    d and the side list.  It is accepted once it has positive square,
+    keeps the original's component, stays in the region around ``base``
+    (so the wall list stays complete), lies on no wall and on the
+    original's side (``sides``) of every wall, and ``ok(side list, d)``
+    holds; returns y, d and the side list.
     """
-    current = list(original)
-    for j, eps in _perturbation_shifts(original):
-        current[j] += eps
-        cand = tuple(current)
-        if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0 \
-                or not _covers(lattice, bound, base, cand):
+    y, d, cand = [64 * c for c in x], 64 * m, [64 * s for s in sides]
+    q_base = lattice.square(base)
+    for k in range(_PERTURB_ATTEMPTS):
+        j = k % len(x)
+        if k and not j:
+            y, d, cand = [2 * c for c in y], 2 * d, [2 * s for s in cand]
+        y[j] += 1
+        cand = [s + row[j] for s, row in zip(cand, rows)]
+        q_y = lattice.square(y)
+        if q_y <= 0 or lattice.pairing(y, x) <= 0 \
+                or not _covers(bound, lattice.pairing(base, y), q_base, q_y):
             continue
-        cand_sides = _sides(lattice, walls, cand)
-        if any(c == 0 or c * o < 0 for c, o in zip(cand_sides, sides)):
+        if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
             continue
-        if extra_ok(cand_sides):
-            return cand, cand_sides
+        if ok(cand, d):
+            return tuple(y), d, cand
     raise PreconditionError("could not perturb an endpoint into general position")
 
 
-def _strict_crossings(walls, sa, sb):
-    """Crossings of the walls with opposite sides at a and b, signed positive at a."""
+def _strict_crossings(walls, sa, ma, sb, mb):
+    """Crossings of the walls with opposite sides at a = A/ma and b = B/mb,
+    signed positive at a.  With the integer sides qa = q(x, A) and
+    qb = q(x, B), t = q(x, a) / (q(x, a) - q(x, b)) = qa mb / (qa mb - qb ma)."""
     steps = []
     for (x, sig), qa, qb in zip(walls, sa, sb):
         if qa * qb < 0:
             if qa < 0:
                 x = tuple(-c for c in x)
-            steps.append(WallCrossing(wall_class=x, t=Fraction(qa, qa - qb), signature=sig))
+            u = qa * mb
+            steps.append(WallCrossing(wall_class=x, t=Fraction(u, u - qb * ma), signature=sig))
     steps.sort(key=lambda s: (s.t, s.wall_class))
     return steps
 
@@ -379,34 +381,36 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     """
     _require_lorentzian(lattice)
     bound = Fraction(bound)
-    a = as_cone_point(lattice, a)
-    b = as_cone_point(lattice, b)
-    if lattice.pairing(a, b) <= 0:
+    pa, da, q_a = _integral_cone_point(lattice, a)
+    pb, db, q_b = _integral_cone_point(lattice, b)
+    q_ab = lattice.pairing(pa, pb)
+    if q_ab <= 0:
         raise PreconditionError("endpoints lie in different components of the positive cone")
-    if bound < 1 or not _covers(lattice, bound, a, b):
+    if bound < 1 or not _covers(bound, q_ab, q_a, q_b):
         raise PreconditionError("bound too small: the region does not cover the segment")
 
-    walls = enumerate_wall_classes(lattice, table, a, bound)
-
-    pa, pb = a, b
-    sa, sb = _sides(lattice, walls, a), _sides(lattice, walls, b)
+    walls = enumerate_wall_classes(lattice, table, pa, bound)
+    rows = linalg.mat_mul([x for x, _sig in walls], lattice.gram)
+    base = pa  # the region stays the one around the original a
+    sa, sb = _sides(rows, pa), _sides(rows, pb)
     perturbed = False
     if 0 in sa:
-        pa, sa = _fix_endpoint(lattice, walls, bound, a, a, sa, lambda _s: True)
+        pa, da, sa = _fix_endpoint(lattice, rows, bound, base, pa, da, sa,
+                                   lambda _s, _d: True)
         perturbed = True
 
-    def b_ok(sides):
-        ts = [s.t for s in _strict_crossings(walls, sa, sides)]
+    def b_ok(sides, d):
+        ts = [s.t for s in _strict_crossings(walls, sa, da, sides, d)]
         return len(ts) == len(set(ts))
 
-    if 0 in sb or not b_ok(sb):
-        pb, sb = _fix_endpoint(lattice, walls, bound, a, b, sb, b_ok)
+    if 0 in sb or not b_ok(sb, db):
+        pb, db, sb = _fix_endpoint(lattice, rows, bound, base, pb, db, sb, b_ok)
         perturbed = True
 
     # No check that the crossings stay in the cone: pa and pb lie in one
     # component, so q(pa, pb) > 0 and q(t pa + (1-t) pb) = t^2 q(pa)
     # + (1-t)^2 q(pb) + 2t(1-t) q(pa, pb) > 0 for every t in [0, 1].
-    steps = _strict_crossings(walls, sa, sb)
+    steps = _strict_crossings(walls, sa, da, sb, db)
     ts = [s.t for s in steps]
     if len(ts) != len(set(ts)):
         raise InvariantError("crossing parameters must be distinct")
@@ -418,7 +422,8 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     else:
         status = STATUS_OK
     groups = group_hu_yau(steps) if status == STATUS_OK else ()
-    return FlopFactorization(a=pa, b=pb, steps=tuple(steps), groups=groups,
+    return FlopFactorization(a=tuple(Fraction(c, da) for c in pa),
+                             b=tuple(Fraction(c, db) for c in pb), steps=tuple(steps), groups=groups,
                              status=status, perturbed=perturbed)
 
 

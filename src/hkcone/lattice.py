@@ -66,7 +66,10 @@ class IntegralLattice:
                 raise PreconditionError("gram must be a square integer matrix")
         if self.gram != linalg.transpose(self.gram):
             raise PreconditionError("gram must be symmetric")
-        if len(self.basis_names) != n:
+        names = self.basis_names
+        if isinstance(names, str) or not all(isinstance(name, str) for name in names):
+            raise PreconditionError(f"basis_names must be a sequence of strings, got {names!r}")
+        if len(names) != n:
             raise PreconditionError("basis_names length must equal rank")
         if self.ambient_ideals is not None:
             if len(self.ambient_ideals) != n or \
@@ -115,17 +118,8 @@ class IntegralLattice:
             raise PreconditionError("vector pairs to zero with the whole lattice")
         return g
 
-    @functools.cache
     def discriminant_group(self) -> DiscriminantGroup:
-        if linalg.determinant(self.gram) == 0:
-            raise PreconditionError("degenerate lattice")
-        u, d, _v = linalg.smith_normal_form(self.gram)
-        factors = tuple(d[i][i] for i in range(self.rank))
-        return DiscriminantGroup(
-            invariant_factors=tuple(f for f in factors if f > 1),
-            transform=u,
-            _factors_full=factors,
-        )
+        return _discriminant_group(self.gram)
 
     def discriminant_image(self, x) -> tuple[int, ...]:
         """Residue tuple of x/d(x) in the discriminant group, up to global sign.
@@ -149,13 +143,9 @@ class IntegralLattice:
         minus = disc.residues([-w for w in dual])
         return min(plus, minus)
 
-    @functools.cache
-    def _congruence(self):
-        return linalg.congruence_diagonalize(self.gram)
-
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
-        _t, diag = self._congruence()
+        _t, diag = _congruence(self.gram)
         plus = sum(1 for d in diag if d > 0)
         minus = sum(1 for d in diag if d < 0)
         return plus, minus, len(diag) - plus - minus
@@ -166,7 +156,7 @@ class IntegralLattice:
         For Lorentzian input (one positive inertia index) the positive
         entry is listed first.
         """
-        t, diag = self._congruence()
+        t, diag = _congruence(self.gram)
         if any(d == 0 for d in diag):
             raise PreconditionError("degenerate lattice")
         positives = [i for i, d in enumerate(diag) if d > 0]
@@ -181,6 +171,28 @@ class IntegralLattice:
         """A fixed rational vector of positive square; tags cone components."""
         t, _diag = self.diagonalize()
         return tuple(row[0] for row in t)
+
+
+# Keyed by the Gram matrix, not by the lattice: a dropped lattice is
+# freed, lattices with one Gram matrix share the work (every CLI call
+# loads its lattice file again), and the bound caps what a long-lived
+# process keeps.
+@functools.lru_cache(maxsize=256)
+def _discriminant_group(gram) -> DiscriminantGroup:
+    if linalg.determinant(gram) == 0:
+        raise PreconditionError("degenerate lattice")
+    u, d, _v = linalg.smith_normal_form(gram)
+    factors = tuple(d[i][i] for i in range(len(gram)))
+    return DiscriminantGroup(
+        invariant_factors=tuple(f for f in factors if f > 1),
+        transform=u,
+        _factors_full=factors,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _congruence(gram):
+    return linalg.congruence_diagonalize(gram)
 
 
 def mod_four_class(lattice: IntegralLattice, x) -> int:
@@ -208,9 +220,11 @@ def make_lattice(gram, basis_names=None, ambient_ideals=None,
     gram = linalg.mat(gram)
     if basis_names is None:
         basis_names = tuple(f"e{i + 1}" for i in range(len(gram)))
+    elif not isinstance(basis_names, str):  # a bare string is rejected, not split
+        basis_names = tuple(basis_names)
     return IntegralLattice(
         gram=gram,
-        basis_names=tuple(str(n) for n in basis_names),
+        basis_names=basis_names,
         ambient_ideals=None if ambient_ideals is None else tuple(ambient_ideals),
         fujiki_constant=None if fujiki_constant is None else parse_frac(fujiki_constant),
     )

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import PreconditionError
 from .lattice import IntegralLattice, is_primitive
-from .rational import parse_array, parse_field, parse_int
+from .rational import integral, parse_array, parse_field, parse_int
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,11 @@ def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:
 
 def primitive_rescale(x) -> tuple[tuple[int, ...], Fraction]:
     """Primitive integral y and scale s > 0 with y = s * x."""
-    v = [Fraction(c) for c in x]
-    if all(c == 0 for c in v):
-        raise PreconditionError("zero vector")
-    denom = lcm(*(c.denominator for c in v))
-    ints = [int(c * denom) for c in v]
+    ints, denom = integral(x)
     g = linalg.vec_content(ints)
-    y = tuple(c // g for c in ints)
-    return y, Fraction(denom, g)
+    if g == 0:
+        raise PreconditionError("zero vector")
+    return tuple(c // g for c in ints), Fraction(denom, g)
 
 
 def table_from_dict(doc: dict) -> SignatureTable:

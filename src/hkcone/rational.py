@@ -7,6 +7,7 @@ or bare integer strings; integers proper stay JSON integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .errors import PreconditionError
@@ -51,6 +52,13 @@ def parse_field(doc, key: str, parse, where: str):
         return parse(doc[key])
     except PreconditionError as exc:
         raise PreconditionError(f"{where}: {key!r}: {exc}") from exc
+
+
+def integral(x) -> tuple[tuple[int, ...], int]:
+    """(X, m) with X integral, m > 0 the lcm of the denominators and x = X / m."""
+    coords = tuple(Fraction(c) for c in x)
+    m = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (m // c.denominator) for c in coords), m
 
 
 def frac_str(value) -> str:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cone import FlopFactorization, enumerate_wall_classes
 from .errors import PreconditionError
 from .lattice import IntegralLattice, mod_four_class
 from .mbm import SignatureTable
+from .rational import integral
 
 BOUNDARY_TOL = 1e-9
 COLOR_OF_RESIDUE = {0: "#000000", 1: "#0000FF", 2: "#FF0000"}
@@ -62,15 +62,6 @@ class DiskScene:
                 raise PreconditionError("markers must lie strictly inside the disk")
 
 
-def _integral(x) -> tuple[tuple[int, ...], int]:
-    """(X, m) with X integral, m > 0 and x = X / m."""
-    coords = tuple(Fraction(c) for c in x)
-    if len(coords) != 3:
-        raise PreconditionError("dimension mismatch")
-    m = math.lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (m // c.denominator) for c in coords), m
-
-
 class _DiskFrame:
     """The orthogonal basis of a rank-3 Lorentzian lattice, in integers.
 
@@ -96,7 +87,7 @@ class _DiskFrame:
         rows, scales = [], []
         for column, d in zip(zip(*t), diag):
             # t_i = C / c with C integral, so G t_i / d_i = G C / r with r = c d_i
-            big, c = _integral(column)
+            big, c = integral(column)
             r = c * d
             sign = 1 if r > 0 else -1
             rows.append(tuple(sign * r.denominator * g for g in lattice.pairing_row(big)))
@@ -111,6 +102,8 @@ class _DiskFrame:
 
     def _polar(self, x):
         """a0, s1, s2, N and H of an integral vector x."""
+        if len(x) != 3:
+            raise PreconditionError("dimension mismatch")
         a0, a1, a2 = (x[0] * r[0] + x[1] * r[1] + x[2] * r[2] for r in self.rows)
         l0, l1, l2 = self.scales
         s1, s2 = a1 * l2, a2 * l1
@@ -131,8 +124,7 @@ class _DiskFrame:
 
     def point(self, x) -> tuple[float, float]:
         """Disk coordinates (sx z1/z0, sy z2/z0) of a rational x."""
-        x, _m = _integral(x)
-        a0, s1, s2, _n, h2 = self._polar(x)
+        a0, s1, s2, _n, h2 = self._polar(integral(x)[0])
         if h2 > 0:
             raise PreconditionError("point must have nonnegative square")
         if a0 == 0:
@@ -159,7 +151,7 @@ def wall_chord(lattice: IntegralLattice, w) -> tuple[tuple[float, float], tuple[
     endpoints are (z0 n +- h n_perp) / |n|^2, where |n|^2 and
     h^2 = -q(w)/d0 are exact.  Endpoints are sorted for determinism.
     """
-    return _DiskFrame(lattice).chord(*_integral(w))
+    return _DiskFrame(lattice).chord(*integral(w))
 
 
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
@@ -188,7 +180,7 @@ def _fmt(x: float) -> str:
     return text[1:] if text == "-0.0000000000" else text
 
 
-def render_svg(scene: DiskScene, out=None) -> str:
+def render_svg(scene: DiskScene) -> str:
     """Serialize the scene; identical scenes give byte-identical output."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -212,8 +204,4 @@ def render_svg(scene: DiskScene, out=None) -> str:
         lines.append(f'  <text x="{_fmt(u + 0.02)}" y="{_fmt(-v - 0.02)}" font-size="0.06" '
                      f'fill="{MARKER_COLOR}">{label}</text>')
     lines.append('</svg>')
-    doc = "\n".join(lines) + "\n"
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc)
-    return doc
+    return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hkcone import fixtures
+from hkcone import cli, fixtures
 from hkcone.cli import build_parser, main
 
 
@@ -281,22 +281,47 @@ class TestSharedParser:
                 assert rc or mine_svg.read_bytes() == fresh_svg.read_bytes(), argv
 
 
+README_SVG_B15 = "39d92a3866e525826b6f60d4650685aa8c8edc783cbf2d632836a60e9ebc83b6"
+
+
 class TestGoldenSvg:
     """The README render-cone command, byte for byte."""
 
-    @pytest.mark.parametrize("bound, digest", [
-        ("15", "39d92a3866e525826b6f60d4650685aa8c8edc783cbf2d632836a60e9ebc83b6"),
-        ("100", "a1f872aae9ae6cfd0e0b25f6f85040c4e2d780d34913c3473f7093907c4975f8"),
-    ])
-    def test_readme_render_cone(self, tmp_path, bound, digest):
+    @staticmethod
+    def render_argv(tmp_path, bound):
         rep = tmp_path / "path.json"
         assert main(["factor-path", "--lattice", LAT, "--table", TAB,
                      "--from", CH1, "--to", CH4, "--bound", "8", "--out", str(rep)]) == 0
+        return ["render-cone", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1",
+                "--bound", bound, "--cusp", "0,1,0", "--cusp", "1,1,-1", "--path", str(rep)]
+
+    @pytest.mark.parametrize("bound, digest", [
+        ("15", README_SVG_B15),
+        ("100", "a1f872aae9ae6cfd0e0b25f6f85040c4e2d780d34913c3473f7093907c4975f8"),
+    ])
+    def test_readme_render_cone(self, tmp_path, bound, digest):
         out = tmp_path / "cone.svg"
-        assert main(["render-cone", "--lattice", LAT, "--table", TAB,
-                     "--base", "4,4,-1", "--bound", bound, "--out", str(out),
-                     "--cusp", "0,1,0", "--cusp", "1,1,-1", "--path", str(rep)]) == 0
+        assert main(self.render_argv(tmp_path, bound) + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_readme_render_cone_to_stdout(self, tmp_path):
+        # without --out the document goes to stdout, the same bytes
+        fresh = run_cli(*self.render_argv(tmp_path, "15"))
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert hashlib.sha256(fresh.stdout.encode("utf-8")).hexdigest() == README_SVG_B15
+
+
+class TestExitCodes:
+    def test_internal_error_exit_3(self, monkeypatch, capsys):
+        def broken(path):
+            raise KeyError("gram")
+
+        monkeypatch.setattr(cli, "load_lattice", broken)
+        rc = main(["classify", "--lattice", LAT, "--table", TAB, "--class", "4,0,-1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "hkcone: internal error: KeyError: 'gram'\n"
+        assert "malformed" not in err
 
 
 GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]

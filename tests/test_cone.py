@@ -1,18 +1,18 @@
 import itertools
 import random
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 
 import numpy as np
 import pytest
 
 from hkcone import fixtures, linalg
-from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR,
+from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
                          WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
                          _sides, as_cone_point, component_sign, crossing_parameter,
                          enumerate_wall_classes, factor_path,
-                         factorization_report, group_hu_yau, same_chamber,
-                         same_component)
+                         factorization_report, group_hu_yau, report_to_json,
+                         same_chamber, same_component)
 from hkcone.errors import PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, primitive_rescale
@@ -409,18 +409,19 @@ class TestFactorPath:
     def test_fix_endpoint_rejects_a_shift_across_a_wall(self, quartic, table):
         # (1, 1, 0) is on the wall of w1 = (3, -1, 0) and at pairing 1 from
         # that of w2 = (22, -7, 0), with q(w2, e_0) = -65: the first shift,
-        # 1/64 e_0, clears w1 but crosses w2 (pairing 1 - 65/64 < 0).
-        sig = table.by_name("codim2")
-        walls = [((3, -1, 0), sig), ((22, -7, 0), sig)]
-        original = (F(1), F(1), F(0))
-        sides = _sides(quartic, walls, original)
+        # 1/64 e_0, clears w1 but crosses w2 (pairing 1 - 65/64 < 0).  Over
+        # the denominator 64 that shift is (65, 64, 0), with 64 times the
+        # sides -9/64 and -1/64 of the rational point.
+        rows = linalg.mat_mul([(3, -1, 0), (22, -7, 0)], quartic.gram)
+        original = (1, 1, 0)
+        sides = _sides(rows, original)
         assert sides == [0, 1]
-        first = (F(65, 64), F(1), F(0))
-        assert _sides(quartic, walls, first) == [F(-9, 64), F(-1, 64)]
-        moved, moved_sides = _fix_endpoint(quartic, walls, F(8), original, original,
-                                           sides, lambda _s: True)
-        assert moved != first
-        assert moved_sides == _sides(quartic, walls, moved)
+        first = (65, 64, 0)
+        assert _sides(rows, first) == [-9, -1]
+        moved, d, moved_sides = _fix_endpoint(quartic, rows, F(8), original, original, 1,
+                                              sides, lambda _s, _d: True)
+        assert tuple(F(c, d) for c in moved) != tuple(F(c, 64) for c in first)
+        assert moved_sides == _sides(rows, moved)
         for c, o in zip(moved_sides, sides):
             assert c != 0 and c * o >= 0
 
@@ -538,6 +539,192 @@ class TestRandomSegments:
         assert len(ts) == len(set(ts))
         f2 = factor_path(quartic, table, a, b, F(4))
         assert f == f2
+
+
+def fraction_sides(lattice, walls, p):
+    gp = lattice.pairing_row(p)
+    return [sum(xi * gi for xi, gi in zip(x, gp)) for x, _sig in walls]
+
+
+def fraction_covers(lattice, bound, base, point):
+    qq = lattice.pairing(base, point)
+    return qq * qq <= bound * lattice.square(base) * lattice.square(point)
+
+
+def fraction_fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok):
+    """Shifts eps e_j, eps = 1/(64 D) halving after each cycle, in Fractions."""
+    n = len(original)
+    eps0 = F(1, 64 * lcm(*(F(c).denominator for c in original)))
+    current = list(original)
+    for k in range(64):
+        current[k % n] += eps0 / 2 ** (k // n)
+        cand = tuple(current)
+        if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0 \
+                or not fraction_covers(lattice, bound, base, cand):
+            continue
+        cand_sides = fraction_sides(lattice, walls, cand)
+        if any(c == 0 or c * o < 0 for c, o in zip(cand_sides, sides)):
+            continue
+        if extra_ok(cand_sides):
+            return cand, cand_sides
+    raise PreconditionError("could not perturb an endpoint into general position")
+
+
+def fraction_crossings(walls, sa, sb):
+    steps = []
+    for (x, sig), qa, qb in zip(walls, sa, sb):
+        if qa * qb < 0:
+            if qa < 0:
+                x = tuple(-c for c in x)
+            steps.append(WallCrossing(wall_class=x, t=F(qa, qa - qb), signature=sig))
+    steps.sort(key=lambda s: (s.t, s.wall_class))
+    return steps
+
+
+def fraction_factor_path(lattice, table, a, b, bound):
+    """factor_path by the Fraction route: endpoints, side lists, shifts
+    and crossing parameters all in Fractions.  Callers pass valid input."""
+    bound = F(bound)
+    a, b = as_cone_point(lattice, a), as_cone_point(lattice, b)
+    walls = enumerate_wall_classes(lattice, table, a, bound)
+    pa, pb = a, b
+    sa, sb = fraction_sides(lattice, walls, a), fraction_sides(lattice, walls, b)
+    perturbed = False
+    if 0 in sa:
+        pa, sa = fraction_fix_endpoint(lattice, walls, bound, a, a, sa, lambda _s: True)
+        perturbed = True
+
+    def b_ok(sides):
+        ts = [s.t for s in fraction_crossings(walls, sa, sides)]
+        return len(ts) == len(set(ts))
+
+    if 0 in sb or not b_ok(sb):
+        pb, sb = fraction_fix_endpoint(lattice, walls, bound, a, b, sb, b_ok)
+        perturbed = True
+    steps = fraction_crossings(walls, sa, sb)
+    if any(s.codimension == 1 for s in steps):
+        status = STATUS_DIVISORIAL
+    elif not any(s.codimension == 2 for s in steps):
+        status = STATUS_REGULAR
+    else:
+        status = STATUS_OK
+    groups = group_hu_yau(steps) if status == STATUS_OK else ()
+    return FlopFactorization(a=pa, b=pb, steps=tuple(steps), groups=groups,
+                             status=status, perturbed=perturbed)
+
+
+def valid_segment(lattice, a, b, bound):
+    """Both points in one component of the cone, the region around a covering b."""
+    return lattice.square(a) > 0 and lattice.square(b) > 0 and lattice.pairing(a, b) > 0 \
+        and bound >= 1 and fraction_covers(lattice, bound, a, b)
+
+
+def project(lattice, p, w):
+    """p moved along w onto the wall of w."""
+    f = lattice.pairing(p, w) / lattice.square(w)
+    return tuple(pi - f * wi for pi, wi in zip(p, w))
+
+
+def two_wall_point(lattice, walls, rng):
+    """An integral ray on two walls at once, G x cross G y for a random
+    pair of walls spanning a negative definite plane, or None."""
+    rows = linalg.mat_mul([x for x, _ in walls], lattice.gram)
+    pairs = list(itertools.combinations(range(len(walls)), 2))
+    rng.shuffle(pairs)
+    for i, j in pairs[:50]:
+        (x, _), gx, gy = walls[i], rows[i], rows[j]
+        if linalg.dot(gx, x) * linalg.dot(gy, walls[j][0]) > linalg.dot(gx, walls[j][0]) ** 2:
+            return (gx[1] * gy[2] - gx[2] * gy[1], gx[2] * gy[0] - gx[0] * gy[2],
+                    gx[0] * gy[1] - gx[1] * gy[0])
+    return None
+
+
+def random_segments(lattice, table, rng, count, bound, reach=6, den=4):
+    """(a, b) pairs valid at the bound.  Each random pair gives up to five:
+    itself; b, then a, projected onto a wall that separates them; a with
+    b on two walls; and a segment symmetric about a two-wall point,
+    which meets both walls at t = 1/2 when they separate its ends."""
+    def point():
+        while True:
+            p = tuple(F(rng.randint(-reach, reach), rng.randint(1, den)) for _ in range(3))
+            if lattice.square(p) > 0:
+                return p
+
+    out = []
+    while len(out) < count:
+        a, b = point(), point()
+        if not valid_segment(lattice, a, b, bound):
+            continue
+        walls = enumerate_wall_classes(lattice, table, a, bound)
+        cases = [(a, b)]
+        crossed = [x for x, _ in walls if lattice.pairing(x, a) * lattice.pairing(x, b) < 0]
+        if crossed:
+            w = rng.choice(crossed)
+            cases += [(a, project(lattice, b, w)), (project(lattice, a, w), b)]
+        r = two_wall_point(lattice, walls, rng)
+        if r is not None:
+            if lattice.pairing(r, a) < 0:
+                r = tuple(-c for c in r)
+            v = tuple(F(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(3))
+            cases += [(a, r), (tuple(c - e for c, e in zip(r, v)),
+                               tuple(c + e for c, e in zip(r, v)))]
+        out += [(p, q) for p, q in cases if valid_segment(lattice, p, q, bound)]
+    return out[:count]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestAgainstFractionOracle:
+    """factor_path in integers equals (==) the Fraction route it replaced:
+    the same walls, perturbed endpoints, parameters, groups and report."""
+
+    def assert_same(self, lattice, table, a, b, bound):
+        got = outcome(factor_path, lattice, table, a, b, bound)
+        want = outcome(fraction_factor_path, lattice, table, a, b, bound)
+        assert got == want, (lattice.gram, a, b, bound)
+        if isinstance(got, FlopFactorization):
+            assert report_to_json(got) == report_to_json(want)
+        return got
+
+    def test_fixed_cases(self, quartic, table):
+        p = (F(3, 2), 1, -1)
+        cases = [(M1, M4, fixtures.PATH_BOUND), (M4, M1, fixtures.PATH_BOUND),
+                 (M3, (1, 1, 0), F(8)), (M3, p, F(113, 15)), (p, M3, F(113, 15)),
+                 ((F(5, 2), 2, F(-1, 2)), (F(7, 2), 2, F(1, 2)), F(8)),
+                 ((2, F(4, 3), 0), (1, 2, F(-1, 3)), F(4))]
+        results = [self.assert_same(quartic, table, a, b, bound) for a, b, bound in cases]
+        assert [f.perturbed for f in results] == [False, False] + [True] * 5
+
+    @pytest.mark.parametrize("bound", [F(8), F(20)])
+    def test_random_quartic_segments(self, quartic, table, bound):
+        rng = random.Random(int(bound))
+        segments = random_segments(quartic, table, rng, 155, bound)
+        results = [self.assert_same(quartic, table, a, b, bound) for a, b in segments]
+        perturbed = sum(1 for f in results if not isinstance(f, str) and f.perturbed)
+        assert 3 * perturbed >= len(results), perturbed
+
+    def test_random_lorentzian_segments(self):
+        from test_render import random_lorentzian_lattices
+        rng = random.Random(23)
+        results = []
+        for lat in random_lorentzian_lattices(12, seed=5):
+            pairs = set()
+            while len(pairs) < 3:
+                v = tuple(rng.randint(-3, 3) for _ in range(3))
+                if any(v) and lat.square(v) < 0 and linalg.vec_content(v) == 1:
+                    pairs.add((lat.square(v), lat.divisibility(v)))
+            sub = SignatureTable(orbits=tuple(
+                OrbitSignature(name=f"o{i}", square=s, divisibility=d, codimension=i % 3 + 1)
+                for i, (s, d) in enumerate(sorted(pairs))))
+            for a, b in random_segments(lat, sub, rng, 10, F(3), reach=3, den=3):
+                results.append(self.assert_same(lat, sub, a, b, F(3)))
+        perturbed = sum(1 for f in results if not isinstance(f, str) and f.perturbed)
+        assert 3 * perturbed >= len(results), perturbed
 
 
 class TestSameChamber:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from hkcone import linalg
 from hkcone.errors import PreconditionError
-from hkcone.lattice import is_primitive, make_lattice, mod_four_class
+from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
 
 
 def jacobi_signature(gram):
@@ -265,3 +267,40 @@ class TestConstruction:
         lat = make_lattice([[-4]], fujiki_constant="15/2")
         assert lat.fujiki_constant == Fraction(15, 2)
         assert lat.divisibility((1,)) == 4
+
+    @pytest.mark.parametrize("names", ["abc", [1, 2, 3], ("a", "b", None)])
+    def test_basis_names_must_be_strings(self, names):
+        # a bare string is not split into letters, and entries are not str()-ed
+        with pytest.raises(PreconditionError, match="basis_names"):
+            make_lattice([[2, 0, 0], [0, -1, 0], [0, 0, -1]], basis_names=names)
+        with pytest.raises(PreconditionError, match="basis_names"):
+            IntegralLattice(gram=((2, 0, 0), (0, -1, 0), (0, 0, -1)), basis_names=names)
+
+    def test_basis_names_default_and_given(self):
+        gram = [[2, 0, 0], [0, -1, 0], [0, 0, -1]]
+        assert make_lattice(gram).basis_names == ("e1", "e2", "e3")
+        assert make_lattice(gram, basis_names=["C", "F", "delta"]).basis_names == \
+            ("C", "F", "delta")
+
+
+class TestCaches:
+    GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
+
+    def test_dropped_lattice_is_freed(self):
+        lat = make_lattice(self.GRAM)
+        assert lat.discriminant_group().invariant_factors == (36,)
+        assert lat.signature() == (1, 2, 0)
+        lat.diagonalize()
+        ref = weakref.ref(lat)
+        del lat
+        gc.collect()
+        assert ref() is None
+
+    def test_caches_leave_equality_and_hash_alone(self):
+        lat, twin = make_lattice(self.GRAM), make_lattice(self.GRAM)
+        before = hash(lat)
+        disc = lat.discriminant_group()
+        lat.signature()
+        assert lat == twin and hash(lat) == hash(twin) == before
+        assert repr(lat) == repr(twin) and vars(lat) == vars(twin)
+        assert twin.discriminant_group() == disc
