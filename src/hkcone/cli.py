@@ -212,14 +212,17 @@ def _cmd_sigma_orbit(args) -> int:
         e2=_torus_point(args.e2, real),
     )
     x = _torus_point(args.x, real)
-    points = torus.orbit(fiber, x, args.depth)
+    if real:
+        size, radius = torus.orbit_density(fiber, x, args.depth, args.grid)
+    else:
+        size = len(torus.orbit(fiber, x, args.depth))
     gens = torus.generators(fiber)
     if real:
         finite = False if any(g.irrational for g in gens) else None
     else:
         finite = True
     doc = {
-        "size": len(points),
+        "size": size,
         "finite": finite,
         "generators": [
             [frac_str(g.x), frac_str(g.y)] if not real else [repr(float(g.x)), repr(float(g.y))]
@@ -227,7 +230,7 @@ def _cmd_sigma_orbit(args) -> int:
         ],
     }
     if real:
-        doc["covering_radius"] = torus.covering_radius(points, args.grid)
+        doc["covering_radius"] = radius
     _emit_json(doc, args.out)
     return 0
 

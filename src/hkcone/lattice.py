@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .rational import parse_array, parse_field, parse_frac, parse_int
+from .rational import parse_array, parse_field, parse_frac, parse_int, parse_str
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,6 @@ def make_lattice(gram, basis_names=None, ambient_ideals=None,
     )
 
 
-def _name(value) -> str:
-    if not isinstance(value, str):
-        raise PreconditionError(f"expected a string, got {value!r}")
-    return value
-
-
 def lattice_from_dict(doc: dict, where: str = "lattice document") -> IntegralLattice:
     """Read a lattice document; every error names where and the key.
 
@@ -248,7 +242,7 @@ def lattice_from_dict(doc: dict, where: str = "lattice document") -> IntegralLat
         return parse_field(doc, key, parse, where)
 
     gram = field("gram", lambda v: parse_array(v, lambda row: parse_array(row, parse_int)))
-    basis_names = field("basis_names", lambda v: parse_array(v, _name), optional=True)
+    basis_names = field("basis_names", lambda v: parse_array(v, parse_str), optional=True)
     ambient_ideals = field("ambient_ideals", lambda v: parse_array(v, parse_int), optional=True)
     fujiki_constant = field("fujiki_constant", parse_frac, optional=True)
     try:

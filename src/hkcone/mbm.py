@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import PreconditionError
 from .lattice import IntegralLattice, is_primitive
-from .rational import integral, parse_array, parse_field, parse_int
+from .rational import integral, parse_array, parse_field, parse_int, parse_str
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class SignatureTable:
         """Unique row for the invariants, or None.
 
         residue_fn is called lazily, only when some candidate row pins a
-        discriminant residue.
+        discriminant residue; a pinned residue must have one entry per
+        nontrivial factor of the discriminant group.
         """
         rows = [o for o in self.orbits
                 if o.square == square and o.divisibility == divisibility]
@@ -67,6 +68,11 @@ class SignatureTable:
         pinned = [o for o in rows if o.disc_residue is not None]
         if pinned:
             residue = tuple(residue_fn())
+            for o in pinned:
+                if len(o.disc_residue) != len(residue):
+                    raise PreconditionError(
+                        f"orbit {o.name!r}: disc_residue has {len(o.disc_residue)} entries, "
+                        f"but the discriminant group has {len(residue)} nontrivial factors")
             for o in pinned:
                 if o.disc_residue == residue:
                     return o
@@ -139,7 +145,7 @@ def table_from_dict(doc: dict) -> SignatureTable:
 
         residue = row.get("disc_residue") if isinstance(row, dict) else None
         orbits.append(OrbitSignature(
-            name=field("name", str),
+            name=field("name", parse_str),
             square=field("square"),
             divisibility=field("divisibility"),
             codimension=field("codimension"),

@@ -14,10 +14,10 @@ from .errors import PreconditionError
 
 
 def parse_frac(value) -> Fraction:
-    """Accept an int, a Fraction, or a "p/q" / "p" string."""
+    """Accept an int, a Fraction, or a "p/q" / "p" string; not a bool."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, Rational):  # int, and integer types such as numpy's
+    if isinstance(value, Rational) and not isinstance(value, bool):  # int, numpy integers
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -33,6 +33,13 @@ def parse_int(value) -> int:
     if f.denominator != 1:
         raise PreconditionError(f"not an integer: {str(value)!r}")
     return f.numerator
+
+
+def parse_str(value) -> str:
+    """A JSON string, taken as it is: nothing else is converted to one."""
+    if not isinstance(value, str):
+        raise PreconditionError(f"expected a string, got {value!r}")
+    return value
 
 
 def parse_array(value, parse=parse_frac) -> tuple:

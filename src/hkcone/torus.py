@@ -6,6 +6,15 @@ and the induced relation is generated by translations by consecutive
 differences of the marks.  Exact mode works in (Q/Z)^2, where every
 point is torsion and orbits close up; real mode works in (R/Z)^2 with
 double precision for density experiments.
+
+Real orbits are float64 coordinate arrays: one numpy core computes every
+translate with the float operations of the scalar expression, merges
+points that agree at 12 decimals exactly as round(v, 12) would, and
+feeds both `orbit` (which builds the points) and `orbit_density` (size
+and covering radius, no point objects).  The covering radius prunes the
+points per sample column and returns the float of the full scan.  numpy
+is imported inside the real-mode functions, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -32,13 +41,22 @@ class TorusPoint:
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         _same_mode(self, other)
-        return TorusPoint((self.x + other.x) % 1, (self.y + other.y) % 1,
+        return TorusPoint(_mod1(self.x + other.x), _mod1(self.y + other.y),
                           self.exact, self.irrational or other.irrational)
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         _same_mode(self, other)
-        return TorusPoint((self.x - other.x) % 1, (self.y - other.y) % 1,
+        return TorusPoint(_mod1(self.x - other.x), _mod1(self.y - other.y),
                           self.exact, self.irrational or other.irrational)
+
+
+def _mod1(v):
+    """v mod 1 in [0, 1), for a Fraction, a float or a float array.
+
+    For a float v just below 0, v % 1.0 rounds up to 1.0, which is 0 mod 1.
+    """
+    r = v % 1
+    return r - (r == 1)
 
 
 def exact_point(x, y) -> TorusPoint:
@@ -46,7 +64,7 @@ def exact_point(x, y) -> TorusPoint:
 
 
 def real_point(x, y, irrational: bool = False) -> TorusPoint:
-    return TorusPoint(float(x) % 1.0, float(y) % 1.0, exact=False, irrational=irrational)
+    return TorusPoint(_mod1(float(x)), _mod1(float(y)), exact=False, irrational=irrational)
 
 
 def _same_mode(p: TorusPoint, q: TorusPoint):
@@ -115,29 +133,81 @@ def _closure(t1, t2):
     return group
 
 
-def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ...]:
-    """Points x + a t1 + b t2 with |a| + |b| <= depth, sorted.
-
-    In exact mode the generated subgroup is finite and the whole coset is
-    returned, independent of depth.  Both modes work on coordinate pairs
-    and build points only for the result.
-    """
+def _steps(fiber: MarkedFiber, x: TorusPoint, depth: int):
+    """The translations (t1, t2) that generate the orbit of x."""
     if depth < 1:
         raise PreconditionError("depth must be positive")
     _same_mode(fiber.e0, x)
     t1, t2, _t3 = generators(fiber)
+    return t1, t2
+
+
+def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ...]:
+    """Points x + a t1 + b t2 with |a| + |b| <= depth, sorted.
+
+    In exact mode the generated subgroup is finite and the whole coset is
+    returned, independent of depth.  Both modes work on coordinates and
+    build points only for the result.
+    """
+    t1, t2 = _steps(fiber, x, depth)
     if fiber.exact:
         pairs = {((x.x + gx) % 1, (x.y + gy) % 1) for gx, gy in _closure(t1, t2)}
         return tuple(TorusPoint(px, py, True, x.irrational) for px, py in sorted(pairs))
     irrational = x.irrational or t1.irrational or t2.irrational
-    seen = {}
-    for a in range(-depth, depth + 1):
-        for b in range(-(depth - abs(a)), depth - abs(a) + 1):
-            px = (x.x + a * t1.x + b * t2.x) % 1.0
-            py = (x.y + a * t1.y + b * t2.y) % 1.0
-            seen.setdefault((round(px, 12) % 1.0, round(py, 12) % 1.0), (px, py))
-    return tuple(TorusPoint(px, py, exact=False, irrational=irrational)
-                 for px, py in sorted(seen.values()))
+    xs, ys = _real_orbit(x, t1, t2, depth)
+    return tuple(TorusPoint(px, py, False, irrational)
+                 for px, py in zip(xs.tolist(), ys.tolist()))
+
+
+def orbit_density(fiber: MarkedFiber, x: TorusPoint, depth: int, grid: int) -> tuple[int, float]:
+    """(size, covering radius) of a real orbit: len(orbit(...)) and
+    covering_radius(orbit(...), grid), without a point object per point."""
+    t1, t2 = _steps(fiber, x, depth)
+    if fiber.exact:
+        raise PreconditionError("orbit density is a real-mode measurement")
+    xs, ys = _real_orbit(x, t1, t2, depth)
+    return len(xs), _covering_radius(xs, ys, grid)
+
+
+def _real_orbit(x: TorusPoint, t1: TorusPoint, t2: TorusPoint, depth: int):
+    """Coordinate arrays (xs, ys) of the real orbit, sorted by (x, y).
+
+    Points whose coordinates agree after rounding to 12 decimals are one
+    point; the first in (a, b) order represents it.  Each coordinate is
+    (x + a t) + b t' in this order, as a float expression would give it.
+    """
+    import numpy as np
+    width = depth - np.abs(np.arange(-depth, depth + 1))
+    counts = 2 * width + 1
+    a = np.repeat(np.arange(-depth, depth + 1, dtype=float), counts)
+    # b runs from -width to width within each a: index minus (group start + width)
+    b = np.arange(len(a), dtype=float) - np.repeat(np.cumsum(counts) - counts + width, counts)
+    xs = _mod1((x.x + a * t1.x) + b * t2.x)
+    ys = _mod1((x.y + a * t1.y) + b * t2.y)
+    kx, ky = _round12(xs), _round12(ys)
+    order = np.lexsort((ky, kx))          # stable: (a, b) order within a key
+    kx, ky = kx[order], ky[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+    xs, ys = xs[order[first]], ys[order[first]]
+    order = np.lexsort((ys, xs))
+    return xs[order], ys[order]
+
+
+def _round12(c):
+    """round(v, 12) % 1.0 for every v of the array c, which lies in [0, 1).
+
+    rint of the float product v * 1e12 (off by at most 2**-14 from the
+    exact product below 2**40) picks the same integer as the exact
+    decimal rounding unless the product's fraction is within 2**-12 of
+    1/2; only those values go through round itself.
+    """
+    import numpy as np
+    scaled = c * 1e12
+    keys = np.rint(scaled) / 1e12
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 2.0 ** -12
+    keys[near_half] = [round(v, 12) for v in c[near_half].tolist()]
+    return np.remainder(keys, 1.0)
 
 
 def covering_radius(points, grid: int) -> float:
@@ -148,19 +218,38 @@ def covering_radius(points, grid: int) -> float:
     pts = [(float(p.x), float(p.y)) for p in points]
     if not pts:
         raise PreconditionError("empty point set")
+    import numpy as np  # only the real-mode functions need it; keeps it out of CLI start-up
+    xs, ys = np.asarray(pts).T
+    return _covering_radius(xs, ys, grid)
+
+
+def _covering_radius(xs, ys, grid: int) -> float:
+    """covering_radius of the points (xs[k], ys[k]).
+
+    For the samples of column i only points with dx <= r can be nearest
+    once some point lies within r; r starts at 1/grid and doubles for the
+    samples still without one.  Every distance is |p - s| wrapped by
+    min(d, 1 - d), so the result is the float of a full scan.
+    """
     if grid < 1:
         raise PreconditionError("grid must be positive")
-    import numpy as np  # only this function needs it; keeps it out of CLI start-up
-    arr = np.asarray(pts)
+    import numpy as np
     samples = np.arange(grid) / grid
-    dx = np.abs(arr[:, 0][None, :] - samples[:, None])
-    dx = np.minimum(dx, 1.0 - dx)          # (grid, npoints)
-    dy = np.abs(arr[:, 1][None, :] - samples[:, None])
-    dy = np.minimum(dy, 1.0 - dy)
     worst = 0.0
-    for i in range(grid):
-        row = dx[i]
-        for j in range(grid):
-            nearest = np.min(np.maximum(row, dy[j]))
-            worst = max(worst, float(nearest))
+    for s in samples:
+        dx = np.abs(xs - s)
+        dx = np.minimum(dx, 1.0 - dx)
+        pending = samples
+        r = 1.0 / grid
+        while len(pending):
+            near = dx <= r
+            if near.any():
+                dy = np.abs(ys[near][None, :] - pending[:, None])
+                dy = np.minimum(dy, 1.0 - dy)
+                nearest = np.maximum(dx[near][None, :], dy).min(axis=1)
+                done = (nearest <= r) | near.all()  # with every point in, exact at any r
+                if done.any():
+                    worst = max(worst, float(nearest[done].max()))
+                pending = pending[~done]
+            r *= 2
     return worst

@@ -59,6 +59,53 @@ class TestClassify:
         assert "malformed" not in err
 
 
+    def test_numeric_orbit_name_exit_2(self, tmp_path, capsys):
+        tab = tmp_path / "table.json"
+        tab.write_text(json.dumps({"orbits": [
+            {"name": 3, "square": -36, "divisibility": 4, "codimension": 2}]}))
+        rc = main(["classify", "--lattice", LAT, "--table", str(tab), "--class", "4,0,-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tab) in err and "orbit 0" in err and "'name'" in err
+
+    def test_disc_residue_of_wrong_length_exit_2(self, tmp_path, capsys):
+        # the quartic's discriminant group is Z/36: one nontrivial factor
+        tab = tmp_path / "table.json"
+        tab.write_text(json.dumps({"orbits": [
+            {"name": "codim2", "square": -36, "divisibility": 4, "codimension": 2,
+             "disc_residue": [1, 2, 3]}]}))
+        rc = main(["classify", "--lattice", LAT, "--table", str(tab), "--class", "4,0,-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'codim2'" in err and "3 entries" in err and "1 nontrivial factors" in err
+
+
+class TestBooleansAreNotNumbers:
+    """JSON true and false are rejected wherever a document holds a number."""
+
+    @pytest.mark.parametrize("kind, doc, key", [
+        ("lattice", {"gram": [[True, 0], [0, -1]]}, "'gram'"),
+        ("table", {"orbits": [{"name": "b", "square": -36, "divisibility": True,
+                               "codimension": 2}]}, "'divisibility'"),
+        ("point", {"point": [True, 0, 0]}, "'point'"),
+        ("classes", {"yes": [True, 0, 0]}, "'yes'"),
+    ])
+    def test_exit_2_names_file_and_key(self, tmp_path, capsys, kind, doc, key):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        files = {"lattice": LAT, "table": TAB, "point": CH1, "classes": NAMED, kind: str(path)}
+        if kind == "classes":
+            argv = ["dual-solve", "--lattice", LAT, "--classes", files["classes"],
+                    "--pair", "yes=1", "--pair", "F=3", "--pair", "delta=0"]
+        else:
+            argv = ["factor-path", "--lattice", files["lattice"], "--table", files["table"],
+                    "--from", files["point"], "--to", CH4, "--bound", "8"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert "malformed" not in err
+
+
 class TestDualSolve:
     def test_curve_class(self, capsys):
         rc = main(["dual-solve", "--lattice", LAT, "--classes", NAMED,

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -9,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import hkcone
-from hkcone import linalg
+from hkcone import linalg, torus
+from hkcone.cli import main
 from hkcone.errors import PreconditionError
-from hkcone.torus import (MarkedFiber, covering_radius, exact_point,
-                          generators, is_torsion, orbit, real_point, related,
-                          sigma_image)
+from hkcone.torus import (MarkedFiber, TorusPoint, covering_radius, exact_point,
+                          generators, is_torsion, orbit, orbit_density, real_point,
+                          related, sigma_image)
 
 F = Fraction
 
@@ -228,6 +230,189 @@ class TestCoveringRadiusAgainstLoops:
         for pts in sets:
             for grid in (1, 2, 4, 9):
                 assert covering_radius(pts, grid) == covering_radius_loops(pts, grid)
+
+
+def reduced(v):
+    """v % 1.0, with the 1.0 that a tiny negative v rounds to taken as 0.0."""
+    r = v % 1.0
+    return 0.0 if r == 1.0 else r
+
+
+def orbit_loops(fiber, x, depth):
+    """The real orbit by the plain pair loop: points keyed by their
+    coordinates rounded to 12 decimals, the first in (a, b) order kept."""
+    t1, t2, _ = generators(fiber)
+    seen = {}
+    for a in range(-depth, depth + 1):
+        for b in range(-(depth - abs(a)), depth - abs(a) + 1):
+            px = reduced(x.x + a * t1.x + b * t2.x)
+            py = reduced(x.y + a * t1.y + b * t2.y)
+            seen.setdefault((round(px, 12) % 1.0, round(py, 12) % 1.0), (px, py))
+    irrational = x.irrational or t1.irrational or t2.irrational
+    return tuple(TorusPoint(px, py, False, irrational) for px, py in sorted(seen.values()))
+
+
+def covering_radius_cells(points, grid):
+    """The covering radius by one numpy pass over all points per grid cell."""
+    import numpy as np
+    arr = np.asarray([(p.x, p.y) for p in points])
+    samples = np.arange(grid) / grid
+    dx = np.abs(arr[:, 0][None, :] - samples[:, None])
+    dx = np.minimum(dx, 1.0 - dx)
+    dy = np.abs(arr[:, 1][None, :] - samples[:, None])
+    dy = np.minimum(dy, 1.0 - dy)
+    worst = 0.0
+    for i in range(grid):
+        for j in range(grid):
+            worst = max(worst, float(np.min(np.maximum(dx[i], dy[j]))))
+    return worst
+
+
+SQRT = {"sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3), "sqrt5": math.sqrt(5)}
+
+
+def irrational_fiber(s1, s2):
+    return MarkedFiber(real_point(0, 0), real_point(SQRT[s1], 0, irrational=True),
+                       real_point(SQRT[s1], SQRT[s2], irrational=True))
+
+
+class TestRealOrbitAgainstLoops:
+    def test_irrational_fibers(self):
+        rng = random.Random(31)
+        for depth in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100):
+            f = irrational_fiber(rng.choice(list(SQRT)), rng.choice(list(SQRT)))
+            x = real_point(rng.random(), rng.random())
+            assert orbit(f, x, depth) == orbit_loops(f, x, depth)
+        marks = [real_point(rng.random(), rng.random(), irrational=True) for _ in range(3)]
+        for depth in (1, 4, 30):
+            x = real_point(rng.random(), rng.random())
+            assert orbit(MarkedFiber(*marks), x, depth) == orbit_loops(MarkedFiber(*marks), x, depth)
+
+    def test_closing_rational_fibers_merge(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            # denominators up to 4: at most 144 distinct points, fewer than
+            # the 2 d^2 + 2 d + 1 translates once d >= 9
+            marks = [real_point(F(rng.randint(0, 3), rng.randint(1, 4)),
+                                F(rng.randint(0, 3), rng.randint(1, 4))) for _ in range(3)]
+            f = MarkedFiber(*marks)
+            x = real_point(F(rng.randint(0, 10), 11), rng.random())
+            depth = rng.randint(9, 25)
+            points = orbit(f, x, depth)
+            assert points == orbit_loops(f, x, depth)
+            assert len(points) <= 144
+
+    def test_dyadic_coordinates_tie_in_the_rounding(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(torus, "round", lambda v, n: calls.append(v) or round(v, n),
+                            raising=False)
+        rng = random.Random(41)
+        for _ in range(20):
+            marks = [real_point(F(rng.randrange(8192), 8192), F(rng.randrange(8192), 8192))
+                     for _ in range(3)]
+            x = real_point(F(rng.randrange(8192), 8192), F(rng.randrange(8192), 8192))
+            depth = rng.randint(1, 12)
+            assert orbit(MarkedFiber(*marks), x, depth) == orbit_loops(MarkedFiber(*marks), x, depth)
+        assert calls
+
+    def test_scaled_fraction_near_one_half(self, monkeypatch):
+        # x at 13 decimals ending in 5: x * 1e12 lies within 2**-12 of n + 1/2,
+        # where the float product and the decimal rounding can disagree
+        calls = []
+        monkeypatch.setattr(torus, "round", lambda v, n: calls.append(v) or round(v, n),
+                            raising=False)
+        rng = random.Random(43)
+        for _ in range(60):
+            q = rng.choice((3, 5, 6, 7, 9, 10))
+            f = MarkedFiber(real_point(0, 0), real_point(1 / q, 0), real_point(1 / q, 2 / q))
+            x = real_point((rng.randrange(10 ** 12) + 0.5) / 1e12, rng.random())
+            assert orbit(f, x, 6) == orbit_loops(f, x, 6)
+        assert calls
+
+    def test_keys_equal_round_in_the_band(self):
+        import numpy as np
+        rng = random.Random(47)
+        values = np.array([(rng.randrange(10 ** 12) + 0.5 + rng.uniform(-1e-4, 1e-4)) / 1e12
+                           for _ in range(2000)])
+        want = [round(v, 12) % 1.0 for v in values.tolist()]
+        assert torus._round12(values).tolist() == want
+        # the rint of the float product alone gets some of them wrong
+        assert (np.rint(values * 1e12) / 1e12).tolist() != want
+
+    def test_orbit_density_of_cli_argvs(self, capsys):
+        rng = random.Random(53)
+        tokens = ["0", "1/2", "1/3", "-2/3", "1/10", "3/10", "-1/10", "5/8", "1/8192",
+                  "sqrt2", "sqrt3", "sqrt5"]
+
+        def point(text):
+            xy = [SQRT[t] if t in SQRT else float(F(t)) for t in text.split(",")]
+            return real_point(*xy, irrational=any(t in SQRT for t in text.split(",")))
+
+        for _ in range(200):
+            texts = [f"{rng.choice(tokens)},{rng.choice(tokens)}" for _ in range(4)]
+            depth, grid = rng.randint(1, 30), rng.choice((1, 2, 3, 5, 8, 16, 32))
+            f, x = MarkedFiber(*map(point, texts[:3])), point(texts[3])
+            points = orbit_loops(f, x, depth)
+            want = (len(points), covering_radius_cells(points, grid))
+            assert orbit_density(f, x, depth, grid) == want
+            argv = [f"--{k}={t}" for k, t in zip(("e0", "e1", "e2", "x"), texts)]
+            assert main(["sigma-orbit", *argv, "--depth", str(depth), "--real",
+                         "--grid", str(grid)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["size"], doc["covering_radius"]) == want
+
+    def test_depth_100_covering_radius_against_cells(self):
+        f = irrational_fiber("sqrt2", "sqrt3")
+        x = real_point(F(3, 7), F(5, 7))
+        points = orbit(f, x, 100)
+        radius = covering_radius_cells(points, 32)
+        assert covering_radius(points, 32) == radius
+        assert orbit_density(f, x, 100, 32) == (20201, radius)
+
+    def test_orbit_density_checks(self, fiber):
+        real = irrational_fiber("sqrt2", "sqrt5")
+        with pytest.raises(PreconditionError, match="real-mode"):
+            orbit_density(fiber, exact_point(0, 0), 3, 8)
+        with pytest.raises(PreconditionError, match="depth"):
+            orbit_density(real, real_point(0, 0), 0, 0)
+        with pytest.raises(PreconditionError, match="grid"):
+            orbit_density(real, real_point(0, 0), 3, 0)
+
+
+class TestReductionModOne:
+    """A float a little below 0 gives v % 1.0 == 1.0; it is 0 mod 1."""
+
+    def test_real_point(self):
+        assert real_point(-1e-17, 0) == real_point(0, 0)
+
+    def test_difference(self):
+        d = real_point(0.3, 0) - real_point(0.30000000000000004, 0)
+        assert (d.x, d.y) == (0.0, 0.0)
+
+    def test_orbit(self):
+        z = real_point(0, 0)
+        f = MarkedFiber(z, z, real_point(0.1, 0))
+        assert orbit(f, real_point(0.3, 0), 6) == orbit_loops(f, real_point(0.3, 0), 6)
+
+    def test_cli(self, capsys):
+        assert main(["sigma-orbit", "--e0=0,0", "--e1=0,0", "--e2=1/10,0", "--x=3/10,0",
+                     "--depth", "6", "--real"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["size"] == 10 and doc["covering_radius"] == 0.5
+
+
+class TestSparseCoveringRadius:
+    """Point sets so sparse that the search radius doubles past 1/grid."""
+
+    @pytest.mark.parametrize("pts", [
+        [(0.37, 0.81)],
+        [(0.0, 0.0), (0.004, 0.001), (0.999, 0.002), (0.003, 0.9995)],
+        [(0.5, 0.5), (0.51, 0.5)],
+    ])
+    @pytest.mark.parametrize("grid", [1, 2, 3, 7, 16, 32])
+    def test_against_loops(self, pts, grid):
+        points = [real_point(x, y) for x, y in pts]
+        assert covering_radius(points, grid) == covering_radius_loops(points, grid)
 
 
 def test_cli_import_leaves_numpy_out():
