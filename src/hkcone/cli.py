@@ -18,7 +18,7 @@ from . import cone, mbm, mukai, render, symplectic, torus
 from .errors import PreconditionError
 from .lattice import load_lattice
 from .rational import (frac_str, parse_array, parse_field, parse_frac, parse_int,
-                       parse_vector, vector_strs)
+                       parse_matrix, parse_vector, vector_strs)
 
 
 def _emit(text: str, out: str | None):
@@ -172,7 +172,7 @@ def _cmd_mukai_flop(args) -> int:
 
 def _cmd_symp_rank(args) -> int:
     def matrix(path, key):
-        return parse_field(_load_json(path), key, lambda v: parse_array(v, parse_array), path)
+        return parse_field(_load_json(path), key, parse_matrix, path)
 
     space = symplectic.symplectic_space(matrix(args.omega, "omega"))
     w = symplectic.subspace(matrix(args.basis, "basis"))
@@ -212,15 +212,12 @@ def _cmd_sigma_orbit(args) -> int:
         e2=_torus_point(args.e2, real),
     )
     x = _torus_point(args.x, real)
-    if real:
-        size, radius = torus.orbit_density(fiber, x, args.depth, args.grid)
-    else:
-        size = len(torus.orbit(fiber, x, args.depth))
     gens = torus.generators(fiber)
     if real:
+        size, radius = torus.orbit_density(fiber, x, args.depth, args.grid)
         finite = False if any(g.irrational for g in gens) else None
     else:
-        finite = True
+        size, finite = torus.orbit_size(fiber, x, args.depth), True
     doc = {
         "size": size,
         "finite": finite,

@@ -13,8 +13,8 @@ bounding box: every wall lies where a positive definite majorant is
 bounded.  One coordinate is solved for exactly; the others walk the
 projected ellipsoid Fincke-Pohst style (U. Fincke and M. Pohst, Math.
 Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic Number
-Theory, 2.7.3), one of each +-pair, in integer arithmetic.  Per prefix
-and table square the solved coordinate is the root of an integer
+Theory, 2.7.3), one of each +-pair, on linalg's Bareiss rows.  Per
+prefix and table square the solved coordinate is the root of an integer
 quadratic (or linear) equation, found by an ``isqrt`` perfect-square
 test.  Segment work is in integers: each endpoint p becomes P / m once
 (``rational.integral``), and its side list holds the pairings q(x, P)
@@ -128,27 +128,25 @@ def _ellipsoid_slices(a, budget):
     nonzero coordinate is positive is produced.
 
     The walk is Fincke-Pohst's, outermost coordinate first, on a
-    fraction-free LDL^t: ``t[i]`` is det A[:i,:i] times the Schur
-    complement of A[:i,:i] in A (an integer matrix on coordinates
-    i..m-1), so d_i = t[i][0][0] = det A[:i+1,:i+1].  With y[i+1:]
-    fixed and V = t[i+1](y[i+1:]), y[i] is in range iff
-    (d_i y[i] + beta)^2 <= d_{i-1} (d_i budget - V), with d_{-1} = 1
-    and beta the cross term of t[i]; all node arithmetic is on integers.
+    fraction-free LDL^t: the Bareiss rows of A (``linalg._echelon``),
+    where rows[i][i:] is d_{i-1} times the first row of the Schur
+    complement S_i of A[:i,:i] and d_i = rows[i][i] = det A[:i+1,:i+1].
+    With y[i+1:] fixed and V = d_i S_{i+1}(y[i+1:]), y[i] is in range
+    iff (d_i y[i] + beta)^2 <= d_{i-1} (d_i budget - V), with d_{-1} = 1
+    and beta = sum_{j>i} rows[i][j] y[j]; all node arithmetic is on
+    integers.
     """
     m = len(a)
-    t = [a]
-    for i in range(1, m):
-        prev = t[-1]
-        dp = t[-2][0][0] if i > 1 else 1
-        t.append([[(prev[0][0] * prev[r][c] - prev[r][0] * prev[0][c]) // dp
-                    for c in range(1, len(prev))] for r in range(1, len(prev))])
+    rows, _pivots, _d, swaps, _scale = linalg._echelon(a)
+    if swaps or any(rows[i][i] <= 0 for i in range(m)):  # Sylvester's criterion
+        raise InvariantError("the ellipsoid matrix is not positive definite")
     y = [0] * m
 
     def walk(i, v, zero):
-        row = t[i][0]
-        d = row[0]
-        dp = t[i - 1][0][0] if i else 1
-        beta = sum(row[j - i] * y[j] for j in range(i + 1, m))
+        row = rows[i]
+        d = row[i]
+        dp = rows[i - 1][i - 1] if i else 1
+        beta = sum(row[j] * y[j] for j in range(i + 1, m))
         r = isqrt(dp * (d * budget - v))
         hi = (r - beta) // d
         lo = -((r + beta) // d)

@@ -179,10 +179,10 @@ class IntegralLattice:
 # process keeps.
 @functools.lru_cache(maxsize=256)
 def _discriminant_group(gram) -> DiscriminantGroup:
-    if linalg.determinant(gram) == 0:
-        raise PreconditionError("degenerate lattice")
     u, d, _v = linalg.smith_normal_form(gram)
     factors = tuple(d[i][i] for i in range(len(gram)))
+    if 0 in factors:  # an invariant factor 0: the Gram matrix is singular
+        raise PreconditionError("degenerate lattice")
     return DiscriminantGroup(
         invariant_factors=tuple(f for f in factors if f > 1),
         transform=u,

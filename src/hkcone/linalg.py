@@ -7,20 +7,22 @@ rank, determinant, invert, solve and nullspace share one elimination
 core, _echelon: rows are scaled to integers, then reduced by
 fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968),
 optionally on to d times the reduced row echelon form.  It returns
-(rows, pivots, d, sign, scale): the integer rows, the pivot columns, the
-last pivot, the parity of the row swaps and the product of the row
-scales.  Fractions are formed only from d at the end.
-smith_normal_form (unimodular, over Z) and congruence_diagonalize
-(symmetric, Lagrange) are not field elimination and keep their own loops.
+(rows, pivots, d, swaps, scale): the integer rows, the pivot columns,
+the last pivot, the number of row swaps and the product of the row
+scales.  Fractions are formed only from d at the end.  Without swaps
+the rows are the fraction-free LDL^t that cone's Fincke-Pohst walk reads.
+smith_normal_form (over Z) keeps V by columns, so every step on U and V
+is a whole-row operation.  Ragged matrices are rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import PreconditionError
+from .rational import integral
 
 
 def mat(rows):
@@ -48,20 +50,25 @@ def mat_vec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
+def _width(m) -> int:
+    """The common length of the rows of m (0 without rows)."""
+    n = len(m[0]) if m else 0
+    if any(len(row) != n for row in m):
+        raise PreconditionError("ragged matrix")
+    return n
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
     # every column of b has len(b) entries; with no columns nothing is paired
-    if bt and any(len(ra) != len(b) for ra in a):
+    if _width(b) and any(len(ra) != len(b) for ra in a):
         raise PreconditionError("dimension mismatch")
+    bt = transpose(b)
     return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def vec_content(v) -> int:
     """gcd of an integer vector (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def _echelon(m, width=None, reduce=False):
@@ -75,25 +82,22 @@ def _echelon(m, width=None, reduce=False):
     With ``reduce`` the entries above each pivot are cleared as well, so
     the pivot rows end as ``d`` times the reduced row echelon form.
 
-    Returns ``(rows, pivots, d, sign, scale)``: the eliminated integer rows
-    (pivot rows first), the pivot columns, the last pivot (1 if none), and
-    the parity of the row swaps as +-1.  For square m of full rank,
-    det(m) = sign * d / scale.
+    Returns ``(rows, pivots, d, swaps, scale)``: the eliminated integer rows
+    (pivot rows first), the pivot columns, the last pivot (1 if none), the
+    number of row swaps and the scale.  For square m of full rank,
+    det(m) = (-1)^swaps * d / scale.
     """
+    nrows, ncols = len(m), _width(m)
     rows = []
     scale = 1
     for row in m:
-        if all(isinstance(x, int) for x in row):
-            rows.append(list(row))
-        else:
-            row = [Fraction(x) for x in row]
-            s = lcm(*(x.denominator for x in row))
+        if not all(isinstance(x, int) for x in row):
+            row, s = integral(row)
             scale *= s
-            rows.append([x.numerator * (s // x.denominator) for x in row])
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+        rows.append(list(row))
     pivots = []
-    d = sign = 1
+    d = 1
+    swaps = 0
     for c in range(ncols if width is None else width):
         r = len(pivots)
         if r == nrows:
@@ -103,7 +107,7 @@ def _echelon(m, width=None, reduce=False):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
+            swaps += 1
         top = rows[r]
         p = top[c]
         for i in range(0 if reduce else r + 1, nrows):
@@ -118,7 +122,7 @@ def _echelon(m, width=None, reduce=False):
             row[c] = 0
         d = p
         pivots.append(c)
-    return rows, pivots, d, sign, scale
+    return rows, pivots, d, swaps, scale
 
 
 def rank(m) -> int:
@@ -126,16 +130,16 @@ def rank(m) -> int:
 
 
 def determinant(m):
-    _rows, pivots, d, sign, scale = _echelon(m)
+    _rows, pivots, d, swaps, scale = _echelon(m)
     if len(pivots) < len(m):
         return Fraction(0)
-    return Fraction(sign * d, scale)
+    return Fraction(-d if swaps % 2 else d, scale)
 
 
 def invert(m):
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots, d, _sign, _scale = _echelon(aug, width=n, reduce=True)
+    rows, pivots, d, _swaps, _scale = _echelon(aug, width=n, reduce=True)
     if len(pivots) < n:
         raise PreconditionError("singular matrix")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
@@ -154,7 +158,7 @@ def solve(a, b):
     if len(b) != nrows:
         raise PreconditionError("dimension mismatch")
     aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rows, pivots, d, _sign, _scale = _echelon(aug, width=ncols, reduce=True)
+    rows, pivots, d, _swaps, _scale = _echelon(aug, width=ncols, reduce=True)
     r = len(pivots)
     for row in rows[r:]:
         if row[ncols] != 0:
@@ -166,7 +170,7 @@ def solve(a, b):
 
 def nullspace(m):
     """Deterministic rational basis of the kernel of m (rows act on vectors)."""
-    rows, pivots, d, _sign, _scale = _echelon(m, reduce=True)
+    rows, pivots, d, _swaps, _scale = _echelon(m, reduce=True)
     ncols = len(rows[0]) if rows else 0
     basis = []
     for fc in range(ncols):
@@ -189,6 +193,8 @@ def congruence_diagonalize(g):
     Works for singular input; zero diagonal entries mark the radical.
     """
     n = len(g)
+    if _width(g) != n:
+        raise PreconditionError("matrix must be square")
     m = [[Fraction(x) for x in row] for row in g]
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -234,79 +240,55 @@ def smith_normal_form(a):
     """U A V = D with U, V unimodular and D diagonal, d_i >= 0, d_i | d_{i+1}.
 
     Pivot: minimal nonzero absolute value in the active block, ties broken
-    by smallest row index then smallest column index.
+    by smallest row index then smallest column index.  V is kept by
+    columns (vt), so every step on U and V is a whole-row list operation.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    nrows, ncols = len(a), _width(a)
     m = [[int(x) for x in row] for row in a]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    vt = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
-    def row_op(i, j, f):          # row_i += f * row_j
-        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
-        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, f):          # col_i += f * col_j
-        for r in range(nrows):
-            m[r][i] += f * m[r][j]
-        for r in range(ncols):
-            v[r][i] += f * v[r][j]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(nrows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(ncols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def find_pivot(t):
+    t = 0
+    while t < min(nrows, ncols):
         best = None
         for i in range(t, nrows):
             for j in range(t, ncols):
                 x = abs(m[i][j])
                 if x and (best is None or x < best[0]):
                     best = (x, i, j)
-        return best
-
-    t = 0
-    while t < min(nrows, ncols):
-        best = find_pivot(t)
         if best is None:
             break
-        while True:
-            _, bi, bj = best
-            if bi != t:
-                row_swap(t, bi)
-            if bj != t:
-                col_swap(t, bj)
-            if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-                u[t] = [-x for x in u[t]]
-            p = m[t][t]
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    row_op(i, t, -(m[i][t] // p))
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    col_op(j, t, -(m[t][j] // p))
-            if all(m[i][t] == 0 for i in range(t + 1, nrows)) and \
-               all(m[t][j] == 0 for j in range(t + 1, ncols)):
-                # enforce divisibility of the remaining block by the pivot
-                viol = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if m[i][j] % p:
-                            viol = i
-                            break
-                    if viol is not None:
-                        break
-                if viol is None:
-                    break
-                row_op(t, viol, 1)
-            best = find_pivot(t)
-        t += 1
-
-    return mat(u), mat(m), mat(v)
+        _, bi, bj = best
+        if bi != t:
+            m[t], m[bi] = m[bi], m[t]
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
+            vt[t], vt[bj] = vt[bj], vt[t]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        p = m[t][t]
+        for i in range(t + 1, nrows):
+            if m[i][t]:  # row_i -= q row_t
+                f = -(m[i][t] // p)
+                m[i] = [x + f * y for x, y in zip(m[i], m[t])]
+                u[i] = [x + f * y for x, y in zip(u[i], u[t])]
+        live = [row for row in m if row[t]]  # rows with a zero in column t gain nothing
+        for j in range(t + 1, ncols):
+            if m[t][j]:  # col_j -= q col_t
+                f = -(m[t][j] // p)
+                for row in live:
+                    row[j] += f * row[t]
+                vt[j] = [x + f * y for x, y in zip(vt[j], vt[t])]
+        if any(m[i][t] for i in range(t + 1, nrows)) or any(m[t][t + 1:]):
+            continue
+        # enforce divisibility of the remaining block by the pivot
+        viol = next((i for i in range(t + 1, nrows) if any(x % p for x in m[i][t + 1:])), None)
+        if viol is None:
+            t += 1
+        else:
+            m[t] = [x + y for x, y in zip(m[t], m[viol])]
+            u[t] = [x + y for x, y in zip(u[t], u[viol])]
+    return mat(u), mat(m), mat(zip(*vt))

@@ -49,6 +49,14 @@ def parse_array(value, parse=parse_frac) -> tuple:
     return tuple(parse(c) for c in value)
 
 
+def parse_matrix(value) -> tuple:
+    """A JSON array of equally long arrays of rationals."""
+    rows = parse_array(value, parse_array)
+    if len({len(row) for row in rows}) > 1:
+        raise PreconditionError(f"rows of different lengths: {value!r}")
+    return rows
+
+
 def parse_field(doc, key: str, parse, where: str):
     """parse(doc[key]) for a JSON object; errors name where and the key."""
     try:

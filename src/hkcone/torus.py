@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import PreconditionError
 
@@ -157,6 +158,19 @@ def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ..
     xs, ys = _real_orbit(x, t1, t2, depth)
     return tuple(TorusPoint(px, py, False, irrational)
                  for px, py in zip(xs.tolist(), ys.tolist()))
+
+
+def orbit_size(fiber: MarkedFiber, x: TorusPoint, depth: int) -> int:
+    """len(orbit(fiber, x, depth)) of an exact orbit, without listing it:
+    N^2 / [Z^2 : L], N the lcm of the denominators of t1 and t2 and L spanned
+    by (N, 0), (0, N), N t1, N t2; the index is the gcd of their 2 x 2 minors.
+    """
+    t1, t2 = _steps(fiber, x, depth)
+    if not fiber.exact:
+        raise PreconditionError("orbit size is counted in exact mode")
+    n = lcm(t1.x.denominator, t1.y.denominator, t2.x.denominator, t2.y.denominator)
+    rows = [(n, 0), (0, n)] + [(int(t.x * n), int(t.y * n)) for t in (t1, t2)]
+    return n * n // gcd(*(p * s - q * r for (p, q), (r, s) in combinations(rows, 2)))
 
 
 def orbit_density(fiber: MarkedFiber, x: TorusPoint, depth: int, grid: int) -> tuple[int, float]:

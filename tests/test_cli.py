@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,6 +205,17 @@ class TestSympRank:
         assert str(omega) in err and "'omega'" in err
         assert "malformed" not in err
 
+    def test_ragged_basis_exit_2_names_file_and_key(self, tmp_path, capsys):
+        omega = tmp_path / "omega.json"
+        basis = tmp_path / "basis.json"
+        omega.write_text(json.dumps({"omega": [[0, 1], [-1, 0]]}))
+        basis.write_text(json.dumps({"basis": [[1, 0], [1]]}))
+        rc = main(["symp-rank", "--omega", str(omega), "--basis", str(basis)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(basis) in err and "'basis'" in err and "different lengths" in err
+        assert "internal error" not in err
+
 
 class TestSigmaOrbit:
     def test_exact_fixture(self, capsys):
@@ -213,6 +225,17 @@ class TestSigmaOrbit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["size"] == 6 and doc["finite"] is True
         assert doc["generators"][0] == ["1/3", "0"]
+
+    @pytest.mark.parametrize("e1, size", [
+        ("1/1000,1/999", 999000),
+        ("1e-20,0", 10 ** 20),
+    ])
+    def test_exact_size_without_listing_the_orbit(self, capsys, e1, size):
+        start = time.perf_counter()
+        rc = main(["sigma-orbit", "--e0", "0,0", "--e1", e1, "--e2", "0,0", "--x", "0,0"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["size"] == size
 
     def test_real_mode_with_irrational_tokens(self, capsys):
         rc = main(["sigma-orbit", "--e0", "0,0", "--e1", "sqrt2,0",

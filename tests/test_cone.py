@@ -13,11 +13,57 @@ from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFacto
                          enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau, report_to_json,
                          same_chamber, same_component)
-from hkcone.errors import PreconditionError
+from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, primitive_rescale
 
 F = Fraction
+
+def random_positive_definite(rng, m):
+    b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+    return [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(m)] for i in range(m)]
+
+
+def schur_chain(a):
+    """t[i] = det A[:i,:i] times the Schur complement of A[:i,:i] in A."""
+    t = [a]
+    for i in range(1, len(a)):
+        prev = t[-1]
+        dp = t[-2][0][0] if i > 1 else 1
+        t.append([[(prev[0][0] * prev[r][c] - prev[r][0] * prev[0][c]) // dp
+                   for c in range(1, len(prev))] for r in range(1, len(prev))])
+    return t
+
+
+def ellipsoid_slices_schur(a, budget):
+    """The Fincke-Pohst walk on its own Schur chain: the oracle for
+    cone._ellipsoid_slices, which reads linalg's Bareiss rows."""
+    m = len(a)
+    t = schur_chain(a)
+    y = [0] * m
+
+    def walk(i, v, zero):
+        row = t[i][0]
+        d = row[0]
+        dp = t[i - 1][0][0] if i else 1
+        beta = sum(row[j - i] * y[j] for j in range(i + 1, m))
+        r = isqrt(dp * (d * budget - v))
+        hi = (r - beta) // d
+        lo = -((r + beta) // d)
+        if zero:
+            lo = 0 if i else 1
+        if i == 0:
+            if lo <= hi:
+                yield tuple(y[1:]), lo, hi
+            return
+        for yi in range(lo, hi + 1):
+            y[i] = yi
+            u = d * yi + beta
+            yield from walk(i - 1, (u * u + dp * v) // d, zero and yi == 0)
+        y[i] = 0
+
+    return walk(m - 1, 0, True)
+
 
 M1 = (2, F(3, 2), -1)
 M2 = (1, 1, F(-3, 5))
@@ -286,6 +332,32 @@ class TestEnumerate:
         box = enumeration_box(lat, base, F(bound), sub.squares)
         oracle = oracle_scan(lat, sub, base, F(bound), max(box) + 1)
         assert [(x, sig.name) for x, sig in walls] == [(x, sig.name) for x, sig in oracle]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_bareiss_rows_are_the_schur_chain(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(60):
+            a = random_positive_definite(rng, m)
+            rows, pivots, _d, swaps, _scale = linalg._echelon(a)
+            assert swaps == 0 and pivots == list(range(m))
+            assert [row[i:] for i, row in enumerate(rows)] == \
+                [t[0] for t in schur_chain(a)]
+            budget = rng.randint(0, 60)
+            assert list(_ellipsoid_slices(a, budget)) == \
+                list(ellipsoid_slices_schur(a, budget))
+
+    @pytest.mark.parametrize("a", [
+        [[0]],
+        [[-1]],
+        [[1, 2], [2, 1]],
+        [[0, 1], [1, 0]],
+        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+        # two swaps, every Bareiss pivot positive, not positive definite
+        [[0, 1, -2, 0], [1, 2, -2, 1], [-2, -2, 0, -1], [0, 1, -1, -2]],
+    ])
+    def test_ellipsoid_slices_reject_indefinite(self, a):
+        with pytest.raises(InvariantError, match="positive definite"):
+            _ellipsoid_slices(a, 10)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_ellipsoid_slices_against_brute_force(self, m):

@@ -110,6 +110,16 @@ class TestDiscriminantGroup:
         with pytest.raises(PreconditionError):
             make_lattice([[1, 1], [1, 1]]).discriminant_group()
 
+    @pytest.mark.parametrize("gram", [
+        [[0]],
+        [[1, 1], [1, 1]],
+        [[2, 1, 3], [1, 0, 1], [3, 1, 4]],  # row 3 = row 1 + row 2
+        [[0, 0, 0], [0, 2, 1], [0, 1, -2]],
+    ])
+    def test_singular_gram_is_a_degenerate_lattice(self, gram):
+        with pytest.raises(PreconditionError, match="degenerate lattice"):
+            make_lattice(gram).discriminant_group()
+
     def test_chain_and_order(self):
         rng = random.Random(9)
         found = 0

@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from hkcone import linalg
 from hkcone.errors import PreconditionError
@@ -48,6 +50,138 @@ def test_smith_normal_form_against_determinantal_divisors():
             if dk == 0:
                 break
             prev = dk
+
+
+def smith_normal_form_closures(a):
+    """The Smith form with V by rows and per-entry row/column closures:
+    the oracle for the whole-row implementation in linalg."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    m = [[int(x) for x in row] for row in a]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i, j, f):          # row_i += f * row_j
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, f):          # col_i += f * col_j
+        for r in range(nrows):
+            m[r][i] += f * m[r][j]
+        for r in range(ncols):
+            v[r][i] += f * v[r][j]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in range(nrows):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        for r in range(ncols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = abs(m[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        return best
+
+    t = 0
+    while t < min(nrows, ncols):
+        best = find_pivot(t)
+        if best is None:
+            break
+        while True:
+            _, bi, bj = best
+            if bi != t:
+                row_swap(t, bi)
+            if bj != t:
+                col_swap(t, bj)
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+                u[t] = [-x for x in u[t]]
+            p = m[t][t]
+            for i in range(t + 1, nrows):
+                if m[i][t]:
+                    row_op(i, t, -(m[i][t] // p))
+            for j in range(t + 1, ncols):
+                if m[t][j]:
+                    col_op(j, t, -(m[t][j] // p))
+            if all(m[i][t] == 0 for i in range(t + 1, nrows)) and \
+               all(m[t][j] == 0 for j in range(t + 1, ncols)):
+                viol = None
+                for i in range(t + 1, nrows):
+                    for j in range(t + 1, ncols):
+                        if m[i][j] % p:
+                            viol = i
+                            break
+                    if viol is not None:
+                        break
+                if viol is None:
+                    break
+                row_op(t, viol, 1)
+            best = find_pivot(t)
+        t += 1
+
+    return linalg.mat(u), linalg.mat(m), linalg.mat(v)
+
+
+def snf_cases(seed):
+    """Seeded integer matrices for the Smith form: every shape from 1x1 to
+    8x8 with sparse entries and some zero rows and columns, 12x12 of full
+    rank and of rank 9, the 0x0 matrix, and 1xn and nx1 ones."""
+    rng = random.Random(seed)
+    yield []
+    for _ in range(3800):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        lim = rng.choice((2, 9, 60))
+        a = [[rng.randint(-lim, lim) if rng.random() < 0.8 else 0 for _ in range(nc)]
+             for _ in range(nr)]
+        if rng.random() < 0.3:
+            a[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.3:
+            j = rng.randrange(nc)
+            for row in a:
+                row[j] = 0
+        yield a
+    for k in range(60):
+        a = [[rng.randint(-40, 40) for _ in range(12)] for _ in range(12)]
+        if k % 2:  # rank 9: three rows are combinations of others
+            for i in (3, 7, 11):
+                a[i] = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
+                        for x, y in zip(a[i - 1], a[i - 2])]
+        yield a
+    for n in range(1, 71):
+        yield [[rng.randint(-30, 30) for _ in range(n)]]
+        yield [[rng.randint(-30, 30)] for _ in range(n)]
+
+
+def test_smith_normal_form_equals_closure_oracle():
+    count = 0
+    for a in snf_cases(12):
+        assert linalg.smith_normal_form(a) == smith_normal_form_closures(a), a
+        count += 1
+    assert count >= 4000
+    assert linalg.smith_normal_form([]) == ((), (), ())
+
+
+def test_smith_normal_form_against_sympy():
+    rng = random.Random(13)
+    for k in range(300):
+        nr, nc = (12, 12) if k % 30 == 0 else (rng.randint(1, 6), rng.randint(1, 6))
+        a = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and k % 3 == 0:
+            a[0] = [2 * x - y for x, y in zip(a[1], a[-1])]
+        u, d, v = linalg.smith_normal_form(a)
+        assert linalg.mat_mul(linalg.mat_mul(u, a), v) == d
+        assert abs(linalg.determinant(u)) == 1 and abs(linalg.determinant(v)) == 1
+        assert all(d[i][j] == 0 for i in range(nr) for j in range(nc) if i != j)
+        want = tuple(int(f) for f in invariant_factors(sympy.Matrix(a)))
+        assert tuple(d[i][i] for i in range(min(nr, nc))) == want
 
 
 def test_smith_normal_form_pivot_rule_is_deterministic():
@@ -235,3 +369,54 @@ def test_products_reject_dimension_mismatch():
         linalg.mat_mul(((1, 2), (3,)), ((1, 0), (0, 1)))
     # with no columns in b nothing is paired: an empty product per row
     assert linalg.mat_mul(((1, 2),), ()) == ((),)
+
+
+class TestRaggedMatrices:
+    """A matrix whose rows differ in length is rejected, not truncated."""
+
+    def test_rank(self):
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.rank([[1], [0, 1]])
+
+    def test_mat_mul_rows_of_b(self):
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.mat_mul([[1, 0], [0, 1]], [[1, 2], [3]])
+
+    def test_determinant_and_smith_form(self):
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.determinant([[1, 2], [3]])
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.smith_normal_form([[1, 2], [3]])
+
+    def test_elimination_entry_points(self):
+        for fn in (linalg.invert, linalg.nullspace):
+            with pytest.raises(PreconditionError, match="ragged"):
+                fn([[1, 2], [3]])
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.solve([[1, 2], [3]], (1, 1))
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.rank([[Fraction(1, 2), 1], [1]])
+
+    def test_congruence_diagonalize(self):
+        with pytest.raises(PreconditionError, match="ragged"):
+            linalg.congruence_diagonalize([[1, 2], [2]])
+        with pytest.raises(PreconditionError, match="square"):
+            linalg.congruence_diagonalize([[1, 2, 0], [2, 1, 0]])
+
+
+class TestVecContent:
+    def test_empty_and_zero(self):
+        assert linalg.vec_content(()) == 0
+        assert linalg.vec_content((0, 0, 0)) == 0
+
+    def test_negatives(self):
+        assert linalg.vec_content((-4, 6, 0)) == 2
+        assert linalg.vec_content((-5,)) == 5
+
+    def test_numpy_ints(self):
+        g = linalg.vec_content(np.array([12, -18, 30], dtype=np.int64))
+        assert g == 6 and type(g) is int
+
+    def test_iterator(self):
+        assert linalg.vec_content(iter([9, 15])) == 3
+        assert linalg.vec_content(c * 7 for c in (2, 3)) == 7

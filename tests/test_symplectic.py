@@ -41,6 +41,14 @@ class TestRestrictionRank:
         with pytest.raises(PreconditionError):
             subspace([[1, 0, 0, 0], [2, 0, 0, 0]])
 
+    def test_ragged_basis_rejected(self):
+        with pytest.raises(PreconditionError, match="ragged"):
+            subspace([[1], [1, 0]])
+
+    def test_ragged_map_rejected(self):
+        with pytest.raises(PreconditionError, match="ragged"):
+            pullback_rank(standard_space(1), [[1, 0], [0]])
+
     def test_degenerate_omega_rejected(self):
         with pytest.raises(PreconditionError):
             symplectic_space([[0, 0], [0, 0]])

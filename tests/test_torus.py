@@ -14,8 +14,8 @@ from hkcone import linalg, torus
 from hkcone.cli import main
 from hkcone.errors import PreconditionError
 from hkcone.torus import (MarkedFiber, TorusPoint, covering_radius, exact_point,
-                          generators, is_torsion, orbit, orbit_density, real_point,
-                          related, sigma_image)
+                          generators, is_torsion, orbit, orbit_density, orbit_size,
+                          real_point, related, sigma_image)
 
 F = Fraction
 
@@ -155,6 +155,38 @@ class TestOrbit:
         n20 = len(orbit(f, x, 20))
         assert n10 == 2 * 10 * 10 + 2 * 10 + 1  # no collisions at tolerance
         assert n20 > n10
+
+
+class TestOrbitSize:
+    def test_fixture(self, fiber):
+        assert orbit_size(fiber, exact_point(0, 0), 3) == 6
+
+    def test_equals_the_listed_orbit_on_random_fibers(self):
+        rng = random.Random(31)
+        for _ in range(320):
+            def point():
+                return exact_point(F(rng.randint(0, 7), rng.randint(1, 6)),
+                                   F(rng.randint(0, 7), rng.randint(1, 6)))
+            f = MarkedFiber(point(), point(), point())
+            x, depth = point(), rng.randint(1, 4)
+            size = orbit_size(f, x, depth)
+            assert size == len(orbit(f, x, depth))
+            t1, t2, _ = generators(f)
+            assert size == subgroup_order_oracle(t1, t2)
+
+    def test_large_torsion_order(self):
+        z = exact_point(0, 0)
+        f = MarkedFiber(z, exact_point(F(1, 1000), F(1, 999)), z)
+        assert orbit_size(f, z, 1) == 999000
+
+    def test_checks(self, fiber):
+        with pytest.raises(PreconditionError, match="depth"):
+            orbit_size(fiber, exact_point(0, 0), 0)
+        with pytest.raises(PreconditionError, match="mixed"):
+            orbit_size(fiber, real_point(0, 0), 1)
+        z = real_point(0, 0)
+        with pytest.raises(PreconditionError, match="exact mode"):
+            orbit_size(MarkedFiber(z, real_point(0.5, 0), z), z, 1)
 
 
 class TestTorsion:
