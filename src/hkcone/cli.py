@@ -60,8 +60,7 @@ def _named_classes(lattice, path: str | None) -> dict:
 def _cmd_classify(args) -> int:
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
-    coords = tuple(map(parse_int, parse_vector(getattr(args, "class"))))
-    sig = mbm.classify(lattice, table, coords)
+    sig = mbm.classify(lattice, table, parse_vector(getattr(args, "class")))
     if sig is None:
         _emit_json({"orbit": None}, args.out)
         return 0

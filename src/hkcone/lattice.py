@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .rational import parse_array, parse_field, parse_frac, parse_int, parse_str
+from .rational import parse_array, parse_field, parse_frac, parse_int, parse_ints, parse_str
 
 
 @dataclass(frozen=True)
@@ -24,18 +24,17 @@ class DiscriminantGroup:
     """Cokernel of the Gram matrix in invariant-factor form.
 
     ``invariant_factors`` lists the factors d_1 | d_2 | ... that exceed 1.
-    ``transform`` is the unimodular row transform U of the Smith normal
-    form U G V = D; it maps dual-basis coordinates to residue tuples.
+    ``transform`` holds the matching rows of the unimodular U of the
+    Smith normal form U G V = D; it maps integer dual-basis coordinates
+    to residue tuples.  The trivial factors and their rows are not kept.
     """
 
     invariant_factors: tuple[int, ...]
     transform: tuple[tuple[int, ...], ...]
-    _factors_full: tuple[int, ...]
 
     def residues(self, dual_coords) -> tuple[int, ...]:
-        w = linalg.mat_vec(self.transform, tuple(dual_coords))
-        return tuple(int(wi) % f
-                     for wi, f in zip(w, self._factors_full) if f > 1)
+        w = linalg.mat_vec(self.transform, parse_ints(dual_coords))
+        return tuple(wi % f for wi, f in zip(w, self.invariant_factors))
 
     @property
     def order(self) -> int:
@@ -44,7 +43,7 @@ class DiscriminantGroup:
 
 def is_primitive(coords) -> bool:
     """True iff the integer vector has coordinate gcd 1."""
-    v = tuple(coords)
+    v = parse_ints(coords)
     if all(c == 0 for c in v):
         raise PreconditionError("zero vector")
     return linalg.vec_content(v) == 1
@@ -104,7 +103,7 @@ class IntegralLattice:
         vector's pairing ideal in the ambient lattice, and the divisibility
         becomes gcd_i(ambient_i * x_i).
         """
-        v = tuple(x)
+        v = parse_ints(x)
         if len(v) != self.rank:
             raise PreconditionError("dimension mismatch")
         if all(c == 0 for c in v):
@@ -113,7 +112,7 @@ class IntegralLattice:
             vals = [a * c for a, c in zip(self.ambient_ideals, v)]
         else:
             vals = self.pairing_row(v)
-        g = linalg.vec_content(map(int, vals))
+        g = linalg.vec_content(vals)
         if g == 0:
             raise PreconditionError("vector pairs to zero with the whole lattice")
         return g
@@ -124,24 +123,20 @@ class IntegralLattice:
     def discriminant_image(self, x) -> tuple[int, ...]:
         """Residue tuple of x/d(x) in the discriminant group, up to global sign.
 
-        The tuple and its negation describe the same wall; the smaller of
-        the two (lexicographically) is returned.
+        The tuple and its negation describe the same wall; the residue map
+        is a homomorphism, so the negation is read off as -r mod f and the
+        smaller of the two (lexicographically) is returned.
         """
-        v = tuple(x)
+        v = parse_ints(x)
         if not is_primitive(v):
             raise PreconditionError("class must be primitive")
         d = self.divisibility(v)
         row = self.pairing_row(v)
-        dual = []
-        for p in row:
-            p = int(p)
-            if p % d:
-                raise PreconditionError("divisibility does not divide the pairing row")
-            dual.append(p // d)
+        if any(p % d for p in row):
+            raise PreconditionError("divisibility does not divide the pairing row")
         disc = self.discriminant_group()
-        plus = disc.residues(dual)
-        minus = disc.residues([-w for w in dual])
-        return min(plus, minus)
+        plus = disc.residues([p // d for p in row])
+        return min(plus, tuple(-r % f for r, f in zip(plus, disc.invariant_factors)))
 
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
@@ -180,14 +175,11 @@ class IntegralLattice:
 @functools.lru_cache(maxsize=256)
 def _discriminant_group(gram) -> DiscriminantGroup:
     u, d, _v = linalg.smith_normal_form(gram)
-    factors = tuple(d[i][i] for i in range(len(gram)))
-    if 0 in factors:  # an invariant factor 0: the Gram matrix is singular
+    factors = [d[i][i] for i in range(len(gram))]
+    if not factors[-1]:  # an invariant factor 0: the Gram matrix is singular
         raise PreconditionError("degenerate lattice")
-    return DiscriminantGroup(
-        invariant_factors=tuple(f for f in factors if f > 1),
-        transform=u,
-        _factors_full=factors,
-    )
+    ones = factors.count(1)  # d_1 | d_2 | ...: the trivial factors come first
+    return DiscriminantGroup(invariant_factors=tuple(factors[ones:]), transform=u[ones:])
 
 
 @functools.lru_cache(maxsize=256)

@@ -12,7 +12,10 @@ the last pivot, the number of row swaps and the product of the row
 scales.  Fractions are formed only from d at the end.  Without swaps
 the rows are the fraction-free LDL^t that cone's Fincke-Pohst walk reads.
 smith_normal_form (over Z) keeps V by columns, so every step on U and V
-is a whole-row operation.  Ragged matrices are rejected.
+is a whole-row operation; its entries follow rational.parse_int.
+congruence_diagonalize (Lagrange, over Q) keeps T by columns and replaces
+the rows below each pivot by their Schur complement.  Ragged matrices
+are rejected, and so are non-square ones where a square one is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import gcd
 from operator import mul
 
 from .errors import PreconditionError
-from .rational import integral
+from .rational import integral, parse_ints
 
 
 def mat(rows):
@@ -55,6 +58,14 @@ def _width(m) -> int:
     n = len(m[0]) if m else 0
     if any(len(row) != n for row in m):
         raise PreconditionError("ragged matrix")
+    return n
+
+
+def _order(m) -> int:
+    """The size of the square matrix m."""
+    n = len(m)
+    if _width(m) != n:
+        raise PreconditionError("matrix must be square")
     return n
 
 
@@ -130,14 +141,15 @@ def rank(m) -> int:
 
 
 def determinant(m):
+    n = _order(m)
     _rows, pivots, d, swaps, scale = _echelon(m)
-    if len(pivots) < len(m):
+    if len(pivots) < n:
         return Fraction(0)
     return Fraction(-d if swaps % 2 else d, scale)
 
 
 def invert(m):
-    n = len(m)
+    n = _order(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     rows, pivots, d, _swaps, _scale = _echelon(aug, width=n, reduce=True)
     if len(pivots) < n:
@@ -188,52 +200,38 @@ def congruence_diagonalize(g):
     """Symmetric congruence T^t G T = diag by Lagrange's method.
 
     Pivot rule: first nonzero diagonal entry of the active block; if the
-    active diagonal vanishes identically, add the column of the first
-    nonzero off-diagonal pair (rank-2 hyperbolic split) to create one.
-    Works for singular input; zero diagonal entries mark the radical.
+    active diagonal vanishes identically, add row and column j of the
+    first nonzero pair (i, j) to row and column i (rank-2 hyperbolic
+    split).  The rows below each pivot become their Schur complement, so
+    the active block stays symmetric; T is kept by columns (tt).  Works
+    for singular input; zero diagonal entries mark the radical.
     """
-    n = len(g)
-    if _width(g) != n:
-        raise PreconditionError("matrix must be square")
+    n = _order(g)
     m = [[Fraction(x) for x in row] for row in g]
-    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def col_add(dst, src, f):
-        for r in range(n):
-            m[r][dst] += f * m[r][src]
-        for r in range(n):
-            m[dst][r] += f * m[src][r]
-        for r in range(n):
-            t[r][dst] += f * t[r][src]
-
-    def col_swap(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
+    tt = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][i]), None)
         if piv is None:
-            pair = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j]:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
             if pair is None:
                 break
-            col_add(pair[0], pair[1], Fraction(1))
-            piv = pair[0]
+            piv, j = pair
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for row in m[k:]:
+                row[piv] += row[j]
+            tt[piv] = [x + y for x, y in zip(tt[piv], tt[j])]
         if piv != k:
-            col_swap(k, piv)
-        for j in range(k + 1, n):
-            if m[k][j]:
-                col_add(j, k, -m[k][j] / m[k][k])
-    return mat(t), tuple(m[i][i] for i in range(n))
+            m[k], m[piv] = m[piv], m[k]
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+            tt[k], tt[piv] = tt[piv], tt[k]
+        top, col = m[k][k:], tt[k]
+        for row, t in zip(m[k + 1:], tt[k + 1:]):
+            if row[k]:
+                f = row[k] / top[0]
+                row[k:] = [x - f * y for x, y in zip(row[k:], top)]
+                t[:] = [x - f * y for x, y in zip(t, col)]
+    return mat(zip(*tt)), tuple(m[i][i] for i in range(n))
 
 
 def smith_normal_form(a):
@@ -244,7 +242,7 @@ def smith_normal_form(a):
     columns (vt), so every step on U and V is a whole-row list operation.
     """
     nrows, ncols = len(a), _width(a)
-    m = [[int(x) for x in row] for row in a]
+    m = [list(parse_ints(row)) for row in a]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     vt = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import PreconditionError
 from .lattice import IntegralLattice, is_primitive
-from .rational import integral, parse_array, parse_field, parse_int, parse_str
+from .rational import integral, parse_array, parse_field, parse_int, parse_ints, parse_str
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,14 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     Invariant under x -> -x: square, divisibility and the sign-folded
     residue all are.
     """
-    v = tuple(x)
+    v = parse_ints(x)
     if not is_primitive(v):
         raise PreconditionError("class must be primitive")
     square = lattice.square(v)
     if square >= 0:
         raise PreconditionError("class must have negative square")
     d = lattice.divisibility(v)
-    return table.match(int(square), d, lambda: lattice.discriminant_image(v))
+    return table.match(square, d, lambda: lattice.discriminant_image(v))
 
 
 def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:

@@ -18,7 +18,7 @@ def parse_frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Rational) and not isinstance(value, bool):  # int, numpy integers
-        return Fraction(value)
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -33,6 +33,12 @@ def parse_int(value) -> int:
     if f.denominator != 1:
         raise PreconditionError(f"not an integer: {str(value)!r}")
     return f.numerator
+
+
+def parse_ints(values) -> tuple[int, ...]:
+    """parse_int of every entry; a sequence of ints passes unchanged."""
+    v = tuple(values)
+    return v if all(type(c) is int for c in v) else tuple(map(parse_int, v))
 
 
 def parse_str(value) -> str:

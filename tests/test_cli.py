@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkcone import cli, fixtures
 from hkcone.cli import build_parser, main
@@ -431,3 +435,131 @@ class TestLatticeDocument:
         rc = main(["classify", "--lattice", str(lat), "--table", TAB, "--class", "4,0,-1"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["orbit"] == "codim2"
+
+
+def _fixture_doc(name):
+    with open(fixtures.fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# the documents the fuzzed commands read, by name
+FUZZ_DOCS = {
+    "lattice": _fixture_doc("k3_3_quartic.json"),
+    "table": _fixture_doc("mbm.json"),
+    "classes": _fixture_doc("named_classes.json"),
+    "from": _fixture_doc("chamber1.json"),
+    "to": _fixture_doc("chamber2.json"),
+    "path": {"a": ["2", "3/2", "-1"], "b": ["1", "2", "-5/4"]},
+    "omega": {"omega": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]},
+    "basis": {"basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+}
+
+# every subcommand, exiting 0 as written; an argument that names a
+# document above stands for that document's file
+FUZZ_COMMANDS = [
+    ["classify", "--lattice", "lattice", "--table", "table", "--class", "4,0,-1"],
+    ["dual-solve", "--lattice", "lattice", "--classes", "classes",
+     "--pair", "C=1", "--pair", "F=3", "--pair", "eps=1"],
+    ["enumerate-walls", "--lattice", "lattice", "--table", "table",
+     "--base", "4,4,-1", "--bound", "2"],
+    ["factor-path", "--lattice", "lattice", "--table", "table",
+     "--from", "from", "--to", "to", "--bound", "8"],
+    ["render-cone", "--lattice", "lattice", "--table", "table", "--base", "4,4,-1",
+     "--bound", "4", "--path", "path", "--mark", "4,4,-1:base", "--cusp", "1,1,-1"],
+    ["mukai-flop", "--k", "2", "--u", "1,0,0", "--phi", "0,1,0"],
+    ["symp-rank", "--omega", "omega", "--basis", "basis"],
+    ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "0,0",
+     "--depth", "3"],
+    ["sigma-orbit", "--e0", "0,0", "--e1", "sqrt2,0", "--e2", "0,1/2", "--x", "0,0",
+     "--depth", "3", "--grid", "4", "--real"],
+]
+
+# wrong types, booleans, floats, nulls, non-integral and undefined
+# rationals, negative and zero numbers, empty, short and ragged arrays
+BAD_JSON = ["x", "1/2", "1/0", True, False, 1.5, None, {}, [], -1, 0, [1, 2], [[1], [2, 3]]]
+# the same for option values; every number is small, so no value asks
+# for a long computation
+BAD_ARGS = ["", "x", "1/2", "1.5", "true", "0", "-1", "1,2", "1,2,3,4", "0,0,0",
+            "1,1,-1", "1/0,1", ",", "sqrt2", "C=1/2", "=1", "4,4,-1:"]
+
+
+def _paths(doc, prefix=()):
+    """The location of every value in a JSON document, the root first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, value, delete):
+    """A copy of doc with the value at path replaced, or deleted."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def fuzz_case(draw):
+    """(argv, documents): one command with one or two mutations; a
+    document is a JSON value, unparsable bytes or missing (None)."""
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    docs = {name: FUZZ_DOCS[name] for name in argv if name in FUZZ_DOCS}
+    for _ in range(draw(st.integers(1, 2))):
+        if docs and draw(st.booleans()):
+            name = draw(st.sampled_from(sorted(docs)))
+            if not isinstance(docs[name], (dict, list)):
+                continue
+            path = draw(st.sampled_from(list(_paths(docs[name]))))
+            action = draw(st.sampled_from(["replace"] * 5 + ["delete"] * 2 + ["not json", "missing"]))
+            if action == "not json":
+                docs[name] = b"{"
+            elif action == "missing":
+                docs[name] = None
+            else:
+                delete = action == "delete" and bool(path)
+                docs[name] = _mutate(docs[name], path, draw(st.sampled_from(BAD_JSON)), delete)
+        else:  # a file option is only dropped: its file is mutated above
+            values = [i for i in range(2, len(argv), 2) if argv[i] not in FUZZ_DOCS]
+            if values and draw(st.integers(0, 5)):
+                argv[draw(st.sampled_from(values))] = draw(st.sampled_from(BAD_ARGS))
+            else:
+                i = draw(st.sampled_from(range(2, len(argv), 2)))
+                del argv[i - 1:i + 1]
+    return argv, docs
+
+
+class TestBoundaryFuzz:
+    """Malformed documents and option values are input faults: main exits
+    0, 1 or 2, never 3, and raises nothing.  An argparse usage error counts
+    as the exit code it raises, as it does for the console script."""
+
+    @pytest.fixture(scope="class")
+    def tmp(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+    @given(case=fuzz_case())
+    def test_exit_codes(self, tmp, case):
+        argv, docs = case
+        files = {name: tmp / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            files[name].unlink(missing_ok=True)
+            if doc is not None:
+                files[name].write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        argv = [str(files.get(a, a)) for a in argv] + ["--out", str(tmp / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2), (argv, docs, err.getvalue())

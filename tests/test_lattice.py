@@ -25,6 +25,26 @@ def jacobi_signature(gram):
     return n - changes, changes, 0
 
 
+def discriminant_image_two_pass(lat, x):
+    """Residues of x/d(x) under the full U of the Smith form, trivial
+    factors dropped, folded by a second pass over the negated dual vector:
+    the oracle for the one-pass discriminant_image."""
+    u, d, _v = linalg.smith_normal_form(lat.gram)
+    factors = [d[i][i] for i in range(lat.rank)]
+
+    def residues(dual):
+        w = linalg.mat_vec(u, dual)
+        return tuple(int(wi) % f for wi, f in zip(w, factors) if f > 1)
+
+    div = lat.divisibility(x)
+    dual = []
+    for p in lat.pairing_row(x):
+        if p % div:
+            raise PreconditionError("divisibility does not divide the pairing row")
+        dual.append(p // div)
+    return min(residues(dual), residues([-w for w in dual]))
+
+
 class TestPairing:
     def test_zeta_square(self, quartic, named):
         assert quartic.pairing(named["zeta"], named["zeta"]) == -36
@@ -74,6 +94,14 @@ class TestDivisibility:
             for x in named.values():
                 assert lat.divisibility(tuple(Fraction(c) for c in x)) == lat.divisibility(x)
 
+    def test_non_integral_class_rejected(self, quartic):
+        # the half is not truncated away: (1/2, 0, 0) is not a class
+        lat = make_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -2]])
+        with pytest.raises(PreconditionError, match="not an integer"):
+            lat.divisibility((Fraction(1, 2), 0, 0))
+        with pytest.raises(PreconditionError, match="not an integer"):
+            quartic.divisibility((Fraction(3, 2), 1, 0))
+
     def test_divides_every_pairing(self, quartic):
         rng = random.Random(2)
         for _ in range(300):
@@ -94,6 +122,12 @@ class TestPrimitive:
     def test_zero_vector(self):
         with pytest.raises(PreconditionError):
             is_primitive((0, 0, 0))
+
+    def test_integral_rationals(self):
+        assert is_primitive((Fraction(4), 0, -1))
+        assert not is_primitive((Fraction(4), 0, Fraction(-2)))
+        with pytest.raises(PreconditionError, match="not an integer"):
+            is_primitive((Fraction(1, 2), 0, 1))
 
 
 class TestDiscriminantGroup:
@@ -177,6 +211,48 @@ class TestDiscriminantImage:
     def test_rejects_imprimitive(self, quartic):
         with pytest.raises(PreconditionError):
             quartic.discriminant_image((2, 2, 0))
+
+    def test_integral_rational_class(self, quartic):
+        x = (Fraction(4), 0, -1)
+        assert quartic.discriminant_image(x) == quartic.discriminant_image((4, 0, -1)) == (9,)
+        assert mod_four_class(quartic, x) == mod_four_class(quartic, (4, 0, -1)) == 1
+
+    def test_only_the_nontrivial_part_is_kept(self):
+        disc = make_lattice([[2, 0, 0], [0, -6, 0], [0, 0, -12]]).discriminant_group()
+        assert disc.invariant_factors == (2, 6, 12)
+        assert len(disc.transform) == 3
+        disc = make_lattice([[-2, 3, 0], [3, 0, 0], [0, 0, -4]]).discriminant_group()
+        assert disc.invariant_factors == (36,) and len(disc.transform) == 1
+        assert make_lattice([[0, 1], [1, 0]]).discriminant_group().transform == ()
+
+    def test_equals_two_pass_oracle(self):
+        rng = random.Random(17)
+        draws = raised = nontrivial = 0
+        while draws < 2000:
+            n = rng.randint(1, 5)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-6, 6) if rng.random() < 0.7 else 0
+            if linalg.determinant(gram) == 0:
+                continue
+            ideals = [rng.choice((1, 2, 4)) for _ in range(n)] if rng.random() < 0.2 else None
+            lat = make_lattice(gram, ambient_ideals=ideals)
+            for _ in range(20):
+                x = tuple(rng.randint(-9, 9) for _ in range(n))
+                if not any(x) or not is_primitive(x):
+                    continue
+                draws += 1
+                try:
+                    want = discriminant_image_two_pass(lat, x)
+                except PreconditionError:
+                    raised += 1
+                    with pytest.raises(PreconditionError, match="does not divide"):
+                        lat.discriminant_image(x)
+                    continue
+                assert lat.discriminant_image(x) == want, (gram, ideals, x)
+                nontrivial += any(want)
+        assert raised > 10 and nontrivial > 300
 
 
 class TestSignature:

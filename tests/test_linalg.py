@@ -191,6 +191,90 @@ def test_smith_normal_form_pivot_rule_is_deterministic():
     assert u1 == u2
 
 
+def congruence_diagonalize_closures(g):
+    """Lagrange's congruence with per-entry column and row closures: the
+    oracle for the whole-row implementation in linalg."""
+    n = len(g)
+    m = [[Fraction(x) for x in row] for row in g]
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def col_add(dst, src, f):
+        for r in range(n):
+            m[r][dst] += f * m[r][src]
+        for r in range(n):
+            m[dst][r] += f * m[src][r]
+        for r in range(n):
+            t[r][dst] += f * t[r][src]
+
+    def col_swap(i, j):
+        for r in range(n):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+        for r in range(n):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv is None:
+            pair = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if m[i][j]:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break
+            col_add(pair[0], pair[1], Fraction(1))
+            piv = pair[0]
+        if piv != k:
+            col_swap(k, piv)
+        for j in range(k + 1, n):
+            if m[k][j]:
+                col_add(j, k, -m[k][j] / m[k][k])
+    return linalg.mat(t), tuple(m[i][i] for i in range(n))
+
+
+def congruence_cases(seed):
+    """Seeded symmetric matrices of size 0 to 7: integer and rational
+    entries, zero diagonal entries, all-zero diagonals (the hyperbolic
+    split), singular ones P B P^t of lower rank, and the quartic Gram."""
+    rng = random.Random(seed)
+    yield []
+    yield [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
+    for k in range(5000):
+        n = min(rng.randint(1, 7), rng.randint(1, 7))  # every size, most of them small
+        if k % 4 == 3:  # rank at most n - 1
+            r = rng.randint(0, n - 1)
+            b = random_symmetric(rng, r, 3)
+            p = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            a = [list(row) for row in linalg.mat_mul(linalg.mat_mul(p, b), linalg.transpose(p))] \
+                if r else [[0] * n for _ in range(n)]
+        else:
+            a = random_symmetric(rng, n, rng.choice((1, 3, 9)))
+        kind = k % 5
+        for i in range(n):
+            if kind == 0 or (kind == 1 and rng.random() < 0.5):
+                a[i][i] = 0
+        if k % 7 == 0:
+            a = [[Fraction(x, 2) for x in row] for row in a]
+        yield a
+
+
+def test_congruence_diagonalize_equals_closure_oracle():
+    sizes = []
+    zero_diagonal = singular = 0
+    for a in congruence_cases(14):
+        t, diag = congruence_diagonalize_closures(a)
+        assert linalg.congruence_diagonalize(a) == (t, diag), a
+        sizes.append(len(a))
+        zero_diagonal += bool(a) and not any(a[i][i] for i in range(len(a)))
+        singular += 0 in diag
+    assert len(sizes) >= 5000 and set(sizes) == set(range(8))
+    assert zero_diagonal >= 500 and singular >= 1000
+
+
 def test_congruence_diagonalize_identity():
     rng = random.Random(5)
     for _ in range(200):
@@ -245,6 +329,40 @@ def test_invert():
     assert linalg.mat_mul(a, inv) == linalg.identity(2)
     with pytest.raises(PreconditionError):
         linalg.invert([[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("fn", [linalg.determinant, linalg.invert])
+def test_non_square_rejected(fn):
+    # a 2x3 matrix has no determinant or inverse: its third column is not
+    # dropped and the first 2x2 block is not read instead
+    with pytest.raises(PreconditionError, match="matrix must be square"):
+        fn([[1, 2, 3], [4, 5, 7]])
+    with pytest.raises(PreconditionError, match="matrix must be square"):
+        fn([[1, 2], [3, 4], [5, 6]])
+
+
+class TestSmithFormEntries:
+    """Smith-form entries follow the document-integer rule: an integral
+    rational is its integer, anything else is a PreconditionError."""
+
+    def test_non_integral_fraction_rejected(self):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            linalg.smith_normal_form([[Fraction(1, 2), 0], [0, 3]])
+
+    def test_float_rejected(self):
+        with pytest.raises(PreconditionError, match="not a rational"):
+            linalg.smith_normal_form([[1.7, 0], [0, 3]])
+
+    def test_bool_rejected(self):
+        with pytest.raises(PreconditionError):
+            linalg.smith_normal_form([[True, 0], [0, 3]])
+
+    def test_integral_rationals_and_numpy_ints_accepted(self):
+        a = [[4, 6], [6, 4]]
+        want = linalg.smith_normal_form(a)
+        assert linalg.smith_normal_form([[Fraction(x) for x in row] for row in a]) == want
+        got = linalg.smith_normal_form([[np.int64(x) for x in row] for row in a])
+        assert got == want and all(type(x) is int for m in got for row in m for x in row)
 
 
 def from_sympy(x):

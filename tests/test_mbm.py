@@ -50,6 +50,15 @@ class TestClassify:
         assert all(r is not None for r in rows)
         assert len({r.name for r in rows}) == 5
 
+    def test_integral_rational_class(self, quartic, table):
+        # (4, 0, -1) with a Fraction entry is the class (4, 0, -1)
+        row = classify(quartic, table, (Fraction(4), 0, -1))
+        assert row.name == "codim2" and row == classify(quartic, table, (4, 0, -1))
+
+    def test_non_integral_class_rejected(self, quartic, table):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            classify(quartic, table, (Fraction(3, 2), 1, 0))
+
     def test_residue_pinned_row(self, quartic, named):
         pinned = table_from_dict({"orbits": [
             {"name": "a", "square": -4, "divisibility": 4, "codimension": 1,
