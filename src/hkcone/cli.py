@@ -38,11 +38,20 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_point(spec_text: str):
+def _option_vector(lattice, option: str, text: str):
+    """Inline coordinates "a,b,c" of an option; errors name the option."""
+    try:
+        return lattice.check_length(parse_vector(text))
+    except PreconditionError as exc:
+        raise PreconditionError(f"{option}: {exc}") from exc
+
+
+def _load_point(lattice, option: str, spec_text: str):
     """A point is either inline coordinates "a,b,c" or a JSON file path."""
     if "," in spec_text:
-        return parse_vector(spec_text)
-    return parse_field(_load_json(spec_text), "point", parse_array, spec_text)
+        return _option_vector(lattice, option, spec_text)
+    return parse_field(_load_json(spec_text), "point",
+                       lambda v: lattice.check_length(parse_array(v)), spec_text)
 
 
 def _named_classes(lattice, path: str | None) -> dict:
@@ -53,14 +62,15 @@ def _named_classes(lattice, path: str | None) -> dict:
         if not isinstance(doc, dict):
             raise PreconditionError(f"{path}: expected an object of named classes")
         for key in doc:
-            names[key] = parse_field(doc, key, lambda v: parse_array(v, parse_int), path)
+            names[key] = parse_field(
+                doc, key, lambda v: lattice.check_length(parse_array(v, parse_int)), path)
     return names
 
 
 def _cmd_classify(args) -> int:
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
-    sig = mbm.classify(lattice, table, parse_vector(getattr(args, "class")))
+    sig = mbm.classify(lattice, table, _option_vector(lattice, "--class", getattr(args, "class")))
     if sig is None:
         _emit_json({"orbit": None}, args.out)
         return 0
@@ -85,7 +95,7 @@ def _cmd_dual_solve(args) -> int:
         if key in names:
             cls = names[key]
         elif "," in key:
-            cls = tuple(map(parse_int, parse_vector(key)))
+            cls = tuple(map(parse_int, _option_vector(lattice, "--pair", key)))
         else:
             raise PreconditionError(f"unknown class name {key!r}")
         constraints.append((cls, parse_frac(value.strip())))
@@ -102,7 +112,7 @@ def _cmd_dual_solve(args) -> int:
 def _cmd_enumerate(args) -> int:
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
-    base = parse_vector(args.base)
+    base = _option_vector(lattice, "--base", args.base)
     walls = cone.enumerate_wall_classes(lattice, table, base, parse_frac(args.bound))
     _emit_json({
         "walls": [
@@ -122,8 +132,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_factor_path(args) -> int:
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
-    a = _load_point(getattr(args, "from"))
-    b = _load_point(args.to)
+    a = _load_point(lattice, "--from", getattr(args, "from"))
+    b = _load_point(lattice, "--to", args.to)
     result = cone.factor_path(lattice, table, a, b, parse_frac(args.bound))
     _emit(cone.report_to_json(result), args.out)
     if result.status != cone.STATUS_OK:
@@ -135,20 +145,19 @@ def _cmd_factor_path(args) -> int:
 def _cmd_render(args) -> int:
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
-    base = parse_vector(args.base)
+    base = _option_vector(lattice, "--base", args.base)
     path = None
     if args.path is not None:
         doc = _load_json(args.path)
-        path = cone.FlopFactorization(
-            a=parse_field(doc, "a", parse_array, args.path),
-            b=parse_field(doc, "b", parse_array, args.path),
-            steps=(), groups=(), status=cone.STATUS_OK, perturbed=False,
-        )
+        a, b = (parse_field(doc, key, lambda v: lattice.check_length(parse_array(v)), args.path)
+                for key in ("a", "b"))
+        path = cone.FlopFactorization(a=a, b=b, steps=(), groups=(), status=cone.STATUS_OK,
+                                      perturbed=False)
     markers = []
     for mark in args.mark or ():
         coords_text, _, label = mark.partition(":")
-        markers.append((parse_vector(coords_text), label or coords_text))
-    cusps = [parse_vector(c) for c in args.cusp or ()]
+        markers.append((_option_vector(lattice, "--mark", coords_text), label or coords_text))
+    cusps = [_option_vector(lattice, "--cusp", c) for c in args.cusp or ()]
     scene = render.build_scene(lattice, table, base, parse_frac(args.bound),
                                markers=markers, cusps=cusps, path=path)
     _emit(render.render_svg(scene), args.out)
@@ -231,7 +240,7 @@ def _cmd_sigma_orbit(args) -> int:
     return 0
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing never changes it."""
     parser = argparse.ArgumentParser(

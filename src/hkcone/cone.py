@@ -10,13 +10,14 @@ exactly one codimension-two crossing.
 
 Enumeration visits the integer points of an ellipsoid, not of its
 bounding box: every wall lies where a positive definite majorant is
-bounded.  One coordinate is solved for exactly; the others walk the
-projected ellipsoid Fincke-Pohst style (U. Fincke and M. Pohst, Math.
-Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic Number
-Theory, 2.7.3), one of each +-pair, on linalg's Bareiss rows.  Per
-prefix and table square the solved coordinate is the root of an integer
-quadratic (or linear) equation, found by an ``isqrt`` perfect-square
-test.  Segment work is in integers: each endpoint p becomes P / m once
+bounded.  Each table square s has its own walk, with cap (2B + 1)|s|, on
+a Smith-form basis of the sublattice where d_s, the gcd of the
+divisibilities of its rows, divides the divisibility.  One coordinate is
+solved for exactly, by an ``isqrt`` perfect-square test; the others walk
+the projected ellipsoid Fincke-Pohst style (U. Fincke and M. Pohst,
+Math. Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic
+Number Theory, 2.7.3), one of each +-pair, on linalg's Bareiss rows.
+Segment work is in integers: each endpoint p becomes P / m once
 (``rational.integral``), and its side list holds the pairings q(x, P)
 with every enumerated wall x, dot products with the rows x^t G.  A zero
 marks incidence; opposite signs a crossing, at
@@ -28,10 +29,11 @@ Fractions are built only for the reported endpoints and t.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 from operator import mul
 
 from . import linalg
@@ -107,16 +109,35 @@ def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
 
 
 def _majorant(lattice: IntegralLattice, p) -> tuple[int, list[list[int]]]:
-    """(g, g M) at a primitive integer cone point p, with g = q(p).
-
-    M = 2 (Gp)(Gp)^t / g - G is the majorant: positive definite for a
-    Lorentzian lattice, since it is g > 0 on p and -q > 0 on p-perp.
-    Scaled by g it is an integer matrix.
-    """
+    """(g, g M) at a primitive integer cone point p, with g = q(p)."""
     g = int(lattice.square(p))
-    gp = [int(v) for v in lattice.pairing_row(p)]
-    return g, [[2 * gi * gj - g * gij for gj, gij in zip(gp, row)]
-               for gi, row in zip(gp, lattice.gram)]
+    return g, _scaled_majorant(g, lattice.pairing_row(p), lattice.gram)
+
+
+def _scaled_majorant(g, gp, gram) -> list[list[int]]:
+    """g M, M = 2 (Gp)(Gp)^t / g - G the majorant, from g = q(p) and gp = G p
+    in any basis: positive definite for a Lorentzian lattice, since it is
+    g > 0 on p and -q > 0 on p-perp, and an integer matrix."""
+    return [[2 * gi * gj - g * gij for gj, gij in zip(gp, row)] for gi, row in zip(gp, gram)]
+
+
+@functools.lru_cache(maxsize=256)
+def _sublattice(gram, ambient_ideals, d):
+    """(B, B^t G B), B a basis of L_d = {x : d | divisibility(x)}.
+
+    The divisibility is the content of A x, A = diag(ambient ideals) or G;
+    with U A V = D the Smith form, d | A x iff d / gcd(d, D_ii) divides
+    (V^-1 x)_i, so B = V diag(d / gcd(d, D_ii)), or I if every scale is 1.
+    """
+    n = len(gram)
+    a = gram if ambient_ideals is None else \
+        [[c * (i == j) for j in range(n)] for i, c in enumerate(ambient_ideals)]
+    _u, dm, v = linalg.smith_normal_form(a)
+    scales = [d // gcd(d, dm[i][i]) for i in range(n)]
+    if scales == [1] * n:
+        return linalg.identity(n), gram
+    basis = tuple(tuple(c * e for c, e in zip(row, scales)) for row in v)
+    return basis, linalg.mat_mul(linalg.mat_mul(linalg.transpose(basis), gram), basis)
 
 
 def _ellipsoid_slices(a, budget):
@@ -174,16 +195,17 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     matches a table row, and q(x, base)^2 <= B |q(x)| q(base).  The
     search region is compact, so the output is complete.
 
-    Every such x with q(x) = s < 0 has M(x) <= (2B + 1)|s| for the
-    majorant M of ``_majorant``.  One coordinate x_k, the one whose
-    lines through the ellipsoid are longest (least M_kk), is solved
-    for; the other coordinates (the prefix) walk the projection of the
-    ellipsoid, the Schur complement of M_kk, one of each +-pair.  Per
-    prefix and table square, q(x) = s is the integer equation
-    G_kk z^2 + 2 L z + Q - s = 0 in z = x_k, solved exactly by an
-    ``isqrt`` perfect-square test and divisibility; when G_kk = 0 it
-    is linear, and when L = 0 as well every z of the ellipsoid slice is
-    tried.  Candidates then pass the region inequality, primitivity
+    Each table square s has its own walk: its walls have M(x) <=
+    (2B + 1)|s| for the majorant M of ``_majorant``, and lie on L_d, d
+    the gcd of the divisibilities of the rows of square s, so x = B z on
+    the Smith-form basis of ``_sublattice``, with Gram matrix G'.  One
+    coordinate z_k, the one of least M'_kk, is solved for; the others
+    (the prefix) walk the projection of the ellipsoid, the Schur
+    complement of M'_kk, one of each +-pair.  Per prefix, q(x) = s is
+    G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly by an ``isqrt``
+    perfect-square test and divisibility; when G'_kk = 0 it is linear,
+    and when L = 0 as well every z_k of the ellipsoid slice is tried.
+    Candidates x = B z then pass the region inequality, primitivity
     and the table match.
     """
     _require_lorentzian(lattice)
@@ -193,88 +215,76 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     if not table.orbits:
         raise PreconditionError("signature table is empty")
     p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
-    squares = table.squares  # all negative: an OrbitSignature checks it
-    g, mt = _majorant(lattice, p)
-    gp = [int(v) for v in lattice.pairing_row(p)]
-    bn, bd = bound.numerator, bound.denominator
-    gram = lattice.gram
+    g = int(lattice.square(p))
+    pairs = lattice.pairing_row(p)  # G p
     n = lattice.rank
-    cap = floor(g * (2 * bound + 1) * -squares[0])  # g M(x) <= cap, integer
+    found = []
+    for s in table.squares:  # all negative: an OrbitSignature checks it
+        d_s = gcd(*(o.divisibility for o in table.orbits if o.square == s))
+        basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d_s)
+        gp = [sum(map(mul, col, pairs)) for col in zip(*basis)]  # B^t G p
+        mt = _scaled_majorant(g, gp, gram)
+        cap = floor(g * (2 * bound + 1) * -s)  # g M'(z) <= cap, integer
+        k = min(range(n), key=lambda i: mt[i][i])
+        free = [j for j in range(n) if j != k]
+        mkk, gkk = mt[k][k], gram[k][k]
 
-    k = min(range(n), key=lambda i: mt[i][i])
-    free = [j for j in range(n) if j != k]
-    mkk, gkk = mt[k][k], gram[k][k]
-
-    def roots(y, lin, quad):
-        """(s, z) for each table square s and integer z with q(x) = s,
-        x = y with z at k, where q(x) = G_kk z^2 + 2 lin z + quad."""
-        out = []
-        if gkk:
-            d0 = lin * lin - gkk * quad
-            for s in squares:
-                disc = d0 + gkk * s
-                if disc >= 0:
-                    r = isqrt(disc)
-                    if r * r == disc:
-                        out += [(s, num // gkk) for num in {r - lin, -r - lin}
-                                if num % gkk == 0]
-        elif lin:
-            out = [(s, (s - quad) // (2 * lin)) for s in squares
-                   if (s - quad) % (2 * lin) == 0]
-        elif quad in squares:
-            # q(x) = quad on the whole line: scan the ellipsoid slice
+        def roots(y, lin, quad):
+            """Integers z with q(x) = s, x = B z' for z' = y with z at k,
+            where q(x) = G'_kk z^2 + 2 lin z + quad."""
+            if gkk:
+                disc = lin * lin - gkk * (quad - s)
+                r = isqrt(max(disc, 0))
+                return [num // gkk for num in {r - lin, -r - lin}
+                        if r * r == disc and num % gkk == 0]
+            if lin:
+                return [(s - quad) // (2 * lin)] if (s - quad) % (2 * lin) == 0 else ()
+            if quad != s:
+                return ()
+            # q(x) = s on the whole line: scan the ellipsoid slice, where
+            # top = mkk cap - y^t schur y >= 0 since y is a walked prefix
             b = sum(mt[k][j] * v for j, v in zip(free, y))
             rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
-            top = mkk * (cap - rest) + b * b
-            if top >= 0:
-                r = isqrt(top)
-                out = [(quad, z) for z in range(-((r + b) // mkk), (r - b) // mkk + 1)]
-        return out
+            r = isqrt(mkk * (cap - rest) + b * b)
+            return range(-((r + b) // mkk), (r - b) // mkk + 1)
 
-    found = []
+        def emit(y, t, z):
+            # t = q(x, p) less the z_k term
+            t += gp[k] * z
+            if not _covers(bound, t, g, -s):
+                return
+            x = linalg.mat_vec(basis, y[:k] + (z,) + y[k:])  # B z
+            if next(c for c in x if c) < 0:
+                x = tuple(-c for c in x)
+            if linalg.vec_content(x) != 1:
+                return
+            row = table.match(s, lattice.divisibility(x), lambda: lattice.discriminant_image(x))
+            if row is not None:
+                found.append((x, row))
 
-    def emit(y, t, s, z):
-        # t = q(x, p) less the x_k term
-        t += gp[k] * z
-        if bd * t * t > bn * (-s) * g:
-            return
-        x = [0] * n
-        for j, v in zip(free, y):
-            x[j] = v
-        x[k] = z
-        if next(c for c in x if c) < 0:
-            x = [-c for c in x]
-        x = tuple(x)
-        if linalg.vec_content(x) != 1:
-            return
-        d = lattice.divisibility(x)
-        row = table.match(s, d, lambda: lattice.discriminant_image(x))
-        if row is not None:
-            found.append((x, row))
+        # the zero prefix: z = z_k e_k, one of +-z
+        zero = (0,) * len(free)
+        for z in roots(zero, 0, 0):
+            if z > 0:
+                emit(zero, 0, z)
 
-    # the zero prefix: x = z e_k, one of +-z
-    zero = (0,) * len(free)
-    for s, z in roots(zero, 0, 0):
-        if z > 0:
-            emit(zero, 0, s, z)
-
-    if free:
-        schur = [[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free] for i in free]
-        gk = [gram[k][j] for j in free]
-        gf = [[gram[i][j] for j in free] for i in free]
-        pf = [gp[j] for j in free]
-        g00, gk0, pf0 = gf[0][0], gk[0], pf[0]
-        for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
-            # lin, quad and t of the prefix as polynomials in y0
-            lin0 = sum(c * v for c, v in zip(gk[1:], outer))
-            quad0 = sum(v * gf[i][j] * w for i, v in enumerate(outer, 1)
-                        for j, w in enumerate(outer, 1))
-            cross0 = 2 * sum(c * v for c, v in zip(gf[0][1:], outer))
-            t0 = sum(c * v for c, v in zip(pf[1:], outer))
-            for y0 in range(lo, hi + 1):
-                y = (y0,) + outer
-                for s, z in roots(y, lin0 + gk0 * y0, quad0 + y0 * (cross0 + g00 * y0)):
-                    emit(y, t0 + pf0 * y0, s, z)
+        if free:
+            schur = [[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free] for i in free]
+            gk = [gram[k][j] for j in free]
+            gf = [[gram[i][j] for j in free] for i in free]
+            pf = [gp[j] for j in free]
+            g00, gk0, pf0 = gf[0][0], gk[0], pf[0]
+            for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
+                # lin, quad and t of the prefix as polynomials in y0
+                lin0 = sum(c * v for c, v in zip(gk[1:], outer))
+                quad0 = sum(v * gf[i][j] * w for i, v in enumerate(outer, 1)
+                            for j, w in enumerate(outer, 1))
+                cross0 = 2 * sum(c * v for c, v in zip(gf[0][1:], outer))
+                t0 = sum(c * v for c, v in zip(pf[1:], outer))
+                for y0 in range(lo, hi + 1):
+                    y = (y0,) + outer
+                    for z in roots(y, lin0 + gk0 * y0, quad0 + y0 * (cross0 + g00 * y0)):
+                        emit(y, t0 + pf0 * y0, z)
     found.sort(key=lambda item: item[0])
     return found
 
@@ -291,8 +301,8 @@ def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
 
 
 def _covers(bound, qq, q_base, q_point) -> bool:
-    # region inequality with the cone point in the wall slot:
-    # q(base, y)^2 <= B q(base) q(y), given qq = q(base, y)
+    # region inequality qq^2 <= B q(base) q_point, qq = q(base, y): for a
+    # cone point y, q_point = q(y); for a wall y, q_point = -q(y)
     return bound.denominator * qq * qq <= bound.numerator * q_base * q_point
 
 

@@ -89,6 +89,13 @@ class IntegralLattice:
     def square(self, x):
         return self.pairing(x, x)
 
+    def check_length(self, v: tuple) -> tuple:
+        """v, checked to have one entry per basis vector."""
+        if len(v) != self.rank:
+            raise PreconditionError(
+                f"dimension mismatch: expected {self.rank} coordinates, got {len(v)}")
+        return v
+
     def pairing_row(self, x) -> tuple:
         """Pairings of x against the basis vectors, i.e. G x."""
         return linalg.mat_vec(self.gram, tuple(x))
@@ -103,9 +110,7 @@ class IntegralLattice:
         vector's pairing ideal in the ambient lattice, and the divisibility
         becomes gcd_i(ambient_i * x_i).
         """
-        v = parse_ints(x)
-        if len(v) != self.rank:
-            raise PreconditionError("dimension mismatch")
+        v = self.check_length(parse_ints(x))
         if all(c == 0 for c in v):
             raise PreconditionError("zero vector")
         if self.ambient_ideals is not None:
@@ -127,7 +132,7 @@ class IntegralLattice:
         is a homomorphism, so the negation is read off as -r mod f and the
         smaller of the two (lexicographically) is returned.
         """
-        v = parse_ints(x)
+        v = self.check_length(parse_ints(x))
         if not is_primitive(v):
             raise PreconditionError("class must be primitive")
         d = self.divisibility(v)

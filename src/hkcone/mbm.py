@@ -98,7 +98,7 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     Invariant under x -> -x: square, divisibility and the sign-folded
     residue all are.
     """
-    v = parse_ints(x)
+    v = lattice.check_length(parse_ints(x))
     if not is_primitive(v):
         raise PreconditionError("class must be primitive")
     square = lattice.square(v)

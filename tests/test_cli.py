@@ -563,3 +563,48 @@ class TestBoundaryFuzz:
             except SystemExit as exc:
                 rc = exc.code
         assert rc in (0, 1, 2), (argv, docs, err.getvalue())
+
+
+class TestDimensionMismatch:
+    """A point or class of the wrong length exits 2 with a message that
+    names the option, or the file and key, and both counts."""
+
+    CASES = {
+        "from-file": (["factor-path", "--table", TAB, "--from", "{point}", "--to", CH4,
+                       "--bound", "8"], "{point}: 'point'"),
+        "from-inline": (["factor-path", "--table", TAB, "--from", "2,3", "--to", CH4,
+                         "--bound", "8"], "--from"),
+        "to-inline": (["factor-path", "--table", TAB, "--from", CH1, "--to", "1,2,-5/4,0",
+                       "--bound", "8"], "--to"),
+        "classes": (["dual-solve", "--classes", "{classes}", "--pair", "C=1"],
+                    "{classes}: 'C'"),
+        "pair": (["dual-solve", "--pair", "1,0=1"], "--pair"),
+        "path": (["render-cone", "--table", TAB, "--base", "4,4,-1", "--bound", "4",
+                  "--path", "{path}"], "{path}: 'a'"),
+        "render-base": (["render-cone", "--table", TAB, "--base", "4,4", "--bound", "4"],
+                        "--base"),
+        "enumerate-base": (["enumerate-walls", "--table", TAB, "--base", "4,4",
+                            "--bound", "4"], "--base"),
+        "mark": (["render-cone", "--table", TAB, "--base", "4,4,-1", "--bound", "4",
+                  "--mark", "1,1:M"], "--mark"),
+        "cusp": (["render-cone", "--table", TAB, "--base", "4,4,-1", "--bound", "4",
+                  "--cusp", "1,1"], "--cusp"),
+        "class": (["classify", "--table", TAB, "--class", "4,0"], "--class"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_names_where_and_counts(self, tmp_path, capsys, case):
+        files = {"point": {"point": ["2", "3/2"]}, "classes": {"C": [1, 0]},
+                 "path": {"a": ["1", "1"], "b": ["1", "1", "-1/4"]}}
+        names = {}
+        for key, doc in files.items():
+            names[key] = str(tmp_path / f"{key}.json")
+            (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+        argv, where = self.CASES[case]
+        argv = [a.format(**names) for a in argv]
+        rc = main([argv[0], "--lattice", LAT, *argv[1:], "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        got = 4 if case == "to-inline" else 2
+        assert err == f"hkcone: {where.format(**names)}: dimension mismatch: " \
+                      f"expected 3 coordinates, got {got}\n"

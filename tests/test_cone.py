@@ -1,15 +1,16 @@
 import itertools
 import random
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
 
 from hkcone import fixtures, linalg
+from hkcone import lattice as lattice_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
                          WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
-                         _sides, as_cone_point, component_sign, crossing_parameter,
+                         _sides, _sublattice, as_cone_point, component_sign, crossing_parameter,
                          enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau, report_to_json,
                          same_chamber, same_component)
@@ -809,3 +810,224 @@ class TestSameChamber:
     def test_eta_separates(self, quartic, table):
         assert quartic.pairing((0, 4, -3), M3) > 0 > quartic.pairing((0, 4, -3), M4)
         assert not same_chamber(quartic, table, M3, M4, F(20))
+
+
+def enumerate_one_ellipsoid(lattice, table, base, bound):
+    """The single-ellipsoid walk: one ellipsoid sized by the most negative
+    table square, every table square tried at every prefix of the full
+    lattice.  The oracle for the per-square walks on L_d."""
+    bound = Fraction(bound)
+    p = primitive_rescale(as_cone_point(lattice, base))[0]
+    squares = table.squares
+    g, mt = _majorant(lattice, p)
+    gp = [int(v) for v in lattice.pairing_row(p)]
+    bn, bd = bound.numerator, bound.denominator
+    gram = lattice.gram
+    n = lattice.rank
+    cap = floor(g * (2 * bound + 1) * -squares[0])
+    k = min(range(n), key=lambda i: mt[i][i])
+    free = [j for j in range(n) if j != k]
+    mkk, gkk = mt[k][k], gram[k][k]
+
+    def roots(y, lin, quad):
+        out = []
+        if gkk:
+            d0 = lin * lin - gkk * quad
+            for s in squares:
+                disc = d0 + gkk * s
+                if disc >= 0:
+                    r = isqrt(disc)
+                    if r * r == disc:
+                        out += [(s, num // gkk) for num in {r - lin, -r - lin}
+                                if num % gkk == 0]
+        elif lin:
+            out = [(s, (s - quad) // (2 * lin)) for s in squares
+                   if (s - quad) % (2 * lin) == 0]
+        elif quad in squares:
+            b = sum(mt[k][j] * v for j, v in zip(free, y))
+            rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
+            top = mkk * (cap - rest) + b * b
+            if top >= 0:
+                r = isqrt(top)
+                out = [(quad, z) for z in range(-((r + b) // mkk), (r - b) // mkk + 1)]
+        return out
+
+    found = []
+
+    def emit(y, t, s, z):
+        t += gp[k] * z
+        if bd * t * t > bn * (-s) * g:
+            return
+        x = [0] * n
+        for j, v in zip(free, y):
+            x[j] = v
+        x[k] = z
+        if next(c for c in x if c) < 0:
+            x = [-c for c in x]
+        x = tuple(x)
+        if linalg.vec_content(x) != 1:
+            return
+        row = table.match(s, lattice.divisibility(x), lambda: lattice.discriminant_image(x))
+        if row is not None:
+            found.append((x, row))
+
+    zero = (0,) * len(free)
+    for s, z in roots(zero, 0, 0):
+        if z > 0:
+            emit(zero, 0, s, z)
+    if free:
+        schur = [[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free] for i in free]
+        gk = [gram[k][j] for j in free]
+        gf = [[gram[i][j] for j in free] for i in free]
+        pf = [gp[j] for j in free]
+        for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
+            for y0 in range(lo, hi + 1):
+                y = (y0,) + outer
+                lin = sum(c * v for c, v in zip(gk, y))
+                quad = sum(v * gf[i][j] * w for i, v in enumerate(y) for j, w in enumerate(y))
+                for s, z in roots(y, lin, quad):
+                    emit(y, sum(c * v for c, v in zip(pf, y)), s, z)
+    found.sort(key=lambda item: item[0])
+    return found
+
+
+def cone_points(rng, lattice, count, reach):
+    """Seeded integer points of positive square with coordinates in +-reach."""
+    points = []
+    while len(points) < count:
+        v = tuple(rng.randint(-reach, reach) for _ in range(lattice.rank))
+        if lattice.square(v) > 0:
+            points.append(v)
+    return points
+
+
+def orbit_rows(pairs):
+    return SignatureTable(orbits=tuple(
+        OrbitSignature(name=f"o{i}", square=s, divisibility=d, codimension=i % 3 + 1)
+        for i, (s, d) in enumerate(sorted(pairs))))
+
+
+def random_lorentzian(rng, rank, ideals):
+    """A seeded Lorentzian lattice of the given rank, with random ambient
+    ideals in 1..6 or none, and a table of (square, divisibility) pairs
+    met by short primitive vectors, one square with a second divisibility.
+    Above rank 3 the vectors are shorter, so the walks stay small."""
+    while True:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = rng.randint(-1, 1) if rank > 3 else rng.randint(-4, 4)
+        if rank > 3:
+            for i in range(rank):
+                gram[i][i] = rng.randint(2, 6) * (1 if i == 0 else -1)
+        lat = make_lattice(gram, ambient_ideals=[rng.randint(1, 6) for _ in range(rank)]
+                           if ideals else None)
+        if linalg.determinant(gram) == 0 or lat.signature() != (1, rank - 1, 0):
+            continue
+        pairs = set()
+        reach = 3 if rank == 3 else 1
+        for _ in range(300):
+            v = tuple(rng.randint(-reach, reach) for _ in range(rank))
+            if any(v) and lat.square(v) < 0 and linalg.vec_content(v) == 1:
+                pairs.add((lat.square(v), lat.divisibility(v)))
+            if len(pairs) >= 4:
+                break
+        if pairs:
+            s, d = max(pairs)
+            return lat, orbit_rows(pairs | {(s, d * rng.choice([2, 3]))})
+
+
+# rows (-4, 2), (-4, 4) and (-8, 2): d_s = 2 on both squares of U + <-2> + <-4>
+U24_EVEN_TABLE = orbit_rows([(-4, 2), (-4, 4), (-8, 2)])
+# squares with several divisibilities, and a row pinning a residue of Z/36
+QUARTIC_MANY_TABLE = SignatureTable(orbits=(
+    OrbitSignature(name="a", square=-2, divisibility=1, codimension=1),
+    OrbitSignature(name="d1", square=-4, divisibility=1, codimension=1),
+    OrbitSignature(name="d2", square=-4, divisibility=2, codimension=1),
+    OrbitSignature(name="d4", square=-4, divisibility=4, codimension=1),
+    OrbitSignature(name="c2", square=-12, divisibility=2, codimension=3),
+    OrbitSignature(name="c6", square=-12, divisibility=6, codimension=3),
+    OrbitSignature(name="b4", square=-36, divisibility=4, codimension=2),
+    OrbitSignature(name="b4r", square=-36, divisibility=4, codimension=2, disc_residue=(9,)),
+    OrbitSignature(name="b12", square=-36, divisibility=12, codimension=2),
+))
+
+
+class TestPerSquareWalks:
+    """Each table square walks its own ellipsoid on its sublattice L_d; the
+    walls are ``==`` to the single-ellipsoid walk over the whole lattice."""
+
+    @pytest.mark.parametrize("bound", [F(1, 2), F(2), F(4), F(8), F(15), F(7, 3), F(100)])
+    def test_quartic_against_one_ellipsoid(self, quartic, table, bound):
+        rng = random.Random(int(bound * 6))
+        for base in [(4, 4, -1)] + cone_points(rng, quartic, 5, 5):
+            for tab in (table, QUARTIC_MANY_TABLE):
+                assert enumerate_wall_classes(quartic, tab, base, bound) == \
+                    enumerate_one_ellipsoid(quartic, tab, base, bound)
+
+    @pytest.mark.parametrize("bound", [400, 1600])
+    def test_quartic_large_bounds(self, quartic, table, bound):
+        walls = enumerate_wall_classes(quartic, table, (4, 4, -1), bound)
+        assert walls == enumerate_one_ellipsoid(quartic, table, (4, 4, -1), bound)
+        assert len(walls) == {400: 253, 1600: 586}[bound]
+
+    @pytest.mark.parametrize("tab", [U_TABLE, U24_EVEN_TABLE])
+    def test_u24_without_ambient_ideals(self, tab):
+        rng = random.Random(24)
+        walls = 0
+        for base in [(3, 1, 0, 0), (4, 2, 1, 1)] + cone_points(rng, U24, 6, 4):
+            for bound in (F(1), F(7, 3), F(8)):
+                got = enumerate_wall_classes(U24, tab, base, bound)
+                assert got == enumerate_one_ellipsoid(U24, tab, base, bound)
+                walls += len(got)
+        assert walls > 50
+
+    def test_u24_even_table_walks_a_proper_sublattice(self):
+        # L_2 = {x : G x = 0 mod 2} = 2Z + 2Z + Z + Z: index 4
+        basis, _gram = _sublattice(U24.gram, None, 2)
+        assert abs(linalg.determinant(basis)) == 4
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("ideals", [False, True])
+    def test_random_lorentzian(self, rank, ideals):
+        rng = random.Random(31 * rank + ideals)
+        for _ in range({3: 6, 4: 3, 5: 2}[rank]):
+            lat, tab = random_lorentzian(rng, rank, ideals)
+            for base in cone_points(rng, lat, 2, 2):
+                bound = rng.choice([F(1, 2), F(1), F(2), F(7, 3)])
+                assert enumerate_wall_classes(lat, tab, base, bound) == \
+                    enumerate_one_ellipsoid(lat, tab, base, bound)
+
+
+class TestSublattice:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ideals", [False, True])
+    def test_basis_is_the_divisibility_sublattice(self, rank, ideals):
+        rng = random.Random(50 * rank + ideals)
+        reach = {1: 12, 2: 4, 3: 2, 4: 1, 5: 1}[rank]
+        box = [x for x in itertools.product(range(-reach, reach + 1), repeat=rank) if any(x)]
+        for _ in range(2):
+            gram = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                for j in range(i, rank):
+                    gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+            if linalg.determinant(gram) == 0:
+                continue
+            lat = make_lattice(gram, ambient_ideals=[rng.randint(1, 12) for _ in range(rank)]
+                               if ideals else None)
+            a = [[c * (i == j) for j in range(rank)] for i, c in enumerate(lat.ambient_ideals)] \
+                if ideals else gram
+            dm = linalg.smith_normal_form(a)[1]
+            for d in range(1, 13):
+                basis, gram_d = _sublattice(lat.gram, lat.ambient_ideals, d)
+                assert gram_d == linalg.mat_mul(linalg.mat_mul(linalg.transpose(basis),
+                                                               lat.gram), basis)
+                assert abs(linalg.determinant(basis)) == \
+                    prod(d // gcd(d, dm[i][i]) for i in range(rank))
+                for x in box:
+                    member = all(c.denominator == 1 for c in linalg.solve(basis, x))
+                    assert member == (lat.divisibility(x) % d == 0), (gram, d, x)
+
+    def test_cache_is_bounded_like_the_lattice_caches(self):
+        assert _sublattice.cache_info().maxsize == \
+            lattice_module._discriminant_group.cache_info().maxsize == 256

@@ -390,3 +390,21 @@ class TestCaches:
         assert lat == twin and hash(lat) == hash(twin) == before
         assert repr(lat) == repr(twin) and vars(lat) == vars(twin)
         assert twin.discriminant_group() == disc
+
+
+class TestClassLength:
+    """The length of a class is checked before anything else about it."""
+
+    @pytest.mark.parametrize("x", [(4, 0), (4, 0, -1, 0), (0, 0)])
+    def test_discriminant_image_says_dimension_mismatch(self, quartic, x):
+        with pytest.raises(PreconditionError, match="dimension mismatch: expected 3"):
+            quartic.discriminant_image(x)
+
+    def test_divisibility_says_dimension_mismatch(self, quartic):
+        with pytest.raises(PreconditionError, match="expected 3 coordinates, got 2"):
+            quartic.divisibility((4, 0))
+
+    def test_check_length(self, quartic):
+        assert quartic.check_length((Fraction(1, 2), 0, -1)) == (Fraction(1, 2), 0, -1)
+        with pytest.raises(PreconditionError, match="expected 3 coordinates, got 4"):
+            quartic.check_length((1, 0, 0, 0))

@@ -183,3 +183,12 @@ class TestPrimitiveRescale:
         y = tuple(c // g for c in y)
         got, scale = primitive_rescale(tuple(Fraction(c, k) for c in y))
         assert got == y and scale == k
+
+
+class TestClassLength:
+    @pytest.mark.parametrize("x", [(4, 0), (4, 0, -1, 0)])
+    def test_classify_says_dimension_mismatch(self, quartic, table, x):
+        # (4, 0) is not primitive, but its length is what is wrong with it
+        with pytest.raises(PreconditionError, match="dimension mismatch") as info:
+            classify(quartic, table, x)
+        assert "primitive" not in str(info.value)
