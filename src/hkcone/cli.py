@@ -76,9 +76,7 @@ def _cmd_classify(args) -> int:
         return 0
     _emit_json({
         "orbit": sig.name,
-        "square": sig.square,
-        "divisibility": sig.divisibility,
-        "codimension": sig.codimension,
+        **sig.report_fields(),
     }, args.out)
     return 0
 
@@ -118,9 +116,7 @@ def _cmd_enumerate(args) -> int:
         "walls": [
             {
                 "class": list(x),
-                "square": sig.square,
-                "divisibility": sig.divisibility,
-                "codimension": sig.codimension,
+                **sig.report_fields(),
                 "orbit": sig.name,
             }
             for x, sig in walls
@@ -149,10 +145,8 @@ def _cmd_render(args) -> int:
     path = None
     if args.path is not None:
         doc = _load_json(args.path)
-        a, b = (parse_field(doc, key, lambda v: lattice.check_length(parse_array(v)), args.path)
-                for key in ("a", "b"))
-        path = cone.FlopFactorization(a=a, b=b, steps=(), groups=(), status=cone.STATUS_OK,
-                                      perturbed=False)
+        path = tuple(parse_field(doc, key, lambda v: lattice.check_length(parse_array(v)), args.path)
+                     for key in ("a", "b"))
     markers = []
     for mark in args.mark or ():
         coords_text, _, label = mark.partition(":")

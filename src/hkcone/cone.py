@@ -40,7 +40,7 @@ from . import linalg
 from .errors import InvariantError, PreconditionError
 from .lattice import IntegralLattice
 from .mbm import OrbitSignature, SignatureTable, primitive_rescale
-from .rational import frac_str, integral, vector_strs
+from .rational import frac_str, integral, parse_frac, vector_strs
 
 STATUS_OK = "ok"
 STATUS_DIVISORIAL = "leaves_birational_cone"
@@ -106,12 +106,6 @@ def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
     """True iff two positive-square points lie in the same cone component."""
     _require_lorentzian(lattice)
     return lattice.pairing(as_cone_point(lattice, p), as_cone_point(lattice, q_pt)) > 0
-
-
-def _majorant(lattice: IntegralLattice, p) -> tuple[int, list[list[int]]]:
-    """(g, g M) at a primitive integer cone point p, with g = q(p)."""
-    g = int(lattice.square(p))
-    return g, _scaled_majorant(g, lattice.pairing_row(p), lattice.gram)
 
 
 def _scaled_majorant(g, gp, gram) -> list[list[int]]:
@@ -196,7 +190,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     search region is compact, so the output is complete.
 
     Each table square s has its own walk: its walls have M(x) <=
-    (2B + 1)|s| for the majorant M of ``_majorant``, and lie on L_d, d
+    (2B + 1)|s| for the majorant M of ``_scaled_majorant``, and lie on L_d, d
     the gcd of the divisibilities of the rows of square s, so x = B z on
     the Smith-form basis of ``_sublattice``, with Gram matrix G'.  One
     coordinate z_k, the one of least M'_kk, is solved for; the others
@@ -209,7 +203,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     and the table match.
     """
     _require_lorentzian(lattice)
-    bound = Fraction(bound)
+    bound = parse_frac(bound)
     if bound <= 0:
         raise PreconditionError("bound must be positive")
     if not table.orbits:
@@ -388,7 +382,7 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     offending endpoint; the perturbed endpoints are reported.
     """
     _require_lorentzian(lattice)
-    bound = Fraction(bound)
+    bound = parse_frac(bound)
     pa, da, q_a = _integral_cone_point(lattice, a)
     pb, db, q_b = _integral_cone_point(lattice, b)
     q_ab = lattice.pairing(pa, pb)
@@ -448,9 +442,7 @@ def factorization_report(f: FlopFactorization) -> dict:
         "steps": [
             {
                 "class": list(s.wall_class),
-                "square": s.signature.square,
-                "divisibility": s.signature.divisibility,
-                "codimension": s.signature.codimension,
+                **s.signature.report_fields(),
                 "t": frac_str(s.t),
                 "orbit": s.signature.name,
             }

@@ -233,15 +233,13 @@ def lattice_from_dict(doc: dict, where: str = "lattice document") -> IntegralLat
     Integer entries follow the one rule for document integers
     (rational.parse_int); basis_names must be an array of strings.
     """
-    def field(key, parse, optional=False):
-        if optional and (not isinstance(doc, dict) or doc.get(key) is None):
-            return None
-        return parse_field(doc, key, parse, where)
-
-    gram = field("gram", lambda v: parse_array(v, lambda row: parse_array(row, parse_int)))
-    basis_names = field("basis_names", lambda v: parse_array(v, parse_str), optional=True)
-    ambient_ideals = field("ambient_ideals", lambda v: parse_array(v, parse_int), optional=True)
-    fujiki_constant = field("fujiki_constant", parse_frac, optional=True)
+    gram = parse_field(doc, "gram", lambda v: parse_array(v, lambda row: parse_array(row, parse_int)),
+                       where)
+    basis_names = parse_field(doc, "basis_names", lambda v: parse_array(v, parse_str), where,
+                              optional=True)
+    ambient_ideals = parse_field(doc, "ambient_ideals", lambda v: parse_array(v, parse_int), where,
+                                 optional=True)
+    fujiki_constant = parse_field(doc, "fujiki_constant", parse_frac, where, optional=True)
     try:
         return make_lattice(gram, basis_names, ambient_ideals, fujiki_constant)
     except PreconditionError as exc:

@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 
 from .errors import PreconditionError
-from .rational import integral, parse_ints
+from .rational import integral, parse_frac, parse_ints
 
 
 def mat(rows):
@@ -102,7 +102,7 @@ def _echelon(m, width=None, reduce=False):
     rows = []
     scale = 1
     for row in m:
-        if not all(isinstance(x, int) for x in row):
+        if not all(type(x) is int for x in row):
             row, s = integral(row)
             scale *= s
         rows.append(list(row))
@@ -207,7 +207,7 @@ def congruence_diagonalize(g):
     for singular input; zero diagonal entries mark the radical.
     """
     n = _order(g)
-    m = [[Fraction(x) for x in row] for row in g]
+    m = [[parse_frac(x) for x in row] for row in g]
     tt = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][i]), None)

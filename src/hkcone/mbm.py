@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import PreconditionError
 from .lattice import IntegralLattice, is_primitive
-from .rational import integral, parse_array, parse_field, parse_int, parse_ints, parse_str
+from .rational import (integral, parse_array, parse_field, parse_frac, parse_int, parse_ints,
+                       parse_str)
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,10 @@ class OrbitSignature:
     @property
     def key(self):
         return (self.square, self.divisibility, self.disc_residue)
+
+    def report_fields(self) -> dict:
+        """The square, divisibility and codimension, in that order, as reports print them."""
+        return {key: getattr(self, key) for key in ("square", "divisibility", "codimension")}
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:
     rhs = []
     for cls, value in constraints:
         rows.append(lattice.pairing_row(cls))
-        rhs.append(Fraction(value))
+        rhs.append(parse_frac(value))
     try:
         return linalg.solve(rows, rhs)
     except PreconditionError as exc:
@@ -140,17 +145,15 @@ def table_from_dict(doc: dict) -> SignatureTable:
         raise PreconditionError("signature-table document needs an 'orbits' list")
     orbits = []
     for i, row in enumerate(rows):
-        def field(key, parse=parse_int):
-            return parse_field(row, key, parse, f"orbit {i}")
+        def field(key, parse=parse_int, optional=False):
+            return parse_field(row, key, parse, f"orbit {i}", optional)
 
-        residue = row.get("disc_residue") if isinstance(row, dict) else None
         orbits.append(OrbitSignature(
             name=field("name", parse_str),
             square=field("square"),
             divisibility=field("divisibility"),
             codimension=field("codimension"),
-            disc_residue=None if residue is None else field(
-                "disc_residue", lambda r: parse_array(r, parse_int)),
+            disc_residue=field("disc_residue", lambda r: parse_array(r, parse_int), optional=True),
         ))
     return SignatureTable(orbits=tuple(orbits))
 

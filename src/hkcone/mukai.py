@@ -18,10 +18,11 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
+from .rational import parse_frac
 
 
 def _qvec(v):
-    return tuple(Fraction(c) for c in v)
+    return tuple(map(parse_frac, v))
 
 
 def proportional(v, w) -> bool:

@@ -1,7 +1,8 @@
 """Parsing and serialization of exact rationals.
 
 Wire format: rationals are strings "p/q" in lowest terms with q > 0,
-or bare integer strings; integers proper stay JSON integers.
+or bare integer strings; integers proper stay JSON integers.  parse_frac
+is the one rule for exact inputs, library calls included.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .errors import PreconditionError
 
 
 def parse_frac(value) -> Fraction:
-    """Accept an int, a Fraction, or a "p/q" / "p" string; not a bool."""
+    """Accept an int, a Fraction, a numpy integer or a "p/q" / "p" string; no float or bool."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Rational) and not isinstance(value, bool):  # int, numpy integers
@@ -63,11 +64,14 @@ def parse_matrix(value) -> tuple:
     return rows
 
 
-def parse_field(doc, key: str, parse, where: str):
-    """parse(doc[key]) for a JSON object; errors name where and the key."""
+def parse_field(doc, key: str, parse, where: str, optional: bool = False):
+    """parse(doc[key]) for a JSON object; errors name where and the key.
+    With ``optional``, a missing or null key gives None."""
     try:
         if not isinstance(doc, dict):
             raise PreconditionError(f"expected an object, got {doc!r}")
+        if optional and doc.get(key) is None:
+            return None
         if key not in doc:
             raise PreconditionError("missing")
         return parse(doc[key])
@@ -77,7 +81,7 @@ def parse_field(doc, key: str, parse, where: str):
 
 def integral(x) -> tuple[tuple[int, ...], int]:
     """(X, m) with X integral, m > 0 the lcm of the denominators and x = X / m."""
-    coords = tuple(Fraction(c) for c in x)
+    coords = [c if type(c) is int else parse_frac(c) for c in x]
     m = lcm(*(c.denominator for c in coords))
     return tuple(c.numerator * (m // c.denominator) for c in coords), m
 
@@ -89,9 +93,9 @@ def frac_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_vector(text: str, *, sep: str = ",") -> tuple[Fraction, ...]:
+def parse_vector(text: str) -> tuple[Fraction, ...]:
     """Parse "a,b,c" with rational entries."""
-    parts = [p.strip() for p in text.split(sep)]
+    parts = [p.strip() for p in text.split(",")]
     if not parts or parts == [""]:
         raise PreconditionError("empty vector")
     return tuple(parse_frac(p) for p in parts)

@@ -18,7 +18,7 @@ exact; floats only enter at the final quotients, each one int / int
 the square roots of the projection to screen coordinates.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
-2 red.
+2 red.  Marker labels are escaped as XML text.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cone import FlopFactorization, enumerate_wall_classes
+from .cone import enumerate_wall_classes
 from .errors import PreconditionError
 from .lattice import IntegralLattice, mod_four_class
 from .mbm import SignatureTable
@@ -155,8 +155,9 @@ def wall_chord(lattice: IntegralLattice, w) -> tuple[tuple[float, float], tuple[
 
 
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
-                markers=(), cusps=(), path: FlopFactorization | None = None) -> DiskScene:
-    """Assemble the disk picture of all walls near a base point."""
+                markers=(), cusps=(), path=None) -> DiskScene:
+    """Assemble the disk picture of all walls near a base point; a ``path``
+    (a, b) of two endpoints adds the segment, its ends marked "a" and "b"."""
     walls = enumerate_wall_classes(lattice, table, base, bound)
     frame = _DiskFrame(lattice)
     chords = tuple(
@@ -169,7 +170,9 @@ def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
     cusp_pts = tuple(frame.point(c) for c in cusps)
     polyline = None
     if path is not None:
-        polyline = (frame.point(path.a), frame.point(path.b))
+        if not isinstance(path, (tuple, list)) or len(path) != 2:
+            raise PreconditionError("path must be a pair of endpoints (a, b)")
+        polyline = (frame.point(path[0]), frame.point(path[1]))
         marks = marks + ((polyline[0], "a"), (polyline[1], "b"))
     return DiskScene(walls=chords, markers=marks, cusps=cusp_pts, path=polyline)
 
@@ -200,8 +203,9 @@ def render_svg(scene: DiskScene) -> str:
         pts = " ".join(f"{_fmt(u)},{_fmt(-v)}" for u, v in scene.path)
         lines.append(f'  <polyline points="{pts}" fill="none" stroke="{PATH_COLOR}" stroke-width="0.008"/>')
     for (u, v), label in scene.markers:
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(f'  <circle cx="{_fmt(u)}" cy="{_fmt(-v)}" r="0.012" fill="{MARKER_COLOR}"/>')
         lines.append(f'  <text x="{_fmt(u + 0.02)}" y="{_fmt(-v - 0.02)}" font-size="0.06" '
-                     f'fill="{MARKER_COLOR}">{label}</text>')
+                     f'fill="{MARKER_COLOR}">{text}</text>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

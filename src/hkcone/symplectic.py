@@ -1,11 +1,11 @@
 """Rank of a symplectic form restricted to subspaces, exactly.
 
-The rank of omega restricted to a subspace W with basis rows R is the
-rank of R omega R^t; it is even, at most dim W, and at least
-dim W - codim W with equality exactly for coisotropic W, since
+_form_rank gives rank(m^t omega m).  On a subspace W with basis rows R
+(m = R^t) it is even, at most dim W, and at least dim W - codim W with
+equality exactly for coisotropic W, since
 rank(omega|_W) = dim W - dim(W cap W^perp) and dim W^perp = codim W.
-is_coisotropic tests that equality instead of computing W^perp.  All
-ranks are computed by exact elimination; no thresholds.
+is_coisotropic tests that equality instead of computing W^perp.  Entries
+follow rational.parse_frac (ints stay ints); ranks are exact.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import PreconditionError
-
-
-def _num(c):
-    # ints stay ints so integer inputs ride the fraction-free fast paths
-    return c if isinstance(c, int) else Fraction(c)
+from .rational import parse_frac
 
 
 def _qmat(m):
-    return tuple(tuple(_num(c) for c in row) for row in m)
+    # ints stay ints so integer inputs ride the fraction-free fast paths
+    return tuple(tuple(c if type(c) is int else parse_frac(c) for c in row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -35,12 +32,10 @@ class SymplecticSpace:
         n = len(self.omega)
         if n == 0 or n % 2:
             raise PreconditionError("dimension must be even and positive")
-        for i in range(n):
-            if len(self.omega[i]) != n:
-                raise PreconditionError("omega must be square")
-            for j in range(n):
-                if self.omega[i][j] != -self.omega[j][i]:
-                    raise PreconditionError("omega must be antisymmetric")
+        if any(len(row) != n for row in self.omega):
+            raise PreconditionError("omega must be square")
+        if any(x != -y for row, col in zip(self.omega, zip(*self.omega)) for x, y in zip(row, col)):
+            raise PreconditionError("omega must be antisymmetric")
         if linalg.determinant(self.omega) == 0:
             raise PreconditionError("omega must be nondegenerate")
 
@@ -82,21 +77,16 @@ def subspace(vectors) -> Subspace:
     return Subspace(basis=_qmat(vectors))
 
 
-def _check_ambient(space: SymplecticSpace, w: Subspace):
-    if any(len(v) != space.dim for v in w.basis):
-        raise PreconditionError("basis vectors must lie in the ambient space")
-
-
-def gram_of_restriction(space: SymplecticSpace, w: Subspace):
-    _check_ambient(space, w)
-    rows = w.basis
-    omega_rt = linalg.mat_mul(space.omega, linalg.transpose(rows))
-    return linalg.mat_mul(rows, omega_rt)
+def _form_rank(space: SymplecticSpace, m) -> int:
+    """rank(m^t omega m), the rank of omega pulled back along the columns of m."""
+    return linalg.rank(linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(space.omega, m)))
 
 
 def restriction_rank(space: SymplecticSpace, w: Subspace) -> int:
     """Rank of omega restricted to W; always even."""
-    return linalg.rank(gram_of_restriction(space, w))
+    if any(len(v) != space.dim for v in w.basis):
+        raise PreconditionError("basis vectors must lie in the ambient space")
+    return _form_rank(space, linalg.transpose(w.basis))
 
 
 def is_isotropic(space: SymplecticSpace, w: Subspace) -> bool:
@@ -117,8 +107,7 @@ def pullback_rank(space: SymplecticSpace, f) -> int:
     f = _qmat(f)
     if len(f) != space.dim:
         raise PreconditionError("map must land in the ambient space")
-    ft = linalg.transpose(f)
-    return linalg.rank(linalg.mat_mul(ft, linalg.mat_mul(space.omega, f)))
+    return _form_rank(space, f)
 
 
 class MbmRankCheck(NamedTuple):

@@ -25,6 +25,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import PreconditionError
+from .rational import parse_frac
 
 
 @dataclass(frozen=True, order=True)
@@ -61,7 +62,7 @@ def _mod1(v):
 
 
 def exact_point(x, y) -> TorusPoint:
-    return TorusPoint(Fraction(x) % 1, Fraction(y) % 1, exact=True)
+    return TorusPoint(parse_frac(x) % 1, parse_frac(y) % 1, exact=True)
 
 
 def real_point(x, y, irrational: bool = False) -> TorusPoint:

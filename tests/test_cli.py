@@ -385,6 +385,23 @@ class TestGoldenSvg:
         assert hashlib.sha256(fresh.stdout.encode("utf-8")).hexdigest() == README_SVG_B15
 
 
+class TestGoldenReports:
+    """The README classify, enumerate-walls and factor-path stdout, byte for byte."""
+
+    @pytest.mark.parametrize("argv, size, digest", [
+        (["classify", "--class", "4,0,-1"], 82,
+         "8567147fe598b44b4a68a6a2120694ed9e46fd59ab5a51d84d891bb5895c5796"),
+        (["enumerate-walls", "--base", "4,4,-1", "--bound", "2"], 1833,
+         "d17b018612c9b2452f11ee241c12a549fbeee0b345ccc6635bf6f481fe8b437c"),
+        (["factor-path", "--from", CH1, "--to", CH4, "--bound", "8"], 768,
+         "b890b694df98a20a968deb83ad3758e0a89ed5b2a175af80bf66663502754c80"),
+    ], ids=["classify", "enumerate-walls", "factor-path"])
+    def test_readme_stdout(self, capsys, argv, size, digest):
+        assert main([argv[0], "--lattice", LAT, "--table", TAB, *argv[1:]]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
 class TestExitCodes:
     def test_internal_error_exit_3(self, monkeypatch, capsys):
         def broken(path):

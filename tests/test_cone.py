@@ -9,7 +9,7 @@ import pytest
 from hkcone import fixtures, linalg
 from hkcone import lattice as lattice_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
-                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
+                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _scaled_majorant,
                          _sides, _sublattice, as_cone_point, component_sign, crossing_parameter,
                          enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau, report_to_json,
@@ -116,7 +116,9 @@ def enumeration_box(lattice, base, bound, squares):
     (2B + 1) max|s|, and the box follows from the inverse of the
     majorant's Gram matrix.
     """
-    g, scaled = _majorant(lattice, primitive_rescale(as_cone_point(lattice, base))[0])
+    p = primitive_rescale(as_cone_point(lattice, base))[0]
+    g = lattice.square(p)
+    scaled = _scaled_majorant(g, lattice.pairing_row(p), lattice.gram)
     cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
     inv = linalg.invert(scaled)
     return tuple(isqrt(floor(cap * g * inv[i][i])) for i in range(lattice.rank))
@@ -306,7 +308,7 @@ class TestEnumerate:
         # these bases it is e (index 0), where G_kk = 0, so q(x) = s is
         # linear in x_0 with slope 2 x_1.  Prefixes with x_1 = 0 make it
         # vanish altogether, and the ellipsoid slice is scanned.
-        _g, mt = _majorant(lat, base)
+        mt = _scaled_majorant(lat.square(base), lat.pairing_row(base), lat.gram)
         assert min(range(lat.rank), key=lambda i: mt[i][i]) == 0
         walls = enumerate_wall_classes(lat, U_TABLE, base, bound)
         box = enumeration_box(lat, base, bound, U_TABLE.squares)
@@ -819,7 +821,8 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
     bound = Fraction(bound)
     p = primitive_rescale(as_cone_point(lattice, base))[0]
     squares = table.squares
-    g, mt = _majorant(lattice, p)
+    g = lattice.square(p)
+    mt = _scaled_majorant(g, lattice.pairing_row(p), lattice.gram)
     gp = [int(v) for v in lattice.pairing_row(p)]
     bn, bd = bound.numerator, bound.denominator
     gram = lattice.gram

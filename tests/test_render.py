@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
@@ -229,7 +231,7 @@ class TestAgainstFractionOracle:
         markers = [((4, 4, -1), "base"), ((1, 1, F(-1, 4)), "p")]
         cusps = [(0, 1, 0), (1, 1, -1)]
         scene = build_scene(quartic, table, (4, 4, -1), F(100),
-                            markers=markers, cusps=cusps, path=path)
+                            markers=markers, cusps=cusps, path=(path.a, path.b))
         assert len(scene.walls) == 108
         for chord in scene.walls:
             assert chord.endpoints == fraction_chord(quartic, chord.wall_class)
@@ -323,7 +325,7 @@ class TestSvg:
         path = factor_path(quartic, table, fixtures.chamber_point(1),
                            fixtures.chamber_point(4), fixtures.PATH_BOUND)
         scene = build_scene(quartic, table, (4, 4, -1), fixtures.RENDER_BOUND,
-                            path=path)
+                            path=(path.a, path.b))
         assert "<polyline" in render_svg(scene)
 
         def orient(a, b, c):
@@ -335,3 +337,33 @@ class TestSvg:
             if orient(a, b, ch.endpoints[0]) * orient(a, b, ch.endpoints[1]) < 0
             and orient(*ch.endpoints, a) * orient(*ch.endpoints, b) < 0)
         assert crossings == 3
+
+
+class TestPathOverlay:
+    # a golden: the bytes of render_svg for the chamber 1 -> 4 overlay at RENDER_BOUND
+    SVG_SHA256 = "67e1edccb043cedd1ddda2edd1b79269612265385ef372de6725272f74089d52"
+
+    def test_endpoint_pair_keeps_the_overlay(self, quartic, table):
+        f = factor_path(quartic, table, fixtures.chamber_point(1),
+                        fixtures.chamber_point(4), fixtures.PATH_BOUND)
+        scene = build_scene(quartic, table, (4, 4, -1), fixtures.RENDER_BOUND, path=(f.a, f.b))
+        assert scene.path == ((-0.1111111111111111, -0.6285393610547089),
+                              (-0.6666666666666666, -0.5892556509887896))
+        doc = render_svg(scene).encode("utf-8")
+        assert (len(doc), hashlib.sha256(doc).hexdigest()) == (4904, self.SVG_SHA256)
+
+    def test_path_that_is_not_a_pair_rejected(self, quartic, table):
+        f = factor_path(quartic, table, fixtures.chamber_point(1),
+                        fixtures.chamber_point(4), fixtures.PATH_BOUND)
+        for path in ((f.a, f.b, f.a), (f.a,), f):
+            with pytest.raises(PreconditionError, match="pair of endpoints"):
+                build_scene(quartic, table, (4, 4, -1), F(2), path=path)
+
+
+def test_marker_labels_are_escaped(quartic, table):
+    label = "a<b&c>d"
+    scene = build_scene(quartic, table, (4, 4, -1), F(2), markers=[((1, 1, F(-1, 4)), label)])
+    doc = render_svg(scene)
+    assert "a&lt;b&amp;c&gt;d" in doc
+    texts = xml.dom.minidom.parseString(doc).getElementsByTagName("text")
+    assert [t.firstChild.data for t in texts] == [label]

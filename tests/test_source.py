@@ -39,3 +39,18 @@ def test_caches_are_bounded():
                 if name in ("cache", "lru_cache") and not _bounded(dec):
                     found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def test_private_helpers_are_referenced():
+    # an underscore helper that nothing in the package names is dead code
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    found = [f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.endswith("__")
+             and node.name not in used]
+    assert found == []

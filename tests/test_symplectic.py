@@ -49,6 +49,19 @@ class TestRestrictionRank:
         with pytest.raises(PreconditionError, match="ragged"):
             pullback_rank(standard_space(1), [[1, 0], [0]])
 
+    @pytest.mark.parametrize("omega, message", [
+        ([[0]], "dimension must be even and positive"),
+        ([], "dimension must be even and positive"),
+        ([[0, 1, 0], [-1, 0, 0]], "omega must be square"),
+        ([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0]], "omega must be square"),
+        ([[0, 1], [1, 0]], "omega must be antisymmetric"),
+        ([[1, 1], [-1, 0]], "omega must be antisymmetric"),
+        ([[0, 0], [0, 0]], "omega must be nondegenerate"),
+    ], ids=["odd", "empty", "non-square", "ragged", "symmetric", "diagonal", "degenerate"])
+    def test_omega_error_texts(self, omega, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            symplectic_space(omega)
+
     def test_degenerate_omega_rejected(self):
         with pytest.raises(PreconditionError):
             symplectic_space([[0, 0], [0, 0]])
