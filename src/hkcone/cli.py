@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 I/O errors and files that are not JSON, 2
 precondition violations (including a factorization whose status is not
 "ok"), 3 internal errors.
-Diagnostics go to stderr; data goes to the declared output.
+Diagnostics go to stderr; data goes to the declared output.  An --out
+file is rewritten in place and then truncated to the new length, not
+truncated first: on a delayed-allocation filesystem (ext4), closing a
+file that was truncated to zero forces its writeback.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 from . import cone, mbm, mukai, render, symplectic, torus
@@ -24,9 +29,13 @@ from .rational import (frac_str, parse_array, parse_field, parse_frac, parse_int
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    data = text.encode("utf-8")
+    # no O_TRUNC: cut the stale tail after writing, where a file can be cut
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def _emit_json(obj, out: str | None):

@@ -212,6 +212,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     g = int(lattice.square(p))
     pairs = lattice.pairing_row(p)  # G p
     n = lattice.rank
+    ideals = lattice.ambient_ideals
     found = []
     for s in table.squares:  # all negative: an OrbitSignature checks it
         d_s = gcd(*(o.divisibility for o in table.orbits if o.square == s))
@@ -252,7 +253,10 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
                 x = tuple(-c for c in x)
             if linalg.vec_content(x) != 1:
                 return
-            row = table.match(s, lattice.divisibility(x), lambda: lattice.discriminant_image(x))
+            div = gcd(*map(mul, ideals, x)) if ideals else gcd(*lattice.pairing_row(x))
+            if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
+                raise InvariantError("a wall candidate pairs to zero with the whole lattice")
+            row = table.match(s, div, lambda: lattice.discriminant_image(x))
             if row is not None:
                 found.append((x, row))
 
@@ -289,8 +293,11 @@ def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
     Returns q(x,a) / (q(x,a) - q(x,b)) when the pairings have strictly
     opposite signs, None otherwise (including an endpoint on the wall).
     Pure segment arithmetic: cone membership is the caller's concern.
+    With x = X / mx, a = A / ma and b = B / mb, the parameter is
+    q(X, A) mb / (q(X, A) mb - q(X, B) ma).
     """
-    qa, qb = lattice.pairing(x, a), lattice.pairing(x, b)
+    (xs, _), (pa, ma), (pb, mb) = integral(x), integral(a), integral(b)
+    qa, qb = lattice.pairing(xs, pa) * mb, lattice.pairing(xs, pb) * ma
     return Fraction(qa, qa - qb) if qa * qb < 0 else None
 
 

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import PreconditionError
@@ -201,15 +202,41 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
     bundled quartic-K3 data has group Z/36); any other factor is a
     PreconditionError.
     """
-    factors = lattice.discriminant_group().invariant_factors
-    if factors and factors[-1] % 4:
-        raise PreconditionError(
-            f"residue mod 4 needs the last invariant factor divisible by 4; got {factors[-1]}")
-    image = lattice.discriminant_image(x)
-    if not image:
+    _last_residue_row(lattice.gram)  # the factor is checked before the class
+    v = lattice.check_length(parse_ints(x))
+    if not is_primitive(v):
+        raise PreconditionError("class must be primitive")
+    return residue_mod_four(lattice, v, lattice.divisibility(v))
+
+
+def residue_mod_four(lattice: IntegralLattice, x, d: int) -> int:
+    """``mod_four_class`` of a primitive integral class x of divisibility d.
+
+    The last residue of x/d(x) is u.(Gx/d) mod f for u the last row of
+    the discriminant transform; 4 divides f, so its class mod 4 is
+    u.(Gx/d) mod 4, and folding by sign makes the sign of u immaterial.
+    """
+    u = _last_residue_row(lattice.gram)
+    row = lattice.pairing_row(x)
+    if any(p % d for p in row):
+        raise PreconditionError("divisibility does not divide the pairing row")
+    if u is None:
         return 0
-    m = image[-1] % 4
-    return min(m, (4 - m) % 4)
+    m = sum(map(mul, u, row)) // d % 4
+    return min(m, 4 - m)
+
+
+@functools.lru_cache(maxsize=256)
+def _last_residue_row(gram) -> tuple[int, ...] | None:
+    """The last row of the discriminant transform, None for a trivial group;
+    the last invariant factor must be divisible by 4."""
+    disc = _discriminant_group(gram)
+    if not disc.invariant_factors:
+        return None
+    if disc.invariant_factors[-1] % 4:
+        raise PreconditionError("residue mod 4 needs the last invariant factor divisible by 4; "
+                                f"got {disc.invariant_factors[-1]}")
+    return disc.transform[-1]
 
 
 def make_lattice(gram, basis_names=None, ambient_ideals=None,

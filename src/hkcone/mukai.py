@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .rational import parse_frac
+from .rational import integral, parse_frac
 
 
 def _qvec(v):
@@ -26,7 +26,14 @@ def _qvec(v):
 
 
 def proportional(v, w) -> bool:
-    """True iff nonzero v, w span the same line (all 2x2 minors vanish)."""
+    """True iff nonzero v, w span the same line (all 2x2 minors vanish).
+
+    The minors are taken on the integral forms of v and w, which span
+    the same lines.
+    """
+    (v, _), (w, _) = integral(v), integral(w)
+    if len(v) != len(w):
+        raise PreconditionError(f"v and w must have the same length; got {len(v)} and {len(w)}")
     if all(c == 0 for c in v) or all(c == 0 for c in w):
         raise PreconditionError("zero vector has no direction")
     n = len(v)

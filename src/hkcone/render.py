@@ -18,7 +18,11 @@ exact; floats only enter at the final quotients, each one int / int
 the square roots of the projection to screen coordinates.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
-2 red.  Marker labels are escaped as XML text.
+2 red.  The enumerated table row of a wall carries its divisibility d,
+so the color costs the pairing row Gx, the check that d divides it and
+one dot product with the last row of the discriminant transform, read
+once per lattice (``lattice.residue_mod_four``).  Marker labels are
+escaped as XML text.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 from .cone import enumerate_wall_classes
 from .errors import PreconditionError
-from .lattice import IntegralLattice, mod_four_class
+from .lattice import IntegralLattice, residue_mod_four
 from .mbm import SignatureTable
 from .rational import integral
 
@@ -162,9 +166,9 @@ def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
     frame = _DiskFrame(lattice)
     chords = tuple(
         WallChord(endpoints=frame.chord(x),
-                  residue=mod_four_class(lattice, x),
+                  residue=residue_mod_four(lattice, x, sig.divisibility),
                   wall_class=x)
-        for x, _sig in walls
+        for x, sig in walls
     )
     marks = tuple((frame.point(coords), str(label)) for coords, label in markers)
     cusp_pts = tuple(frame.point(c) for c in cusps)

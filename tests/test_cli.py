@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -294,6 +296,62 @@ class TestRender:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(rep) in err and "'a'" in err
+
+
+WRITE_COMMANDS = {
+    "render-cone": ["render-cone", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1",
+                    "--bound", "4", "--cusp", "0,1,0"],
+    "enumerate-walls": ["enumerate-walls", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1",
+                        "--bound", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITE_COMMANDS.values(), ids=WRITE_COMMANDS.keys())
+class TestOutFile:
+    """--out is written in place and truncated to the new length."""
+
+    @staticmethod
+    def expected(argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    def test_longer_file_ends_with_exactly_the_new_bytes(self, tmp_path, capsys, argv):
+        want = self.expected(argv, capsys)
+        out = tmp_path / "out"
+        out.write_bytes(want[:100] + b"#" * (len(want) + 4096))
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert capsys.readouterr() == ("", "")
+
+    def test_stdout_has_the_bytes_of_the_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert self.expected(argv, capsys) == out.read_bytes()
+
+    def test_dev_null_exit_0(self, capsys, argv):
+        assert main(argv + ["--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_directory_exit_1(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hkcone: ") and "internal error" not in err
+
+    def test_new_file_gets_the_mode_of_open(self, tmp_path, argv):
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_pipe(self, capsys, argv):
+        want = self.expected(argv, capsys)
+        fresh = run_cli(*argv, "--out", "/dev/stdout")  # stdout is a pipe: nothing to truncate
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert fresh.stdout.encode("utf-8") == want
 
 
 class TestDeterminism:

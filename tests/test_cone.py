@@ -392,6 +392,21 @@ class TestCrossingParameter:
     def test_endpoint_on_wall_is_none(self, quartic):
         assert crossing_parameter(quartic, (0, 0, 1), (1, 1, 0), (1, 1, -1)) is None
 
+    def test_rational_points_keep_their_value(self, quartic):
+        a, b = (2, F(3, 2), -1), (1, 2, F(-5, 4))
+        qa, qb = quartic.pairing((-4, 0, 1), a), quartic.pairing((-4, 0, 1), b)
+        assert crossing_parameter(quartic, (-4, 0, 1), a, b) == qa / (qa - qb) == F(2, 13)
+        assert crossing_parameter(quartic, (F(-4, 3), 0, F(1, 3)), a, b) == F(2, 13)
+
+    @pytest.mark.parametrize("x, a, b", [
+        ((-4, 0, 1), (2, 1.5, -1), (1, 2, -1.25)),
+        ((True, 0, 1), (1, 1, 1), (1, 1, -1)),
+        ((0, 0, 1), (1, 1, 1), (1, 1, "x")),
+    ])
+    def test_floats_and_bools_are_preconditions(self, quartic, x, a, b):
+        with pytest.raises(PreconditionError, match="not a rational"):
+            crossing_parameter(quartic, x, a, b)
+
 
 class TestFactorPath:
     def test_chain_m1_to_m4(self, quartic, table):

@@ -109,6 +109,22 @@ class TestFlop:
         assert flop_dual(flop(m)).slice_coords == m.slice_coords
 
 
+class TestProportional:
+    def test_rationals(self):
+        assert proportional((F(1, 2), F(-3, 4)), (2, -3))
+        assert not proportional((F(1, 2), 1), (1, 1))
+        assert proportional((0, 2, 3), (0, -4, -6))
+
+    @pytest.mark.parametrize("v, w, match", [
+        ((0.1, 0.2), (1, 2), "not a rational"),
+        ((True, 0), (1, 0), "not a rational"),
+        ((1, 2), (1, 2, 3), "same length"),
+    ])
+    def test_floats_bools_and_lengths_are_preconditions(self, v, w, match):
+        with pytest.raises(PreconditionError, match=match):
+            proportional(v, w)
+
+
 class TestDiagram:
     def test_worked_point(self):
         assert check_diagram(make_point((1, 0), (0, 1)))

@@ -2,15 +2,18 @@ import hashlib
 import math
 import random
 import xml.dom.minidom
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from hkcone import fixtures, linalg
+from hkcone import lattice as lattice_module
 from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
-from hkcone.lattice import make_lattice
+from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
+from hkcone.mbm import table_from_dict
 from hkcone.rational import integral
 from hkcone.render import (DiskScene, WallChord, _DiskFrame, _fmt, build_scene, klein_coords,
                            render_svg, wall_chord)
@@ -295,6 +298,134 @@ class TestScene:
         with pytest.raises(PreconditionError):
             DiskScene(walls=(WallChord(endpoints=((0.5, 0.0), (0.0, 1.0)),
                                        residue=0, wall_class=(1, 0, 0)),))
+
+
+def image_mod_four(lattice, x):
+    """mod_four_class by the full discriminant image of x, per class: the
+    oracle for the last row of the transform read once per lattice."""
+    factors = lattice.discriminant_group().invariant_factors
+    if factors and factors[-1] % 4:
+        raise PreconditionError(
+            f"residue mod 4 needs the last invariant factor divisible by 4; got {factors[-1]}")
+    image = lattice.discriminant_image(x)
+    if not image:
+        return 0
+    m = image[-1] % 4
+    return min(m, (4 - m) % 4)
+
+
+def error_text(fn, *args):
+    with pytest.raises(PreconditionError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def rows_table(*rows):
+    return table_from_dict({"orbits": [
+        {"name": f"r{i}", "square": s, "divisibility": d, "codimension": 2,
+         **({} if r is None else {"disc_residue": r})}
+        for i, (s, d, r) in enumerate(rows)]})
+
+
+class TestColorsAgainstImageOracle:
+    """A scene colors each wall from its table row's divisibility and the
+    last row of the discriminant transform; the full image is the oracle."""
+
+    @staticmethod
+    def assert_colors_match(lat, tab, base, bound):
+        scene = build_scene(lat, tab, base, bound)
+        got = [(ch.wall_class, ch.residue) for ch in scene.walls]
+        assert got == [(x, image_mod_four(lat, x)) for x, _sig in
+                       enumerate_wall_classes(lat, tab, base, bound)]
+        return Counter(residue for _x, residue in got)
+
+    @pytest.mark.parametrize("bound", [2, 4, 15, 100])
+    def test_seeded_quartic_views(self, quartic, table, bound):
+        rng = random.Random(bound)
+        bases = [(4, 4, -1)]
+        while len(bases) < 4:
+            b = tuple(rng.randint(-6, 6) for _ in range(3))
+            if quartic.square(b) > 0 and quartic.pairing(b, (4, 4, -1)) > 0:
+                bases.append(b)
+        colors = Counter()
+        for base in bases:
+            colors += self.assert_colors_match(quartic, table, base, bound)
+        assert set(colors) == {0, 1, 2}
+
+    def test_table_that_pins_a_residue(self, quartic):
+        # the quartic's group is Z/36: codim-2 and delta walls have image 9,
+        # eps and codim-3 walls 18; one pinned row never matches
+        tab = rows_table((-36, 4, [9]), (-4, 4, [9]), (-4, 2, [18]), (-12, 2, [0]), (-12, 2, None),
+                    (-2, 1, None))
+        walls = enumerate_wall_classes(quartic, tab, (4, 4, -1), 15)
+        assert {sig.name for _x, sig in walls} == {"r0", "r1", "r2", "r4", "r5"}
+        assert self.assert_colors_match(quartic, tab, (4, 4, -1), 15) == {1: 27, 2: 7, 0: 1}
+
+    def test_trivial_group_colors_black(self):
+        lat = make_lattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]])  # unimodular
+        assert lat.discriminant_group().invariant_factors == ()
+        colors = self.assert_colors_match(lat, rows_table((-1, 1, None), (-2, 1, None)),
+                                         (3, 1, 1), 15)
+        assert set(colors) == {0} and colors[0] > 10
+
+    def test_factor_not_divisible_by_four_keeps_its_text(self):
+        lat = make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])  # U + <-2>: Z/2
+        tab = rows_table((-2, 2, None))
+        x = (0, 0, 1)
+        assert enumerate_wall_classes(lat, tab, (1, 1, 0), 4)[0][0] == x
+        want = error_text(image_mod_four, lat, x)
+        assert want == "residue mod 4 needs the last invariant factor divisible by 4; got 2"
+        assert error_text(build_scene, lat, tab, (1, 1, 0), 4) == want
+        assert error_text(mod_four_class, lat, x) == want
+
+    def test_ideals_that_do_not_divide_the_pairing_row_keep_their_text(self, quartic):
+        # ambient ideals [1, 1, 8]: (0, 0, 1) has divisibility 8 but G x = (0, 0, -4)
+        lat = make_lattice(quartic.gram, quartic.basis_names, [1, 1, 8])
+        tab = rows_table((-4, 8, None))
+        x = (0, 0, 1)
+        assert [w for w, _sig in enumerate_wall_classes(lat, tab, (4, 4, -1), 4)] == [x]
+        want = error_text(image_mod_four, lat, x)
+        assert want == "divisibility does not divide the pairing row"
+        assert error_text(build_scene, lat, tab, (4, 4, -1), 4) == want
+        assert error_text(mod_four_class, lat, x) == want
+
+    def test_mod_four_class_on_random_lattices(self):
+        rng = random.Random(23)
+        compared = raised = 0
+        for lat in random_lorentzian_lattices(60, 29):
+            if rng.random() < 0.3:
+                lat = make_lattice(lat.gram, ambient_ideals=[rng.choice((1, 2, 4)) for _ in range(3)])
+            for x in random_classes(lat, rng, 10, lambda q: True):
+                if not is_primitive(x):
+                    continue
+                try:
+                    want = image_mod_four(lat, x)
+                except PreconditionError as exc:
+                    raised += 1
+                    assert error_text(mod_four_class, lat, x) == str(exc)
+                    continue
+                compared += 1
+                assert mod_four_class(lat, x) == want, (lat.gram, lat.ambient_ideals, x)
+        assert compared > 100 and raised > 50
+
+
+def test_scene_colors_do_no_per_wall_lattice_work(quartic, table, monkeypatch):
+    """Call counts, not timings: the colors read the lattice once, not per wall."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((IntegralLattice, "discriminant_image"),
+                        (IntegralLattice, "divisibility"), (lattice_module, "_discriminant_group")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    walls = build_scene(quartic, table, (4, 4, -1), fixtures.RENDER_BOUND).walls
+    assert len(walls) >= 30
+    assert calls["discriminant_image"] == 0  # the bundled table pins no residue
+    assert calls["divisibility"] <= 1 and calls["_discriminant_group"] <= 1, calls
 
 
 class TestSvg:
