@@ -6,7 +6,9 @@ precondition violations (including a factorization whose status is not
 Diagnostics go to stderr; data goes to the declared output.  An --out
 file is rewritten in place and then truncated to the new length, not
 truncated first: on a delayed-allocation filesystem (ext4), closing a
-file that was truncated to zero forces its writeback.
+file that was truncated to zero forces its writeback.  A write that
+fails leaves the file empty, but the rewrite is not crash-safe: after a
+crash the file can hold a new prefix and the old tail.
 """
 
 from __future__ import annotations
@@ -30,12 +32,23 @@ def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
         return
-    data = text.encode("utf-8")
+    data = memoryview(text.encode("utf-8"))
     # no O_TRUNC: cut the stale tail after writing, where a file can be cut
-    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(len(data))
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        except BaseException:
+            if regular:  # no new prefix in front of an old tail
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _emit_json(obj, out: str | None):

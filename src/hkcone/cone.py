@@ -38,7 +38,7 @@ from operator import mul
 
 from . import linalg
 from .errors import InvariantError, PreconditionError
-from .lattice import IntegralLattice
+from .lattice import IntegralLattice, pairing_ideal
 from .mbm import OrbitSignature, SignatureTable, primitive_rescale
 from .rational import frac_str, integral, parse_frac, vector_strs
 
@@ -212,7 +212,6 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     g = int(lattice.square(p))
     pairs = lattice.pairing_row(p)  # G p
     n = lattice.rank
-    ideals = lattice.ambient_ideals
     found = []
     for s in table.squares:  # all negative: an OrbitSignature checks it
         d_s = gcd(*(o.divisibility for o in table.orbits if o.square == s))
@@ -253,7 +252,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
                 x = tuple(-c for c in x)
             if linalg.vec_content(x) != 1:
                 return
-            div = gcd(*map(mul, ideals, x)) if ideals else gcd(*lattice.pairing_row(x))
+            div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
             if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
                 raise InvariantError("a wall candidate pairs to zero with the whole lattice")
             row = table.match(s, div, lambda: lattice.discriminant_image(x))

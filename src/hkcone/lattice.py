@@ -114,11 +114,7 @@ class IntegralLattice:
         v = self.check_length(parse_ints(x))
         if all(c == 0 for c in v):
             raise PreconditionError("zero vector")
-        if self.ambient_ideals is not None:
-            vals = [a * c for a, c in zip(self.ambient_ideals, v)]
-        else:
-            vals = self.pairing_row(v)
-        g = linalg.vec_content(vals)
+        g = pairing_ideal(self.gram, self.ambient_ideals, v)
         if g == 0:
             raise PreconditionError("vector pairs to zero with the whole lattice")
         return g
@@ -193,6 +189,17 @@ def _congruence(gram):
     return linalg.congruence_diagonalize(gram)
 
 
+def pairing_ideal(gram, ambient_ideals, v: tuple[int, ...]) -> int:
+    """The divisibility rule on a checked integer tuple v (0 if v pairs to
+    zero with everything): gcd_i(ambient_i * v_i) with ambient ideals,
+    else the gcd of G v.  ``IntegralLattice.divisibility`` parses and
+    checks its argument first; the wall enumeration, whose candidates are
+    integer tuples of the right length already, calls this directly.
+    """
+    return math.gcd(*map(mul, ambient_ideals, v)) if ambient_ideals else \
+        math.gcd(*linalg.mat_vec(gram, v))
+
+
 def mod_four_class(lattice: IntegralLattice, x) -> int:
     """Reduction mod 4 of the last discriminant residue, folded by sign.
 
@@ -202,21 +209,37 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
     bundled quartic-K3 data has group Z/36); any other factor is a
     PreconditionError.
     """
-    _last_residue_row(lattice.gram)  # the factor is checked before the class
+    u = mod_four_row(lattice)  # the factor is checked before the class
     v = lattice.check_length(parse_ints(x))
     if not is_primitive(v):
         raise PreconditionError("class must be primitive")
-    return residue_mod_four(lattice, v, lattice.divisibility(v))
+    return residue_mod_four(lattice, v, lattice.divisibility(v), u)
 
 
-def residue_mod_four(lattice: IntegralLattice, x, d: int) -> int:
-    """``mod_four_class`` of a primitive integral class x of divisibility d.
+def mod_four_row(lattice: IntegralLattice) -> tuple[int, ...] | None:
+    """The last row u of the discriminant transform, None for a trivial group.
 
-    The last residue of x/d(x) is u.(Gx/d) mod f for u the last row of
-    the discriminant transform; 4 divides f, so its class mod 4 is
-    u.(Gx/d) mod 4, and folding by sign makes the sign of u immaterial.
+    The last residue of x/d(x) is u.(Gx/d(x)) mod f, f the last invariant
+    factor; f must be divisible by 4 for its class mod 4 to be defined.
     """
-    u = _last_residue_row(lattice.gram)
+    disc = lattice.discriminant_group()
+    if not disc.invariant_factors:
+        return None
+    if disc.invariant_factors[-1] % 4:
+        raise PreconditionError("residue mod 4 needs the last invariant factor divisible by 4; "
+                                f"got {disc.invariant_factors[-1]}")
+    return disc.transform[-1]
+
+
+def residue_mod_four(lattice: IntegralLattice, x, d: int, u) -> int:
+    """``mod_four_class`` of x, given d = d(x) and u = ``mod_four_row(lattice)``.
+
+    x must be a primitive integer tuple of the lattice's rank and d its
+    divisibility; neither is checked (a wrong d that divides Gx gives a
+    wrong class), except that d must divide Gx.  4 divides f, so the class
+    is u.(Gx/d) mod 4, and folding by sign makes the sign of u immaterial.
+    Reading u once lets a caller color many classes of one lattice.
+    """
     row = lattice.pairing_row(x)
     if any(p % d for p in row):
         raise PreconditionError("divisibility does not divide the pairing row")
@@ -224,19 +247,6 @@ def residue_mod_four(lattice: IntegralLattice, x, d: int) -> int:
         return 0
     m = sum(map(mul, u, row)) // d % 4
     return min(m, 4 - m)
-
-
-@functools.lru_cache(maxsize=256)
-def _last_residue_row(gram) -> tuple[int, ...] | None:
-    """The last row of the discriminant transform, None for a trivial group;
-    the last invariant factor must be divisible by 4."""
-    disc = _discriminant_group(gram)
-    if not disc.invariant_factors:
-        return None
-    if disc.invariant_factors[-1] % 4:
-        raise PreconditionError("residue mod 4 needs the last invariant factor divisible by 4; "
-                                f"got {disc.invariant_factors[-1]}")
-    return disc.transform[-1]
 
 
 def make_lattice(gram, basis_names=None, ambient_ideals=None,

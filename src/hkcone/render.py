@@ -21,7 +21,7 @@ Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.  The enumerated table row of a wall carries its divisibility d,
 so the color costs the pairing row Gx, the check that d divides it and
 one dot product with the last row of the discriminant transform, read
-once per lattice (``lattice.residue_mod_four``).  Marker labels are
+once per scene (``lattice.mod_four_row``, ``lattice.residue_mod_four``).  Marker labels are
 escaped as XML text.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .cone import enumerate_wall_classes
 from .errors import PreconditionError
-from .lattice import IntegralLattice, residue_mod_four
+from .lattice import IntegralLattice, mod_four_row, residue_mod_four
 from .mbm import SignatureTable
 from .rational import integral
 
@@ -164,9 +164,10 @@ def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
     (a, b) of two endpoints adds the segment, its ends marked "a" and "b"."""
     walls = enumerate_wall_classes(lattice, table, base, bound)
     frame = _DiskFrame(lattice)
+    u = mod_four_row(lattice) if walls else None
     chords = tuple(
         WallChord(endpoints=frame.chord(x),
-                  residue=residue_mod_four(lattice, x, sig.divisibility),
+                  residue=residue_mod_four(lattice, x, sig.divisibility, u),
                   wall_class=x)
         for x, sig in walls
     )

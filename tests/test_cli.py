@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -345,6 +346,31 @@ class TestOutFile:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    @pytest.mark.parametrize("failure, code", [(OSError(errno.ENOSPC, "No space left on device"), 1),
+                                               (KeyboardInterrupt(), None)],
+                             ids=["enospc", "interrupt"])
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, capsys, argv, monkeypatch,
+                                             failure, code):
+        want = self.expected(argv, capsys)
+        out = tmp_path / "out"
+        out.write_bytes(b"#" * (len(want) + 4096))
+        real_write, writes = os.write, []
+
+        def write_a_prefix_then_fail(fd, data):
+            if writes:
+                raise failure
+            writes.append(real_write(fd, data[:100]))
+            return writes[-1]
+
+        monkeypatch.setattr(os, "write", write_a_prefix_then_fail)
+        if code is None:
+            with pytest.raises(type(failure)):
+                main(argv + ["--out", str(out)])
+        else:
+            assert main(argv + ["--out", str(out)]) == code
+            assert "No space left on device" in capsys.readouterr().err
+        assert writes == [100] and out.read_bytes() == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     def test_pipe(self, capsys, argv):
