@@ -9,22 +9,30 @@ bimeromorphic map into flops, grouped so that every block carries
 exactly one codimension-two crossing.
 
 Enumeration visits the integer points of an ellipsoid, not of its
-bounding box: every wall lies where a positive definite majorant is
-bounded.  Each table square s has its own walk, with cap (2B + 1)|s|, on
-a Smith-form basis of the sublattice where d_s, the gcd of the
-divisibilities of its rows, divides the divisibility.  One coordinate is
+bounding box.  A region is q(x, a) q(x, b) <= rho |q(x)|, for cone
+points a and b in one component and rho >= 0: a view around p is a = b =
+p with rho = B q(p), and the walls that meet a segment [a, b] are those
+of rho = 0, so ``--bound`` plays no part in a segment's search.  A wall x
+of square s in the region has F(x) = 2 q(x, a) q(x, b) - q(a, b) q(x) <=
+(2 rho + q(a, b)) |s|, and F is positive definite (``_majorant``).  Each
+table square s has its own walk on a Smith-form basis of the sublattice
+where d_s, the gcd of the divisibilities of its rows, divides the
+divisibility.  One coordinate is
 solved for exactly, by an ``isqrt`` perfect-square test; the others walk
 the projected ellipsoid Fincke-Pohst style (U. Fincke and M. Pohst,
 Math. Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic
 Number Theory, 2.7.3), one of each +-pair, on linalg's Bareiss rows.
 Segment work is in integers: each endpoint p becomes P / m once
 (``rational.integral``), and its side list holds the pairings q(x, P)
-with every enumerated wall x, dot products with the rows x^t G.  A zero
-marks incidence; opposite signs a crossing, at
+with every wall x of the segment, dot products with the rows x^t G.  A
+zero marks incidence; opposite signs a crossing, at
 t = q(x, A) mb / (q(x, A) mb - q(x, B) ma).  A perturbed endpoint is
 y / d, d = 64 m 2^h: a shift adds 1 to one y_j and column j of the rows
 to the side list, and halving the shift doubles y, d and the side list.
-Fractions are built only for the reported endpoints and t.
+A shift of x to y needs no walk when an integer certificate
+(``_short_shift``) shows that only walls through x can meet [x, y]: those
+are walls of the segment, so the side list decides; otherwise [x, y] is
+walked.  Fractions are built only for the reported endpoints and t.
 """
 
 from __future__ import annotations
@@ -108,11 +116,16 @@ def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
     return lattice.pairing(as_cone_point(lattice, p), as_cone_point(lattice, q_pt)) > 0
 
 
-def _scaled_majorant(g, gp, gram) -> list[list[int]]:
-    """g M, M = 2 (Gp)(Gp)^t / g - G the majorant, from g = q(p) and gp = G p
-    in any basis: positive definite for a Lorentzian lattice, since it is
-    g > 0 on p and -q > 0 on p-perp, and an integer matrix."""
-    return [[2 * gi * gj - g * gij for gj, gij in zip(gp, row)] for gi, row in zip(gp, gram)]
+def _majorant(ga, gb, qab, gram) -> list[list[int]]:
+    """ga gb^t + gb ga^t - q(a, b) G, the Gram matrix of the form
+    F(x) = 2 q(x, a) q(x, b) - q(a, b) q(x), from ga = G a, gb = G b and
+    q(a, b) in any basis: an integer matrix, positive definite when a and b
+    lie in one component of the positive cone of a Lorentzian lattice.  On
+    P = span(a, b) with q(a) = q(b) = 1 and C = q(a, b) >= 1 it is
+    C (u^2 + v^2) + 2 u v at x = u a + v b, on P-perp it is -C q > 0, and
+    the two do not mix.  At a = b = p it is 2 (Gp)(Gp)^t - q(p) G."""
+    return [[gi * hj + hi * gj - qab * gij for gj, hj, gij in zip(ga, gb, row)]
+            for gi, hi, row in zip(ga, gb, gram)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -187,20 +200,8 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     A class qualifies when it is primitive, one per +-pair with the first
     nonzero coordinate positive, its (square, divisibility[, residue])
     matches a table row, and q(x, base)^2 <= B |q(x)| q(base).  The
-    search region is compact, so the output is complete.
-
-    Each table square s has its own walk: its walls have M(x) <=
-    (2B + 1)|s| for the majorant M of ``_scaled_majorant``, and lie on L_d, d
-    the gcd of the divisibilities of the rows of square s, so x = B z on
-    the Smith-form basis of ``_sublattice``, with Gram matrix G'.  One
-    coordinate z_k, the one of least M'_kk, is solved for; the others
-    (the prefix) walk the projection of the ellipsoid, the Schur
-    complement of M'_kk, one of each +-pair.  Per prefix, q(x) = s is
-    G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly by an ``isqrt``
-    perfect-square test and divisibility; when G'_kk = 0 it is linear,
-    and when L = 0 as well every z_k of the ellipsoid slice is tried.
-    Candidates x = B z then pass the region inequality, primitivity
-    and the table match.
+    search region is compact, so the output is complete: it is the
+    ``_walls`` region of a = b = p, the primitive base, and rho = B q(p).
     """
     _require_lorentzian(lattice)
     bound = parse_frac(bound)
@@ -209,16 +210,54 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     if not table.orbits:
         raise PreconditionError("signature table is empty")
     p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
-    g = int(lattice.square(p))
-    pairs = lattice.pairing_row(p)  # G p
+    return _walls(lattice, table, p, p, bound * lattice.square(p))
+
+
+def _segment_walls(lattice, table, a, b):
+    """The walls that meet the closed segment [a, b], for integral a and b
+    in one component of the cone: the ``_walls`` region of the primitive
+    a and b with rho = 0, q(x, a) q(x, b) <= 0."""
+    a, b = primitive_rescale(a)[0], primitive_rescale(b)[0]
+    return _walls(lattice, table, a, b, 0)
+
+
+def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignature]]:
+    """The wall classes x with q(x, a) q(x, b) <= rho |q(x)|, sorted
+    lexicographically, for a and b integral in one component of the cone
+    and rational rho >= 0.
+
+    A class qualifies when it is primitive, one per +-pair with the first
+    nonzero coordinate positive, lies in the region and its (square,
+    divisibility[, residue]) matches a table row.  Pass b = a (the same
+    object) when the two agree, so that q(x, a) is computed once.
+
+    Each table square s has its own walk: its walls have F(x) = 2 q(x, a)
+    q(x, b) - q(a, b) q(x) <= cap = floor((2 rho + q(a, b)) |s|) for the
+    positive definite F of ``_majorant``, and lie on L_d, d the gcd of
+    the divisibilities of the rows of square s, so x = B z on the
+    Smith-form basis of ``_sublattice``, with Gram matrix G' and
+    majorant M'.  One coordinate z_k, the one of least M'_kk, is
+    solved for; the others (the prefix) walk the projection of the
+    ellipsoid, the Schur complement of M'_kk, one of each +-pair.  Per
+    prefix, q(x) = s is G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly
+    by an ``isqrt`` perfect-square test and divisibility; when G'_kk = 0
+    it is linear, and when L = 0 as well every z_k of the ellipsoid slice
+    is tried.  Candidates x = B z then pass the region inequality,
+    primitivity and the table match.
+    """
+    ra = lattice.pairing_row(a)  # G a
+    rb = ra if b is a else lattice.pairing_row(b)
+    qab = sum(map(mul, a, rb))
     n = lattice.rank
     found = []
     for s in table.squares:  # all negative: an OrbitSignature checks it
         d_s = gcd(*(o.divisibility for o in table.orbits if o.square == s))
         basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d_s)
-        gp = [sum(map(mul, col, pairs)) for col in zip(*basis)]  # B^t G p
-        mt = _scaled_majorant(g, gp, gram)
-        cap = floor(g * (2 * bound + 1) * -s)  # g M'(z) <= cap, integer
+        ga = [sum(map(mul, col, ra)) for col in zip(*basis)]  # B^t G a
+        gb = ga if rb is ra else [sum(map(mul, col, rb)) for col in zip(*basis)]
+        mt = _majorant(ga, gb, qab, gram)
+        cap = floor((2 * rho + qab) * -s)  # M'(z) <= cap, integer
+        lim = floor(rho * -s)  # the region: q(x, a) q(x, b) <= lim
         k = min(range(n), key=lambda i: mt[i][i])
         free = [j for j in range(n) if j != k]
         mkk, gkk = mt[k][k], gram[k][k]
@@ -243,11 +282,12 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
             return range(-((r + b) // mkk), (r - b) // mkk + 1)
 
         def emit(y, t, z):
-            # t = q(x, p) less the z_k term
-            t += gp[k] * z
-            if not _covers(bound, t, g, -s):
+            # t = q(x, a) less the z_k term
+            t += ga[k] * z
+            z = y[:k] + (z,) + y[k:]
+            if t * (t if gb is ga else sum(map(mul, gb, z))) > lim:
                 return
-            x = linalg.mat_vec(basis, y[:k] + (z,) + y[k:])  # B z
+            x = linalg.mat_vec(basis, z)  # B z
             if next(c for c in x if c) < 0:
                 x = tuple(-c for c in x)
             if linalg.vec_content(x) != 1:
@@ -269,7 +309,7 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
             schur = [[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free] for i in free]
             gk = [gram[k][j] for j in free]
             gf = [[gram[i][j] for j in free] for i in free]
-            pf = [gp[j] for j in free]
+            pf = [ga[j] for j in free]
             g00, gk0, pf0 = gf[0][0], gk[0], pf[0]
             for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
                 # lin, quad and t of the prefix as polynomials in y0
@@ -300,10 +340,10 @@ def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
     return Fraction(qa, qa - qb) if qa * qb < 0 else None
 
 
-def _covers(bound, qq, q_base, q_point) -> bool:
-    # region inequality qq^2 <= B q(base) q_point, qq = q(base, y): for a
-    # cone point y, q_point = q(y); for a wall y, q_point = -q(y)
-    return bound.denominator * qq * qq <= bound.numerator * q_base * q_point
+def _covers(bound, qq, q_base, q_y) -> bool:
+    # the region around base covers the cone point y: qq^2 <= B q(base) q(y),
+    # qq = q(base, y)
+    return bound.denominator * qq * qq <= bound.numerator * q_base * q_y
 
 
 def _sides(rows, x) -> list[int]:
@@ -311,7 +351,22 @@ def _sides(rows, x) -> list[int]:
     return [sum(map(mul, row, x)) for row in rows]
 
 
-def _fix_endpoint(lattice, rows, bound, base, x, m, sides, ok):
+def _short_shift(q_x, q_y, q_xy, q_prim, s_max) -> bool:
+    """True when only walls through x can meet the segment [x, y].
+
+    x and y are cone points in one component, at any positive scales,
+    with q_x = q(x), q_y = q(y), q_xy = q(x, y); q_prim = q(X) for the
+    primitive integral X on the ray of x, and s_max = max |s| over the
+    table squares.  A wall w of square s that meets [x, y] is no farther
+    from x than y is: q(w, x)^2 / (|s| q(x)) <= D = q(x, y)^2 / (q(x) q(y))
+    - 1 (sinh^2 of the distances).  If w is not through x, q(w, X) is a
+    nonzero integer, so q(w, x)^2 / q(x) >= 1 / q(X) and |s| q(X) D >= 1;
+    the test is the opposite inequality, cleared of denominators.
+    """
+    return (q_xy * q_xy - q_x * q_y) * s_max * q_prim < q_x * q_y
+
+
+def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
     """Accumulate shifts until the endpoint x / m reaches general position.
 
     Shift k is eps e_j with j = k mod n and eps = 1/(64 m 2^h), h = k div n.
@@ -320,26 +375,38 @@ def _fix_endpoint(lattice, rows, bound, base, x, m, sides, ok):
     The candidate is y / d with d = 64 m 2^h, so a shift adds 1 to y_j
     and column j of ``rows`` to its side list, and a halving doubles y,
     d and the side list.  It is accepted once it has positive square,
-    keeps the original's component, stays in the region around ``base``
-    (so the wall list stays complete), lies on no wall and on the
-    original's side (``sides``) of every wall, and ``ok(side list, d)``
-    holds; returns y, d and the side list.
+    keeps the original's component, stays in the region around ``base``,
+    lies on no wall and on the original's side of every wall, and
+    ``ok(side list, d)`` holds; returns y, d and the side list.
+
+    ``rows`` are the walls of the segment x ends, and ``sides`` their
+    pairings with x.  A wall that y lies on or that separates y from x
+    meets [x, y], so when ``_short_shift`` shows that only walls through
+    x do, the side list decides; otherwise the walls of [x, y] are
+    walked.  Either way y is judged against every wall of the (convex)
+    region around ``base``, which holds x and y.
     """
     y, d, cand = [64 * c for c in x], 64 * m, [64 * s for s in sides]
-    q_base = lattice.square(base)
+    q_base, q_x = lattice.square(base), lattice.square(x)
+    q_prim, s_max = lattice.square(primitive_rescale(x)[0]), -table.squares[0]
     for k in range(_PERTURB_ATTEMPTS):
         j = k % len(x)
         if k and not j:
             y, d, cand = [2 * c for c in y], 2 * d, [2 * s for s in cand]
         y[j] += 1
         cand = [s + row[j] for s, row in zip(cand, rows)]
-        q_y = lattice.square(y)
-        if q_y <= 0 or lattice.pairing(y, x) <= 0 \
+        q_y, q_xy = lattice.square(y), lattice.pairing(y, x)
+        if q_y <= 0 or q_xy <= 0 \
                 or not _covers(bound, lattice.pairing(base, y), q_base, q_y):
             continue
         if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
             continue
-        if ok(cand, d):
+        if not ok(cand, d):
+            continue
+        if _short_shift(q_x, q_y, q_xy, q_prim, s_max) or all(
+                tx == 0 != ty for tx, ty in (
+                    (lattice.pairing(w, x), lattice.pairing(w, y))
+                    for w, _sig in _segment_walls(lattice, table, x, y))):
             return tuple(y), d, cand
     raise PreconditionError("could not perturb an endpoint into general position")
 
@@ -386,6 +453,11 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     Endpoints on a wall, or walls meeting the segment at a coincident
     parameter, are resolved by a deterministic perturbation of the
     offending endpoint; the perturbed endpoints are reported.
+
+    Only the walls that meet the closed segment are walked
+    (``_segment_walls``); every other wall keeps one strict side at both
+    ends, perturbed or not.  The bound sets no search: its region around
+    a must cover b, and a perturbed endpoint must stay in that region.
     """
     _require_lorentzian(lattice)
     bound = parse_frac(bound)
@@ -396,14 +468,16 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
         raise PreconditionError("endpoints lie in different components of the positive cone")
     if bound < 1 or not _covers(bound, q_ab, q_a, q_b):
         raise PreconditionError("bound too small: the region does not cover the segment")
+    if not table.orbits:
+        raise PreconditionError("signature table is empty")
 
-    walls = enumerate_wall_classes(lattice, table, pa, bound)
+    walls = _segment_walls(lattice, table, pa, pb)
     rows = linalg.mat_mul([x for x, _sig in walls], lattice.gram)
     base = pa  # the region stays the one around the original a
     sa, sb = _sides(rows, pa), _sides(rows, pb)
     perturbed = False
     if 0 in sa:
-        pa, da, sa = _fix_endpoint(lattice, rows, bound, base, pa, da, sa,
+        pa, da, sa = _fix_endpoint(lattice, table, rows, bound, base, pa, da, sa,
                                    lambda _s, _d: True)
         perturbed = True
 
@@ -412,7 +486,7 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
         return len(ts) == len(set(ts))
 
     if 0 in sb or not b_ok(sb, db):
-        pb, db, sb = _fix_endpoint(lattice, rows, bound, base, pb, db, sb, b_ok)
+        pb, db, sb = _fix_endpoint(lattice, table, rows, bound, base, pb, db, sb, b_ok)
         perturbed = True
 
     # No check that the crossings stay in the cone: pa and pb lie in one

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from hkcone import fixtures, linalg
+from hkcone import cone as cone_module
 from hkcone import lattice as lattice_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
-                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _scaled_majorant,
-                         _sides, _sublattice, as_cone_point, component_sign, crossing_parameter,
-                         enumerate_wall_classes, factor_path,
+                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
+                         _segment_walls, _short_shift, _sides, _sublattice, as_cone_point,
+                         component_sign, crossing_parameter, enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau, report_to_json,
                          same_chamber, same_component)
 from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, primitive_rescale
+from hkcone.rational import integral
 
 F = Fraction
 
@@ -118,7 +120,8 @@ def enumeration_box(lattice, base, bound, squares):
     """
     p = primitive_rescale(as_cone_point(lattice, base))[0]
     g = lattice.square(p)
-    scaled = _scaled_majorant(g, lattice.pairing_row(p), lattice.gram)
+    gp = lattice.pairing_row(p)
+    scaled = _majorant(gp, gp, g, lattice.gram)
     cap = (2 * Fraction(bound) + 1) * max(abs(s) for s in squares)
     inv = linalg.invert(scaled)
     return tuple(isqrt(floor(cap * g * inv[i][i])) for i in range(lattice.rank))
@@ -164,6 +167,17 @@ U_TABLE = SignatureTable(orbits=tuple(
     OrbitSignature(name=f"m{-sq}d{d}", square=sq, divisibility=d,
                    codimension=1 if sq == -2 else 2)
     for sq, ds in ((-2, (1, 2)), (-4, (1, 2, 4))) for d in ds))
+
+
+def spy_on_walks(monkeypatch):
+    """Lists that record, while the test runs, the second point of every
+    ``_segment_walls`` call and the verdict of every ``_short_shift``."""
+    walks, certified = [], []
+    monkeypatch.setattr(cone_module, "_segment_walls",
+                        lambda *args: walks.append(tuple(args[3])) or _segment_walls(*args))
+    monkeypatch.setattr(cone_module, "_short_shift",
+                        lambda *args: certified.append(_short_shift(*args)) or certified[-1])
+    return walks, certified
 
 
 class TestSameComponent:
@@ -308,7 +322,8 @@ class TestEnumerate:
         # these bases it is e (index 0), where G_kk = 0, so q(x) = s is
         # linear in x_0 with slope 2 x_1.  Prefixes with x_1 = 0 make it
         # vanish altogether, and the ellipsoid slice is scanned.
-        mt = _scaled_majorant(lat.square(base), lat.pairing_row(base), lat.gram)
+        gp = lat.pairing_row(base)
+        mt = _majorant(gp, gp, lat.square(base), lat.gram)
         assert min(range(lat.rank), key=lambda i: mt[i][i]) == 0
         walls = enumerate_wall_classes(lat, U_TABLE, base, bound)
         box = enumeration_box(lat, base, bound, U_TABLE.squares)
@@ -467,6 +482,17 @@ class TestFactorPath:
         with pytest.raises(PreconditionError):
             factor_path(quartic, table, M1, tuple(-c for c in M4), fixtures.PATH_BOUND)
 
+    def test_empty_table_rejected_after_the_segment_checks(self, quartic):
+        empty = SignatureTable(orbits=())
+        with pytest.raises(PreconditionError, match="signature table is empty"):
+            factor_path(quartic, empty, M1, M4, fixtures.PATH_BOUND)
+        with pytest.raises(PreconditionError, match="bound too small"):
+            factor_path(quartic, empty, M3, (1, 2, F(-3, 2)), F(8))
+        with pytest.raises(PreconditionError, match="different components"):
+            factor_path(quartic, empty, M1, tuple(-c for c in M4), fixtures.PATH_BOUND)
+        with pytest.raises(PreconditionError, match="signature table is empty"):
+            enumerate_wall_classes(quartic, empty, (4, 4, -1), fixtures.ENUM_BOUND)
+
     def test_bound_must_cover(self, quartic, table):
         with pytest.raises(PreconditionError):
             factor_path(quartic, table, M3, (1, 2, F(-3, 2)), F(8))
@@ -478,15 +504,21 @@ class TestFactorPath:
         ts = [s.t for s in f.steps]
         assert len(ts) == len(set(ts))
 
-    def test_endpoint_on_two_walls_perturbs(self, quartic, table):
+    def test_endpoint_on_two_walls_perturbs(self, quartic, table, monkeypatch):
         # (3/2, 1, -1) lies on exactly two enumerated walls, those of alpha
-        # (1, 0, 0) and codim2 (12, 8, -9); it is tried as either endpoint
+        # (1, 0, 0) and codim2 (12, 8, -9); it is tried as either endpoint.
+        # The accepted shift is certified by _short_shift: the only walk is
+        # the one of the segment itself.
         p, bound = (F(3, 2), 1, -1), F(113, 15)
+        walks, certified = spy_on_walks(monkeypatch)
         for a, b in [(M3, p), (p, M3)]:
             walls = enumerate_wall_classes(quartic, table, a, bound)
             assert sorted(x for x, _ in walls if quartic.pairing(x, p) == 0) == \
                 [(1, 0, 0), (12, 8, -9)]
+            walks.clear()
+            certified.clear()
             f = factor_path(quartic, table, a, b, bound)
+            assert len(walks) == 1 and certified == [True]
             assert f.perturbed
             ts = [s.t for s in f.steps]
             assert all(s < t for s, t in zip(ts, ts[1:]))
@@ -508,12 +540,26 @@ class TestFactorPath:
         assert sides == [0, 1]
         first = (65, 64, 0)
         assert _sides(rows, first) == [-9, -1]
-        moved, d, moved_sides = _fix_endpoint(quartic, rows, F(8), original, original, 1,
-                                              sides, lambda _s, _d: True)
+        moved, d, moved_sides = _fix_endpoint(quartic, table, rows, F(8), original, original,
+                                              1, sides, lambda _s, _d: True)
         assert tuple(F(c, d) for c in moved) != tuple(F(c, 64) for c in first)
         assert moved_sides == _sides(rows, moved)
         for c, o in zip(moved_sides, sides):
             assert c != 0 and c * o >= 0
+
+    def test_fix_endpoint_walks_a_shift_it_cannot_certify(self, quartic, monkeypatch):
+        # With w2 of the test above the one wall of a table, (1, 1, 0) is on
+        # no wall and has no side list.  The first shift crosses w2, which is
+        # not through (1, 1, 0), so _short_shift fails, and the walk of
+        # [x, y] finds w2 and rejects the shift.  The second, (65, 65, 0),
+        # is on the ray of x and is certified.
+        w2, original = (22, -7, 0), (1, 1, 0)
+        one_wall = orbit_rows([(quartic.square(w2), quartic.divisibility(w2))])
+        walks, certified = spy_on_walks(monkeypatch)
+        assert _fix_endpoint(quartic, one_wall, [], F(8), original, original, 1, [],
+                             lambda _s, _d: True) == ((65, 65, 0), 64, [])
+        assert certified == [False, True] and walks == [(65, 64, 0)]
+        assert w2 in [x for x, _ in _segment_walls(quartic, one_wall, original, (65, 64, 0))]
 
     def test_coincident_crossings_perturb(self, quartic, table):
         # the walls of alpha, beta and gamma share the interior line through
@@ -715,17 +761,26 @@ def project(lattice, p, w):
     return tuple(pi - f * wi for pi, wi in zip(p, w))
 
 
-def two_wall_point(lattice, walls, rng):
-    """An integral ray on two walls at once, G x cross G y for a random
-    pair of walls spanning a negative definite plane, or None."""
+def two_wall_point(lattice, walls, rng, a):
+    """A cone point on two walls at once, for a random pair of walls x, y
+    spanning a negative definite plane, or None.  In rank 3 it is the
+    integral ray G x cross G y; above, a less its orthogonal projection
+    onto the plane, which lies in a's component since the plane is
+    negative definite."""
     rows = linalg.mat_mul([x for x, _ in walls], lattice.gram)
     pairs = list(itertools.combinations(range(len(walls)), 2))
     rng.shuffle(pairs)
     for i, j in pairs[:50]:
-        (x, _), gx, gy = walls[i], rows[i], rows[j]
-        if linalg.dot(gx, x) * linalg.dot(gy, walls[j][0]) > linalg.dot(gx, walls[j][0]) ** 2:
+        (x, _), (y, _), gx, gy = walls[i], walls[j], rows[i], rows[j]
+        qxx, qyy, qxy = linalg.dot(gx, x), linalg.dot(gy, y), linalg.dot(gx, y)
+        if qxx * qyy <= qxy ** 2:
+            continue
+        if lattice.rank == 3:
             return (gx[1] * gy[2] - gx[2] * gy[1], gx[2] * gy[0] - gx[0] * gy[2],
                     gx[0] * gy[1] - gx[1] * gy[0])
+        ax, ay, det = linalg.dot(gx, a), linalg.dot(gy, a), qxx * qyy - qxy ** 2
+        cx, cy = F(ax * qyy - ay * qxy, det), F(ay * qxx - ax * qxy, det)
+        return tuple(c - cx * u - cy * v for c, u, v in zip(a, x, y))
     return None
 
 
@@ -736,7 +791,8 @@ def random_segments(lattice, table, rng, count, bound, reach=6, den=4):
     which meets both walls at t = 1/2 when they separate its ends."""
     def point():
         while True:
-            p = tuple(F(rng.randint(-reach, reach), rng.randint(1, den)) for _ in range(3))
+            p = tuple(F(rng.randint(-reach, reach), rng.randint(1, den))
+                      for _ in range(lattice.rank))
             if lattice.square(p) > 0:
                 return p
 
@@ -751,11 +807,11 @@ def random_segments(lattice, table, rng, count, bound, reach=6, den=4):
         if crossed:
             w = rng.choice(crossed)
             cases += [(a, project(lattice, b, w)), (project(lattice, a, w), b)]
-        r = two_wall_point(lattice, walls, rng)
+        r = two_wall_point(lattice, walls, rng, a)
         if r is not None:
             if lattice.pairing(r, a) < 0:
                 r = tuple(-c for c in r)
-            v = tuple(F(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(3))
+            v = tuple(F(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(lattice.rank))
             cases += [(a, r), (tuple(c - e for c, e in zip(r, v)),
                                tuple(c + e for c, e in zip(r, v)))]
         out += [(p, q) for p, q in cases if valid_segment(lattice, p, q, bound)]
@@ -817,12 +873,33 @@ class TestAgainstFractionOracle:
         assert 3 * perturbed >= len(results), perturbed
 
 
+    @pytest.mark.parametrize("case", ["u24", "u24-even", "rank5", "rank4-ideals",
+                                      "rank5-ideals"])
+    def test_higher_rank_segments(self, case):
+        # free endpoints, endpoints projected onto a crossed wall, and
+        # endpoints on two walls at once, in ranks 4 and 5
+        rng = random.Random(sum(map(ord, case)))
+        lat, tab = {"u24": lambda: (U24, U_TABLE),
+                    "u24-even": lambda: (U24, U24_EVEN_TABLE),
+                    "rank5": lambda: random_lorentzian(rng, 5, False),
+                    "rank4-ideals": lambda: random_lorentzian(rng, 4, True),
+                    "rank5-ideals": lambda: random_lorentzian(rng, 5, True)}[case]()
+        results = [self.assert_same(lat, tab, a, b, F(3))
+                   for a, b in random_segments(lat, tab, rng, 16, F(3), reach=3, den=3)]
+        done = [f for f in results if not isinstance(f, str)]
+        assert any(f.perturbed for f in done) and any(f.steps for f in done)
+
+
 class TestSameChamber:
     def test_scaling_stays(self, quartic, table):
         assert same_chamber(quartic, table, M3, tuple(2 * c for c in M3), F(8))
 
     def test_equal_points(self, quartic, table):
         assert same_chamber(quartic, table, M3, M3, F(8))
+
+    def test_empty_table_rejected(self, quartic):
+        with pytest.raises(PreconditionError, match="signature table is empty"):
+            same_chamber(quartic, SignatureTable(orbits=()), M3, M4, F(20))
 
     def test_eta_separates(self, quartic, table):
         assert quartic.pairing((0, 4, -3), M3) > 0 > quartic.pairing((0, 4, -3), M4)
@@ -837,8 +914,8 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
     p = primitive_rescale(as_cone_point(lattice, base))[0]
     squares = table.squares
     g = lattice.square(p)
-    mt = _scaled_majorant(g, lattice.pairing_row(p), lattice.gram)
     gp = [int(v) for v in lattice.pairing_row(p)]
+    mt = _majorant(gp, gp, g, lattice.gram)
     bn, bd = bound.numerator, bound.denominator
     gram = lattice.gram
     n = lattice.rank
@@ -1049,3 +1126,101 @@ class TestSublattice:
     def test_cache_is_bounded_like_the_lattice_caches(self):
         assert _sublattice.cache_info().maxsize == \
             lattice_module._discriminant_group.cache_info().maxsize == 256
+
+
+def covering_bound(lattice, a, b):
+    """The least integer bound >= 1 whose region around a covers b."""
+    qab = lattice.pairing(a, b)
+    return max(1, -(-qab * qab // (lattice.square(a) * lattice.square(b))))
+
+
+def meets(lattice, x, a, b):
+    return lattice.pairing(x, a) * lattice.pairing(x, b) <= 0
+
+
+class TestSegmentWalls:
+    """The walk of a segment [a, b] finds exactly the walls of the region
+    around a that meet the closed segment, and ``_short_shift`` certifies
+    only shifts that no wall off the endpoint meets."""
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_majorant_is_the_segment_form(self, rank):
+        rng = random.Random(rank)
+        for _ in range(3):
+            lat, _tab = random_lorentzian(rng, rank, False)
+            points = cone_points(rng, lat, 4, 3)
+            for a, b in itertools.product(points, repeat=2):
+                if lat.pairing(a, b) <= 0:
+                    continue
+                ga, gb, qab = lat.pairing_row(a), lat.pairing_row(b), lat.pairing(a, b)
+                mt = _majorant(ga, gb, qab, lat.gram)
+                assert all(linalg.determinant([r[:i] for r in mt[:i]]) > 0
+                           for i in range(1, rank + 1))
+                for _ in range(5):
+                    x = [rng.randint(-4, 4) for _ in range(rank)]
+                    assert linalg.dot(x, linalg.mat_vec(mt, x)) == \
+                        2 * lat.pairing(x, a) * lat.pairing(x, b) - qab * lat.square(x)
+            a = points[0]
+            g, ga = lat.square(a), lat.pairing_row(a)
+            assert _majorant(ga, ga, g, lat.gram) == \
+                [[2 * gi * gj - g * gij for gj, gij in zip(ga, row)]
+                 for gi, row in zip(ga, lat.gram)]
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("ideals", [False, True])
+    def test_random_lorentzian_against_the_region_walls(self, rank, ideals):
+        rng = random.Random(90 * rank + ideals)
+        segments = 0
+        for _ in range({3: 4, 4: 3, 5: 2}[rank]):
+            lat, tab = random_lorentzian(rng, rank, ideals)
+            points = cone_points(rng, lat, 4, 3 if rank == 3 else 2)
+            for a, b in itertools.product(points, repeat=2):
+                if lat.pairing(a, b) <= 0 or covering_bound(lat, a, b) > 6:
+                    continue
+                walls = enumerate_wall_classes(lat, tab, a, covering_bound(lat, a, b))
+                assert _segment_walls(lat, tab, a, b) == \
+                    [(x, sig) for x, sig in walls if meets(lat, x, a, b)]
+                segments += 1
+        assert segments >= 10
+
+    @pytest.mark.parametrize("lat, tab, bound", [
+        (fixtures.quartic_lattice(), fixtures.orbit_table(), F(8)),
+        (U24, U_TABLE, F(3)), (U24, U24_EVEN_TABLE, F(3))])
+    def test_segments_with_endpoints_on_walls(self, lat, tab, bound):
+        rng = random.Random(lat.rank)
+        for a, b in random_segments(lat, tab, rng, 40, bound, reach=3, den=3):
+            a, b = integral(a)[0], integral(b)[0]
+            walls = enumerate_wall_classes(lat, tab, a, bound)
+            assert _segment_walls(lat, tab, a, b) == \
+                [(x, sig) for x, sig in walls if meets(lat, x, a, b)]
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("ideals", [False, True])
+    def test_short_shift_is_sound(self, rank, ideals):
+        # x runs over cone points and their projections onto walls, y over
+        # shifts D x + v; whenever the certificate holds, each wall of the
+        # region around x that meets [x, y] passes through x
+        rng = random.Random(70 * rank + ideals)
+        held = through = refuted = 0
+        for _ in range(2):
+            lat, tab = random_lorentzian(rng, rank, ideals)
+            s_max = -tab.squares[0]
+            for p in cone_points(rng, lat, 3, 3 if rank == 3 else 2):
+                xs = [p] + [project(lat, tuple(map(F, p)), w) for w, _ in
+                            enumerate_wall_classes(lat, tab, p, F(2))[:3]]
+                for x in (primitive_rescale(x)[0] for x in xs if lat.square(x) > 0):
+                    for scale in (4, 64, 1024):
+                        v = [rng.randint(-2, 2) for _ in range(rank)]
+                        y = [scale * c + e for c, e in zip(x, v)]
+                        q_x, q_y, q_xy = lat.square(x), lat.square(y), lat.pairing(x, y)
+                        if q_y <= 0 or q_xy <= 0 or covering_bound(lat, x, y) > 6:
+                            continue
+                        met = [w for w, _ in enumerate_wall_classes(
+                            lat, tab, x, covering_bound(lat, x, y)) if meets(lat, w, x, y)]
+                        off = [w for w in met if lat.pairing(w, x) != 0]
+                        if _short_shift(q_x, q_y, q_xy, q_x, s_max):
+                            assert off == [], (lat.gram, x, y)
+                            held += 1
+                            through += len(met) > 0
+                        refuted += len(off) > 0
+        assert held and through and refuted, (held, through, refuted)
