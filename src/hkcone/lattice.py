@@ -33,10 +33,6 @@ class DiscriminantGroup:
     invariant_factors: tuple[int, ...]
     transform: tuple[tuple[int, ...], ...]
 
-    def residues(self, dual_coords) -> tuple[int, ...]:
-        w = linalg.mat_vec(self.transform, parse_ints(dual_coords))
-        return tuple(wi % f for wi, f in zip(w, self.invariant_factors))
-
     @property
     def order(self) -> int:
         return math.prod(self.invariant_factors)
@@ -122,23 +118,32 @@ class IntegralLattice:
     def discriminant_group(self) -> DiscriminantGroup:
         return _discriminant_group(self.gram)
 
-    def discriminant_image(self, x) -> tuple[int, ...]:
-        """Residue tuple of x/d(x) in the discriminant group, up to global sign.
+    def residues(self, row, d, disc=None) -> tuple[int, ...]:
+        """Residues of x/d, U (G x / d) mod the invariant factors, from the
+        pairing row ``row`` = G x of a class x and a d that divides it.  The
+        check on d comes before the group is read; passing the group as
+        ``disc`` lets a caller with many classes of one lattice read it once."""
+        if any(p % d for p in row):
+            raise PreconditionError("divisibility does not divide the pairing row")
+        if disc is None:
+            disc = self.discriminant_group()
+        return tuple(sum(map(mul, u, row)) // d % f
+                     for u, f in zip(disc.transform, disc.invariant_factors))
 
-        The tuple and its negation describe the same wall; the residue map
-        is a homomorphism, so the negation is read off as -r mod f and the
-        smaller of the two (lexicographically) is returned.
-        """
+    def folded_residues(self, row, d) -> tuple[int, ...]:
+        """``residues`` of x/d or of -x/d (read off as -r mod f), whichever
+        is smaller: x and -x describe the same wall."""
+        plus = self.residues(row, d)
+        factors = self.discriminant_group().invariant_factors
+        return min(plus, tuple(-r % f for r, f in zip(plus, factors)))
+
+    def discriminant_image(self, x) -> tuple[int, ...]:
+        """Residue tuple of x/d(x) in the discriminant group, up to global
+        sign: ``folded_residues`` of a primitive integral class x."""
         v = self.check_length(parse_ints(x))
         if not is_primitive(v):
             raise PreconditionError("class must be primitive")
-        d = self.divisibility(v)
-        row = self.pairing_row(v)
-        if any(p % d for p in row):
-            raise PreconditionError("divisibility does not divide the pairing row")
-        disc = self.discriminant_group()
-        plus = disc.residues([p // d for p in row])
-        return min(plus, tuple(-r % f for r, f in zip(plus, disc.invariant_factors)))
+        return self.folded_residues(self.pairing_row(v), self.divisibility(v))
 
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
@@ -207,46 +212,30 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
     when the discriminant group is trivial.  The reduction is well
     defined only when the last invariant factor is divisible by 4 (the
     bundled quartic-K3 data has group Z/36); any other factor is a
-    PreconditionError.
+    PreconditionError, raised before x is read.
     """
-    u = mod_four_row(lattice)  # the factor is checked before the class
+    read = mod_four_reader(lattice)
     v = lattice.check_length(parse_ints(x))
     if not is_primitive(v):
         raise PreconditionError("class must be primitive")
-    return residue_mod_four(lattice, v, lattice.divisibility(v), u)
+    return read(lattice.pairing_row(v), lattice.divisibility(v))
 
 
-def mod_four_row(lattice: IntegralLattice) -> tuple[int, ...] | None:
-    """The last row u of the discriminant transform, None for a trivial group.
-
-    The last residue of x/d(x) is u.(Gx/d(x)) mod f, f the last invariant
-    factor; f must be divisible by 4 for its class mod 4 to be defined.
-    """
+def mod_four_reader(lattice: IntegralLattice):
+    """The map (G x, d(x)) -> ``mod_four_class`` of x, reading the group and
+    checking its last factor once.  4 divides that factor, so the last of
+    the unfolded ``residues`` mod 4, folded by sign, is the class."""
     disc = lattice.discriminant_group()
-    if not disc.invariant_factors:
-        return None
-    if disc.invariant_factors[-1] % 4:
+    if disc.invariant_factors and disc.invariant_factors[-1] % 4:
         raise PreconditionError("residue mod 4 needs the last invariant factor divisible by 4; "
                                 f"got {disc.invariant_factors[-1]}")
-    return disc.transform[-1]
 
+    def read(row, d) -> int:
+        r = lattice.residues(row, d, disc)
+        m = r[-1] % 4 if r else 0
+        return min(m, 4 - m)
 
-def residue_mod_four(lattice: IntegralLattice, x, d: int, u) -> int:
-    """``mod_four_class`` of x, given d = d(x) and u = ``mod_four_row(lattice)``.
-
-    x must be a primitive integer tuple of the lattice's rank and d its
-    divisibility; neither is checked (a wrong d that divides Gx gives a
-    wrong class), except that d must divide Gx.  4 divides f, so the class
-    is u.(Gx/d) mod 4, and folding by sign makes the sign of u immaterial.
-    Reading u once lets a caller color many classes of one lattice.
-    """
-    row = lattice.pairing_row(x)
-    if any(p % d for p in row):
-        raise PreconditionError("divisibility does not divide the pairing row")
-    if u is None:
-        return 0
-    m = sum(map(mul, u, row)) // d % 4
-    return min(m, 4 - m)
+    return read
 
 
 def make_lattice(gram, basis_names=None, ambient_ideals=None,

@@ -110,7 +110,7 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     if square >= 0:
         raise PreconditionError("class must have negative square")
     d = lattice.divisibility(v)
-    return table.match(square, d, lambda: lattice.discriminant_image(v))
+    return table.match(square, d, lambda: lattice.folded_residues(lattice.pairing_row(v), d))
 
 
 def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:

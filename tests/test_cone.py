@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
 
@@ -17,7 +18,7 @@ from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFacto
                          same_chamber, same_component)
 from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
-from hkcone.mbm import OrbitSignature, SignatureTable, primitive_rescale
+from hkcone.mbm import OrbitSignature, SignatureTable, classify, primitive_rescale
 from hkcone.rational import integral
 
 F = Fraction
@@ -986,14 +987,23 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
     return found
 
 
+CONE_POINT_DRAWS = 10_000
+
+
 def cone_points(rng, lattice, count, reach):
-    """Seeded integer points of positive square with coordinates in +-reach."""
+    """Seeded integer points of positive square with coordinates in +-reach.
+
+    Fails after ``CONE_POINT_DRAWS`` draws, so that a lattice with no such
+    point within reach fails its test instead of hanging it."""
     points = []
-    while len(points) < count:
+    for _ in range(CONE_POINT_DRAWS):
+        if len(points) == count:
+            return points
         v = tuple(rng.randint(-reach, reach) for _ in range(lattice.rank))
         if lattice.square(v) > 0:
             points.append(v)
-    return points
+    pytest.fail(f"no {count} points of positive square within +-{reach} in {CONE_POINT_DRAWS} "
+                f"draws on the lattice {lattice.gram}")
 
 
 def orbit_rows(pairs):
@@ -1046,6 +1056,66 @@ QUARTIC_MANY_TABLE = SignatureTable(orbits=(
     OrbitSignature(name="b4r", square=-36, divisibility=4, codimension=2, disc_residue=(9,)),
     OrbitSignature(name="b12", square=-36, divisibility=12, codimension=2),
 ))
+
+
+# the rows of a table that pins residues of Z/36, one pinned row never met
+QUARTIC_PINNED_TABLE = SignatureTable(orbits=tuple(
+    OrbitSignature(name=f"r{i}", square=sq, divisibility=d, codimension=2, disc_residue=r)
+    for i, (sq, d, r) in enumerate([(-36, 4, (9,)), (-4, 4, (9,)), (-4, 2, (18,)), (-12, 2, (0,)),
+                                    (-12, 2, None), (-2, 1, None)])))
+
+
+def test_cone_points_fails_without_a_cone_point_in_reach():
+    # the 4th lattice of random_lorentzian(random.Random(270), 3, False) has
+    # no vector of positive square within +-2
+    lat = make_lattice([[-4, 3, 3], [3, -4, 0], [3, 0, -4]])
+    assert lat.signature() == (1, 2, 0)
+    with pytest.raises(pytest.fail.Exception, match=r"within \+-2 .*\(-4, 3, 3\)"):
+        cone_points(random.Random(1), lat, 1, 2)
+    assert len(cone_points(random.Random(1), lat, 2, 3)) == 2
+
+
+class TestPinnedResidues:
+    """A pinned residue is read from the pairing row and the divisibility
+    the caller holds: neither the walk nor ``classify`` calls
+    ``discriminant_image`` or a second ``divisibility``."""
+
+    @staticmethod
+    def forbid_discriminant_image(monkeypatch):
+        """Make ``discriminant_image`` raise; count ``divisibility`` calls."""
+        calls = Counter()
+        cls = lattice_module.IntegralLattice
+        divisibility = cls.divisibility
+
+        def refused(self, x):
+            raise AssertionError("discriminant_image called on a validated class")
+
+        def counted(self, x):
+            calls["divisibility"] += 1
+            return divisibility(self, x)
+
+        monkeypatch.setattr(cls, "discriminant_image", refused)
+        monkeypatch.setattr(cls, "divisibility", counted)
+        return calls
+
+    @pytest.mark.parametrize("tab", [QUARTIC_MANY_TABLE, QUARTIC_PINNED_TABLE])
+    @pytest.mark.parametrize("bound", [F(4), F(15)])
+    def test_walk(self, quartic, tab, bound, monkeypatch):
+        want = enumerate_wall_classes(quartic, tab, (4, 4, -1), bound)
+        assert want == enumerate_one_ellipsoid(quartic, tab, (4, 4, -1), bound)
+        assert any(sig.disc_residue for _x, sig in want)  # pinned rows are read
+        calls = self.forbid_discriminant_image(monkeypatch)
+        assert enumerate_wall_classes(quartic, tab, (4, 4, -1), bound) == want
+        assert calls["divisibility"] == 0
+
+    @pytest.mark.parametrize("name", ["beta", "delta", "eps", "gamma"])
+    def test_classify(self, quartic, named, name, monkeypatch):
+        want = classify(quartic, QUARTIC_PINNED_TABLE, named[name])
+        assert any(o.disc_residue for o in QUARTIC_PINNED_TABLE.orbits
+                   if (o.square, o.divisibility) == (want.square, want.divisibility))
+        calls = self.forbid_discriminant_image(monkeypatch)
+        assert classify(quartic, QUARTIC_PINNED_TABLE, named[name]) == want
+        assert calls["divisibility"] == 1
 
 
 class TestPerSquareWalks:

@@ -13,10 +13,12 @@ from hkcone import lattice as lattice_module
 from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
 from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
-from hkcone.mbm import table_from_dict
+from hkcone.mbm import classify, table_from_dict
 from hkcone.rational import integral
 from hkcone.render import (DiskScene, WallChord, _DiskFrame, _fmt, build_scene, klein_coords,
                            render_svg, wall_chord)
+
+from test_lattice import discriminant_image_two_pass
 
 F = Fraction
 
@@ -428,6 +430,122 @@ def test_scene_colors_do_no_per_wall_lattice_work(quartic, table, monkeypatch):
     # the enumeration reads divisibilities through lattice.pairing_ideal, and
     # the scene reads the discriminant group once, through no cache of its own
     assert calls["divisibility"] == 0 and calls["_discriminant_group"] == 1, calls
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the PreconditionError it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def image_oracle(lattice, x):
+    """discriminant_image by the two-pass oracle: a degenerate lattice
+    raises once the pairing row has passed its check."""
+    try:
+        image = discriminant_image_two_pass(lattice, x)
+    except PreconditionError as exc:
+        return str(exc)
+    return "degenerate lattice" if linalg.determinant(lattice.gram) == 0 else image
+
+
+def scene_oracle(lattice, tab, base, bound):
+    """The scene colors by ``image_mod_four`` per wall, or the first error."""
+    try:
+        walls = enumerate_wall_classes(lattice, tab, base, bound)
+        return [(x, image_mod_four(lattice, x)) for x, _sig in walls]
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def scene_colors(lattice, tab, base, bound):
+    return [(ch.wall_class, ch.residue) for ch in build_scene(lattice, tab, base, bound).walls]
+
+
+class TestOneResidueMap:
+    """classify, discriminant_image, mod_four_class and the scene colors all
+    read the one residue map of (G x, d); each agrees with its oracle in
+    value or in error text."""
+
+    def test_pairing_row_check_precedes_the_group(self):
+        # degenerate, with ambient ideals: d(x) = 4 does not divide G x = (-2, 0)
+        lat = make_lattice([[-2, 0], [0, 0]], ambient_ideals=[4, 1])
+        x = (1, 0)
+        want = "divisibility does not divide the pairing row"
+        assert image_oracle(lat, x) == want
+        assert error_text(lat.discriminant_image, x) == want
+        assert error_text(classify, lat, rows_table((-2, 4, [0])), x) == want
+        assert error_text(mod_four_class, lat, x) == "degenerate lattice"
+
+    @staticmethod
+    def random_lattices(rng, count):
+        """Fixed lattices with a trivial group, a factor not divisible by 4
+        and ideals that do not divide G x, then seeded ones of rank 1-4,
+        some degenerate, some with ambient ideals."""
+        quartic = fixtures.quartic_lattice()
+        yield make_lattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+        yield make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+        yield make_lattice(quartic.gram, ambient_ideals=[1, 1, 8])
+        yield make_lattice([[-2, 0], [0, 0]], ambient_ideals=[4, 1])
+        for _ in range(count):
+            n = rng.choice((1, 2, 3, 3, 3, 4))
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-4, 4) if rng.random() < 0.7 else 0
+            ideals = [rng.choice((1, 2, 4, 8)) for _ in range(n)] if rng.random() < 0.3 else None
+            yield make_lattice(gram, ambient_ideals=ideals)
+
+    def test_against_the_oracles_on_random_lattices(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for lat in self.random_lattices(rng, 150):
+            degenerate = linalg.determinant(lat.gram) == 0
+            if not degenerate:
+                factors = lat.discriminant_group().invariant_factors
+                seen["trivial group"] += not factors
+                seen["factor not divisible by 4"] += bool(factors) and factors[-1] % 4 != 0
+            pairs = {}
+            for _ in range(12):
+                x = tuple(rng.randint(-5, 5) for _ in range(lat.rank))
+                if not any(x) or not is_primitive(x):
+                    continue
+                image = image_oracle(lat, x)
+                assert outcome(lat.discriminant_image, x) == image, (lat, x)
+                assert outcome(mod_four_class, lat, x) == outcome(image_mod_four, lat, x), (lat, x)
+                seen["degenerate" if degenerate else "nondegenerate"] += 1
+                seen["does not divide"] += image == "divisibility does not divide the pairing row"
+                s, d = lat.square(x), outcome(lat.divisibility, x)
+                if s >= 0:
+                    continue
+                if isinstance(d, int):
+                    pairs.setdefault((s, d), image)
+                else:  # classify raises d's text before it reads the table
+                    d = 1
+                pinned = list(image) if isinstance(image, tuple) else [0]
+                tab = rows_table((s, d, pinned), (s, d, None))
+                want = tab.by_name("r0") if isinstance(image, tuple) else image
+                assert outcome(classify, lat, tab, x) == want, (lat, x)
+                seen["classified"] += 1
+            if degenerate or lat.rank != 3 or lat.signature() != (1, 2, 0) or not pairs:
+                continue
+            base = next((v for v in (tuple(rng.randint(-3, 3) for _ in range(3))
+                                     for _ in range(200)) if lat.square(v) > 0), None)
+            if base is None:
+                continue
+            rows = [(s, d, None) for s, d in sorted(pairs)]
+            (s, d), image = min(pairs.items())
+            if isinstance(image, tuple):  # a pinned row: the walk reads residues too
+                rows.append((s, d, list(image)))
+            tab = rows_table(*rows)
+            want = scene_oracle(lat, tab, base, 2)
+            assert outcome(scene_colors, lat, tab, base, 2) == want, (lat, tab, base)
+            seen["scene walls" if isinstance(want, list) else "scene errors"] += \
+                len(want) if isinstance(want, list) else 1
+        assert min(seen[k] for k in ("trivial group", "factor not divisible by 4", "degenerate",
+                                     "does not divide", "classified", "scene errors")) >= 3, seen
+        assert seen["scene walls"] > 100, seen
 
 
 class TestSvg:
