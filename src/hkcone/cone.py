@@ -369,10 +369,12 @@ def _short_shift(q_x, q_y, q_xy, q_prim, s_max) -> bool:
 def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
     """Accumulate shifts until the endpoint x / m reaches general position.
 
-    Shift k is eps e_j with j = k mod n and eps = 1/(64 m 2^h), h = k div n.
-    Shifts compound: a point on several walls whose normals have
+    Shift k is eps e_j with j = k mod n and eps = 1/(c m 2^h), h = k div n,
+    c = 64.  Shifts compound: a point on several walls whose normals have
     disjoint coordinate support needs moves in more than one direction.
-    The candidate is y / d with d = 64 m 2^h, so a shift adds 1 to y_j
+    They halve, so a wall within the first can reject them all; a second
+    pass then starts again from x with c = 64 2^(attempts div n).
+    The candidate is y / d with d = c m 2^h, so a shift adds 1 to y_j
     and column j of ``rows`` to its side list, and a halving doubles y,
     d and the side list.  It is accepted once it has positive square,
     keeps the original's component, stays in the region around ``base``,
@@ -386,28 +388,29 @@ def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
     walked.  Either way y is judged against every wall of the (convex)
     region around ``base``, which holds x and y.
     """
-    y, d, cand = [64 * c for c in x], 64 * m, [64 * s for s in sides]
     q_base, q_x = lattice.square(base), lattice.square(x)
     q_prim, s_max = lattice.square(primitive_rescale(x)[0]), -table.squares[0]
-    for k in range(_PERTURB_ATTEMPTS):
-        j = k % len(x)
-        if k and not j:
-            y, d, cand = [2 * c for c in y], 2 * d, [2 * s for s in cand]
-        y[j] += 1
-        cand = [s + row[j] for s, row in zip(cand, rows)]
-        q_y, q_xy = lattice.square(y), lattice.pairing(y, x)
-        if q_y <= 0 or q_xy <= 0 \
-                or not _covers(bound, lattice.pairing(base, y), q_base, q_y):
-            continue
-        if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
-            continue
-        if not ok(cand, d):
-            continue
-        if _short_shift(q_x, q_y, q_xy, q_prim, s_max) or all(
-                tx == 0 != ty for tx, ty in (
-                    (lattice.pairing(w, x), lattice.pairing(w, y))
-                    for w, _sig in _segment_walls(lattice, table, x, y))):
-            return tuple(y), d, cand
+    for scale in (64, 64 << (_PERTURB_ATTEMPTS // len(x))):
+        y, d, cand = [scale * c for c in x], scale * m, [scale * s for s in sides]
+        for k in range(_PERTURB_ATTEMPTS):
+            j = k % len(x)
+            if k and not j:
+                y, d, cand = [2 * c for c in y], 2 * d, [2 * s for s in cand]
+            y[j] += 1
+            cand = [s + row[j] for s, row in zip(cand, rows)]
+            q_y, q_xy = lattice.square(y), lattice.pairing(y, x)
+            if q_y <= 0 or q_xy <= 0 \
+                    or not _covers(bound, lattice.pairing(base, y), q_base, q_y):
+                continue
+            if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
+                continue
+            if not ok(cand, d):
+                continue
+            if _short_shift(q_x, q_y, q_xy, q_prim, s_max) or all(
+                    tx == 0 != ty for tx, ty in (
+                        (lattice.pairing(w, x), lattice.pairing(w, y))
+                        for w, _sig in _segment_walls(lattice, table, x, y))):
+                return tuple(y), d, cand
     raise PreconditionError("could not perturb an endpoint into general position")
 
 

@@ -17,7 +17,7 @@ from operator import mul
 
 from . import linalg
 from .errors import PreconditionError
-from .rational import parse_array, parse_field, parse_frac, parse_int, parse_ints, parse_str
+from .rational import parse_array, parse_exact, parse_field, parse_frac, parse_int, parse_ints, parse_str
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,7 @@ class IntegralLattice:
         return len(self.gram)
 
     def pairing(self, x, y):
-        x, y = tuple(x), tuple(y)
-        if len(x) != self.rank or len(y) != self.rank:
-            raise PreconditionError("dimension mismatch")
-        return sum(xi * sum(g * yj for g, yj in zip(row, y))
-                   for xi, row in zip(x, self.gram))
+        return linalg.dot(self.pairing_row(x), parse_exact(y))
 
     def square(self, x):
         return self.pairing(x, x)
@@ -94,8 +90,15 @@ class IntegralLattice:
         return v
 
     def pairing_row(self, x) -> tuple:
-        """Pairings of x against the basis vectors, i.e. G x."""
-        return linalg.mat_vec(self.gram, tuple(x))
+        """G x, the pairings of x with the basis vectors; x follows rational.parse_exact."""
+        return linalg.mat_vec(self.gram, parse_exact(x))
+
+    def primitive_class(self, x) -> tuple[int, ...]:
+        """The class x as ints, checked for length, then zero, then primitivity."""
+        v = self.check_length(parse_ints(x))
+        if not is_primitive(v):
+            raise PreconditionError("class must be primitive")
+        return v
 
     def divisibility(self, x) -> int:
         """Positive generator of the pairing ideal of x.
@@ -140,9 +143,7 @@ class IntegralLattice:
     def discriminant_image(self, x) -> tuple[int, ...]:
         """Residue tuple of x/d(x) in the discriminant group, up to global
         sign: ``folded_residues`` of a primitive integral class x."""
-        v = self.check_length(parse_ints(x))
-        if not is_primitive(v):
-            raise PreconditionError("class must be primitive")
+        v = self.primitive_class(x)
         return self.folded_residues(self.pairing_row(v), self.divisibility(v))
 
     def signature(self) -> tuple[int, int, int]:
@@ -215,9 +216,7 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
     PreconditionError, raised before x is read.
     """
     read = mod_four_reader(lattice)
-    v = lattice.check_length(parse_ints(x))
-    if not is_primitive(v):
-        raise PreconditionError("class must be primitive")
+    v = lattice.primitive_class(x)
     return read(lattice.pairing_row(v), lattice.divisibility(v))
 
 

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .lattice import IntegralLattice, is_primitive
-from .rational import (integral, parse_array, parse_field, parse_frac, parse_int, parse_ints,
-                       parse_str)
+from .lattice import IntegralLattice
+from .rational import integral, parse_array, parse_field, parse_frac, parse_int, parse_str
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,7 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     Invariant under x -> -x: square, divisibility and the sign-folded
     residue all are.
     """
-    v = lattice.check_length(parse_ints(x))
-    if not is_primitive(v):
-        raise PreconditionError("class must be primitive")
+    v = lattice.primitive_class(x)
     square = lattice.square(v)
     if square >= 0:
         raise PreconditionError("class must have negative square")

@@ -2,7 +2,7 @@
 
 Wire format: rationals are strings "p/q" in lowest terms with q > 0,
 or bare integer strings; integers proper stay JSON integers.  parse_frac
-is the one rule for exact inputs, library calls included.
+is the one rule for exact inputs, library calls included; parse_int and parse_exact keep ints.
 """
 
 from __future__ import annotations
@@ -29,17 +29,21 @@ def parse_frac(value) -> Fraction:
 
 
 def parse_int(value) -> int:
-    """parse_frac(value), which must be an integer."""
-    f = parse_frac(value)
+    """An int as it is, else parse_frac(value), which must be an integer."""
+    f = value if type(value) is int else parse_frac(value)
     if f.denominator != 1:
         raise PreconditionError(f"not an integer: {str(value)!r}")
     return f.numerator
 
 
 def parse_ints(values) -> tuple[int, ...]:
-    """parse_int of every entry; a sequence of ints passes unchanged."""
-    v = tuple(values)
-    return v if all(type(c) is int for c in v) else tuple(map(parse_int, v))
+    """parse_int of every entry, so ints are kept as they are."""
+    return tuple(map(parse_int, values))
+
+
+def parse_exact(values) -> tuple:
+    """The entries as a tuple: ints as they are (fraction-free paths), the rest parse_frac."""
+    return tuple(c if type(c) is int else parse_frac(c) for c in values)
 
 
 def parse_str(value) -> str:
@@ -81,7 +85,7 @@ def parse_field(doc, key: str, parse, where: str, optional: bool = False):
 
 def integral(x) -> tuple[tuple[int, ...], int]:
     """(X, m) with X integral, m > 0 the lcm of the denominators and x = X / m."""
-    coords = [c if type(c) is int else parse_frac(c) for c in x]
+    coords = parse_exact(x)
     m = lcm(*(c.denominator for c in coords))
     return tuple(c.numerator * (m // c.denominator) for c in coords), m
 

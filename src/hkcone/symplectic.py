@@ -5,7 +5,7 @@ _form_rank gives rank(m^t omega m).  On a subspace W with basis rows R
 equality exactly for coisotropic W, since
 rank(omega|_W) = dim W - dim(W cap W^perp) and dim W^perp = codim W.
 is_coisotropic tests that equality instead of computing W^perp.  Entries
-follow rational.parse_frac (ints stay ints); ranks are exact.
+follow rational.parse_exact (ints stay ints); ranks are exact.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import PreconditionError
-from .rational import parse_frac
-
-
-def _qmat(m):
-    # ints stay ints so integer inputs ride the fraction-free fast paths
-    return tuple(tuple(c if type(c) is int else parse_frac(c) for c in row) for row in m)
+from .rational import parse_exact
 
 
 @dataclass(frozen=True)
@@ -51,11 +46,11 @@ def standard_space(n: int) -> SymplecticSpace:
     for i in range(n):
         omega[i][n + i] = 1
         omega[n + i][i] = -1
-    return SymplecticSpace(omega=_qmat(omega))
+    return SymplecticSpace(omega=linalg.mat(omega))
 
 
 def symplectic_space(omega) -> SymplecticSpace:
-    return SymplecticSpace(omega=_qmat(omega))
+    return SymplecticSpace(omega=tuple(map(parse_exact, omega)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class Subspace:
 
 
 def subspace(vectors) -> Subspace:
-    return Subspace(basis=_qmat(vectors))
+    return Subspace(basis=tuple(map(parse_exact, vectors)))
 
 
 def _form_rank(space: SymplecticSpace, m) -> int:
@@ -104,7 +99,7 @@ def is_coisotropic(space: SymplecticSpace, w: Subspace) -> bool:
 
 def pullback_rank(space: SymplecticSpace, f) -> int:
     """Rank of f^* omega for a linear map into the space (columns = images)."""
-    f = _qmat(f)
+    f = tuple(map(parse_exact, f))
     if len(f) != space.dim:
         raise PreconditionError("map must land in the ambient space")
     return _form_rank(space, f)

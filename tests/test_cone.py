@@ -424,6 +424,12 @@ class TestCrossingParameter:
             crossing_parameter(quartic, x, a, b)
 
 
+# (1, 1, 0) to each of these ends needs the second pass of _fix_endpoint
+SECOND_PASS_TABLE = SignatureTable(orbits=(OrbitSignature("near", -36, 1, 2),
+                                           OrbitSignature("far", -1892, 1, 2)))
+SECOND_PASS_ENDS = [(2, 1, 0), (1, 2, 0), (3, 2, 0)]
+
+
 class TestFactorPath:
     def test_chain_m1_to_m4(self, quartic, table):
         f = factor_path(quartic, table, M1, M4, fixtures.PATH_BOUND)
@@ -562,6 +568,26 @@ class TestFactorPath:
         assert certified == [False, True] and walks == [(65, 64, 0)]
         assert w2 in [x for x, _ in _segment_walls(quartic, one_wall, original, (65, 64, 0))]
 
+    @pytest.mark.parametrize("b", SECOND_PASS_ENDS)
+    def test_second_pass_clears_a_wall_within_the_first_shift(self, quartic, b):
+        # (1, 1, 0) lies on the wall of (3, -1, 0), of square -36, and the
+        # walls of (22, -7, 0) and (16, -5, 15), of square -1892, pass at
+        # pairing 1 from it: each of the first pass's 64 candidates stays
+        # on the first wall or crosses one of the others
+        a = (1, 1, 0)
+        f = factor_path(quartic, SECOND_PASS_TABLE, a, b, F(8))
+        assert f.perturbed and f.status == STATUS_OK
+        assert f.a != a
+        for x, _sig in _segment_walls(quartic, SECOND_PASS_TABLE, a, b):
+            for moved, end in ((f.a, a), (f.b, b)):
+                assert quartic.pairing(x, moved) * quartic.pairing(x, end) >= 0
+        walls = _segment_walls(quartic, SECOND_PASS_TABLE, integral(f.a)[0], integral(f.b)[0])
+        sa, sb = fraction_sides(quartic, walls, f.a), fraction_sides(quartic, walls, f.b)
+        assert 0 not in sa + sb
+        ts = [s.t for s in f.steps]
+        assert len(ts) == len(set(ts))
+        assert list(f.steps) == fraction_crossings(walls, sa, sb)
+
     def test_coincident_crossings_perturb(self, quartic, table):
         # the walls of alpha, beta and gamma share the interior line through
         # (3, 2, 0); a symmetric segment through it crosses them all at t=1/2
@@ -689,21 +715,24 @@ def fraction_covers(lattice, bound, base, point):
 
 
 def fraction_fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok):
-    """Shifts eps e_j, eps = 1/(64 D) halving after each cycle, in Fractions."""
+    """Shifts eps e_j, eps = 1/(scale D) halving after each cycle, in
+    Fractions: 64 shifts from the original with scale 64, then 64 more
+    from the original with scale 64 2^(64 div n)."""
     n = len(original)
-    eps0 = F(1, 64 * lcm(*(F(c).denominator for c in original)))
-    current = list(original)
-    for k in range(64):
-        current[k % n] += eps0 / 2 ** (k // n)
-        cand = tuple(current)
-        if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0 \
-                or not fraction_covers(lattice, bound, base, cand):
-            continue
-        cand_sides = fraction_sides(lattice, walls, cand)
-        if any(c == 0 or c * o < 0 for c, o in zip(cand_sides, sides)):
-            continue
-        if extra_ok(cand_sides):
-            return cand, cand_sides
+    den = lcm(*(F(c).denominator for c in original))
+    for scale in (64, 64 * 2 ** (64 // n)):
+        current = list(original)
+        for k in range(64):
+            current[k % n] += F(1, scale * den) / 2 ** (k // n)
+            cand = tuple(current)
+            if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0 \
+                    or not fraction_covers(lattice, bound, base, cand):
+                continue
+            cand_sides = fraction_sides(lattice, walls, cand)
+            if any(c == 0 or c * o < 0 for c, o in zip(cand_sides, sides)):
+                continue
+            if extra_ok(cand_sides):
+                return cand, cand_sides
     raise PreconditionError("could not perturb an endpoint into general position")
 
 
@@ -846,6 +875,11 @@ class TestAgainstFractionOracle:
                  ((2, F(4, 3), 0), (1, 2, F(-1, 3)), F(4))]
         results = [self.assert_same(quartic, table, a, b, bound) for a, b, bound in cases]
         assert [f.perturbed for f in results] == [False, False] + [True] * 5
+
+    @pytest.mark.parametrize("b", SECOND_PASS_ENDS)
+    def test_second_perturbation_pass(self, quartic, b):
+        f = self.assert_same(quartic, SECOND_PASS_TABLE, (1, 1, 0), b, F(8))
+        assert f.status == STATUS_OK
 
     @pytest.mark.parametrize("bound", [F(8), F(20)])
     def test_random_quartic_segments(self, quartic, table, bound):

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcone import linalg
+from hkcone import fixtures, linalg
 from hkcone.errors import PreconditionError
 from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
+from hkcone.mbm import classify
 
 
 def jacobi_signature(gram):
@@ -390,6 +392,45 @@ class TestCaches:
         assert lat == twin and hash(lat) == hash(twin) == before
         assert repr(lat) == repr(twin) and vars(lat) == vars(twin)
         assert twin.discriminant_group() == disc
+
+
+class TestClassIntake:
+    """classify, discriminant_image and mod_four_class read a class through
+    one intake: its entries as document integers, then its length, then
+    zero, then primitivity."""
+
+    SITES = {
+        "classify": lambda lat, x: classify(lat, fixtures.orbit_table(), x),
+        "discriminant_image": lambda lat, x: lat.discriminant_image(x),
+        "mod_four_class": mod_four_class,
+    }
+    CASES = [
+        ((4, 0), "dimension mismatch: expected 3 coordinates, got 2"),
+        ((4, 0, -1, 0), "dimension mismatch: expected 3 coordinates, got 4"),
+        ((0, 0, 0), "zero vector"),
+        ((4, 4, -8), "class must be primitive"),
+        ((0.5, 4, -1), "not a rational: 0.5"),
+        ((4, True, -1), "not a rational: True"),
+        ((4, 4, "1/2"), "not an integer: '1/2'"),
+        ((0.5, 0), "not a rational: 0.5"),
+        ((0, 0), "dimension mismatch: expected 3 coordinates, got 2"),
+        ((2, 0, 2, 0), "dimension mismatch: expected 3 coordinates, got 4"),
+        ((0, 0, "1/2"), "not an integer: '1/2'"),
+    ]
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("x, message", CASES)
+    def test_error_order(self, quartic, site, x, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            self.SITES[site](quartic, x)
+
+    @pytest.mark.parametrize("x", [x for x, _message in CASES] + [(4, 4, -1)])
+    def test_mod_four_class_checks_the_factor_first(self, x):
+        lat = make_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -6]])
+        assert lat.discriminant_group().invariant_factors == (30,)
+        with pytest.raises(PreconditionError, match="^residue mod 4 needs the last invariant "
+                                                    "factor divisible by 4; got 30$"):
+            mod_four_class(lat, x)
 
 
 class TestClassLength:

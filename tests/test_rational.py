@@ -9,7 +9,7 @@ import pytest
 
 from hkcone import cone, fixtures, linalg, mbm, mukai, render, symplectic as sp, torus
 from hkcone.errors import PreconditionError
-from hkcone.rational import integral, parse_field, parse_int
+from hkcone.rational import integral, parse_field, parse_int, parse_ints
 
 F = Fraction
 
@@ -32,6 +32,10 @@ SITES = {
     "congruence_diagonalize": lambda c: linalg.congruence_diagonalize([[c, 1], [1, 0]]),
     "make_point": lambda c: mukai.make_point([c, 0], [0, 1], [c]),
     "mukai_point": lambda c: mukai.mukai_point([c, 0], [[0, c], [0, 0]]),
+    "pairing x": lambda c: QUARTIC.pairing((c, 4, -1), (1, 0, 0)),
+    "pairing y": lambda c: QUARTIC.pairing((1, 2, 0), (c, 4, -1)),
+    "square": lambda c: QUARTIC.square((c, 4, -1)),
+    "pairing_row": lambda c: QUARTIC.pairing_row((c, 4, -1)),
     "symplectic_space": lambda c: sp.symplectic_space([[0, c], [-1, 0]]),
     "subspace": lambda c: sp.subspace([[c, 1]]).basis,
     "pullback_rank": lambda c: sp.pullback_rank(sp.standard_space(1), [[c, 1], [1, 1]]),
@@ -53,6 +57,10 @@ ACCEPTED = {
     "elimination row": (F(6), F(3)),
     "congruence_diagonalize": ((((1, F(-1, 3)), (0, 1)), (3, F(-1, 3))),
                                (((1, F(-2, 3)), (0, 1)), (F(3, 2), F(-2, 3)))),
+    "pairing x": (6, 9),
+    "pairing y": (24, 18),
+    "square": (50, F(55, 2)),
+    "pairing_row": ((6, 9, 4), (9, F(9, 2), 4)),
     "make_point": (mukai.MukaiPoint((3, 0), (0, 1), (3,)),
                    mukai.MukaiPoint((F(3, 2), 0), (0, 1), (F(3, 2),))),
     "mukai_point": (mukai.MukaiPoint((3, 0), (0, 1)), mukai.MukaiPoint((F(3, 2), 0), (0, 1))),
@@ -93,10 +101,25 @@ def test_result_types():
     for omega in (sp.standard_space(2).omega, sp.symplectic_space([[0, 2], [-2, 0]]).omega):
         assert all(type(c) is int for row in omega for c in row)
     assert all(type(c) is F for c in sp.subspace([["1/2", np.int64(1)]]).basis[0])
+    # the lattice form of ints is an int
+    assert type(QUARTIC.pairing((1, 2, 0), (3, 4, -1))) is int
+    assert all(type(c) is int for c in QUARTIC.pairing_row((3, 4, -1)))
     # integral gives Python ints, also for numpy integers
     ints, m = integral([np.int64(3), F(1, 2), "1/3"])
     assert ints == (18, 3, 2) and m == 6
     assert all(type(c) is int for c in ints + (m,))
+
+
+def test_parse_int_keeps_ints():
+    big = 10 ** 30
+    assert parse_int(big) is big
+    assert type(parse_int(np.int64(7))) is int and parse_int(np.int64(7)) == 7
+    assert parse_ints([big, np.int64(-2), "8/2", F(6, 3)]) == (big, -2, 4, 2)
+    for value in (True, 0.5):
+        with pytest.raises(PreconditionError, match=re.escape(f"not a rational: {value!r}")):
+            parse_int(value)
+    with pytest.raises(PreconditionError, match=re.escape("not an integer: '1/2'")):
+        parse_int("1/2")
 
 
 class TestOptionalField:
