@@ -9,6 +9,7 @@ truncated first: on a delayed-allocation filesystem (ext4), closing a
 file that was truncated to zero forces its writeback.  A write that
 fails leaves the file empty, but the rewrite is not crash-safe: after a
 crash the file can hold a new prefix and the old tail.
+A handler imports what it runs: a call loads only its subcommand's modules.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import stat
 import sys
 
-from . import cone, mbm, mukai, render, symplectic, torus
 from .errors import PreconditionError
 from .lattice import load_lattice
 from .rational import (frac_str, parse_array, parse_field, parse_frac, parse_int,
@@ -90,6 +90,7 @@ def _named_classes(lattice, path: str | None) -> dict:
 
 
 def _cmd_classify(args) -> int:
+    from . import mbm
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
     sig = mbm.classify(lattice, table, _option_vector(lattice, "--class", getattr(args, "class")))
@@ -104,6 +105,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dual_solve(args) -> int:
+    from . import mbm
     lattice = load_lattice(args.lattice)
     names = _named_classes(lattice, args.classes)
     constraints = []
@@ -130,6 +132,7 @@ def _cmd_dual_solve(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import cone, mbm
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
     base = _option_vector(lattice, "--base", args.base)
@@ -148,6 +151,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_factor_path(args) -> int:
+    from . import cone, mbm
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
     a = _load_point(lattice, "--from", getattr(args, "from"))
@@ -161,6 +165,7 @@ def _cmd_factor_path(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import mbm, render
     lattice = load_lattice(args.lattice)
     table = mbm.load_table(args.table)
     base = _option_vector(lattice, "--base", args.base)
@@ -181,6 +186,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_mukai_flop(args) -> int:
+    from . import mukai
     u = parse_vector(args.u)
     phi = parse_vector(args.phi)
     if args.k is not None and len(u) != args.k + 1:
@@ -198,6 +204,7 @@ def _cmd_symp_rank(args) -> int:
     def matrix(path, key):
         return parse_field(_load_json(path), key, parse_matrix, path)
 
+    from . import symplectic
     space = symplectic.symplectic_space(matrix(args.omega, "omega"))
     w = symplectic.subspace(matrix(args.basis, "basis"))
     _emit_json({
@@ -212,6 +219,7 @@ _IRRATIONAL = {"sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3), "sqrt5": math.sqrt(
 
 
 def _torus_point(text: str, real: bool) -> torus.TorusPoint:
+    from . import torus
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise PreconditionError(f"torus points have two coordinates: {text!r}")
@@ -229,6 +237,7 @@ def _torus_point(text: str, real: bool) -> torus.TorusPoint:
 
 
 def _cmd_sigma_orbit(args) -> int:
+    from . import torus
     real = args.real
     fiber = torus.MarkedFiber(
         e0=_torus_point(args.e0, real),

@@ -295,7 +295,7 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
             div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
             if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
                 raise InvariantError("a wall candidate pairs to zero with the whole lattice")
-            row = table.match(s, div, lambda: lattice.folded_residues(lattice.pairing_row(x), div))
+            row = table.match(s, div, lambda: lattice.residues(lattice.pairing_row(x), div, fold=True))
             if row is not None:
                 found.append((x, row))
 

@@ -96,7 +96,9 @@ class IntegralLattice:
     def primitive_class(self, x) -> tuple[int, ...]:
         """The class x as ints, checked for length, then zero, then primitivity."""
         v = self.check_length(parse_ints(x))
-        if not is_primitive(v):
+        if all(c == 0 for c in v):
+            raise PreconditionError("zero vector")
+        if linalg.vec_content(v) != 1:
             raise PreconditionError("class must be primitive")
         return v
 
@@ -110,10 +112,14 @@ class IntegralLattice:
         vector's pairing ideal in the ambient lattice, and the divisibility
         becomes gcd_i(ambient_i * x_i).
         """
-        v = self.check_length(parse_ints(x))
+        return self.class_divisibility(self.check_length(parse_ints(x)))
+
+    def class_divisibility(self, v, row=None) -> int:
+        """``divisibility`` of an int tuple v of the right length; a caller
+        that holds the pairing row G v passes it as ``row``."""
         if all(c == 0 for c in v):
             raise PreconditionError("zero vector")
-        g = pairing_ideal(self.gram, self.ambient_ideals, v)
+        g = pairing_ideal(self.gram, self.ambient_ideals, v, row)
         if g == 0:
             raise PreconditionError("vector pairs to zero with the whole lattice")
         return g
@@ -121,30 +127,29 @@ class IntegralLattice:
     def discriminant_group(self) -> DiscriminantGroup:
         return _discriminant_group(self.gram)
 
-    def residues(self, row, d, disc=None) -> tuple[int, ...]:
+    def residues(self, row, d, disc=None, fold=False) -> tuple[int, ...]:
         """Residues of x/d, U (G x / d) mod the invariant factors, from the
-        pairing row ``row`` = G x of a class x and a d that divides it.  The
-        check on d comes before the group is read; passing the group as
-        ``disc`` lets a caller with many classes of one lattice read it once."""
+        pairing row ``row`` = G x of a class x and a d that divides it; with
+        ``fold``, those of x/d or of -x/d (read off as -r mod f), whichever
+        is smaller: x and -x describe the same wall.  The check on d comes
+        before the group is read; passing the group as ``disc`` lets a
+        caller with many classes of one lattice read it once."""
         if any(p % d for p in row):
             raise PreconditionError("divisibility does not divide the pairing row")
         if disc is None:
             disc = self.discriminant_group()
-        return tuple(sum(map(mul, u, row)) // d % f
+        plus = tuple(sum(map(mul, u, row)) // d % f
                      for u, f in zip(disc.transform, disc.invariant_factors))
-
-    def folded_residues(self, row, d) -> tuple[int, ...]:
-        """``residues`` of x/d or of -x/d (read off as -r mod f), whichever
-        is smaller: x and -x describe the same wall."""
-        plus = self.residues(row, d)
-        factors = self.discriminant_group().invariant_factors
-        return min(plus, tuple(-r % f for r, f in zip(plus, factors)))
+        if not fold:
+            return plus
+        return min(plus, tuple(-r % f for r, f in zip(plus, disc.invariant_factors)))
 
     def discriminant_image(self, x) -> tuple[int, ...]:
         """Residue tuple of x/d(x) in the discriminant group, up to global
-        sign: ``folded_residues`` of a primitive integral class x."""
+        sign: the folded ``residues`` of a primitive integral class x."""
         v = self.primitive_class(x)
-        return self.folded_residues(self.pairing_row(v), self.divisibility(v))
+        row = linalg.mat_vec(self.gram, v)
+        return self.residues(row, self.class_divisibility(v, row), fold=True)
 
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
@@ -195,15 +200,15 @@ def _congruence(gram):
     return linalg.congruence_diagonalize(gram)
 
 
-def pairing_ideal(gram, ambient_ideals, v: tuple[int, ...]) -> int:
+def pairing_ideal(gram, ambient_ideals, v: tuple[int, ...], row=None) -> int:
     """The divisibility rule on a checked integer tuple v (0 if v pairs to
     zero with everything): gcd_i(ambient_i * v_i) with ambient ideals,
-    else the gcd of G v.  ``IntegralLattice.divisibility`` parses and
-    checks its argument first; the wall enumeration, whose candidates are
-    integer tuples of the right length already, calls this directly.
+    else the gcd of G v (``row``, if given).  ``IntegralLattice.divisibility``
+    parses and checks its argument first; the wall enumeration, whose
+    candidates are integer tuples of the right length already, calls this.
     """
     return math.gcd(*map(mul, ambient_ideals, v)) if ambient_ideals else \
-        math.gcd(*linalg.mat_vec(gram, v))
+        math.gcd(*(linalg.mat_vec(gram, v) if row is None else row))
 
 
 def mod_four_class(lattice: IntegralLattice, x) -> int:
@@ -217,7 +222,8 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
     """
     read = mod_four_reader(lattice)
     v = lattice.primitive_class(x)
-    return read(lattice.pairing_row(v), lattice.divisibility(v))
+    row = linalg.mat_vec(lattice.gram, v)
+    return read(row, lattice.class_divisibility(v, row))
 
 
 def mod_four_reader(lattice: IntegralLattice):

@@ -103,11 +103,12 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     residue all are.
     """
     v = lattice.primitive_class(x)
-    square = lattice.square(v)
+    row = linalg.mat_vec(lattice.gram, v)
+    square = linalg.dot(row, v)
     if square >= 0:
         raise PreconditionError("class must have negative square")
-    d = lattice.divisibility(v)
-    return table.match(square, d, lambda: lattice.folded_residues(lattice.pairing_row(v), d))
+    d = lattice.class_divisibility(v, row)
+    return table.match(square, d, lambda: lattice.residues(row, d, fold=True))
 
 
 def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:

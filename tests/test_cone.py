@@ -1116,20 +1116,23 @@ class TestPinnedResidues:
 
     @staticmethod
     def forbid_discriminant_image(monkeypatch):
-        """Make ``discriminant_image`` raise; count ``divisibility`` calls."""
+        """Make ``discriminant_image`` raise; count ``divisibility`` and
+        ``class_divisibility`` calls together: each reads a divisibility."""
         calls = Counter()
         cls = lattice_module.IntegralLattice
-        divisibility = cls.divisibility
 
         def refused(self, x):
             raise AssertionError("discriminant_image called on a validated class")
 
-        def counted(self, x):
-            calls["divisibility"] += 1
-            return divisibility(self, x)
+        def counted(original):
+            def wrapper(self, *args):
+                calls["divisibility"] += 1
+                return original(self, *args)
+            return wrapper
 
         monkeypatch.setattr(cls, "discriminant_image", refused)
-        monkeypatch.setattr(cls, "divisibility", counted)
+        for name in ("divisibility", "class_divisibility"):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
         return calls
 
     @pytest.mark.parametrize("tab", [QUARTIC_MANY_TABLE, QUARTIC_PINNED_TABLE])
@@ -1141,6 +1144,18 @@ class TestPinnedResidues:
         calls = self.forbid_discriminant_image(monkeypatch)
         assert enumerate_wall_classes(quartic, tab, (4, 4, -1), bound) == want
         assert calls["divisibility"] == 0
+
+    def test_walk_reads_the_group_once_per_pinned_candidate(self, quartic, monkeypatch):
+        calls = Counter()
+        cls = lattice_module.IntegralLattice
+        for name in ("discriminant_group", "residues"):
+            def counted(self, *args, name=name, original=getattr(cls, name), **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), F(15))
+        assert len(walls) == 35
+        assert calls["discriminant_group"] == calls["residues"] == 34, calls
 
     @pytest.mark.parametrize("name", ["beta", "delta", "eps", "gamma"])
     def test_classify(self, quartic, named, name, monkeypatch):

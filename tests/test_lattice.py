@@ -2,16 +2,19 @@ import gc
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcone import fixtures, linalg
+from hkcone import fixtures, linalg, rational
+from hkcone import lattice as lattice_module
+from hkcone import mbm as mbm_module
 from hkcone.errors import PreconditionError
 from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
-from hkcone.mbm import classify
+from hkcone.mbm import classify, table_from_dict
 
 
 def jacobi_signature(gram):
@@ -423,6 +426,30 @@ class TestClassIntake:
     def test_error_order(self, quartic, site, x, message):
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             self.SITES[site](quartic, x)
+
+    @pytest.mark.parametrize("site", [*SITES, "classify, pinned row"])
+    def test_one_read_per_class(self, quartic, site, monkeypatch):
+        """A valid class is read once: at most one parse_ints and one
+        parse_exact, with the pairing row and divisibility reused."""
+        pinned = table_from_dict({"orbits": [{"name": "p", "square": -36, "divisibility": 4,
+                                              "codimension": 2, "disc_residue": [9]}]})
+        sites = {**self.SITES, "classify, pinned row": lambda lat, x: classify(lat, pinned, x)}
+        quartic.discriminant_group()  # the group's own reading is not the class's
+        calls = Counter()
+        for name in ("parse_ints", "parse_exact"):
+            original = getattr(rational, name)
+
+            def counted(values, name=name, original=original):
+                calls[name] += 1
+                return original(values)
+
+            for module in (rational, lattice_module, linalg, mbm_module):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        result = sites[site](quartic, (0, 4, -3))
+        assert calls["parse_ints"] <= 1 and calls["parse_exact"] <= 1, calls
+        if site == "classify, pinned row":
+            assert result is pinned.orbits[0]  # the residue was read
 
     @pytest.mark.parametrize("x", [x for x, _message in CASES] + [(4, 4, -1)])
     def test_mod_four_class_checks_the_factor_first(self, x):
