@@ -1,11 +1,12 @@
 """Rank of a symplectic form restricted to subspaces, exactly.
 
-_form_rank gives rank(m^t omega m).  On a subspace W with basis rows R
-(m = R^t) it is even, at most dim W, and at least dim W - codim W with
-equality exactly for coisotropic W, since
-rank(omega|_W) = dim W - dim(W cap W^perp) and dim W^perp = codim W.
-is_coisotropic tests that equality instead of computing W^perp.  Entries
-follow rational.parse_exact (ints stay ints); ranks are exact.
+_form_rank gives rank(m^t omega m), pairing the columns of m once per
+unordered pair: the form is antisymmetric.  On a subspace W it is even, at
+most dim W, and at least dim W - codim W with equality exactly for
+coisotropic W, as rank(omega|_W) = dim W - dim(W cap W^perp), dim W^perp =
+codim W.  So isotropy is the vanishing of the pairings, and coisotropy is
+read off that bound: false for 2 dim W < dim, isotropy at equality, a rank
+only above it.  Entries follow rational.parse_exact; ranks are exact.
 """
 
 from __future__ import annotations
@@ -72,29 +73,45 @@ def subspace(vectors) -> Subspace:
     return Subspace(basis=tuple(map(parse_exact, vectors)))
 
 
-def _form_rank(space: SymplecticSpace, m) -> int:
-    """rank(m^t omega m), the rank of omega pulled back along the columns of m."""
-    return linalg.rank(linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(space.omega, m)))
+def _pairings(space: SymplecticSpace, vectors):
+    """(i, j, omega(u_i, u_j)) for i < j, lazily: one mat_vec per u_j, j > 0."""
+    for j in range(1, len(vectors)):
+        omega_u = linalg.mat_vec(space.omega, vectors[j])
+        for i in range(j):
+            yield i, j, linalg.dot(vectors[i], omega_u)
+
+
+def _form_rank(space: SymplecticSpace, vectors) -> int:
+    """rank(m^t omega m), m with the vectors as columns: omega pulled back along m."""
+    form = [[0] * len(vectors) for _ in vectors]
+    for i, j, v in _pairings(space, vectors):
+        form[i][j], form[j][i] = v, -v
+    return linalg.rank(form)
+
+
+def _basis(space: SymplecticSpace, w: Subspace):
+    if any(len(v) != space.dim for v in w.basis):
+        raise PreconditionError("basis vectors must lie in the ambient space")
+    return w.basis
 
 
 def restriction_rank(space: SymplecticSpace, w: Subspace) -> int:
     """Rank of omega restricted to W; always even."""
-    if any(len(v) != space.dim for v in w.basis):
-        raise PreconditionError("basis vectors must lie in the ambient space")
-    return _form_rank(space, linalg.transpose(w.basis))
+    return _form_rank(space, _basis(space, w))
 
 
 def is_isotropic(space: SymplecticSpace, w: Subspace) -> bool:
-    return restriction_rank(space, w) == 0
+    """True iff omega vanishes on W; stops at the first nonzero pairing."""
+    return not any(v for _i, _j, v in _pairings(space, _basis(space, w)))
 
 
 def is_coisotropic(space: SymplecticSpace, w: Subspace) -> bool:
-    """True iff W contains its omega-orthogonal complement.
-
-    That holds exactly when rank(omega|_W) = dim W - codim W, the lower
-    bound on the restriction rank.
-    """
-    return restriction_rank(space, w) == 2 * w.dim - space.dim
+    """True iff W contains its omega-orthogonal complement, that is iff
+    rank(omega|_W) = dim W - codim W, the lower bound on the rank."""
+    excess = 2 * len(_basis(space, w)) - space.dim
+    if excess > 0:
+        return restriction_rank(space, w) == excess
+    return excess == 0 and is_isotropic(space, w)
 
 
 def pullback_rank(space: SymplecticSpace, f) -> int:
@@ -102,7 +119,9 @@ def pullback_rank(space: SymplecticSpace, f) -> int:
     f = tuple(map(parse_exact, f))
     if len(f) != space.dim:
         raise PreconditionError("map must land in the ambient space")
-    return _form_rank(space, f)
+    if any(len(row) != len(f[0]) for row in f):
+        raise PreconditionError("ragged matrix")
+    return _form_rank(space, linalg.transpose(f))
 
 
 class MbmRankCheck(NamedTuple):

@@ -11,10 +11,10 @@ Real orbits are float64 coordinate arrays: one numpy core computes every
 translate with the float operations of the scalar expression, merges
 points that agree at 12 decimals exactly as round(v, 12) would, and
 feeds both `orbit` (which builds the points) and `orbit_density` (size
-and covering radius, no point objects).  The covering radius prunes the
-points per sample column and returns the float of the full scan.  numpy
-is imported inside the real-mode functions, so importing the package
-does not load it.
+and covering radius, no point objects).  The covering radius searches
+each sample column outward from the point spacing and returns the float
+of the full scan.  numpy is imported inside the real-mode functions, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ def orbit_density(fiber: MarkedFiber, x: TorusPoint, depth: int, grid: int) -> t
     t1, t2 = _steps(fiber, x, depth)
     if fiber.exact:
         raise PreconditionError("orbit density is a real-mode measurement")
+    if grid < 1:
+        raise PreconditionError("grid must be positive")
     xs, ys = _real_orbit(x, t1, t2, depth)
     return len(xs), _covering_radius(xs, ys, grid)
 
@@ -233,6 +235,8 @@ def covering_radius(points, grid: int) -> float:
     pts = [(float(p.x), float(p.y)) for p in points]
     if not pts:
         raise PreconditionError("empty point set")
+    if grid < 1:
+        raise PreconditionError("grid must be positive")
     import numpy as np  # only the real-mode functions need it; keeps it out of CLI start-up
     xs, ys = np.asarray(pts).T
     return _covering_radius(xs, ys, grid)
@@ -242,20 +246,17 @@ def _covering_radius(xs, ys, grid: int) -> float:
     """covering_radius of the points (xs[k], ys[k]).
 
     For the samples of column i only points with dx <= r can be nearest
-    once some point lies within r; r starts at 1/grid and doubles for the
-    samples still without one.  Every distance is |p - s| wrapped by
-    min(d, 1 - d), so the result is the float of a full scan.
+    once some point lies within r; r starts at min(1/grid, N**-1/2) for N
+    points and doubles for the samples still without one.  Every distance
+    is |p - s| wrapped by min(d, 1 - d): the float of a full scan.
     """
-    if grid < 1:
-        raise PreconditionError("grid must be positive")
     import numpy as np
     samples = np.arange(grid) / grid
     worst = 0.0
     for s in samples:
         dx = np.abs(xs - s)
         dx = np.minimum(dx, 1.0 - dx)
-        pending = samples
-        r = 1.0 / grid
+        pending, r = samples, min(1.0 / grid, len(xs) ** -0.5)
         while len(pending):
             near = dx <= r
             if near.any():

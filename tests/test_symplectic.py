@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from hkcone import linalg
+from hkcone import linalg, symplectic
 from hkcone.errors import PreconditionError
 from hkcone.symplectic import (is_coisotropic, is_isotropic, mbm_rank_identity,
                                pullback_rank, restriction_rank, standard_space,
@@ -231,3 +231,185 @@ class TestInvariance:
             sub_rows = w.basis[:k]
             w_sub = subspace(sub_rows)
             assert restriction_rank(s, w_sub) <= restriction_rank(s, w)
+
+
+def oracle_rank(space, m):
+    """rank(m^t omega m) by two full matrix products and one elimination."""
+    return linalg.rank(linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(space.omega, m)))
+
+
+def random_fraction(rng, lo=-3, hi=3):
+    return F(rng.randint(lo, hi), rng.randint(1, 3))
+
+
+def random_invertible(rng, n, entry):
+    while True:
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if linalg.determinant(m) != 0:
+            return m
+
+
+def random_antisymmetric_space(rng, dim):
+    """A nondegenerate antisymmetric omega with random Fraction entries."""
+    while True:
+        upper = [[random_fraction(rng) if j > i else F(0) for j in range(dim)]
+                 for i in range(dim)]
+        omega = [[upper[i][j] - upper[j][i] for j in range(dim)] for i in range(dim)]
+        if linalg.determinant(omega) != 0:
+            return symplectic_space(omega)
+
+
+def constructed_rows(rng, n, k, fractions):
+    """k independent rows spanning a subspace of (Q^2n, J) with known type.
+
+    For k <= n a subspace of the Lagrangian graph {(x, Bx)}, B symmetric,
+    so isotropic; for k > n that Lagrangian plus k - n of the f_i, so
+    coisotropic (its complement lies in the Lagrangian).  The rows are a
+    random invertible recombination of the spanning vectors.
+    """
+    entry = (lambda: random_fraction(rng)) if fractions else (lambda: rng.randint(-2, 2))
+    b = [[entry() for _ in range(n)] for _ in range(n)]
+    b = [[b[i][j] + b[j][i] for j in range(n)] for i in range(n)]
+    graph = [[int(i == j) for j in range(n)] + list(b[i]) for i in range(n)]
+    fs = [[0] * n + [int(i == j) for j in range(n)] for i in rng.sample(range(n), max(0, k - n))]
+    span = graph[:k] if k <= n else graph + fs
+    return linalg.mat_mul(random_invertible(rng, k, entry), span)
+
+
+def expected_mbm(rank, dim, k, codim):
+    kernel = k - rank
+    if kernel != codim:
+        return (False, f"kernel dimension {kernel} != codimension {codim}")
+    return (rank == dim - 2 * codim, None)
+
+
+def check_against_oracle(s, w):
+    m = linalg.transpose(w.basis)
+    rank = oracle_rank(s, m)
+    k = w.dim
+    assert restriction_rank(s, w) == rank
+    assert is_isotropic(s, w) == (rank == 0)
+    assert is_coisotropic(s, w) == (rank == 2 * k - s.dim)
+    assert pullback_rank(s, m) == rank
+    for codim in {s.dim - k, k - rank, 0, 1}:
+        assert tuple(mbm_rank_identity(s, w, codim)) == expected_mbm(rank, s.dim, k, codim)
+    return rank
+
+
+class TestFastPathsAgainstOracle:
+    """The pairing loop and the rank-bound shortcuts against rank(m^t omega m)."""
+
+    def test_random_subspaces(self):
+        rng = random.Random(71)
+        for n in range(1, 7):
+            dim = 2 * n
+            spaces = [standard_space(n), random_antisymmetric_space(rng, dim)]
+            for k in range(1, dim + 1):
+                for s in spaces:
+                    for fractions in (False, True):
+                        entry = (lambda: random_fraction(rng, -2, 2)) if fractions \
+                            else (lambda: rng.choice((0, 0, 1, -1, 2)))
+                        while True:
+                            rows = [[entry() for _ in range(dim)] for _ in range(k)]
+                            if linalg.rank(rows) == k:
+                                break
+                        check_against_oracle(s, subspace(rows))
+
+    def test_constructed_isotropic_and_coisotropic(self):
+        rng = random.Random(72)
+        for n in range(1, 7):
+            dim = 2 * n
+            j = standard_space(n).omega
+            p = random_invertible(rng, dim, lambda: random_fraction(rng, -2, 2))
+            # omega = P^t J P pairs u, v as J pairs P u, P v: carry rows by P^-1
+            s_p = symplectic_space(linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), j), p))
+            p_inv_t = linalg.transpose(linalg.invert(p))
+            for k in range(1, dim + 1):
+                # both entry kinds up to dim 8; above, Fraction entries at odd k
+                for fractions in (False, True) if n < 5 else (bool(k % 2),):
+                    rows = constructed_rows(rng, n, k, fractions)
+                    for s, basis in ((standard_space(n), rows), (s_p, linalg.mat_mul(rows, p_inv_t))):
+                        w = subspace(basis)
+                        rank = check_against_oracle(s, w)
+                        assert is_isotropic(s, w) == (k <= n)
+                        assert is_coisotropic(s, w) == (k >= n)
+                        assert rank == 2 * max(0, k - n)
+
+    def test_rank_deficient_pullbacks(self):
+        rng = random.Random(73)
+        for n in range(1, 7):
+            dim = 2 * n
+            for s in (standard_space(n), random_antisymmetric_space(rng, dim)):
+                for cols in range(1, dim + 3):
+                    for inner in {0, rng.randrange(min(dim, cols))}:
+                        # f = A B has rank at most inner < cols
+                        a = [[random_fraction(rng) for _ in range(inner)] for _ in range(dim)]
+                        b = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)]
+                        f = linalg.mat_mul(a, b) if inner else [[0] * cols for _ in range(dim)]
+                        assert pullback_rank(s, f) == oracle_rank(s, f)
+
+    @pytest.mark.parametrize("n, width, k", [
+        (3, 4, 1), (3, 4, 3), (3, 4, 4), (3, 8, 2), (3, 8, 3), (3, 8, 5),
+        (1, 1, 1), (2, 6, 1), (2, 6, 2), (2, 6, 3)])
+    def test_wrong_length_basis(self, n, width, k):
+        # 2k below, at and above dim: the check comes before any shortcut
+        s = standard_space(n)
+        w = subspace([[int(i == j) for j in range(width)] for i in range(k)])
+        for predicate in (restriction_rank, is_isotropic, is_coisotropic):
+            with pytest.raises(PreconditionError,
+                               match="^basis vectors must lie in the ambient space$"):
+                predicate(s, w)
+        with pytest.raises(PreconditionError, match="ambient space"):
+            mbm_rank_identity(s, w, 1)
+
+
+class TestWorkCounts:
+    """Isotropy and coisotropy at 2k <= dim run no elimination."""
+
+    def test_no_elimination_where_the_bound_settles(self, monkeypatch):
+        rng = random.Random(74)
+        cases = []
+        for n in range(1, 7):
+            s = random_antisymmetric_space(rng, 2 * n)
+            for k in range(1, 2 * n + 1):
+                w = random_subspace(rng, 2 * n, k)
+                cases.append((s, w, oracle_rank(s, linalg.transpose(w.basis))))
+        def no_rank(m):
+            raise AssertionError("linalg.rank called")
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        for s, w, rank in cases:
+            assert is_isotropic(s, w) == (rank == 0)
+            if 2 * w.dim <= s.dim:
+                assert is_coisotropic(s, w) == (rank == 2 * w.dim - s.dim)
+            else:
+                with pytest.raises(AssertionError, match="linalg.rank called"):
+                    is_coisotropic(s, w)
+
+    def count_mat_vec(self, monkeypatch):
+        calls = []
+        mat_vec = linalg.mat_vec
+
+        def counted(m, v):
+            calls.append(v)
+            return mat_vec(m, v)
+        monkeypatch.setattr(linalg, "mat_vec", counted)
+        return calls
+
+    def test_form_rank_pairs_each_unordered_pair_once(self, monkeypatch):
+        rng = random.Random(75)
+        calls = self.count_mat_vec(monkeypatch)
+        for n in range(1, 7):
+            s = standard_space(n)
+            for k in range(1, 2 * n + 1):
+                w = random_subspace(rng, 2 * n, k)
+                del calls[:]
+                symplectic._form_rank(s, w.basis)
+                assert len(calls) == k - 1
+
+    def test_isotropy_stops_at_the_first_nonzero_pairing(self, monkeypatch):
+        calls = self.count_mat_vec(monkeypatch)
+        s = standard_space(3)
+        w = subspace([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0],
+                      [0, 0, 1, 0, 0, 0]])
+        assert not is_isotropic(s, w)
+        assert len(calls) == 1

@@ -447,6 +447,52 @@ class TestSparseCoveringRadius:
         assert covering_radius(points, grid) == covering_radius_loops(points, grid)
 
 
+class TestCoveringRadiusStartRadius:
+    """The search starts at min(1/grid, N**-1/2) for N points; each case
+    is checked with == against the loop and per-cell oracles."""
+
+    def check(self, pts, grid):
+        points = [real_point(x, y) for x, y in pts]
+        want = covering_radius_loops(points, grid)
+        assert covering_radius(points, grid) == want == covering_radius_cells(points, grid)
+
+    @pytest.mark.parametrize("n, grid", [(50, 2), (200, 4), (300, 8), (30, 1), (5, 1)])
+    def test_more_points_than_samples(self, n, grid):
+        # N > grid**2: the start radius is below 1/grid
+        rng = random.Random(81 + n)
+        self.check([(rng.random(), rng.random()) for _ in range(n)], grid)
+
+    @pytest.mark.parametrize("grid", [1, 3, 8, 16])
+    def test_clusters_with_empty_gaps(self, grid):
+        # far samples need several doublings from the small start radius
+        rng = random.Random(82 + grid)
+        pts = [(0.1 + 0.01 * rng.random(), 0.15 + 0.01 * rng.random()) for _ in range(300)]
+        pts += [(0.62 + 0.005 * rng.random(), 0.7 + 0.005 * rng.random()) for _ in range(40)]
+        self.check(pts, grid)
+
+    @pytest.mark.parametrize("n, grid", [(2, 4), (10, 16), (60, 9)])
+    def test_fewer_points_than_samples(self, n, grid):
+        rng = random.Random(83 + n)
+        self.check([(rng.random(), rng.random()) for _ in range(n)], grid)
+
+    @pytest.mark.parametrize("grid", [1, 2, 5, 32])
+    def test_single_point(self, grid):
+        self.check([(0.3, 0.9)], grid)
+
+    def test_orbit_density_checks_grid_before_the_orbit(self, monkeypatch):
+        def no_orbit(*args):
+            raise AssertionError("orbit built")
+        monkeypatch.setattr(torus, "_real_orbit", no_orbit)
+        real = irrational_fiber("sqrt2", "sqrt3")
+        with pytest.raises(PreconditionError, match="^grid must be positive$"):
+            orbit_density(real, real_point(0, 0), 100, 0)
+        with pytest.raises(PreconditionError, match="^depth must be positive$"):
+            orbit_density(real, real_point(0, 0), 0, 0)
+        with pytest.raises(PreconditionError, match="real-mode"):
+            orbit_density(MarkedFiber(exact_point(0, 0), exact_point(0, 0),
+                                      exact_point(0, 0)), exact_point(0, 0), 3, 0)
+
+
 def test_cli_import_leaves_numpy_out():
     src = str(Path(hkcone.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
