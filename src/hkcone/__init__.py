@@ -15,19 +15,19 @@ import importlib
 # "home name name ...": the public names and the module that defines them
 _HOME = {name: home for home, *names in map(str.split, (
     "errors PreconditionError",
-    "lattice DiscriminantGroup IntegralLattice is_primitive lattice_from_dict load_lattice",
-    "lattice make_lattice mod_four_class",
-    "mbm OrbitSignature SignatureTable classify dual_solve is_divisorial load_table",
-    "mbm primitive_rescale table_from_dict",
-    "cone FlopFactorization WallCrossing component_sign crossing_parameter factor_path",
-    "cone enumerate_wall_classes factorization_report group_hu_yau same_chamber same_component",
+    "lattice DiscriminantGroup IntegralLattice lattice_from_dict load_lattice make_lattice",
+    "lattice mod_four_class",
+    "mbm OrbitSignature SignatureTable classify dual_solve load_table primitive_rescale",
+    "mbm table_from_dict",
+    "cone FlopFactorization WallCrossing enumerate_wall_classes factor_path",
+    "cone factorization_report group_hu_yau",
     "mukai DualMukaiPoint MukaiPoint check_diagram contract contract_dual flop flop_dual",
-    "mukai make_point mukai_point proportional",
-    "symplectic SymplecticSpace Subspace is_coisotropic is_isotropic mbm_rank_identity",
-    "symplectic pullback_rank restriction_rank standard_space subspace symplectic_space",
-    "torus MarkedFiber TorusPoint covering_radius exact_point generators is_torsion orbit",
-    "torus real_point related sigma_image",
-    "render DiskScene WallChord build_scene klein_coords render_svg wall_chord",
+    "mukai make_point proportional",
+    "symplectic SymplecticSpace Subspace is_coisotropic is_isotropic pullback_rank",
+    "symplectic restriction_rank standard_space subspace symplectic_space",
+    "torus MarkedFiber TorusPoint covering_radius exact_point generators orbit real_point",
+    "torus related sigma_image",
+    "render DiskScene WallChord build_scene klein_coords render_svg",
 )) for name in names}
 __all__ = list(_HOME)
 

@@ -66,23 +66,6 @@ def _integral_cone_point(lattice: IntegralLattice, p) -> tuple[tuple[int, ...], 
     return x, m, q
 
 
-def as_cone_point(lattice: IntegralLattice, p) -> tuple[Fraction, ...]:
-    """The coordinates of p as Fractions, checked to have positive square."""
-    x, m, _q = _integral_cone_point(lattice, p)
-    return tuple(Fraction(c, m) for c in x)
-
-
-def component_sign(lattice: IntegralLattice, p) -> int:
-    """Which component of the positive cone p lies in: +1 or -1.
-
-    The tag is the pairing sign against a fixed positive reference vector
-    derived from the diagonalization of the lattice.
-    """
-    _require_lorentzian(lattice)
-    s = lattice.pairing(as_cone_point(lattice, p), lattice.positive_reference())
-    return 1 if s > 0 else -1
-
-
 @dataclass(frozen=True)
 class WallCrossing:
     wall_class: tuple[int, ...]
@@ -108,12 +91,6 @@ def _require_lorentzian(lattice: IntegralLattice):
     sig = lattice.signature()
     if sig != (1, lattice.rank - 1, 0):
         raise PreconditionError(f"lattice must have signature (1, r-1); got {sig}")
-
-
-def same_component(lattice: IntegralLattice, p, q_pt) -> bool:
-    """True iff two positive-square points lie in the same cone component."""
-    _require_lorentzian(lattice)
-    return lattice.pairing(as_cone_point(lattice, p), as_cone_point(lattice, q_pt)) > 0
 
 
 def _majorant(ga, gb, qab, gram) -> list[list[int]]:
@@ -326,20 +303,6 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     return found
 
 
-def crossing_parameter(lattice: IntegralLattice, x, a, b) -> Fraction | None:
-    """Parameter of the wall of x on the segment a + t(b - a), if crossed.
-
-    Returns q(x,a) / (q(x,a) - q(x,b)) when the pairings have strictly
-    opposite signs, None otherwise (including an endpoint on the wall).
-    Pure segment arithmetic: cone membership is the caller's concern.
-    With x = X / mx, a = A / ma and b = B / mb, the parameter is
-    q(X, A) mb / (q(X, A) mb - q(X, B) ma).
-    """
-    (xs, _), (pa, ma), (pb, mb) = integral(x), integral(a), integral(b)
-    qa, qb = lattice.pairing(xs, pa) * mb, lattice.pairing(xs, pb) * ma
-    return Fraction(qa, qa - qb) if qa * qb < 0 else None
-
-
 def _covers(bound, qq, q_base, q_y) -> bool:
     # the region around base covers the cone point y: qq^2 <= B q(base) q(y),
     # qq = q(base, y)
@@ -510,11 +473,6 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     return FlopFactorization(a=tuple(Fraction(c, da) for c in pa),
                              b=tuple(Fraction(c, db) for c in pb), steps=tuple(steps), groups=groups,
                              status=status, perturbed=perturbed)
-
-
-def same_chamber(lattice: IntegralLattice, table: SignatureTable, a, b, bound) -> bool:
-    """True iff the segment from a to b crosses no wall."""
-    return not factor_path(lattice, table, a, b, bound).steps
 
 
 def factorization_report(f: FlopFactorization) -> dict:

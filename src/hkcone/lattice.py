@@ -38,14 +38,6 @@ class DiscriminantGroup:
         return math.prod(self.invariant_factors)
 
 
-def is_primitive(coords) -> bool:
-    """True iff the integer vector has coordinate gcd 1."""
-    v = parse_ints(coords)
-    if all(c == 0 for c in v):
-        raise PreconditionError("zero vector")
-    return linalg.vec_content(v) == 1
-
-
 @dataclass(frozen=True)
 class IntegralLattice:
     gram: tuple[tuple[int, ...], ...]
@@ -174,11 +166,6 @@ class IntegralLattice:
             t = tuple(tuple(row[i] for i in order) for row in t)
             diag = tuple(diag[i] for i in order)
         return t, diag
-
-    def positive_reference(self) -> tuple:
-        """A fixed rational vector of positive square; tags cone components."""
-        t, _diag = self.diagonalize()
-        return tuple(row[0] for row in t)
 
 
 # Keyed by the Gram matrix, not by the lattice: a dropped lattice is

@@ -92,10 +92,6 @@ class SignatureTable:
         raise KeyError(name)
 
 
-def is_divisorial(sig: OrbitSignature) -> bool:
-    return sig.codimension == 1
-
-
 def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignature | None:
     """Table row whose invariants match the class x, or None.
 

@@ -84,29 +84,6 @@ class DualMukaiPoint:
         return _outer(self.phi, self.u)
 
 
-def mukai_point(u, a, slice_coords=()) -> MukaiPoint:
-    """The point ([u], A), factoring A = u phi^t once.
-
-    The nonzero and A^2 checks come first for their matrix error texts;
-    the point then checks its pair again.
-    """
-    u = _qvec(u)
-    a = [_qvec(row) for row in a]
-    n = len(u)
-    if not any(u):
-        raise PreconditionError("u must be nonzero")
-    if len(a) != n or any(len(row) != n for row in a):
-        raise PreconditionError("matrix size must match dim V")
-    i0 = next(i for i, c in enumerate(u) if c)
-    phi = tuple(c / u[i0] for c in a[i0])
-    if any(a[i][j] != u[i] * phi[j] for i in range(n) for j in range(n)):
-        raise PreconditionError("image of A must lie in the line of u")
-    # A = u phi^t, so A^2 = (phi . u) A
-    if linalg.dot(phi, u) != 0:
-        raise PreconditionError("A^2 must vanish")
-    return MukaiPoint(u, phi, _qvec(slice_coords))
-
-
 def make_point(u, phi, slice_coords=()) -> MukaiPoint:
     """([u], u phi^t) for a covector phi vanishing on u; phi = 0 gives the zero section."""
     return MukaiPoint(_qvec(u), _qvec(phi), _qvec(slice_coords))

@@ -148,16 +148,6 @@ def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
     return _DiskFrame(lattice).point(x)
 
 
-def wall_chord(lattice: IntegralLattice, w) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Ideal endpoints of the wall of a negative-square class.
-
-    The wall is the polar line n.X = z0 with n = (sx z1, sy z2); its
-    endpoints are (z0 n +- h n_perp) / |n|^2, where |n|^2 and
-    h^2 = -q(w)/d0 are exact.  Endpoints are sorted for determinism.
-    """
-    return _DiskFrame(lattice).chord(*integral(w))
-
-
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
                 markers=(), cusps=(), path=None) -> DiskScene:
     """Assemble the disk picture of all walls near a base point; a ``path``

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import linalg
 from .errors import PreconditionError
@@ -122,22 +121,3 @@ def pullback_rank(space: SymplecticSpace, f) -> int:
     if any(len(row) != len(f[0]) for row in f):
         raise PreconditionError("ragged matrix")
     return _form_rank(space, linalg.transpose(f))
-
-
-class MbmRankCheck(NamedTuple):
-    holds: bool
-    reason: str | None
-
-
-def mbm_rank_identity(space: SymplecticSpace, w: Subspace,
-                      ambient_codim: int) -> MbmRankCheck:
-    """Check rank(omega|_W) = dim - 2 codim for a locus-type subspace.
-
-    Applies when the kernel of omega|_W has dimension exactly
-    ambient_codim; otherwise the precondition failure is reported.
-    """
-    r = restriction_rank(space, w)
-    kernel_dim = w.dim - r
-    if kernel_dim != ambient_codim:
-        return MbmRankCheck(False, f"kernel dimension {kernel_dim} != codimension {ambient_codim}")
-    return MbmRankCheck(r == space.dim - 2 * ambient_codim, None)

@@ -13,8 +13,10 @@ points that agree at 12 decimals exactly as round(v, 12) would, and
 feeds both `orbit` (which builds the points) and `orbit_density` (size
 and covering radius, no point objects).  The covering radius searches
 each sample column outward from the point spacing and returns the float
-of the full scan.  numpy is imported inside the real-mode functions, so
-importing the package does not load it.
+of the full scan.  A real orbit of more than ``REAL_SIZE_CAP`` points, or
+a grid of more samples, is rejected before anything is allocated.  numpy
+is imported inside the real-mode functions, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 from .rational import parse_frac
+
+# The most orbit points (2 d^2 + 2 d + 1 at depth d, before merging) or
+# grid samples (grid^2) that one real-mode call takes on.  A real orbit
+# peaks at about 80 bytes per point (105 MB at depth 700), so the cap
+# keeps a call near 1 GB; a larger input is rejected as a fault in the
+# input before any array is allocated.  Exact mode allocates nothing by
+# depth and has no cap.
+REAL_SIZE_CAP = 10 ** 7
 
 
 @dataclass(frozen=True, order=True)
@@ -111,19 +121,6 @@ def generators(fiber: MarkedFiber) -> tuple[TorusPoint, TorusPoint, TorusPoint]:
     return (fiber.e1 - fiber.e0, fiber.e2 - fiber.e1, fiber.e0 - fiber.e2)
 
 
-def is_torsion(p: TorusPoint):
-    """(torsion?, order).  Exact points always are; order = lcm of denominators.
-
-    Real points are torsion-free exactly when constructed with the
-    irrationality flag; unflagged real points are rejected.
-    """
-    if p.exact:
-        return True, lcm(p.x.denominator, p.y.denominator)
-    if p.irrational:
-        return False, None
-    raise PreconditionError("real-mode torsion is undecidable without the irrationality flag")
-
-
 def _closure(t1, t2):
     """The subgroup of (Q/Z)^2 generated by t1, t2, as coordinate pairs
     (all of finite order, so sums of t1 and t2 reach their negatives)."""
@@ -156,6 +153,7 @@ def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ..
         pairs = {((x.x + gx) % 1, (x.y + gy) % 1) for gx, gy in _closure(t1, t2)}
         return tuple(TorusPoint(px, py, True, x.irrational) for px, py in sorted(pairs))
     irrational = x.irrational or t1.irrational or t2.irrational
+    _check_depth(depth)
     xs, ys = _real_orbit(x, t1, t2, depth)
     return tuple(TorusPoint(px, py, False, irrational)
                  for px, py in zip(xs.tolist(), ys.tolist()))
@@ -180,10 +178,23 @@ def orbit_density(fiber: MarkedFiber, x: TorusPoint, depth: int, grid: int) -> t
     t1, t2 = _steps(fiber, x, depth)
     if fiber.exact:
         raise PreconditionError("orbit density is a real-mode measurement")
-    if grid < 1:
-        raise PreconditionError("grid must be positive")
+    _check_grid(grid)
+    _check_depth(depth)
     xs, ys = _real_orbit(x, t1, t2, depth)
     return len(xs), _covering_radius(xs, ys, grid)
+
+
+def _check_depth(depth: int):
+    points = 2 * depth * (depth + 1) + 1
+    if points > REAL_SIZE_CAP:
+        raise PreconditionError(f"--depth too large: {points} orbit points, more than {REAL_SIZE_CAP}")
+
+
+def _check_grid(grid: int):
+    if grid < 1:
+        raise PreconditionError("grid must be positive")
+    if grid * grid > REAL_SIZE_CAP:
+        raise PreconditionError(f"--grid too large: {grid * grid} samples, more than {REAL_SIZE_CAP}")
 
 
 def _real_orbit(x: TorusPoint, t1: TorusPoint, t2: TorusPoint, depth: int):
@@ -235,8 +246,7 @@ def covering_radius(points, grid: int) -> float:
     pts = [(float(p.x), float(p.y)) for p in points]
     if not pts:
         raise PreconditionError("empty point set")
-    if grid < 1:
-        raise PreconditionError("grid must be positive")
+    _check_grid(grid)
     import numpy as np  # only the real-mode functions need it; keeps it out of CLI start-up
     xs, ys = np.asarray(pts).T
     return _covering_radius(xs, ys, grid)

@@ -11,11 +11,10 @@ from hkcone import fixtures, linalg
 from hkcone import cone as cone_module
 from hkcone import lattice as lattice_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
-                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _majorant,
-                         _segment_walls, _short_shift, _sides, _sublattice, as_cone_point,
-                         component_sign, crossing_parameter, enumerate_wall_classes, factor_path,
-                         factorization_report, group_hu_yau, report_to_json,
-                         same_chamber, same_component)
+                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _integral_cone_point,
+                         _majorant, _segment_walls, _short_shift, _sides, _strict_crossings,
+                         _sublattice, enumerate_wall_classes, factor_path, factorization_report,
+                         group_hu_yau, report_to_json)
 from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, classify, primitive_rescale
@@ -119,7 +118,7 @@ def enumeration_box(lattice, base, bound, squares):
     (2B + 1) max|s|, and the box follows from the inverse of the
     majorant's Gram matrix.
     """
-    p = primitive_rescale(as_cone_point(lattice, base))[0]
+    p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
     g = lattice.square(p)
     gp = lattice.pairing_row(p)
     scaled = _majorant(gp, gp, g, lattice.gram)
@@ -182,26 +181,25 @@ def spy_on_walks(monkeypatch):
 
 
 class TestSameComponent:
-    def test_positive_pairing(self, quartic):
-        assert same_component(quartic, (4, 4, -1), (1, 1, 0))
+    """Two cone points lie in one component iff factor_path accepts them."""
 
-    def test_antipodal(self, quartic):
-        assert not same_component(quartic, (4, 4, -1), (-4, -4, 1))
+    def test_positive_pairing(self, quartic, table):
+        factor_path(quartic, table, (4, 4, -1), (1, 1, 0), fixtures.PATH_BOUND)
 
-    def test_reflexive(self, quartic):
-        assert same_component(quartic, (4, 4, -1), (4, 4, -1))
+    def test_antipodal(self, quartic, table):
+        with pytest.raises(PreconditionError, match="different components"):
+            factor_path(quartic, table, (4, 4, -1), (-4, -4, 1), fixtures.PATH_BOUND)
 
-    def test_requires_lorentzian(self):
-        definite = make_lattice([[2, 0], [0, 2]])
-        with pytest.raises(PreconditionError):
-            same_component(definite, (1, 0), (0, 1))
-        for lat, p in [(make_lattice([[1, 0], [0, 1]]), (0, 1)),
-                       (make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), (0, 1, 0))]:
+    def test_reflexive(self, quartic, table):
+        factor_path(quartic, table, (4, 4, -1), (4, 4, -1), fixtures.PATH_BOUND)
+
+    def test_requires_lorentzian(self, table):
+        for lat, p, q in [(make_lattice([[2, 0], [0, 2]]), (1, 0), (0, 1)),
+                          (make_lattice([[1, 0], [0, 1]]), (0, 1), (0, 1)),
+                          (make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), (0, 1, 0),
+                           (0, 1, 0))]:
             with pytest.raises(PreconditionError, match="signature"):
-                component_sign(lat, p)
-
-    def test_component_sign_is_consistent(self, quartic):
-        assert component_sign(quartic, (4, 4, -1)) == -component_sign(quartic, (-4, -4, 1))
+                factor_path(lat, table, p, q, fixtures.PATH_BOUND)
 
 
 class TestEnumerate:
@@ -397,22 +395,32 @@ class TestEnumerate:
             assert set(got) == want
 
 
+def crossing_t(lattice, x, a, b):
+    """The parameter of the wall of x on [a, b] as factor_path finds it:
+    ``_strict_crossings`` on the ``_sides`` of the row x^t G at the
+    integral forms of a and b; None when the sides do not strictly differ."""
+    (pa, ma), (pb, mb) = integral(a), integral(b)
+    rows = linalg.mat_mul([integral(x)[0]], lattice.gram)
+    steps = _strict_crossings([(x, None)], _sides(rows, pa), ma, _sides(rows, pb), mb)
+    return steps[0].t if steps else None
+
+
 class TestCrossingParameter:
     def test_symmetric_configuration(self, quartic):
-        t = crossing_parameter(quartic, (0, 0, 1), (1, 1, 1), (1, 1, -1))
+        t = crossing_t(quartic, (0, 0, 1), (1, 1, 1), (1, 1, -1))
         assert t == F(1, 2)
 
     def test_same_side_is_none(self, quartic):
-        assert crossing_parameter(quartic, (0, 0, 1), (1, 1, -1), (2, 2, -1)) is None
+        assert crossing_t(quartic, (0, 0, 1), (1, 1, -1), (2, 2, -1)) is None
 
     def test_endpoint_on_wall_is_none(self, quartic):
-        assert crossing_parameter(quartic, (0, 0, 1), (1, 1, 0), (1, 1, -1)) is None
+        assert crossing_t(quartic, (0, 0, 1), (1, 1, 0), (1, 1, -1)) is None
 
     def test_rational_points_keep_their_value(self, quartic):
         a, b = (2, F(3, 2), -1), (1, 2, F(-5, 4))
         qa, qb = quartic.pairing((-4, 0, 1), a), quartic.pairing((-4, 0, 1), b)
-        assert crossing_parameter(quartic, (-4, 0, 1), a, b) == qa / (qa - qb) == F(2, 13)
-        assert crossing_parameter(quartic, (F(-4, 3), 0, F(1, 3)), a, b) == F(2, 13)
+        assert crossing_t(quartic, (-4, 0, 1), a, b) == qa / (qa - qb) == F(2, 13)
+        assert crossing_t(quartic, (F(-4, 3), 0, F(1, 3)), a, b) == F(2, 13)
 
     @pytest.mark.parametrize("x, a, b", [
         ((-4, 0, 1), (2, 1.5, -1), (1, 2, -1.25)),
@@ -421,7 +429,7 @@ class TestCrossingParameter:
     ])
     def test_floats_and_bools_are_preconditions(self, quartic, x, a, b):
         with pytest.raises(PreconditionError, match="not a rational"):
-            crossing_parameter(quartic, x, a, b)
+            crossing_t(quartic, x, a, b)
 
 
 # (1, 1, 0) to each of these ends needs the second pass of _fix_endpoint
@@ -751,7 +759,7 @@ def fraction_factor_path(lattice, table, a, b, bound):
     """factor_path by the Fraction route: endpoints, side lists, shifts
     and crossing parameters all in Fractions.  Callers pass valid input."""
     bound = F(bound)
-    a, b = as_cone_point(lattice, a), as_cone_point(lattice, b)
+    a, b = tuple(map(F, a)), tuple(map(F, b))
     walls = enumerate_wall_classes(lattice, table, a, bound)
     pa, pb = a, b
     sa, sb = fraction_sides(lattice, walls, a), fraction_sides(lattice, walls, b)
@@ -926,19 +934,21 @@ class TestAgainstFractionOracle:
 
 
 class TestSameChamber:
+    """Two points share a chamber iff their segment has no crossing."""
+
     def test_scaling_stays(self, quartic, table):
-        assert same_chamber(quartic, table, M3, tuple(2 * c for c in M3), F(8))
+        assert not factor_path(quartic, table, M3, tuple(2 * c for c in M3), F(8)).steps
 
     def test_equal_points(self, quartic, table):
-        assert same_chamber(quartic, table, M3, M3, F(8))
+        assert not factor_path(quartic, table, M3, M3, F(8)).steps
 
     def test_empty_table_rejected(self, quartic):
         with pytest.raises(PreconditionError, match="signature table is empty"):
-            same_chamber(quartic, SignatureTable(orbits=()), M3, M4, F(20))
+            factor_path(quartic, SignatureTable(orbits=()), M3, M4, F(20))
 
     def test_eta_separates(self, quartic, table):
         assert quartic.pairing((0, 4, -3), M3) > 0 > quartic.pairing((0, 4, -3), M4)
-        assert not same_chamber(quartic, table, M3, M4, F(20))
+        assert factor_path(quartic, table, M3, M4, F(20)).steps
 
 
 def enumerate_one_ellipsoid(lattice, table, base, bound):
@@ -946,7 +956,7 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
     table square, every table square tried at every prefix of the full
     lattice.  The oracle for the per-square walks on L_d."""
     bound = Fraction(bound)
-    p = primitive_rescale(as_cone_point(lattice, base))[0]
+    p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
     squares = table.squares
     g = lattice.square(p)
     gp = [int(v) for v in lattice.pairing_row(p)]

@@ -14,22 +14,20 @@ from hkcone import fixtures
 # The public names of hkcone, by home module.
 HOMES = {
     "errors": ["PreconditionError"],
-    "lattice": ["DiscriminantGroup", "IntegralLattice", "is_primitive", "lattice_from_dict",
-                "load_lattice", "make_lattice", "mod_four_class"],
-    "mbm": ["OrbitSignature", "SignatureTable", "classify", "dual_solve", "is_divisorial",
-            "load_table", "primitive_rescale", "table_from_dict"],
-    "cone": ["FlopFactorization", "WallCrossing", "component_sign", "crossing_parameter",
-             "enumerate_wall_classes", "factor_path", "factorization_report", "group_hu_yau",
-             "same_chamber", "same_component"],
+    "lattice": ["DiscriminantGroup", "IntegralLattice", "lattice_from_dict", "load_lattice",
+                "make_lattice", "mod_four_class"],
+    "mbm": ["OrbitSignature", "SignatureTable", "classify", "dual_solve", "load_table",
+            "primitive_rescale", "table_from_dict"],
+    "cone": ["FlopFactorization", "WallCrossing", "enumerate_wall_classes", "factor_path",
+             "factorization_report", "group_hu_yau"],
     "mukai": ["DualMukaiPoint", "MukaiPoint", "check_diagram", "contract", "contract_dual",
-              "flop", "flop_dual", "make_point", "mukai_point", "proportional"],
+              "flop", "flop_dual", "make_point", "proportional"],
     "symplectic": ["SymplecticSpace", "Subspace", "is_coisotropic", "is_isotropic",
-                   "mbm_rank_identity", "pullback_rank", "restriction_rank", "standard_space",
-                   "subspace", "symplectic_space"],
+                   "pullback_rank", "restriction_rank", "standard_space", "subspace",
+                   "symplectic_space"],
     "torus": ["MarkedFiber", "TorusPoint", "covering_radius", "exact_point", "generators",
-              "is_torsion", "orbit", "real_point", "related", "sigma_image"],
-    "render": ["DiskScene", "WallChord", "build_scene", "klein_coords", "render_svg",
-               "wall_chord"],
+              "orbit", "real_point", "related", "sigma_image"],
+    "render": ["DiskScene", "WallChord", "build_scene", "klein_coords", "render_svg"],
 }
 NAMES = sorted(name for names in HOMES.values() for name in names)
 
@@ -41,7 +39,7 @@ BASE = {"errors", "cli", "rational", "lattice", "linalg"}
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 62
+    assert len(NAMES) == 52
     assert sorted(hkcone.__all__) == NAMES
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import re
 import weakref
@@ -13,7 +14,7 @@ from hkcone import fixtures, linalg, rational
 from hkcone import lattice as lattice_module
 from hkcone import mbm as mbm_module
 from hkcone.errors import PreconditionError
-from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
+from hkcone.lattice import IntegralLattice, make_lattice, mod_four_class
 from hkcone.mbm import classify, table_from_dict
 
 
@@ -119,20 +120,25 @@ class TestDivisibility:
 
 
 class TestPrimitive:
-    def test_examples(self):
-        assert is_primitive((4, 4, -5))
-        assert not is_primitive((4, 4, -8))
-        assert is_primitive((0, 0, 1))
+    """primitive_class keeps a primitive class as ints and rejects the rest."""
 
-    def test_zero_vector(self):
-        with pytest.raises(PreconditionError):
-            is_primitive((0, 0, 0))
+    def test_examples(self, quartic):
+        assert quartic.primitive_class((4, 4, -5)) == (4, 4, -5)
+        with pytest.raises(PreconditionError, match="^class must be primitive$"):
+            quartic.primitive_class((4, 4, -8))
+        assert quartic.primitive_class((0, 0, 1)) == (0, 0, 1)
 
-    def test_integral_rationals(self):
-        assert is_primitive((Fraction(4), 0, -1))
-        assert not is_primitive((Fraction(4), 0, Fraction(-2)))
+    def test_zero_vector(self, quartic):
+        with pytest.raises(PreconditionError, match="^zero vector$"):
+            quartic.primitive_class((0, 0, 0))
+
+    def test_integral_rationals(self, quartic):
+        v = quartic.primitive_class((Fraction(4), 0, -1))
+        assert v == (4, 0, -1) and all(type(c) is int for c in v)
+        with pytest.raises(PreconditionError, match="^class must be primitive$"):
+            quartic.primitive_class((Fraction(4), 0, Fraction(-2)))
         with pytest.raises(PreconditionError, match="not an integer"):
-            is_primitive((Fraction(1, 2), 0, 1))
+            quartic.primitive_class((Fraction(1, 2), 0, 1))
 
 
 class TestDiscriminantGroup:
@@ -208,7 +214,7 @@ class TestDiscriminantImage:
         rng = random.Random(4)
         for _ in range(200):
             x = tuple(rng.randint(-7, 7) for _ in range(3))
-            if not any(x) or not is_primitive(x):
+            if math.gcd(*x) != 1:
                 continue
             neg = tuple(-c for c in x)
             assert quartic.discriminant_image(x) == quartic.discriminant_image(neg)
@@ -245,7 +251,7 @@ class TestDiscriminantImage:
             lat = make_lattice(gram, ambient_ideals=ideals)
             for _ in range(20):
                 x = tuple(rng.randint(-9, 9) for _ in range(n))
-                if not any(x) or not is_primitive(x):
+                if math.gcd(*x) != 1:
                     continue
                 draws += 1
                 try:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hkcone import linalg
 from hkcone.errors import PreconditionError
-from hkcone.mukai import (check_diagram, contract, contract_dual, flop,
-                          flop_dual, make_point, mukai_point, proportional)
+from hkcone.mukai import (DualMukaiPoint, MukaiPoint, check_diagram, contract, contract_dual,
+                          flop, flop_dual, make_point, proportional)
 
 F = Fraction
 
@@ -51,12 +51,14 @@ class TestMakePoint:
             make_point((0, 0), (0, 1))
 
     def test_membership_enforced_on_direct_construction(self):
-        with pytest.raises(PreconditionError, match="line of u"):
-            mukai_point((1, 0), ((1, 0), (0, 1)))  # identity leaves the line of u
-        with pytest.raises(PreconditionError, match="A\\^2 must vanish"):
-            mukai_point((1, 0), ((1, 0), (0, 0)))  # image in the line, c.u = 1
-        with pytest.raises(PreconditionError):
-            mukai_point((1, 0), ((0, 0), (0, 0), (0, 0)))
+        with pytest.raises(PreconditionError, match="^phi must vanish on u$"):
+            MukaiPoint((1, 0), (1, 0))  # A = u phi^t squares to (phi . u) A != 0
+        with pytest.raises(PreconditionError, match="^u must be nonzero$"):
+            MukaiPoint((0, 0), (0, 1))
+        with pytest.raises(PreconditionError, match="^u and phi must have the same length$"):
+            MukaiPoint((1, 0), (0, 0, 0))
+        with pytest.raises(PreconditionError, match="^u must vanish on phi$"):
+            DualMukaiPoint((0, 1), (0, 1))
 
 
 class TestContract:
@@ -154,8 +156,7 @@ class TestDiagram:
 def test_projective_invariance(k, su, sphi):
     rng = random.Random(k)
     m = random_point(rng, k)
-    scaled = mukai_point(tuple(su * c for c in m.u),
-                         tuple(tuple(sphi * c for c in row) for row in m.a))
+    scaled = make_point(tuple(su * c for c in m.u), tuple(sphi * c for c in m.phi))
     d1, d2 = flop(m), flop(scaled)
     assert proportional(d1.phi, d2.phi)
     assert check_diagram(scaled)
@@ -185,7 +186,7 @@ class TestAgainstMatrixRoute:
                 assert m.a == a
                 assert d.phi == phi and d.b == b
                 assert back.u == u and back.a == linalg.transpose(b)
-                assert mukai_point(m.u, a) == make_point(m.u, m.phi, ())
+                assert make_point(m.u, phi, m.slice_coords) == m
                 assert all(type(c) is Fraction for v in (d.phi, back.u) for c in v)
 
     def test_zero_section(self):
@@ -193,5 +194,5 @@ class TestAgainstMatrixRoute:
         for k in (1, 2, 3, 4):
             u = tuple(F(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(k + 1))
             zero = tuple((0,) * (k + 1) for _ in range(k + 1))
-            assert mukai_point(u, zero) == make_point(u, (0,) * (k + 1))
+            assert make_point(u, _row_covector(u, zero)) == make_point(u, (0,) * (k + 1))
             assert make_point(u, (0,) * (k + 1)).a == zero

@@ -25,13 +25,12 @@ def _crossings(f):
 # Each entry point takes one number c; every other input is fixed.
 SITES = {
     "integral": lambda c: integral([c, 1]),
-    "cone point": lambda c: cone.as_cone_point(QUARTIC, (c, 4, -1)),
+    "cone point": lambda c: cone._integral_cone_point(QUARTIC, (c, 4, -1)),
     "disk point": lambda c: render.klein_coords(QUARTIC, (c, 4, -1)),
     "primitive_rescale": lambda c: mbm.primitive_rescale([c, 1]),
     "elimination row": lambda c: linalg.determinant([[c, 1], [0, 2]]),
     "congruence_diagonalize": lambda c: linalg.congruence_diagonalize([[c, 1], [1, 0]]),
     "make_point": lambda c: mukai.make_point([c, 0], [0, 1], [c]),
-    "mukai_point": lambda c: mukai.mukai_point([c, 0], [[0, c], [0, 0]]),
     "pairing x": lambda c: QUARTIC.pairing((c, 4, -1), (1, 0, 0)),
     "pairing y": lambda c: QUARTIC.pairing((1, 2, 0), (c, 4, -1)),
     "square": lambda c: QUARTIC.square((c, 4, -1)),
@@ -51,7 +50,7 @@ SITES = {
 # equals, so an int64 bound cannot overflow inside the walk.
 ACCEPTED = {
     "integral": (((3, 1), 1), ((3, 2), 2)),
-    "cone point": ((F(3), F(4), F(-1)), (F(3, 2), F(4), F(-1))),
+    "cone point": (((3, 4, -1), 1, 50), ((3, 8, -2), 2, 110)),
     "disk point": ((-0.5, -0.23570226039551584), (-0.75, -0.23570226039551584)),
     "primitive_rescale": (((3, 1), F(1)), ((3, 2), F(2))),
     "elimination row": (F(6), F(3)),
@@ -63,7 +62,6 @@ ACCEPTED = {
     "pairing_row": ((6, 9, 4), (9, F(9, 2), 4)),
     "make_point": (mukai.MukaiPoint((3, 0), (0, 1), (3,)),
                    mukai.MukaiPoint((F(3, 2), 0), (0, 1), (F(3, 2),))),
-    "mukai_point": (mukai.MukaiPoint((3, 0), (0, 1)), mukai.MukaiPoint((F(3, 2), 0), (0, 1))),
     "subspace": (((3, 1),), ((F(3, 2), 1),)),
     "pullback_rank": (2, 2),
     "exact_point": (torus.TorusPoint(F(0), F(0)), torus.TorusPoint(F(1, 2), F(0))),

@@ -12,11 +12,11 @@ from hkcone import fixtures, linalg
 from hkcone import lattice as lattice_module
 from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
-from hkcone.lattice import IntegralLattice, is_primitive, make_lattice, mod_four_class
+from hkcone.lattice import IntegralLattice, make_lattice, mod_four_class
 from hkcone.mbm import classify, table_from_dict
 from hkcone.rational import integral
 from hkcone.render import (DiskScene, WallChord, _DiskFrame, _fmt, build_scene, klein_coords,
-                           render_svg, wall_chord)
+                           render_svg)
 
 from test_lattice import discriminant_image_two_pass
 
@@ -29,6 +29,12 @@ def dist_point_segmentline(p, chord):
     dx, dy = x2 - x1, y2 - y1
     t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
     return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
+
+
+def chord_of(lattice, w):
+    """The disk frame's chord of the wall of w = X / m, as build_scene
+    takes it for an integral class."""
+    return _DiskFrame(lattice).chord(*integral(w))
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +72,7 @@ class TestKleinCoords:
 class TestWallChord:
     def test_delta_chord_matches_exact_isotropic_directions(self, quartic):
         # q(s C + t F) = -2 s^2 + 6 s t vanishes for F and 3C + F
-        ends = wall_chord(quartic, (0, 0, 1))
+        ends = chord_of(quartic, (0, 0, 1))
         oracle = sorted([klein_coords(quartic, (0, 1, 0)),
                          klein_coords(quartic, (3, 1, 0))])
         for got, want in zip(ends, oracle):
@@ -75,20 +81,20 @@ class TestWallChord:
     def test_endpoints_on_circle(self, quartic, table):
         from hkcone.cone import enumerate_wall_classes
         for x, _sig in enumerate_wall_classes(quartic, table, (4, 4, -1), F(4)):
-            for u, v in wall_chord(quartic, x):
+            for u, v in chord_of(quartic, x):
                 assert abs(u * u + v * v - 1.0) < 1e-9
 
     def test_incidence_decided_by_exact_pairing(self, quartic):
         cusp_cls = (1, 1, -1)
         cusp = klein_coords(quartic, cusp_cls)
         assert quartic.pairing((0, 4, -3), cusp_cls) == 0
-        assert dist_point_segmentline(cusp, wall_chord(quartic, (0, 4, -3))) < 1e-6
+        assert dist_point_segmentline(cusp, chord_of(quartic, (0, 4, -3))) < 1e-6
         assert quartic.pairing((2, 0, -1), cusp_cls) != 0
-        assert dist_point_segmentline(cusp, wall_chord(quartic, (2, 0, -1))) > 1e-6
+        assert dist_point_segmentline(cusp, chord_of(quartic, (2, 0, -1))) > 1e-6
 
     def test_positive_square_rejected(self, quartic):
         with pytest.raises(PreconditionError):
-            wall_chord(quartic, (1, 1, 0))
+            chord_of(quartic, (1, 1, 0))
 
 
 def random_lorentzian_lattices(count, seed):
@@ -145,7 +151,7 @@ def oracle_chord(lattice, w):
 
 
 def assert_chord_matches_oracle(lattice, w):
-    for got, want in zip(wall_chord(lattice, w), oracle_chord(lattice, w)):
+    for got, want in zip(chord_of(lattice, w), oracle_chord(lattice, w)):
         assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-12, (w, got, want)
 
 
@@ -207,7 +213,7 @@ def fraction_klein(lattice, x):
 
 
 def fraction_chord(lattice, w):
-    """wall_chord by Fraction arithmetic: the same formulas, in the same
+    """The chord by Fraction arithmetic: the same formulas, in the same
     float order, with float() of each exact quotient."""
     square = lattice.square(w)
     assert square < 0
@@ -228,7 +234,7 @@ class TestAgainstFractionOracle:
         walls = enumerate_wall_classes(quartic, table, (4, 4, -1), F(100))
         assert len(walls) == 108
         for w, _sig in walls:
-            assert wall_chord(quartic, w) == fraction_chord(quartic, w), w
+            assert chord_of(quartic, w) == fraction_chord(quartic, w), w
 
     def test_scene_at_b100(self, quartic, table):
         path = factor_path(quartic, table, fixtures.chamber_point(1),
@@ -252,10 +258,10 @@ class TestAgainstFractionOracle:
         assert any(d.denominator > 1 for lat in lattices for d in lat.diagonalize()[1])
         for lat in lattices:
             for w in random_classes(lat, rng, 4, lambda q: q < 0):
-                assert wall_chord(lat, w) == fraction_chord(lat, w), (lat.gram, w)
+                assert chord_of(lat, w) == fraction_chord(lat, w), (lat.gram, w)
                 # w/3 runs with m = 3, whose factors the half-chord must carry
                 third = tuple(F(c, 3) for c in w)
-                assert wall_chord(lat, third) == fraction_chord(lat, third), (lat.gram, w)
+                assert chord_of(lat, third) == fraction_chord(lat, third), (lat.gram, w)
 
     def test_points(self, quartic):
         rng = random.Random(17)
@@ -269,13 +275,13 @@ class TestAgainstFractionOracle:
 
     def test_boundary_cases_rejected(self, quartic):
         with pytest.raises(PreconditionError, match="negative square"):
-            wall_chord(quartic, (0, 1, 0))  # isotropic: h = 0
+            chord_of(quartic, (0, 1, 0))  # isotropic: h = 0
         with pytest.raises(PreconditionError, match="negative square"):
-            wall_chord(quartic, (0, 0, 0))
+            chord_of(quartic, (0, 0, 0))
         with pytest.raises(PreconditionError, match="infinity"):
             klein_coords(quartic, (0, 0, 0))
         with pytest.raises(PreconditionError, match="dimension"):
-            wall_chord(quartic, (0, 1))
+            chord_of(quartic, (0, 1))
 
 
 class TestScene:
@@ -398,7 +404,7 @@ class TestColorsAgainstImageOracle:
             if rng.random() < 0.3:
                 lat = make_lattice(lat.gram, ambient_ideals=[rng.choice((1, 2, 4)) for _ in range(3)])
             for x in random_classes(lat, rng, 10, lambda q: True):
-                if not is_primitive(x):
+                if math.gcd(*x) != 1:
                     continue
                 try:
                     want = image_mod_four(lat, x)
@@ -509,7 +515,7 @@ class TestOneResidueMap:
             pairs = {}
             for _ in range(12):
                 x = tuple(rng.randint(-5, 5) for _ in range(lat.rank))
-                if not any(x) or not is_primitive(x):
+                if math.gcd(*x) != 1:
                     continue
                 image = image_oracle(lat, x)
                 assert outcome(lat.discriminant_image, x) == image, (lat, x)

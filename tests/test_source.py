@@ -54,3 +54,37 @@ def test_private_helpers_are_referenced():
              and node.name.startswith("_") and not node.name.endswith("__")
              and node.name not in used]
     assert found == []
+
+
+def _named(tree) -> set[str]:
+    """Names a module uses in code: Name and Attribute nodes and import
+    aliases.  Strings do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_public_names_have_callers():
+    # a public def or class is kept for the CLI, an acceptance criterion or
+    # a benchmark op, directly or through the package; one that only unit
+    # tests name is dead.  The bundled-data loaders in fixtures/ are
+    # exempt: they serve the tests and the README's fixture_path example.
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    callers = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
+    used = set().union(*map(_named, trees.values()),
+                       *(_named(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                         for path in callers))
+    found = [f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+             for path, tree in trees.items() if path.parent == SRC for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and not node.name.startswith("_") and node.name not in used]
+    assert len(callers) > 1
+    assert found == []

@@ -6,9 +6,8 @@ import sympy
 
 from hkcone import linalg, symplectic
 from hkcone.errors import PreconditionError
-from hkcone.symplectic import (is_coisotropic, is_isotropic, mbm_rank_identity,
-                               pullback_rank, restriction_rank, standard_space,
-                               subspace, symplectic_space)
+from hkcone.symplectic import (is_coisotropic, is_isotropic, pullback_rank, restriction_rank,
+                               standard_space, subspace, symplectic_space)
 
 F = Fraction
 
@@ -152,33 +151,6 @@ class TestPullback:
             assert pullback_rank(s, f) == restriction_rank(s, w)
 
 
-class TestMbmIdentity:
-    def test_codim_two_case(self):
-        s = standard_space(4)  # dim 8
-        w = subspace([
-            [1, 0, 0, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1, 0, 0],
-            [0, 0, 1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0, 0, 0],
-        ])
-        res = mbm_rank_identity(s, w, 2)
-        assert res.holds and res.reason is None
-
-    def test_lagrangian_case(self):
-        s = standard_space(3)
-        w = subspace([[int(i == j) for j in range(6)] for i in range(3)])
-        res = mbm_rank_identity(s, w, 3)
-        assert res.holds
-
-    def test_kernel_mismatch_reported(self):
-        s = standard_space(2)
-        w = subspace([[1, 0, 0, 0], [0, 0, 1, 0]])  # rank 2, kernel 0
-        res = mbm_rank_identity(s, w, 1)
-        assert not res.holds and "kernel" in res.reason
-
-
 class TestInvariance:
     def test_basis_change_of_subspace(self):
         rng = random.Random(18)
@@ -276,13 +248,6 @@ def constructed_rows(rng, n, k, fractions):
     return linalg.mat_mul(random_invertible(rng, k, entry), span)
 
 
-def expected_mbm(rank, dim, k, codim):
-    kernel = k - rank
-    if kernel != codim:
-        return (False, f"kernel dimension {kernel} != codimension {codim}")
-    return (rank == dim - 2 * codim, None)
-
-
 def check_against_oracle(s, w):
     m = linalg.transpose(w.basis)
     rank = oracle_rank(s, m)
@@ -291,8 +256,6 @@ def check_against_oracle(s, w):
     assert is_isotropic(s, w) == (rank == 0)
     assert is_coisotropic(s, w) == (rank == 2 * k - s.dim)
     assert pullback_rank(s, m) == rank
-    for codim in {s.dim - k, k - rank, 0, 1}:
-        assert tuple(mbm_rank_identity(s, w, codim)) == expected_mbm(rank, s.dim, k, codim)
     return rank
 
 
@@ -359,8 +322,6 @@ class TestFastPathsAgainstOracle:
             with pytest.raises(PreconditionError,
                                match="^basis vectors must lie in the ambient space$"):
                 predicate(s, w)
-        with pytest.raises(PreconditionError, match="ambient space"):
-            mbm_rank_identity(s, w, 1)
 
 
 class TestWorkCounts:

@@ -14,7 +14,7 @@ from hkcone import linalg, torus
 from hkcone.cli import main
 from hkcone.errors import PreconditionError
 from hkcone.torus import (MarkedFiber, TorusPoint, covering_radius, exact_point,
-                          generators, is_torsion, orbit, orbit_density, orbit_size,
+                          generators, orbit, orbit_density, orbit_size,
                           real_point, related, sigma_image)
 
 F = Fraction
@@ -187,24 +187,6 @@ class TestOrbitSize:
         z = real_point(0, 0)
         with pytest.raises(PreconditionError, match="exact mode"):
             orbit_size(MarkedFiber(z, real_point(0.5, 0), z), z, 1)
-
-
-class TestTorsion:
-    def test_third(self):
-        assert is_torsion(exact_point(F(1, 3), 0)) == (True, 3)
-
-    def test_origin(self):
-        assert is_torsion(exact_point(0, 0)) == (True, 1)
-
-    def test_lcm(self):
-        assert is_torsion(exact_point(F(1, 4), F(1, 6))) == (True, 12)
-
-    def test_flagged_irrational(self):
-        assert is_torsion(real_point(math.sqrt(2), 0, irrational=True)) == (False, None)
-
-    def test_unflagged_real_rejected(self):
-        with pytest.raises(PreconditionError):
-            is_torsion(real_point(0.25, 0))
 
 
 class TestCoveringRadius:
@@ -491,6 +473,51 @@ class TestCoveringRadiusStartRadius:
         with pytest.raises(PreconditionError, match="real-mode"):
             orbit_density(MarkedFiber(exact_point(0, 0), exact_point(0, 0),
                                       exact_point(0, 0)), exact_point(0, 0), 3, 0)
+
+
+class TestSizeCap:
+    """A real orbit of more than REAL_SIZE_CAP points (2 d^2 + 2 d + 1 at
+    depth d), or a grid of more samples, is an input fault, rejected
+    before any array is built; no test here allocates a large array."""
+
+    @pytest.fixture(autouse=True)
+    def no_orbit(self, monkeypatch):
+        def no_orbit(*args):
+            raise MemoryError("orbit built")
+        monkeypatch.setattr(torus, "_real_orbit", no_orbit)
+
+    def test_edges(self):
+        # depth 2235 gives 9,994,921 points and grid 3162 9,998,244 samples
+        assert torus.REAL_SIZE_CAP == 10 ** 7
+        real = irrational_fiber("sqrt2", "sqrt3")
+        x = real_point(0, 0)
+        for depth, grid in [(2235, 32), (100, 3162)]:
+            with pytest.raises(MemoryError, match="orbit built"):
+                orbit_density(real, x, depth, grid)
+        with pytest.raises(MemoryError, match="orbit built"):
+            orbit(real, x, 2235)
+        with pytest.raises(PreconditionError, match="^--depth too large: 10003865 orbit points, "
+                                                    "more than 10000000$"):
+            orbit_density(real, x, 2236, 32)
+        with pytest.raises(PreconditionError, match="^--depth too large"):
+            orbit(real, x, 2236)
+        with pytest.raises(PreconditionError, match="^--grid too large: 10004569 samples, "
+                                                    "more than 10000000$"):
+            orbit_density(real, x, 100, 3163)
+        with pytest.raises(PreconditionError, match="^--grid too large"):
+            covering_radius([x], 3163)
+
+    def test_exact_mode_has_no_cap(self):
+        exact = MarkedFiber(exact_point(0, 0), exact_point(F(1, 3), 0), exact_point(0, F(1, 2)))
+        assert orbit_size(exact, exact_point(0, 0), 10 ** 6) == 6
+        assert len(orbit(exact, exact_point(0, 0), 10 ** 6)) == 6
+
+    @pytest.mark.parametrize("option, value", [("--depth", "100000"), ("--grid", "4000")])
+    def test_cli_exits_2(self, option, value, capsys):
+        argv = ["sigma-orbit", "--e0=0,0", "--e1=sqrt2,0", "--e2=0,sqrt3", "--x=0,0", "--real",
+                option, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"hkcone: {option} too large: ")
 
 
 def test_cli_import_leaves_numpy_out():
