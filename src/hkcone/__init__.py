@@ -21,8 +21,7 @@ _HOME = {name: home for home, *names in map(str.split, (
     "mbm table_from_dict",
     "cone FlopFactorization WallCrossing enumerate_wall_classes factor_path",
     "cone factorization_report group_hu_yau",
-    "mukai DualMukaiPoint MukaiPoint check_diagram contract contract_dual flop flop_dual",
-    "mukai make_point proportional",
+    "mukai DualMukaiPoint MukaiPoint check_diagram flop flop_dual make_point proportional",
     "symplectic SymplecticSpace Subspace is_coisotropic is_isotropic pullback_rank",
     "symplectic restriction_rank standard_space subspace symplectic_space",
     "torus MarkedFiber TorusPoint covering_radius exact_point generators orbit real_point",

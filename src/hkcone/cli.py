@@ -157,7 +157,7 @@ def _cmd_factor_path(args) -> int:
     a = _load_point(lattice, "--from", getattr(args, "from"))
     b = _load_point(lattice, "--to", args.to)
     result = cone.factor_path(lattice, table, a, b, parse_frac(args.bound))
-    _emit(cone.report_to_json(result), args.out)
+    _emit_json(cone.factorization_report(result), args.out)
     if result.status != cone.STATUS_OK:
         print(f"factorization status: {result.status}", file=sys.stderr)
         return 2
@@ -232,7 +232,7 @@ def _torus_point(text: str, real: bool) -> torus.TorusPoint:
             coords.append(_IRRATIONAL[p])
             irrational = True
         else:
-            coords.append(float(parse_frac(p)))
+            coords.append(parse_frac(p))
     return torus.real_point(coords[0], coords[1], irrational=irrational)
 
 

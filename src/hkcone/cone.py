@@ -38,7 +38,6 @@ walked.  Fractions are built only for the reported endpoints and t.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt
@@ -267,7 +266,7 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
             x = linalg.mat_vec(basis, z)  # B z
             if next(c for c in x if c) < 0:
                 x = tuple(-c for c in x)
-            if linalg.vec_content(x) != 1:
+            if gcd(*x) != 1:
                 return
             div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
             if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
@@ -492,7 +491,3 @@ def factorization_report(f: FlopFactorization) -> dict:
         "groups": [list(g) for g in f.groups],
         "status": f.status,
     }
-
-
-def report_to_json(f: FlopFactorization) -> str:
-    return json.dumps(factorization_report(f), indent=2) + "\n"

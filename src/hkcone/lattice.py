@@ -33,10 +33,6 @@ class DiscriminantGroup:
     invariant_factors: tuple[int, ...]
     transform: tuple[tuple[int, ...], ...]
 
-    @property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
-
 
 @dataclass(frozen=True)
 class IntegralLattice:
@@ -59,6 +55,9 @@ class IntegralLattice:
             raise PreconditionError(f"basis_names must be a sequence of strings, got {names!r}")
         if len(names) != n:
             raise PreconditionError("basis_names length must equal rank")
+        if len(set(names)) != n:
+            dup = next(name for name in names if names.count(name) > 1)
+            raise PreconditionError(f"basis_names must be unique; {dup!r} repeats")
         if self.ambient_ideals is not None:
             if len(self.ambient_ideals) != n or \
                not all(type(a) is int and a > 0 for a in self.ambient_ideals):
@@ -90,7 +89,7 @@ class IntegralLattice:
         v = self.check_length(parse_ints(x))
         if all(c == 0 for c in v):
             raise PreconditionError("zero vector")
-        if linalg.vec_content(v) != 1:
+        if math.gcd(*v) != 1:
             raise PreconditionError("class must be primitive")
         return v
 
@@ -135,13 +134,6 @@ class IntegralLattice:
         if not fold:
             return plus
         return min(plus, tuple(-r % f for r, f in zip(plus, disc.invariant_factors)))
-
-    def discriminant_image(self, x) -> tuple[int, ...]:
-        """Residue tuple of x/d(x) in the discriminant group, up to global
-        sign: the folded ``residues`` of a primitive integral class x."""
-        v = self.primitive_class(x)
-        row = linalg.mat_vec(self.gram, v)
-        return self.residues(row, self.class_divisibility(v, row), fold=True)
 
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""

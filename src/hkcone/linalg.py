@@ -21,7 +21,6 @@ are rejected, and so are non-square ones where a square one is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import PreconditionError
@@ -75,11 +74,6 @@ def mat_mul(a, b):
         raise PreconditionError("dimension mismatch")
     bt = transpose(b)
     return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
-
-
-def vec_content(v) -> int:
-    """gcd of an integer vector (0 for the zero vector)."""
-    return gcd(*v)
 
 
 def _echelon(m, width=None, reduce=False):

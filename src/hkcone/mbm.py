@@ -9,6 +9,7 @@ primitive representative live here as well.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,12 +86,6 @@ class SignatureTable:
                 return o
         return None
 
-    def by_name(self, name: str) -> OrbitSignature:
-        for o in self.orbits:
-            if o.name == name:
-                return o
-        raise KeyError(name)
-
 
 def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignature | None:
     """Table row whose invariants match the class x, or None.
@@ -127,7 +122,7 @@ def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:
 def primitive_rescale(x) -> tuple[tuple[int, ...], Fraction]:
     """Primitive integral y and scale s > 0 with y = s * x."""
     ints, denom = integral(x)
-    g = linalg.vec_content(ints)
+    g = math.gcd(*ints)
     if g == 0:
         raise PreconditionError("zero vector")
     return tuple(c // g for c in ints), Fraction(denom, g)

@@ -8,7 +8,6 @@ Math. 77, 1984).  Every point checks its pair when built (lengths, nonzero
 marked vector, one dot product), so a flop re-checks the pair it relabels
 but re-derives no covector.  Everything is exact; projective data is
 compared by proportionality (vanishing 2x2 minors), never normal forms.
-Transverse-slice coordinates ride along untouched.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class MukaiPoint:
     """([u], u phi^t) on T*P^k."""
     u: tuple[Fraction, ...]
     phi: tuple[Fraction, ...]
-    slice_coords: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         _check_pair(self.u, self.phi, ("u", "phi"))
@@ -74,7 +72,6 @@ class DualMukaiPoint:
     """([phi], phi u^t) on the dual side T*P^k dual."""
     phi: tuple[Fraction, ...]
     u: tuple[Fraction, ...]
-    slice_coords: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         _check_pair(self.phi, self.u, ("phi", "u"))
@@ -84,34 +81,25 @@ class DualMukaiPoint:
         return _outer(self.phi, self.u)
 
 
-def make_point(u, phi, slice_coords=()) -> MukaiPoint:
+def make_point(u, phi) -> MukaiPoint:
     """([u], u phi^t) for a covector phi vanishing on u; phi = 0 gives the zero section."""
-    return MukaiPoint(_qvec(u), _qvec(phi), _qvec(slice_coords))
-
-
-def contract(point: MukaiPoint):
-    """Project to the nilpotent cone: forget the marked line."""
-    return point.a
-
-
-def contract_dual(point: DualMukaiPoint):
-    return point.b
+    return MukaiPoint(_qvec(u), _qvec(phi))
 
 
 def flop(point: MukaiPoint) -> DualMukaiPoint:
     """([u], u phi^t) -> ([phi], phi u^t); undefined on the zero section."""
     if not any(point.phi):
         raise PreconditionError("flop is undefined on the zero section")
-    return DualMukaiPoint(point.phi, point.u, point.slice_coords)
+    return DualMukaiPoint(point.phi, point.u)
 
 
 def flop_dual(point: DualMukaiPoint) -> MukaiPoint:
     """Inverse direction, identifying the double dual with V."""
     if not any(point.u):
         raise PreconditionError("flop is undefined on the zero section")
-    return MukaiPoint(point.u, point.phi, point.slice_coords)
+    return MukaiPoint(point.u, point.phi)
 
 
 def check_diagram(point: MukaiPoint) -> bool:
     """Contract after flopping equals the adjoint of contracting directly."""
-    return contract_dual(flop(point)) == linalg.transpose(contract(point))
+    return flop(point).b == linalg.transpose(point.a)

@@ -114,16 +114,16 @@ class _DiskFrame:
         n = self.p1 * s1 * s1 + self.p2 * s2 * s2
         return a0, s1, s2, n, n * l0 * l0 - self.q * a0 * a0
 
-    def chord(self, w, m=1):
-        """Sorted ideal endpoints of the wall of w / m, w integral."""
+    def chord(self, w):
+        """Sorted ideal endpoints of the wall of an integral w."""
         a0, s1, s2, n, h2 = self._polar(w)
         if h2 <= 0:
             raise PreconditionError("wall classes have negative square")
         l0, k, sx, sy = self.scales[0], self.k, self.sx, self.sy
-        h = math.sqrt(h2 / (self.q * l0 * l0 * m * m))
+        h = math.sqrt(h2 / (self.q * l0 * l0))
         # midpoint z0 n / |n|^2 and half-chord h n_perp / |n|^2
         mx, my = (a0 * k * s1) / (l0 * n) * sx, (a0 * k * s2) / (l0 * n) * sy
-        hx, hy = -((k * s2 * m) / n) * sy * h, ((k * s1 * m) / n) * sx * h
+        hx, hy = -((k * s2) / n) * sy * h, ((k * s1) / n) * sx * h
         return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
 
     def point(self, x) -> tuple[float, float]:

@@ -76,7 +76,15 @@ def exact_point(x, y) -> TorusPoint:
 
 
 def real_point(x, y, irrational: bool = False) -> TorusPoint:
-    return TorusPoint(_mod1(float(x)), _mod1(float(y)), exact=False, irrational=irrational)
+    return TorusPoint(_mod1(_real(x)), _mod1(_real(y)), exact=False, irrational=irrational)
+
+
+def _real(v) -> float:
+    """float(v); a value beyond the float range is a fault in the input."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise PreconditionError(f"coordinate {v} is too large for a real point") from None
 
 
 def _same_mode(p: TorusPoint, q: TorusPoint):

@@ -254,6 +254,13 @@ class TestSigmaOrbit:
         assert doc["size"] == 221
         assert doc["covering_radius"] < 0.5
 
+    def test_real_coordinate_beyond_the_float_range_exit_2(self, capsys):
+        rc = main(["sigma-orbit", "--e0", "0,0", "--e1", "1e400,0", "--e2", "0,1/2",
+                   "--x", "0,0", "--real"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "too large for a real point" in err and "internal error" not in err
+
 
 class TestRender:
     def test_writes_svg(self, tmp_path):
@@ -518,6 +525,7 @@ class TestLatticeDocument:
         ({"gram": GRAM, "ambient_ideals": [1, 1, 0]}, "ambient_ideals"),
         ({"gram": GRAM, "fujiki_constant": "x"}, "'fujiki_constant'"),
         ([GRAM], "'gram'"),
+        ({"gram": GRAM, "basis_names": ["C", "C", "delta"]}, "basis_names"),
     ])
     def test_bad_entry_exit_2_names_file_and_key(self, tmp_path, capsys, doc, key):
         lat = tmp_path / "lattice.json"

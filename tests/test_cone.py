@@ -14,7 +14,7 @@ from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFacto
                          WallCrossing, _ellipsoid_slices, _fix_endpoint, _integral_cone_point,
                          _majorant, _segment_walls, _short_shift, _sides, _strict_crossings,
                          _sublattice, enumerate_wall_classes, factor_path, factorization_report,
-                         group_hu_yau, report_to_json)
+                         group_hu_yau)
 from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, classify, primitive_rescale
@@ -150,10 +150,10 @@ def box_scan(lattice, table, base, bound):
         if s not in squares:
             continue
         t = lattice.pairing(x, p)
-        if t * t > bound * (-s) * g or linalg.vec_content(x) != 1:
+        if t * t > bound * (-s) * g or gcd(*x) != 1:
             continue
-        row = table.match(s, lattice.divisibility(x),
-                          lambda v=x: lattice.discriminant_image(v))
+        d = lattice.divisibility(x)
+        row = table.match(s, d, lambda: lattice.residues(lattice.pairing_row(x), d, fold=True))
         if row is not None:
             found.append((x, row))
     found.sort(key=lambda item: item[0])
@@ -213,7 +213,7 @@ class TestEnumerate:
         assert enumerate_wall_classes(quartic, table, (4, 4, -1), F(1, 1000)) == []
 
     def test_restricted_table(self, quartic, table, named):
-        sub = SignatureTable(orbits=(table.by_name("codim3"),))
+        sub = SignatureTable(orbits=tuple(o for o in table.orbits if o.name == "codim3"))
         walls = enumerate_wall_classes(quartic, sub, (4, 4, -1), fixtures.ENUM_BOUND)
         assert walls
         for x, sig in walls:
@@ -274,7 +274,7 @@ class TestEnumerate:
                     v = tuple(rng.randint(-reach, reach) for _ in range(rank))
                     if not any(v) or lat.square(v) >= 0:
                         continue
-                    if linalg.vec_content(v) != 1:
+                    if gcd(*v) != 1:
                         continue
                     pairs.add((int(lat.square(v)), lat.divisibility(v)))
                     if len(pairs) >= 3:
@@ -618,8 +618,8 @@ class TestFactorPath:
 
 class TestGroupHuYau:
     def _steps(self, codims, table):
-        by_codim = {1: table.by_name("delta"), 2: table.by_name("codim2"),
-                    3: table.by_name("codim3")}
+        orbit = {o.name: o for o in table.orbits}
+        by_codim = {1: orbit["delta"], 2: orbit["codim2"], 3: orbit["codim3"]}
         return [WallCrossing(wall_class=(i + 1, 0, 0), t=F(i + 1, len(codims) + 1),
                              signature=by_codim[c])
                 for i, c in enumerate(codims)]
@@ -872,7 +872,7 @@ class TestAgainstFractionOracle:
         want = outcome(fraction_factor_path, lattice, table, a, b, bound)
         assert got == want, (lattice.gram, a, b, bound)
         if isinstance(got, FlopFactorization):
-            assert report_to_json(got) == report_to_json(want)
+            assert factorization_report(got) == factorization_report(want)
         return got
 
     def test_fixed_cases(self, quartic, table):
@@ -905,7 +905,7 @@ class TestAgainstFractionOracle:
             pairs = set()
             while len(pairs) < 3:
                 v = tuple(rng.randint(-3, 3) for _ in range(3))
-                if any(v) and lat.square(v) < 0 and linalg.vec_content(v) == 1:
+                if any(v) and lat.square(v) < 0 and gcd(*v) == 1:
                     pairs.add((lat.square(v), lat.divisibility(v)))
             sub = SignatureTable(orbits=tuple(
                 OrbitSignature(name=f"o{i}", square=s, divisibility=d, codimension=i % 3 + 1)
@@ -1005,9 +1005,10 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
         if next(c for c in x if c) < 0:
             x = [-c for c in x]
         x = tuple(x)
-        if linalg.vec_content(x) != 1:
+        if gcd(*x) != 1:
             return
-        row = table.match(s, lattice.divisibility(x), lambda: lattice.discriminant_image(x))
+        d = lattice.divisibility(x)
+        row = table.match(s, d, lambda: lattice.residues(lattice.pairing_row(x), d, fold=True))
         if row is not None:
             found.append((x, row))
 
@@ -1077,7 +1078,7 @@ def random_lorentzian(rng, rank, ideals):
         reach = 3 if rank == 3 else 1
         for _ in range(300):
             v = tuple(rng.randint(-reach, reach) for _ in range(rank))
-            if any(v) and lat.square(v) < 0 and linalg.vec_content(v) == 1:
+            if any(v) and lat.square(v) < 0 and gcd(*v) == 1:
                 pairs.add((lat.square(v), lat.divisibility(v)))
             if len(pairs) >= 4:
                 break
@@ -1121,18 +1122,15 @@ def test_cone_points_fails_without_a_cone_point_in_reach():
 
 class TestPinnedResidues:
     """A pinned residue is read from the pairing row and the divisibility
-    the caller holds: neither the walk nor ``classify`` calls
-    ``discriminant_image`` or a second ``divisibility``."""
+    the caller holds: neither the walk nor ``classify`` reads a second
+    ``divisibility``."""
 
     @staticmethod
-    def forbid_discriminant_image(monkeypatch):
-        """Make ``discriminant_image`` raise; count ``divisibility`` and
-        ``class_divisibility`` calls together: each reads a divisibility."""
+    def count_divisibility(monkeypatch):
+        """Count ``divisibility`` and ``class_divisibility`` calls together:
+        each reads a divisibility."""
         calls = Counter()
         cls = lattice_module.IntegralLattice
-
-        def refused(self, x):
-            raise AssertionError("discriminant_image called on a validated class")
 
         def counted(original):
             def wrapper(self, *args):
@@ -1140,7 +1138,6 @@ class TestPinnedResidues:
                 return original(self, *args)
             return wrapper
 
-        monkeypatch.setattr(cls, "discriminant_image", refused)
         for name in ("divisibility", "class_divisibility"):
             monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
         return calls
@@ -1151,7 +1148,7 @@ class TestPinnedResidues:
         want = enumerate_wall_classes(quartic, tab, (4, 4, -1), bound)
         assert want == enumerate_one_ellipsoid(quartic, tab, (4, 4, -1), bound)
         assert any(sig.disc_residue for _x, sig in want)  # pinned rows are read
-        calls = self.forbid_discriminant_image(monkeypatch)
+        calls = self.count_divisibility(monkeypatch)
         assert enumerate_wall_classes(quartic, tab, (4, 4, -1), bound) == want
         assert calls["divisibility"] == 0
 
@@ -1172,7 +1169,7 @@ class TestPinnedResidues:
         want = classify(quartic, QUARTIC_PINNED_TABLE, named[name])
         assert any(o.disc_residue for o in QUARTIC_PINNED_TABLE.orbits
                    if (o.square, o.divisibility) == (want.square, want.divisibility))
-        calls = self.forbid_discriminant_image(monkeypatch)
+        calls = self.count_divisibility(monkeypatch)
         assert classify(quartic, QUARTIC_PINNED_TABLE, named[name]) == want
         assert calls["divisibility"] == 1
 

@@ -20,8 +20,8 @@ HOMES = {
             "primitive_rescale", "table_from_dict"],
     "cone": ["FlopFactorization", "WallCrossing", "enumerate_wall_classes", "factor_path",
              "factorization_report", "group_hu_yau"],
-    "mukai": ["DualMukaiPoint", "MukaiPoint", "check_diagram", "contract", "contract_dual",
-              "flop", "flop_dual", "make_point", "proportional"],
+    "mukai": ["DualMukaiPoint", "MukaiPoint", "check_diagram", "flop", "flop_dual", "make_point",
+              "proportional"],
     "symplectic": ["SymplecticSpace", "Subspace", "is_coisotropic", "is_isotropic",
                    "pullback_rank", "restriction_rank", "standard_space", "subspace",
                    "symplectic_space"],
@@ -39,7 +39,7 @@ BASE = {"errors", "cli", "rational", "lattice", "linalg"}
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 52
+    assert len(NAMES) == 50
     assert sorted(hkcone.__all__) == NAMES
 
 

@@ -520,21 +520,3 @@ class TestRaggedMatrices:
             linalg.congruence_diagonalize([[1, 2], [2]])
         with pytest.raises(PreconditionError, match="square"):
             linalg.congruence_diagonalize([[1, 2, 0], [2, 1, 0]])
-
-
-class TestVecContent:
-    def test_empty_and_zero(self):
-        assert linalg.vec_content(()) == 0
-        assert linalg.vec_content((0, 0, 0)) == 0
-
-    def test_negatives(self):
-        assert linalg.vec_content((-4, 6, 0)) == 2
-        assert linalg.vec_content((-5,)) == 5
-
-    def test_numpy_ints(self):
-        g = linalg.vec_content(np.array([12, -18, 30], dtype=np.int64))
-        assert g == 6 and type(g) is int
-
-    def test_iterator(self):
-        assert linalg.vec_content(iter([9, 15])) == 3
-        assert linalg.vec_content(c * 7 for c in (2, 3)) == 7

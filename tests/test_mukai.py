@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from hkcone import linalg
 from hkcone.errors import PreconditionError
-from hkcone.mukai import (DualMukaiPoint, MukaiPoint, check_diagram, contract, contract_dual,
-                          flop, flop_dual, make_point, proportional)
+from hkcone.mukai import (DualMukaiPoint, MukaiPoint, check_diagram, flop, flop_dual, make_point,
+                          proportional)
 
 F = Fraction
 
 
-def random_point(rng, k, with_slice=False):
+def random_point(rng, k):
     n = k + 1
 
     def rand_frac():
@@ -29,8 +29,7 @@ def random_point(rng, k, with_slice=False):
         phi = tuple(p - shift * c for p, c in zip(raw, u))
         if any(phi):
             break
-    disc = (rand_frac(), rand_frac()) if with_slice else ()
-    return make_point(u, phi, slice_coords=disc)
+    return make_point(u, phi)
 
 
 class TestMakePoint:
@@ -64,18 +63,18 @@ class TestMakePoint:
 class TestContract:
     def test_zero_section_to_origin(self):
         m = make_point((1, 2), (0, 0))
-        assert contract(m) == ((0, 0), (0, 0))
+        assert m.a == ((0, 0), (0, 0))
 
     def test_rank_one_output(self):
         m = make_point((1, 0), (0, 1))
-        a = contract(m)
+        a = m.a
         assert a == ((0, 1), (0, 0))
         assert linalg.rank(a) == 1
 
     def test_square_zero(self):
         rng = random.Random(1)
         for _ in range(50):
-            a = contract(random_point(rng, 2))
+            a = random_point(rng, 2).a
             sq = linalg.mat_mul(a, a)
             assert all(all(c == 0 for c in row) for row in sq)
 
@@ -103,12 +102,6 @@ class TestFlop:
                 back = flop_dual(flop(m))
                 assert proportional(back.u, m.u)
                 assert back.a == m.a
-
-    def test_slice_coordinates_ride_along(self):
-        rng = random.Random(3)
-        m = random_point(rng, 2, with_slice=True)
-        assert flop(m).slice_coords == m.slice_coords
-        assert flop_dual(flop(m)).slice_coords == m.slice_coords
 
 
 class TestProportional:
@@ -147,7 +140,7 @@ class TestDiagram:
     def test_adjoint_identification(self):
         rng = random.Random(5)
         m = random_point(rng, 3)
-        assert contract_dual(flop(m)) == linalg.transpose(contract(m))
+        assert flop(m).b == linalg.transpose(m.a)
 
 
 @given(st.integers(1, 3), st.fractions(min_value=F(1, 5), max_value=5),
@@ -176,7 +169,7 @@ class TestAgainstMatrixRoute:
         rng = random.Random(6)
         for k in (1, 2, 3, 4):
             for _ in range(40):
-                m = random_point(rng, k, with_slice=True)
+                m = random_point(rng, k)
                 a = tuple(tuple(ui * pj for pj in m.phi) for ui in m.u)
                 phi = _row_covector(m.u, a)
                 b = linalg.transpose(a)
@@ -186,7 +179,7 @@ class TestAgainstMatrixRoute:
                 assert m.a == a
                 assert d.phi == phi and d.b == b
                 assert back.u == u and back.a == linalg.transpose(b)
-                assert make_point(m.u, phi, m.slice_coords) == m
+                assert make_point(m.u, phi) == m
                 assert all(type(c) is Fraction for v in (d.phi, back.u) for c in v)
 
     def test_zero_section(self):

@@ -13,12 +13,12 @@ from hkcone import lattice as lattice_module
 from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
 from hkcone.lattice import IntegralLattice, make_lattice, mod_four_class
-from hkcone.mbm import classify, table_from_dict
+from hkcone.mbm import classify, primitive_rescale, table_from_dict
 from hkcone.rational import integral
 from hkcone.render import (DiskScene, WallChord, _DiskFrame, _fmt, build_scene, klein_coords,
                            render_svg)
 
-from test_lattice import discriminant_image_two_pass
+from test_lattice import discriminant_image, discriminant_image_two_pass
 
 F = Fraction
 
@@ -32,9 +32,9 @@ def dist_point_segmentline(p, chord):
 
 
 def chord_of(lattice, w):
-    """The disk frame's chord of the wall of w = X / m, as build_scene
-    takes it for an integral class."""
-    return _DiskFrame(lattice).chord(*integral(w))
+    """The disk frame's chord of the wall of w, read on the primitive
+    integral class of w as build_scene reads an enumerated wall."""
+    return _DiskFrame(lattice).chord(primitive_rescale(w)[0])
 
 
 @pytest.fixture(scope="module")
@@ -258,10 +258,11 @@ class TestAgainstFractionOracle:
         assert any(d.denominator > 1 for lat in lattices for d in lat.diagonalize()[1])
         for lat in lattices:
             for w in random_classes(lat, rng, 4, lambda q: q < 0):
-                assert chord_of(lat, w) == fraction_chord(lat, w), (lat.gram, w)
-                # w/3 runs with m = 3, whose factors the half-chord must carry
+                x = primitive_rescale(w)[0]
+                assert chord_of(lat, w) == fraction_chord(lat, x), (lat.gram, w)
+                # w/3 has the wall of w, read on the same primitive class
                 third = tuple(F(c, 3) for c in w)
-                assert chord_of(lat, third) == fraction_chord(lat, third), (lat.gram, w)
+                assert chord_of(lat, third) == chord_of(lat, w), (lat.gram, w)
 
     def test_points(self, quartic):
         rng = random.Random(17)
@@ -277,7 +278,7 @@ class TestAgainstFractionOracle:
         with pytest.raises(PreconditionError, match="negative square"):
             chord_of(quartic, (0, 1, 0))  # isotropic: h = 0
         with pytest.raises(PreconditionError, match="negative square"):
-            chord_of(quartic, (0, 0, 0))
+            _DiskFrame(quartic).chord((0, 0, 0))
         with pytest.raises(PreconditionError, match="infinity"):
             klein_coords(quartic, (0, 0, 0))
         with pytest.raises(PreconditionError, match="dimension"):
@@ -315,7 +316,7 @@ def image_mod_four(lattice, x):
     if factors and factors[-1] % 4:
         raise PreconditionError(
             f"residue mod 4 needs the last invariant factor divisible by 4; got {factors[-1]}")
-    image = lattice.discriminant_image(x)
+    image = discriminant_image(lattice, x)
     if not image:
         return 0
     m = image[-1] % 4
@@ -427,12 +428,13 @@ def test_scene_colors_do_no_per_wall_lattice_work(quartic, table, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((IntegralLattice, "discriminant_image"),
+    for owner, name in ((IntegralLattice, "residues"),
                         (IntegralLattice, "divisibility"), (lattice_module, "_discriminant_group")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     walls = build_scene(quartic, table, (4, 4, -1), fixtures.RENDER_BOUND).walls
     assert len(walls) >= 30
-    assert calls["discriminant_image"] == 0  # the bundled table pins no residue
+    # one residue per wall, for its color: the bundled table pins no residue
+    assert calls["residues"] == len(walls), calls
     # the enumeration reads divisibilities through lattice.pairing_ideal, and
     # the scene reads the discriminant group once, through no cache of its own
     assert calls["divisibility"] == 0 and calls["_discriminant_group"] == 1, calls
@@ -480,7 +482,7 @@ class TestOneResidueMap:
         x = (1, 0)
         want = "divisibility does not divide the pairing row"
         assert image_oracle(lat, x) == want
-        assert error_text(lat.discriminant_image, x) == want
+        assert error_text(discriminant_image, lat, x) == want
         assert error_text(classify, lat, rows_table((-2, 4, [0])), x) == want
         assert error_text(mod_four_class, lat, x) == "degenerate lattice"
 
@@ -518,7 +520,7 @@ class TestOneResidueMap:
                 if math.gcd(*x) != 1:
                     continue
                 image = image_oracle(lat, x)
-                assert outcome(lat.discriminant_image, x) == image, (lat, x)
+                assert outcome(discriminant_image, lat, x) == image, (lat, x)
                 assert outcome(mod_four_class, lat, x) == outcome(image_mod_four, lat, x), (lat, x)
                 seen["degenerate" if degenerate else "nondegenerate"] += 1
                 seen["does not divide"] += image == "divisibility does not divide the pairing row"
@@ -531,7 +533,7 @@ class TestOneResidueMap:
                     d = 1
                 pinned = list(image) if isinstance(image, tuple) else [0]
                 tab = rows_table((s, d, pinned), (s, d, None))
-                want = tab.by_name("r0") if isinstance(image, tuple) else image
+                want = tab.orbits[0] if isinstance(image, tuple) else image
                 assert outcome(classify, lat, tab, x) == want, (lat, x)
                 seen["classified"] += 1
             if degenerate or lat.rank != 3 or lat.signature() != (1, 2, 0) or not pairs:

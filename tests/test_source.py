@@ -70,21 +70,79 @@ def _named(tree) -> set[str]:
     return names
 
 
+def _caller_trees():
+    """The package modules, then the acceptance criteria and the benchmark:
+    the code whose calls keep a name, a method or a parameter alive."""
+    root = SRC.parent.parent
+    callers = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
+    assert len(callers) > 1
+    return {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in [*sorted(SRC.rglob("*.py")), *callers]}
+
+
 def test_public_names_have_callers():
     # a public def or class is kept for the CLI, an acceptance criterion or
     # a benchmark op, directly or through the package; one that only unit
     # tests name is dead.  The bundled-data loaders in fixtures/ are
     # exempt: they serve the tests and the README's fixture_path example.
-    root = SRC.parent.parent
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in sorted(SRC.rglob("*.py"))}
-    callers = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
-    used = set().union(*map(_named, trees.values()),
-                       *(_named(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-                         for path in callers))
+    trees = _caller_trees()
+    used = set().union(*map(_named, trees.values()))
     found = [f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
              for path, tree in trees.items() if path.parent == SRC for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
              and not node.name.startswith("_") and node.name not in used]
-    assert len(callers) > 1
+    assert found == []
+
+
+def test_public_methods_have_callers():
+    # a public method or property of a package class that no caller names
+    # as an attribute is dead, like an uncalled public def
+    trees = _caller_trees()
+    used = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    found = [f"{path.relative_to(SRC)}:{node.lineno} {cls.name}.{node.name}"
+             for path, tree in trees.items() if path.is_relative_to(SRC)
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not node.name.startswith("_") and node.name not in used]
+    assert found == []
+
+
+def _defaulted(func, method: bool):
+    """(name, position) of each defaulted parameter of func; position is
+    None for keyword-only ones and does not count self for a method."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method and positional else 0
+    first = len(positional) - len(args.defaults)
+    return [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first] + \
+        [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def test_defaulted_parameters_are_passed():
+    # a parameter that every call leaves at its default is a setting
+    # nobody sets: the default belongs in the body
+    trees = _caller_trees()
+    calls = {}  # callee name -> (most positional arguments, keywords)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                    getattr(node.func, "id", None)
+                most, keywords = calls.get(name, (0, set()))
+                calls[name] = (max(most, len(node.args)),
+                               keywords | {kw.arg for kw in node.keywords})
+    found = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                most, keywords = calls.get(func.name, (0, set()))
+                found += [f"{path.relative_to(SRC)}:{func.lineno} {func.name}({name})"
+                          for name, pos in _defaulted(func, id(func) in methods)
+                          if name not in keywords and (pos is None or pos >= most)]
     assert found == []

@@ -64,6 +64,16 @@ class TestSigmaImage:
             sigma_image(fiber, real_point(0.5, 0.5))
 
 
+class TestRealPoint:
+    def test_coordinate_beyond_the_float_range_is_a_precondition(self):
+        for x, y in [(F(10 ** 400), 0), (0, -10 ** 400)]:
+            with pytest.raises(PreconditionError, match="too large for a real point"):
+                real_point(x, y)
+
+    def test_rationals_convert_as_float_does(self):
+        assert real_point(F(7, 2), F(-1, 3)) == real_point(0.5, float(F(-1, 3)) % 1)
+
+
 class TestRelated:
     def test_generator_translates(self, fiber):
         x = exact_point(F(2, 7), F(3, 11))
