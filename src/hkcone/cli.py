@@ -1,8 +1,8 @@
 """Command-line surface: JSON in, JSON/SVG out.
 
-Exit codes: 0 success, 1 I/O errors and files that are not JSON, 2
-precondition violations (including a factorization whose status is not
-"ok"), 3 internal errors.
+Exit codes: 0 success, 1 I/O errors, files that are not JSON and running
+out of memory, 2 precondition violations (including a factorization whose
+status is not "ok"), 3 internal errors.
 Diagnostics go to stderr; data goes to the declared output.  An --out
 file is rewritten in place and then truncated to the new length, not
 truncated first: on a delayed-allocation filesystem (ext4), closing a
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"hkcone: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a resource fault, like an I/O error
+        print("hkcone: out of memory", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug, never a fault in the input
         print(f"hkcone: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,14 +15,14 @@ p with rho = B q(p), and the walls that meet a segment [a, b] are those
 of rho = 0, so ``--bound`` plays no part in a segment's search.  A wall x
 of square s in the region has F(x) = 2 q(x, a) q(x, b) - q(a, b) q(x) <=
 (2 rho + q(a, b)) |s|, and F is positive definite (``_majorant``).  Each
-table square s has its own walk on a Smith-form basis of the sublattice
-where d_s, the gcd of the divisibilities of its rows, divides the
-divisibility.  One coordinate is
-solved for exactly, by an ``isqrt`` perfect-square test; the others walk
-the projected ellipsoid Fincke-Pohst style (U. Fincke and M. Pohst,
-Math. Comp. 44 (1985); H. Cohen, A Course in Computational Algebraic
-Number Theory, 2.7.3), one of each +-pair, on linalg's Bareiss rows.
-Segment work is in integers: each endpoint p becomes P / m once
+table square s has its own walk on a Smith-form basis of L_d, where d =
+d_s, the gcd of the divisibilities of the rows of s, divides the
+divisibility; the squares of one d_s share the set-up on L_d.  One
+coordinate is solved for exactly, by an ``isqrt`` perfect-square test;
+the others walk the projected ellipsoid Fincke-Pohst style (U. Fincke and
+M. Pohst, Math. Comp. 44 (1985); H. Cohen, A Course in Computational
+Algebraic Number Theory, 2.7.3), one of each +-pair, on linalg's Bareiss
+rows.  Segment work is in integers: each endpoint p becomes P / m once
 (``rational.integral``), and its side list holds the pairings q(x, P)
 with every wall x of the segment, dot products with the rows x^t G.  A
 zero marks incidence; opposite signs a crossing, at
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from . import linalg
@@ -123,25 +123,25 @@ def _sublattice(gram, ambient_ideals, d):
     return basis, linalg.mat_mul(linalg.mat_mul(linalg.transpose(basis), gram), basis)
 
 
-def _ellipsoid_slices(a, budget):
+def _ellipsoid_slices(echelon, budget):
     """Integer y != 0 with y^t A y <= budget, one of each +-pair.
 
-    A is a positive definite integer m x m matrix, m >= 1.  Yields
+    A is a positive definite integer m x m matrix, m >= 1, given by
+    ``linalg._echelon(A)``.  Yields
     (outer, lo, hi): the outer coordinates y[1:] and the range lo..hi
     of y[0] that completes them.  Of y and -y only the one whose last
     nonzero coordinate is positive is produced.
 
     The walk is Fincke-Pohst's, outermost coordinate first, on a
-    fraction-free LDL^t: the Bareiss rows of A (``linalg._echelon``),
-    where rows[i][i:] is d_{i-1} times the first row of the Schur
-    complement S_i of A[:i,:i] and d_i = rows[i][i] = det A[:i+1,:i+1].
-    With y[i+1:] fixed and V = d_i S_{i+1}(y[i+1:]), y[i] is in range
-    iff (d_i y[i] + beta)^2 <= d_{i-1} (d_i budget - V), with d_{-1} = 1
-    and beta = sum_{j>i} rows[i][j] y[j]; all node arithmetic is on
-    integers.
+    fraction-free LDL^t: the Bareiss rows of A, where rows[i][i:] is
+    d_{i-1} times the first row of the Schur complement S_i of A[:i,:i]
+    and d_i = rows[i][i] = det A[:i+1,:i+1].  With y[i+1:] fixed and
+    V = d_i S_{i+1}(y[i+1:]), y[i] is in range iff
+    (d_i y[i] + beta)^2 <= d_{i-1} (d_i budget - V), with d_{-1} = 1 and
+    beta = sum_{j>i} rows[i][j] y[j]; all node arithmetic is on integers.
     """
-    m = len(a)
-    rows, _pivots, _d, swaps, _scale = linalg._echelon(a)
+    rows, _pivots, _d, swaps, _scale = echelon
+    m = len(rows)
     if swaps or any(rows[i][i] <= 0 for i in range(m)):  # Sylvester's criterion
         raise InvariantError("the ellipsoid matrix is not positive definite")
     y = [0] * m
@@ -209,8 +209,8 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
 
     Each table square s has its own walk: its walls have F(x) = 2 q(x, a)
     q(x, b) - q(a, b) q(x) <= cap = floor((2 rho + q(a, b)) |s|) for the
-    positive definite F of ``_majorant``, and lie on L_d, d the gcd of
-    the divisibilities of the rows of square s, so x = B z on the
+    positive definite F of ``_majorant``, and lie on L_d, d = d_s the gcd
+    of the divisibilities of the rows of square s, so x = B z on the
     Smith-form basis of ``_sublattice``, with Gram matrix G' and
     majorant M'.  One coordinate z_k, the one of least M'_kk, is
     solved for; the others (the prefix) walk the projection of the
@@ -218,76 +218,78 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     prefix, q(x) = s is G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly
     by an ``isqrt`` perfect-square test and divisibility; when G'_kk = 0
     it is linear, and when L = 0 as well every z_k of the ellipsoid slice
-    is tried.  Candidates x = B z then pass the region inequality,
-    primitivity and the table match.
+    is tried.  Candidates x = B z (z if B = I) then pass the region
+    inequality, primitivity and the table match.  Set-up per L_d: B, G',
+    M', k and the Schur complement's Bareiss rows; per square: cap, lim.
     """
     ra = lattice.pairing_row(a)  # G a
     rb = ra if b is a else lattice.pairing_row(b)
-    qab = sum(map(mul, a, rb))
+    qab, rn, rd = sum(map(mul, a, rb)), rho.numerator, rho.denominator
     n = lattice.rank
     found = []
-    for s in table.squares:  # all negative: an OrbitSignature checks it
-        d_s = gcd(*(o.divisibility for o in table.orbits if o.square == s))
+    for d_s, squares in table.sublattices:  # all negative: an OrbitSignature checks it
         basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d_s)
-        ga = [sum(map(mul, col, ra)) for col in zip(*basis)]  # B^t G a
-        gb = ga if rb is ra else [sum(map(mul, col, rb)) for col in zip(*basis)]
+        unit = gram == lattice.gram  # iff B = I: else det G' = det(B)^2 det G != det G
+        ga = ra if unit else [sum(map(mul, col, ra)) for col in zip(*basis)]  # B^t G a
+        gb = ga if rb is ra else rb if unit else [sum(map(mul, col, rb)) for col in zip(*basis)]
         mt = _majorant(ga, gb, qab, gram)
-        cap = floor((2 * rho + qab) * -s)  # M'(z) <= cap, integer
-        lim = floor(rho * -s)  # the region: q(x, a) q(x, b) <= lim
         k = min(range(n), key=lambda i: mt[i][i])
         free = [j for j in range(n) if j != k]
         mkk, gkk = mt[k][k], gram[k][k]
-
-        def roots(y, lin, quad):
-            """Integers z with q(x) = s, x = B z' for z' = y with z at k,
-            where q(x) = G'_kk z^2 + 2 lin z + quad."""
-            if gkk:
-                disc = lin * lin - gkk * (quad - s)
-                r = isqrt(max(disc, 0))
-                return [num // gkk for num in {r - lin, -r - lin}
-                        if r * r == disc and num % gkk == 0]
-            if lin:
-                return [(s - quad) // (2 * lin)] if (s - quad) % (2 * lin) == 0 else ()
-            if quad != s:
-                return ()
-            # q(x) = s on the whole line: scan the ellipsoid slice, where
-            # top = mkk cap - y^t schur y >= 0 since y is a walked prefix
-            b = sum(mt[k][j] * v for j, v in zip(free, y))
-            rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
-            r = isqrt(mkk * (cap - rest) + b * b)
-            return range(-((r + b) // mkk), (r - b) // mkk + 1)
-
-        def emit(y, t, z):
-            # t = q(x, a) less the z_k term
-            t += ga[k] * z
-            z = y[:k] + (z,) + y[k:]
-            if t * (t if gb is ga else sum(map(mul, gb, z))) > lim:
-                return
-            x = linalg.mat_vec(basis, z)  # B z
-            if next(c for c in x if c) < 0:
-                x = tuple(-c for c in x)
-            if gcd(*x) != 1:
-                return
-            div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
-            if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
-                raise InvariantError("a wall candidate pairs to zero with the whole lattice")
-            row = table.match(s, div, lambda: lattice.residues(lattice.pairing_row(x), div, fold=True))
-            if row is not None:
-                found.append((x, row))
-
-        # the zero prefix: z = z_k e_k, one of +-z
-        zero = (0,) * len(free)
-        for z in roots(zero, 0, 0):
-            if z > 0:
-                emit(zero, 0, z)
-
         if free:
-            schur = [[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free] for i in free]
+            echelon = linalg._echelon([[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free]
+                                       for i in free])  # of the Schur complement
             gk = [gram[k][j] for j in free]
             gf = [[gram[i][j] for j in free] for i in free]
             pf = [ga[j] for j in free]
             g00, gk0, pf0 = gf[0][0], gk[0], pf[0]
-            for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
+        for s in squares:
+            cap = -s * (2 * rn + qab * rd) // rd  # M'(z) <= cap
+            lim = -s * rn // rd  # the region: q(x, a) q(x, b) <= lim
+
+            def roots(y, lin, quad):
+                """Integers z with q(x) = s, x = B z' for z' = y with z at k,
+                where q(x) = G'_kk z^2 + 2 lin z + quad."""
+                if gkk:
+                    disc = lin * lin - gkk * (quad - s)
+                    r = isqrt(max(disc, 0))
+                    return [num // gkk for num in {r - lin, -r - lin}
+                            if r * r == disc and num % gkk == 0]
+                if lin:
+                    return [(s - quad) // (2 * lin)] if (s - quad) % (2 * lin) == 0 else ()
+                if quad != s:
+                    return ()
+                # q(x) = s on the whole line: scan the ellipsoid slice, where
+                # top = mkk cap - y^t schur y >= 0 since y is a walked prefix
+                b = sum(mt[k][j] * v for j, v in zip(free, y))
+                rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
+                r = isqrt(mkk * (cap - rest) + b * b)
+                return range(-((r + b) // mkk), (r - b) // mkk + 1)
+
+            def emit(y, t, z):
+                # t = q(x, a) less the z_k term
+                t += ga[k] * z
+                z = y[:k] + (z,) + y[k:]
+                if t * (t if gb is ga else sum(map(mul, gb, z))) > lim:
+                    return
+                x = z if unit else linalg.mat_vec(basis, z)  # B z
+                if next(c for c in x if c) < 0:
+                    x = tuple(-c for c in x)
+                if gcd(*x) != 1:
+                    return
+                div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
+                if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
+                    raise InvariantError("a wall candidate pairs to zero with the whole lattice")
+                row = table.match(s, div, lambda: lattice.residues(lattice.pairing_row(x), div, fold=True))
+                if row is not None:
+                    found.append((x, row))
+
+            # the zero prefix: z = z_k e_k, one of +-z
+            zero = (0,) * len(free)
+            for z in roots(zero, 0, 0):
+                if z > 0:
+                    emit(zero, 0, z)
+            for outer, lo, hi in _ellipsoid_slices(echelon, mkk * cap) if free else ():
                 # lin, quad and t of the prefix as polynomials in y0
                 lin0 = sum(c * v for c, v in zip(gk[1:], outer))
                 quad0 = sum(v * gf[i][j] * w for i, v in enumerate(outer, 1)

@@ -8,6 +8,7 @@ primitive representative live here as well.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,9 +56,22 @@ class SignatureTable:
             dup = next(k for k in keys if keys.count(k) > 1)
             raise PreconditionError(f"ambiguous signature table: duplicate key {dup}")
 
-    @property
+    @functools.cached_property  # kept in __dict__, not in the fields that == and hash read
     def squares(self) -> tuple[int, ...]:
         return tuple(sorted({o.square for o in self.orbits}))
+
+    @functools.cached_property
+    def sublattices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(d, squares): the squares s, ascending, whose rows' divisibilities have gcd d_s = d."""
+        ds = {s: math.gcd(*(d for q, d in self._rows if q == s)) for s in self.squares}
+        return tuple((d, tuple(s for s in ds if ds[s] == d)) for d in dict.fromkeys(ds.values()))
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        rows = {}
+        for o in self.orbits:
+            rows.setdefault((o.square, o.divisibility), []).append(o)
+        return rows
 
     def match(self, square: int, divisibility: int, residue_fn) -> OrbitSignature | None:
         """Unique row for the invariants, or None.
@@ -66,10 +80,7 @@ class SignatureTable:
         discriminant residue; a pinned residue must have one entry per
         nontrivial factor of the discriminant group.
         """
-        rows = [o for o in self.orbits
-                if o.square == square and o.divisibility == divisibility]
-        if not rows:
-            return None
+        rows = self._rows.get((square, divisibility), ())
         pinned = [o for o in rows if o.disc_residue is not None]
         if pinned:
             residue = tuple(residue_fn())

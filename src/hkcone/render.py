@@ -9,30 +9,32 @@ line n.X = z0 of its coordinates, n = (sx z1, sy z2), and it meets the
 unit circle at (z0 n +- h n_perp) / |n|^2 with
 h^2 = |n|^2 - z0^2 = -q(w)/d0, exact and positive for every wall class.
 
-A scene builds its disk frame once: integer rows R_i and scales L_i with
-z_i = (x . R_i) / L_i for integral x, and the integer numerators and
-denominators of -d1/d0 and -d2/d0.  Each wall then costs three integer
-dot products and a few integer products.  All incidence decisions are
-exact; floats only enter at the final quotients, each one int / int
-(correctly rounded, so equal to float() of the same Fraction), and with
-the square roots of the projection to screen coordinates.
+The disk frame is built once per lattice (cached by Gram matrix): rows
+R_i and scales L_i with z_i = (x . R_i) / L_i for integral x, and the
+numerators and denominators of -d1/d0 and -d2/d0, all integers.  A wall
+costs three integer dot products and a few integer products.  All
+incidence decisions are exact; floats only enter at the final quotients,
+each one int / int (correctly rounded, so equal to float() of the same
+Fraction), and in the square roots of the screen projection.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.  The enumerated table row of a wall carries its divisibility d,
-so the color is ``lattice.residues`` of the pairing row Gx and d, its
-last entry folded mod 4; the group is read and its last factor checked
-once per scene (``lattice.mod_four_reader``).  Marker labels are
-escaped as XML text.
+so the color is ``lattice.residues`` of the pairing row Gx (integer dot
+products on the enumerated class) and d, its last entry folded mod 4;
+the group is read and its last factor checked once per scene
+(``lattice.mod_four_reader``).  Marker labels are escaped as XML text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .cone import enumerate_wall_classes
 from .errors import PreconditionError
-from .lattice import IntegralLattice, mod_four_reader
+from .lattice import IntegralLattice, make_lattice, mod_four_reader
 from .mbm import SignatureTable
 from .rational import integral
 
@@ -138,6 +140,11 @@ class _DiskFrame:
         return ((s1 * l0) / (a0 * l1 * l2) * self.sx, (s2 * l0) / (a0 * l1 * l2) * self.sy)
 
 
+@functools.lru_cache(maxsize=256)  # keyed like lattice's caches: the frame reads only G
+def _disk_frame(gram) -> _DiskFrame:
+    return _DiskFrame(make_lattice(gram))
+
+
 def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
     """Disk coordinates of a ray of nonnegative square.
 
@@ -145,7 +152,7 @@ def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
     on it.  The ratios z1/z0 and z2/z0 are exact and do not depend on
     the sign of the representative.
     """
-    return _DiskFrame(lattice).point(x)
+    return _disk_frame(lattice.gram).point(x)
 
 
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
@@ -153,11 +160,11 @@ def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
     """Assemble the disk picture of all walls near a base point; a ``path``
     (a, b) of two endpoints adds the segment, its ends marked "a" and "b"."""
     walls = enumerate_wall_classes(lattice, table, base, bound)
-    frame = _DiskFrame(lattice)
+    frame = _disk_frame(lattice.gram)
     color = mod_four_reader(lattice) if walls else None
     chords = tuple(
         WallChord(endpoints=frame.chord(x),
-                  residue=color(lattice.pairing_row(x), sig.divisibility),
+                  residue=color([sum(map(mul, row, x)) for row in lattice.gram], sig.divisibility),
                   wall_class=x)
         for x, sig in walls
     )

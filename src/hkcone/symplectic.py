@@ -11,6 +11,7 @@ only above it.  Entries follow rational.parse_exact; ranks are exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +40,9 @@ class SymplecticSpace:
         return len(self.omega)
 
 
+@functools.lru_cache(maxsize=64, typed=True)  # typed: n = 2.0 still raises, as before
 def standard_space(n: int) -> SymplecticSpace:
-    """Standard form on dimension 2n: omega(e_i, f_i) = 1."""
+    """Standard form on dimension 2n: omega(e_i, f_i) = 1; one frozen space per n."""
     dim = 2 * n
     omega = [[0] * dim for _ in range(dim)]
     for i in range(n):

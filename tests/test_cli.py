@@ -505,6 +505,17 @@ class TestExitCodes:
         assert err == "hkcone: internal error: KeyError: 'gram'\n"
         assert "malformed" not in err
 
+    def test_out_of_memory_exit_1(self, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_lattice", exhausted)
+        rc = main(["classify", "--lattice", LAT, "--table", TAB, "--class", "4,0,-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "hkcone: out of memory\n"
+        assert "internal error" not in err
+
 
 GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
 

@@ -11,10 +11,10 @@ from hkcone import fixtures, linalg
 from hkcone import cone as cone_module
 from hkcone import lattice as lattice_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
-                         WallCrossing, _ellipsoid_slices, _fix_endpoint, _integral_cone_point,
-                         _majorant, _segment_walls, _short_shift, _sides, _strict_crossings,
-                         _sublattice, enumerate_wall_classes, factor_path, factorization_report,
-                         group_hu_yau)
+                         WallCrossing, _ellipsoid_slices, _fix_endpoint,
+                         _integral_cone_point, _majorant, _segment_walls, _short_shift, _sides,
+                         _strict_crossings, _sublattice, enumerate_wall_classes, factor_path,
+                         factorization_report, group_hu_yau)
 from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, classify, primitive_rescale
@@ -360,7 +360,7 @@ class TestEnumerate:
             assert [row[i:] for i, row in enumerate(rows)] == \
                 [t[0] for t in schur_chain(a)]
             budget = rng.randint(0, 60)
-            assert list(_ellipsoid_slices(a, budget)) == \
+            assert list(_ellipsoid_slices(linalg._echelon(a), budget)) == \
                 list(ellipsoid_slices_schur(a, budget))
 
     @pytest.mark.parametrize("a", [
@@ -374,7 +374,7 @@ class TestEnumerate:
     ])
     def test_ellipsoid_slices_reject_indefinite(self, a):
         with pytest.raises(InvariantError, match="positive definite"):
-            _ellipsoid_slices(a, 10)
+            _ellipsoid_slices(linalg._echelon(a), 10)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_ellipsoid_slices_against_brute_force(self, m):
@@ -384,7 +384,8 @@ class TestEnumerate:
             a = [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(m)]
                  for i in range(m)]
             budget = rng.randint(0, 24)
-            got = [(y0,) + outer for outer, lo, hi in _ellipsoid_slices(a, budget)
+            got = [(y0,) + outer
+                   for outer, lo, hi in _ellipsoid_slices(linalg._echelon(a), budget)
                    for y0 in range(lo, hi + 1)]
             # the eigenvalues of A are >= 1, so |y_i| <= sqrt(budget) < 5
             reach = range(-4, 5)
@@ -1021,7 +1022,7 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
         gk = [gram[k][j] for j in free]
         gf = [[gram[i][j] for j in free] for i in free]
         pf = [gp[j] for j in free]
-        for outer, lo, hi in _ellipsoid_slices(schur, mkk * cap):
+        for outer, lo, hi in _ellipsoid_slices(linalg._echelon(schur), mkk * cap):
             for y0 in range(lo, hi + 1):
                 y = (y0,) + outer
                 lin = sum(c * v for c, v in zip(gk, y))
@@ -1218,6 +1219,65 @@ class TestPerSquareWalks:
                 bound = rng.choice([F(1, 2), F(1), F(2), F(7, 3)])
                 assert enumerate_wall_classes(lat, tab, base, bound) == \
                     enumerate_one_ellipsoid(lat, tab, base, bound)
+
+
+class TestSharedSetUp:
+    """The squares of one sublattice L_d share its walk set-up and walk it
+    each with their own integer cap; the walls are ``==`` to the box scan
+    and to the single-ellipsoid walk."""
+
+    def test_groups(self, table):
+        # on the quartic, -4 (d 4, 2) and -12 (d 2) share L_2
+        assert table.sublattices == ((4, (-36,)), (2, (-12, -4)), (1, (-2,)))
+        assert QUARTIC_PINNED_TABLE.sublattices == table.sublattices
+        # the rank-4 benchmark table: every d_s = 1
+        assert U_TABLE.sublattices == ((1, (-4, -2)),)
+        assert U24_EVEN_TABLE.sublattices == ((2, (-8, -4)),)
+
+    @pytest.mark.parametrize("lat, tab, bases", [
+        (fixtures.quartic_lattice(), fixtures.orbit_table(), [(4, 4, -1), (4, 5, -1), (3, 4, -1)]),
+        (fixtures.quartic_lattice(), QUARTIC_PINNED_TABLE, [(4, 4, -1), (4, 5, 1)]),
+        (U24, U_TABLE, [(3, 1, 0, 0), (5, 5, -2, 0), (4, 2, 1, 1)]),
+        (U24, U24_EVEN_TABLE, [(3, 1, 0, 0), (4, 2, 1, 1)])])
+    @pytest.mark.parametrize("bound", [F(1, 2), F(7, 3), F(4)])
+    def test_against_both_oracles(self, lat, tab, bases, bound):
+        for base in bases:
+            walls = enumerate_wall_classes(lat, tab, base, bound)
+            assert walls == box_scan(lat, tab, base, bound)
+            assert walls == enumerate_one_ellipsoid(lat, tab, base, bound)
+
+    def test_pinned_residue_is_read(self, quartic):
+        walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), F(7, 3))
+        assert any(sig.disc_residue for _x, sig in walls)
+
+    @pytest.mark.parametrize("lat, tab, base, wall", [
+        (fixtures.quartic_lattice(), fixtures.orbit_table(), (4, 5, -1), (0, 2, 1)),
+        (fixtures.quartic_lattice(), fixtures.orbit_table(), (4, 5, -1), (0, 8, -3)),
+        (U24, U_TABLE, (5, 5, -2, 0), (0, 2, 1, 0))])
+    def test_wall_on_a_rational_boundary(self, lat, tab, base, wall):
+        # 3 q(x, p)^2 = 7 |q(x)| q(p): the region of B = 7/3 holds the wall on
+        # its boundary, and any smaller bound drops it
+        assert 3 * lat.pairing(wall, base) ** 2 == 7 * -lat.square(wall) * lat.square(base)
+        for bound, inside in ((F(7, 3), True), (F(7, 3) - F(1, 10 ** 9), False)):
+            walls = enumerate_wall_classes(lat, tab, base, bound)
+            assert (wall in {x for x, _sig in walls}) == inside
+            assert walls == box_scan(lat, tab, base, bound)
+            assert walls == enumerate_one_ellipsoid(lat, tab, base, bound)
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    @pytest.mark.parametrize("ideals", [False, True])
+    def test_random_lorentzian(self, rank, ideals):
+        rng = random.Random(400 + 10 * rank + ideals)
+        shared = 0
+        for _ in range(3):
+            lat, tab = random_lorentzian(rng, rank, ideals)
+            shared += any(len(squares) > 1 for _d, squares in tab.sublattices)
+            for base in cone_points(rng, lat, 2, 2):
+                bound = rng.choice([F(1, 2), F(1), F(7, 3)])
+                walls = enumerate_wall_classes(lat, tab, base, bound)
+                assert walls == box_scan(lat, tab, base, bound)
+                assert walls == enumerate_one_ellipsoid(lat, tab, base, bound)
+        assert shared
 
 
 class TestSublattice:

@@ -10,9 +10,10 @@ import sympy
 
 from hkcone import fixtures, linalg
 from hkcone import lattice as lattice_module
+from hkcone import render as render_module
 from hkcone.cone import enumerate_wall_classes, factor_path
 from hkcone.errors import PreconditionError
-from hkcone.lattice import IntegralLattice, make_lattice, mod_four_class
+from hkcone.lattice import IntegralLattice, load_lattice, make_lattice, mod_four_class
 from hkcone.mbm import classify, primitive_rescale, table_from_dict
 from hkcone.rational import integral
 from hkcone.render import (DiskScene, WallChord, _DiskFrame, _fmt, build_scene, klein_coords,
@@ -438,6 +439,37 @@ def test_scene_colors_do_no_per_wall_lattice_work(quartic, table, monkeypatch):
     # the enumeration reads divisibilities through lattice.pairing_ideal, and
     # the scene reads the discriminant group once, through no cache of its own
     assert calls["divisibility"] == 0 and calls["_discriminant_group"] == 1, calls
+
+
+class TestFrameCache:
+    """The disk frame is built once per Gram matrix: equal lattices share
+    it, and a lattice with another Gram matrix never reads a stale one."""
+
+    def test_equal_lattices_loaded_separately(self, quartic, table):
+        other = load_lattice(fixtures.fixture_path("k3_3_quartic.json"))
+        assert other is not quartic and other.gram == quartic.gram
+        assert render_module._disk_frame(other.gram) is render_module._disk_frame(quartic.gram)
+        for bound in (F(4), fixtures.RENDER_BOUND):
+            scene = build_scene(quartic, table, (4, 4, -1), bound)
+            assert build_scene(other, table, (4, 4, -1), bound) == scene
+            fresh = _DiskFrame(other)
+            assert [ch.endpoints for ch in scene.walls] == \
+                [fresh.chord(ch.wall_class) for ch in scene.walls]
+
+    def test_another_gram_gets_its_own_frame(self, quartic):
+        rng = random.Random(3)
+        lattices = [quartic] + random_lorentzian_lattices(6, seed=9)
+        points = [random_classes(lat, rng, 3, lambda q: q > 0) for lat in lattices]
+        for _ in range(2):  # the second round reads the cached frames
+            for lat, xs in zip(lattices, points):
+                fresh = _DiskFrame(lat)
+                assert [klein_coords(lat, x) for x in xs] == [fresh.point(x) for x in xs]
+        frames = {id(render_module._disk_frame(lat.gram)) for lat in lattices}
+        assert len(frames) == len(lattices)
+
+    def test_cache_is_bounded_like_the_lattice_caches(self):
+        assert render_module._disk_frame.cache_info().maxsize == \
+            lattice_module._discriminant_group.cache_info().maxsize == 256
 
 
 def outcome(fn, *args):

@@ -67,6 +67,19 @@ class TestRestrictionRank:
         with pytest.raises(PreconditionError):
             symplectic_space([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 
+    def test_standard_space_is_built_once_per_dimension(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "determinant",
+                            lambda m, det=linalg.determinant: calls.append(m) or det(m))
+        first = standard_space(6)
+        calls.clear()
+        assert standard_space(6) is first
+        assert calls == []
+        assert standard_space(6).omega == symplectic_space(first.omega).omega
+        assert len(calls) == 1  # a space built from a form still checks it
+        with pytest.raises(PreconditionError, match="^omega must be nondegenerate$"):
+            symplectic.SymplecticSpace(omega=((0, 0), (0, 0)))
+
 
 class TestIsotropicCoisotropic:
     def test_lagrangian_is_both(self):
