@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -218,22 +219,19 @@ def _cmd_symp_rank(args) -> int:
 _IRRATIONAL = {"sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3), "sqrt5": math.sqrt(5)}
 
 
-def _torus_point(text: str, real: bool) -> torus.TorusPoint:
-    from . import torus
+def _tokens(text: str) -> list[str]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise PreconditionError(f"torus points have two coordinates: {text!r}")
+    return parts
+
+
+def _torus_point(text: str, real: bool) -> torus.TorusPoint:
+    from . import torus
+    parts = _tokens(text)
     if not real:
         return torus.exact_point(parse_frac(parts[0]), parse_frac(parts[1]))
-    coords = []
-    irrational = False
-    for p in parts:
-        if p in _IRRATIONAL:
-            coords.append(_IRRATIONAL[p])
-            irrational = True
-        else:
-            coords.append(parse_frac(p))
-    return torus.real_point(coords[0], coords[1], irrational=irrational)
+    return torus.real_point(*(_IRRATIONAL[p] if p in _IRRATIONAL else parse_frac(p) for p in parts))
 
 
 def _cmd_sigma_orbit(args) -> int:
@@ -248,7 +246,12 @@ def _cmd_sigma_orbit(args) -> int:
     gens = torus.generators(fiber)
     if real:
         size, radius = torus.orbit_density(fiber, x, args.depth, args.grid)
-        finite = False if any(g.irrational for g in gens) else None
+        # a generator coordinate t_j - t_i is irrational iff the tokens differ and one
+        # is a root: 1, sqrt2, sqrt3 and sqrt5 are linearly independent over Q
+        marks = [_tokens(t) for t in (args.e0, args.e1, args.e2)]
+        finite = False if any(ti != tj and (ti in _IRRATIONAL or tj in _IRRATIONAL)
+                              for mi, mj in itertools.combinations(marks, 2)
+                              for ti, tj in zip(mi, mj)) else None
     else:
         size, finite = torus.orbit_size(fiber, x, args.depth), True
     doc = {
@@ -267,7 +270,9 @@ def _cmd_sigma_orbit(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing never changes it."""
+    """The one parser of the process; parsing never changes it.  It holds
+    each subcommand's handler by name, and ``main`` looks the name up when
+    it calls it, so a handler replaced after the first build still runs."""
     parser = argparse.ArgumentParser(
         prog="hkcone",
         description="Exact wall-and-chamber computations on a Picard lattice.",
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler.__name__)
         p.add_argument("--out", help="output file (default: stdout)")
         return p
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except PreconditionError as exc:
         print(f"hkcone: {exc}", file=sys.stderr)
         return 2

@@ -183,10 +183,17 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     bound = parse_frac(bound)
     if bound <= 0:
         raise PreconditionError("bound must be positive")
-    if not table.orbits:
-        raise PreconditionError("signature table is empty")
+    _check_table(lattice, table)
     p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
     return _walls(lattice, table, p, p, bound * lattice.square(p))
+
+
+def _check_table(lattice, table):
+    """Once per call, before any candidate is matched: the table has rows,
+    and every pinned residue can match on this lattice."""
+    if not table.orbits:
+        raise PreconditionError("signature table is empty")
+    table.check_residues(lattice)
 
 
 def _segment_walls(lattice, table, a, b):
@@ -204,8 +211,7 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
 
     A class qualifies when it is primitive, one per +-pair with the first
     nonzero coordinate positive, lies in the region and its (square,
-    divisibility[, residue]) matches a table row.  Pass b = a (the same
-    object) when the two agree, so that q(x, a) is computed once.
+    divisibility[, residue]) matches a table row; b == a (a view) reuses q(x, a).
 
     Each table square s has its own walk: its walls have F(x) = 2 q(x, a)
     q(x, b) - q(a, b) q(x) <= cap = floor((2 rho + q(a, b)) |s|) for the
@@ -218,20 +224,21 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     prefix, q(x) = s is G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly
     by an ``isqrt`` perfect-square test and divisibility; when G'_kk = 0
     it is linear, and when L = 0 as well every z_k of the ellipsoid slice
-    is tried.  Candidates x = B z (z if B = I) then pass the region
-    inequality, primitivity and the table match.  Set-up per L_d: B, G',
-    M', k and the Schur complement's Bareiss rows; per square: cap, lim.
+    is tried.  Candidates x = B z then pass the region inequality,
+    primitivity and the table match; x, and for a pinned row G x, are
+    integer dot products.  Set-up per L_d: B, G', M', k and the Schur
+    complement's Bareiss rows; per square: cap, lim.
     """
+    view = b == a
     ra = lattice.pairing_row(a)  # G a
-    rb = ra if b is a else lattice.pairing_row(b)
+    rb = ra if view else lattice.pairing_row(b)
     qab, rn, rd = sum(map(mul, a, rb)), rho.numerator, rho.denominator
     n = lattice.rank
     found = []
     for d_s, squares in table.sublattices:  # all negative: an OrbitSignature checks it
         basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d_s)
-        unit = gram == lattice.gram  # iff B = I: else det G' = det(B)^2 det G != det G
-        ga = ra if unit else [sum(map(mul, col, ra)) for col in zip(*basis)]  # B^t G a
-        gb = ga if rb is ra else rb if unit else [sum(map(mul, col, rb)) for col in zip(*basis)]
+        ga = [sum(map(mul, col, ra)) for col in zip(*basis)]  # B^t G a
+        gb = ga if view else [sum(map(mul, col, rb)) for col in zip(*basis)]
         mt = _majorant(ga, gb, qab, gram)
         k = min(range(n), key=lambda i: mt[i][i])
         free = [j for j in range(n) if j != k]
@@ -270,9 +277,9 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
                 # t = q(x, a) less the z_k term
                 t += ga[k] * z
                 z = y[:k] + (z,) + y[k:]
-                if t * (t if gb is ga else sum(map(mul, gb, z))) > lim:
+                if t * (t if view else sum(map(mul, gb, z))) > lim:
                     return
-                x = z if unit else linalg.mat_vec(basis, z)  # B z
+                x = tuple(sum(map(mul, r, z)) for r in basis)  # B z
                 if next(c for c in x if c) < 0:
                     x = tuple(-c for c in x)
                 if gcd(*x) != 1:
@@ -280,7 +287,8 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
                 div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
                 if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
                     raise InvariantError("a wall candidate pairs to zero with the whole lattice")
-                row = table.match(s, div, lambda: lattice.residues(lattice.pairing_row(x), div, fold=True))
+                row = table.match(s, div, lambda: lattice.residues(
+                    [sum(map(mul, r, x)) for r in lattice.gram], div, fold=True))  # G x
                 if row is not None:
                     found.append((x, row))
 
@@ -435,8 +443,7 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
         raise PreconditionError("endpoints lie in different components of the positive cone")
     if bound < 1 or not _covers(bound, q_ab, q_a, q_b):
         raise PreconditionError("bound too small: the region does not cover the segment")
-    if not table.orbits:
-        raise PreconditionError("signature table is empty")
+    _check_table(lattice, table)
 
     walls = _segment_walls(lattice, table, pa, pb)
     rows = linalg.mat_mul([x for x, _sig in walls], lattice.gram)

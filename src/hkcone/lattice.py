@@ -105,12 +105,11 @@ class IntegralLattice:
         """
         return self.class_divisibility(self.check_length(parse_ints(x)))
 
-    def class_divisibility(self, v, row=None) -> int:
-        """``divisibility`` of an int tuple v of the right length; a caller
-        that holds the pairing row G v passes it as ``row``."""
+    def class_divisibility(self, v) -> int:
+        """``divisibility`` of an int tuple v of the right length."""
         if all(c == 0 for c in v):
             raise PreconditionError("zero vector")
-        g = pairing_ideal(self.gram, self.ambient_ideals, v, row)
+        g = pairing_ideal(self.gram, self.ambient_ideals, v)
         if g == 0:
             raise PreconditionError("vector pairs to zero with the whole lattice")
         return g
@@ -131,9 +130,7 @@ class IntegralLattice:
             disc = self.discriminant_group()
         plus = tuple(sum(map(mul, u, row)) // d % f
                      for u, f in zip(disc.transform, disc.invariant_factors))
-        if not fold:
-            return plus
-        return min(plus, tuple(-r % f for r, f in zip(plus, disc.invariant_factors)))
+        return fold_residue(plus, disc.invariant_factors) if fold else plus
 
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
@@ -179,15 +176,23 @@ def _congruence(gram):
     return linalg.congruence_diagonalize(gram)
 
 
-def pairing_ideal(gram, ambient_ideals, v: tuple[int, ...], row=None) -> int:
+def pairing_ideal(gram, ambient_ideals, v: tuple[int, ...]) -> int:
     """The divisibility rule on a checked integer tuple v (0 if v pairs to
-    zero with everything): gcd_i(ambient_i * v_i) with ambient ideals,
-    else the gcd of G v (``row``, if given).  ``IntegralLattice.divisibility``
-    parses and checks its argument first; the wall enumeration, whose
-    candidates are integer tuples of the right length already, calls this.
+    zero with everything): gcd_i(ambient_i * v_i) with ambient ideals, else
+    the gcd of G v, by integer dots.  ``IntegralLattice.divisibility`` parses
+    and checks its argument first; the wall enumeration, whose candidates
+    are integer tuples of the right length already, calls this.
     """
     return math.gcd(*map(mul, ambient_ideals, v)) if ambient_ideals else \
-        math.gcd(*(linalg.mat_vec(gram, v) if row is None else row))
+        math.gcd(*(sum(map(mul, row, v)) for row in gram))
+
+
+def fold_residue(r, factors) -> tuple[int, ...]:
+    """r reduced into [0, f) entry by entry, or -r so reduced, whichever
+    tuple is smaller: the form of ``residues(..., fold=True)``, which a
+    pinned ``disc_residue`` must have to match."""
+    plus = tuple(c % f for c, f in zip(r, factors))
+    return min(plus, tuple(-c % f for c, f in zip(plus, factors)))
 
 
 def mod_four_class(lattice: IntegralLattice, x) -> int:
@@ -201,8 +206,7 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
     """
     read = mod_four_reader(lattice)
     v = lattice.primitive_class(x)
-    row = linalg.mat_vec(lattice.gram, v)
-    return read(row, lattice.class_divisibility(v, row))
+    return read(linalg.mat_vec(lattice.gram, v), lattice.class_divisibility(v))
 
 
 def mod_four_reader(lattice: IntegralLattice):

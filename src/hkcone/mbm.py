@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .lattice import IntegralLattice
+from .lattice import IntegralLattice, fold_residue
 from .rational import integral, parse_array, parse_field, parse_frac, parse_int, parse_str
 
 
@@ -68,34 +68,45 @@ class SignatureTable:
 
     @functools.cached_property
     def _rows(self) -> dict:
+        """(square, divisibility) -> (pinned rows, the one unpinned row or None)."""
         rows = {}
         for o in self.orbits:
-            rows.setdefault((o.square, o.divisibility), []).append(o)
+            key = o.square, o.divisibility
+            pinned, plain = rows.get(key, ((), None))
+            rows[key] = (pinned, o) if o.disc_residue is None else (pinned + (o,), plain)
         return rows
+
+    def check_residues(self, lattice: IntegralLattice) -> None:
+        """Reject a pinned residue that could never match on this lattice: one
+        without an entry per nontrivial factor of its discriminant group (read
+        only if some row pins one), or one not folded (``fold_residue``)."""
+        pinned = [o for o in self.orbits if o.disc_residue is not None]
+        factors = lattice.discriminant_group().invariant_factors if pinned else ()
+        for o in pinned:
+            if len(o.disc_residue) != len(factors):
+                raise PreconditionError(
+                    f"orbit {o.name!r}: disc_residue has {len(o.disc_residue)} entries, "
+                    f"but the discriminant group has {len(factors)} nontrivial factors")
+            folded = fold_residue(o.disc_residue, factors)
+            if o.disc_residue != folded:
+                raise PreconditionError(
+                    f"orbit {o.name!r}: disc_residue {list(o.disc_residue)} is not in folded "
+                    f"form and never matches; it should be {list(folded)}")
 
     def match(self, square: int, divisibility: int, residue_fn) -> OrbitSignature | None:
         """Unique row for the invariants, or None.
 
-        residue_fn is called lazily, only when some candidate row pins a
-        discriminant residue; a pinned residue must have one entry per
-        nontrivial factor of the discriminant group.
+        residue_fn is called lazily, only when some row of the pair pins a
+        discriminant residue; the caller has checked the pinned residues
+        (``check_residues``).
         """
-        rows = self._rows.get((square, divisibility), ())
-        pinned = [o for o in rows if o.disc_residue is not None]
+        pinned, plain = self._rows.get((square, divisibility), ((), None))
         if pinned:
             residue = tuple(residue_fn())
             for o in pinned:
-                if len(o.disc_residue) != len(residue):
-                    raise PreconditionError(
-                        f"orbit {o.name!r}: disc_residue has {len(o.disc_residue)} entries, "
-                        f"but the discriminant group has {len(residue)} nontrivial factors")
-            for o in pinned:
                 if o.disc_residue == residue:
                     return o
-        for o in rows:
-            if o.disc_residue is None:
-                return o
-        return None
+        return plain
 
 
 def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignature | None:
@@ -109,8 +120,14 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     square = linalg.dot(row, v)
     if square >= 0:
         raise PreconditionError("class must have negative square")
-    d = lattice.class_divisibility(v, row)
-    return table.match(square, d, lambda: lattice.residues(row, d, fold=True))
+    d = lattice.class_divisibility(v)
+
+    def residue():
+        r = lattice.residues(row, d, fold=True)  # d | G x is checked before the group is read
+        table.check_residues(lattice)
+        return r
+
+    return table.match(square, d, residue)
 
 
 def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:

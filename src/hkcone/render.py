@@ -15,7 +15,9 @@ numerators and denominators of -d1/d0 and -d2/d0, all integers.  A wall
 costs three integer dot products and a few integer products.  All
 incidence decisions are exact; floats only enter at the final quotients,
 each one int / int (correctly rounded, so equal to float() of the same
-Fraction), and in the square roots of the screen projection.
+Fraction), and in the square roots of the screen projection.  Whether a
+marker or a path end lies strictly inside the disk is such a decision:
+H < 0, a positive square, whatever its float radius.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.  The enumerated table row of a wall carries its divisibility d,
@@ -63,9 +65,9 @@ class DiskScene:
             for u, v in chord.endpoints:
                 if abs(u * u + v * v - 1.0) > BOUNDARY_TOL:
                     raise PreconditionError("chord endpoints must lie on the unit circle")
-        for (u, v), _label in self.markers:
-            if u * u + v * v >= 1.0:
-                raise PreconditionError("markers must lie strictly inside the disk")
+        for (u, v), _label in self.markers:  # build_scene decides "strictly inside" exactly
+            if u * u + v * v - 1.0 > BOUNDARY_TOL:
+                raise PreconditionError("markers must lie in the unit disk")
 
 
 class _DiskFrame:
@@ -85,9 +87,8 @@ class _DiskFrame:
     __slots__ = ("rows", "scales", "p1", "p2", "k", "q", "sx", "sy")
 
     def __init__(self, lattice: IntegralLattice):
+        _require_rank_3(lattice)
         t, diag = lattice.diagonalize()
-        if len(diag) != 3:
-            raise PreconditionError("disk rendering needs a rank-3 lattice")
         if not (diag[0] > 0 and diag[1] < 0 and diag[2] < 0):
             raise PreconditionError("diagonalization must be Lorentzian, positive entry first")
         rows, scales = [], []
@@ -128,16 +129,24 @@ class _DiskFrame:
         hx, hy = -((k * s2) / n) * sy * h, ((k * s1) / n) * sx * h
         return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
 
-    def point(self, x) -> tuple[float, float]:
-        """Disk coordinates (sx z1/z0, sy z2/z0) of a rational x."""
+    def point(self, x, *, inside=False) -> tuple[float, float]:
+        """Disk coordinates (sx z1/z0, sy z2/z0) of a rational x; with
+        ``inside``, x must have positive square (H < 0): a marker."""
         a0, s1, s2, _n, h2 = self._polar(integral(x)[0])
         if h2 > 0:
             raise PreconditionError("point must have nonnegative square")
+        if inside and h2 == 0:
+            raise PreconditionError("markers must lie strictly inside the disk")
         if a0 == 0:
             raise PreconditionError("ray projects to infinity in the disk model")
         l0, l1, l2 = self.scales
         # z1/z0 = a1 L0 / (a0 L1) = s1 L0 / (a0 L1 L2)
         return ((s1 * l0) / (a0 * l1 * l2) * self.sx, (s2 * l0) / (a0 * l1 * l2) * self.sy)
+
+
+def _require_rank_3(lattice: IntegralLattice):
+    if lattice.rank != 3:
+        raise PreconditionError("disk rendering needs a rank-3 lattice")
 
 
 @functools.lru_cache(maxsize=256)  # keyed like lattice's caches: the frame reads only G
@@ -158,7 +167,9 @@ def klein_coords(lattice: IntegralLattice, x) -> tuple[float, float]:
 def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
                 markers=(), cusps=(), path=None) -> DiskScene:
     """Assemble the disk picture of all walls near a base point; a ``path``
-    (a, b) of two endpoints adds the segment, its ends marked "a" and "b"."""
+    (a, b) of two endpoints adds the segment, its ends marked "a" and "b".
+    Markers and path ends must have positive square, decided exactly."""
+    _require_rank_3(lattice)  # before the walk, which any rank allows
     walls = enumerate_wall_classes(lattice, table, base, bound)
     frame = _disk_frame(lattice.gram)
     color = mod_four_reader(lattice) if walls else None
@@ -168,13 +179,13 @@ def build_scene(lattice: IntegralLattice, table: SignatureTable, base, bound,
                   wall_class=x)
         for x, sig in walls
     )
-    marks = tuple((frame.point(coords), str(label)) for coords, label in markers)
+    marks = tuple((frame.point(coords, inside=True), str(label)) for coords, label in markers)
     cusp_pts = tuple(frame.point(c) for c in cusps)
     polyline = None
     if path is not None:
         if not isinstance(path, (tuple, list)) or len(path) != 2:
             raise PreconditionError("path must be a pair of endpoints (a, b)")
-        polyline = (frame.point(path[0]), frame.point(path[1]))
+        polyline = (frame.point(path[0], inside=True), frame.point(path[1], inside=True))
         marks = marks + ((polyline[0], "a"), (polyline[1], "b"))
     return DiskScene(walls=chords, markers=marks, cusps=cusp_pts, path=polyline)
 

@@ -87,6 +87,26 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "'codim2'" in err and "3 entries" in err and "1 nontrivial factors" in err
 
+    @pytest.mark.parametrize("pinned", [[27], [45], [-9]])
+    def test_disc_residue_not_folded_exit_2(self, tmp_path, capsys, pinned):
+        # Z/36: 27 (what unfolded residues return), 45 and -9 all fold to 9
+        tab = tmp_path / "table.json"
+        tab.write_text(json.dumps({"orbits": [
+            {"name": "codim2", "square": -36, "divisibility": 4, "codimension": 2,
+             "disc_residue": pinned}]}))
+        for argv in (["classify", "--class", "4,0,-1"],
+                     ["enumerate-walls", "--base", "4,4,-1", "--bound", "15"]):
+            rc = main([*argv, "--lattice", LAT, "--table", str(tab)])
+            assert rc == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "'codim2'" in err and str(pinned) in err and "should be [9]" in err
+        tab.write_text(json.dumps({"orbits": [
+            {"name": "codim2", "square": -36, "divisibility": 4, "codimension": 2,
+             "disc_residue": [9]}]}))
+        assert main(["classify", "--lattice", LAT, "--table", str(tab), "--class", "4,0,-1"]) == 0
+        assert json.loads(capsys.readouterr().out)["orbit"] == "codim2"
+
 
 class TestBooleansAreNotNumbers:
     """JSON true and false are rejected wherever a document holds a number."""
@@ -254,6 +274,20 @@ class TestSigmaOrbit:
         assert doc["size"] == 221
         assert doc["covering_radius"] < 0.5
 
+    @pytest.mark.parametrize("e0, e1, e2, finite", [
+        ("sqrt2,sqrt3", "sqrt2,sqrt3", "sqrt2,sqrt3", None),  # three zero generators
+        ("sqrt2,0", "sqrt2,1/2", "sqrt2,1/3", None),  # equal roots cancel
+        ("0,0", "1/3,0", "0,1/2", None),
+        ("0,0", "sqrt2,0", "sqrt2,sqrt3", False),  # the benchmark's marks
+        ("sqrt2,0", "sqrt3,0", "sqrt2,0", False),  # sqrt3 - sqrt2
+        ("0,sqrt5", "0,sqrt5", "1/2,sqrt5", None),
+    ])
+    def test_real_mode_finite_from_the_tokens(self, capsys, e0, e1, e2, finite):
+        rc = main(["sigma-orbit", "--e0", e0, "--e1", e1, "--e2", e2, "--x", "0,0",
+                   "--real", "--depth", "5", "--grid", "4"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["finite"] is finite
+
     def test_real_coordinate_beyond_the_float_range_exit_2(self, capsys):
         rc = main(["sigma-orbit", "--e0", "0,0", "--e1", "1e400,0", "--e2", "0,1/2",
                    "--x", "0,0", "--real"])
@@ -304,6 +338,18 @@ class TestRender:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(rep) in err and "'a'" in err
+
+
+    @pytest.mark.parametrize("mark, rc", [
+        ("-25,-11,-10:iso", 2),  # isotropic, though its float radius^2 is below 1
+        ("1,100000000000000000,0:far", 0),  # square 599,999,999,999,999,998
+    ])
+    def test_marker_placed_by_its_square(self, tmp_path, capsys, mark, rc):
+        assert main(["render-cone", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1",
+                     "--bound", "4", "--out", str(tmp_path / "cone.svg"),
+                     f"--mark={mark}"]) == rc
+        err = capsys.readouterr().err
+        assert ("strictly inside the disk" in err) == (rc == 2) and "internal error" not in err
 
 
 WRITE_COMMANDS = {
@@ -444,6 +490,14 @@ class TestSharedParser:
             if mine_svg is not None:
                 assert mine_svg.exists() == fresh_svg.exists() == (rc == 0)
                 assert rc or mine_svg.read_bytes() == fresh_svg.read_bytes(), argv
+
+    def test_a_patched_handler_runs(self, monkeypatch, capsys):
+        argv = ["classify", "--lattice", LAT, "--table", TAB, "--class", "4,0,-1"]
+        assert main(argv) == 0  # the parser is built and cached
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_cmd_classify", lambda args: 7)
+        assert main(argv) == 7
+        assert capsys.readouterr().out == ""
 
 
 README_SVG_B15 = "39d92a3866e525826b6f60d4650685aa8c8edc783cbf2d632836a60e9ebc83b6"

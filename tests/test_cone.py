@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
@@ -1163,7 +1164,36 @@ class TestPinnedResidues:
             monkeypatch.setattr(cls, name, counted)
         walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), F(15))
         assert len(walls) == 35
-        assert calls["discriminant_group"] == calls["residues"] == 34, calls
+        # 34 pinned candidates, plus the one read of the table check before the walk
+        assert calls["residues"] == 34 and calls["discriminant_group"] == 34 + 1, calls
+
+    @pytest.mark.parametrize("pinned", [(27,), (45,), (-9,)])
+    def test_unfolded_residue_rejected(self, quartic, table, pinned):
+        """On Z/36 only the folded 9 of 9, 27, 45 and -9 can match: the others
+        are rejected, naming the orbit and 9."""
+        tab = SignatureTable(orbits=table.orbits + (OrbitSignature(
+            name="b4r", square=-36, divisibility=4, codimension=2, disc_residue=pinned),))
+        fixed = SignatureTable(orbits=table.orbits + (OrbitSignature(
+            name="b4r", square=-36, divisibility=4, codimension=2, disc_residue=(9,)),))
+        want = f"orbit 'b4r': disc_residue {list(pinned)} is not in folded form " \
+            "and never matches; it should be [9]"
+        a, b = fixtures.chamber_point(1), fixtures.chamber_point(4)
+        for call in (lambda t: enumerate_wall_classes(quartic, t, (4, 4, -1), F(15)),
+                     lambda t: factor_path(quartic, t, a, b, fixtures.PATH_BOUND),
+                     lambda t: classify(quartic, t, (4, 0, -1))):
+            with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+                call(tab)
+            call(fixed)
+
+    def test_unfolded_residue_stops_the_walk_before_any_match(self, quartic, table, monkeypatch):
+        tab = SignatureTable(orbits=table.orbits + (OrbitSignature(
+            name="b4r", square=-36, divisibility=4, codimension=2, disc_residue=(27,)),))
+        monkeypatch.setattr(SignatureTable, "match", lambda *args: pytest.fail("matched"))
+        a, b = fixtures.chamber_point(1), fixtures.chamber_point(4)
+        for call in (lambda: enumerate_wall_classes(quartic, tab, (4, 4, -1), F(15)),
+                     lambda: factor_path(quartic, tab, a, b, fixtures.PATH_BOUND)):
+            with pytest.raises(PreconditionError, match="should be \\[9\\]"):
+                call()
 
     @pytest.mark.parametrize("name", ["beta", "delta", "eps", "gamma"])
     def test_classify(self, quartic, named, name, monkeypatch):
@@ -1219,6 +1249,31 @@ class TestPerSquareWalks:
                 bound = rng.choice([F(1, 2), F(1), F(2), F(7, 3)])
                 assert enumerate_wall_classes(lat, tab, base, bound) == \
                     enumerate_one_ellipsoid(lat, tab, base, bound)
+
+
+class TestOneCandidatePath:
+    """Every candidate, on a unit basis or not, is x = B z by integer dot
+    products, and reads its divisibility and a pinned row's G x the same
+    way: ``linalg.mat_vec`` and ``pairing_row`` run a fixed number of times
+    per call, however many candidates the walk meets."""
+
+    @pytest.mark.parametrize("tab", ["bundled", "pinned"])
+    def test_no_mat_vec_per_candidate(self, quartic, table, tab, monkeypatch):
+        tab = table if tab == "bundled" else QUARTIC_PINNED_TABLE
+        calls = Counter()
+        for owner, name in ((linalg, "mat_vec"), (lattice_module.IntegralLattice, "pairing_row")):
+            def counted(*args, name=name, original=getattr(owner, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        per_bound = {}
+        for bound in (15, 100):
+            calls.clear()
+            walls = enumerate_wall_classes(quartic, tab, (4, 4, -1), bound)
+            per_bound[bound] = (len(walls), dict(calls))
+        # the base's square, q(p) and G p; 35 and 108 walls
+        assert per_bound == {15: (35, {"mat_vec": 3, "pairing_row": 3}),
+                             100: (108, {"mat_vec": 3, "pairing_row": 3})}
 
 
 class TestSharedSetUp:

@@ -37,7 +37,7 @@ def discriminant_image(lat, x):
     ``classify`` reads it for a pinned row."""
     v = lat.primitive_class(x)
     row = lat.pairing_row(v)
-    return lat.residues(row, lat.class_divisibility(v, row), fold=True)
+    return lat.residues(row, lat.class_divisibility(v), fold=True)
 
 
 def discriminant_image_two_pass(lat, x):

@@ -304,10 +304,57 @@ class TestScene:
         with pytest.raises(PreconditionError):
             DiskScene(markers=(((1.5, 0.0), "x"),))
 
+    def test_rank_checked_before_the_walk(self, monkeypatch):
+        monkeypatch.setattr(render_module, "enumerate_wall_classes",
+                            lambda *args: pytest.fail("the walls were enumerated"))
+        lat = make_lattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -4]])
+        tab = table_from_dict({"orbits": [
+            {"name": "a", "square": -2, "divisibility": 1, "codimension": 1}]})
+        with pytest.raises(PreconditionError, match="^disk rendering needs a rank-3 lattice$"):
+            build_scene(lat, tab, (3, 2, 0, 0), 6400)
+
     def test_chord_off_circle_rejected(self):
         with pytest.raises(PreconditionError):
             DiskScene(walls=(WallChord(endpoints=((0.5, 0.0), (0.0, 1.0)),
                                        residue=0, wall_class=(1, 0, 0)),))
+
+
+class TestMarkersAreExact:
+    """A marker or path end lies strictly inside the disk iff its square is
+    positive, which the frame's integer H decides; cusps take square >= 0."""
+
+    @staticmethod
+    def isotropic(lattice):
+        """The isotropic classes of the quartic with |c_i| <= 30:
+        q(a, b, c) = -2a^2 + 6ab - 4c^2 = 0 fixes |c| from a and b."""
+        box = range(-30, 31)
+        cs = {(a, b): math.isqrt(max(6 * a * b - 2 * a * a, 0) // 4) for a in box for b in box}
+        return sorted({x for (a, b), c in cs.items() for x in ((a, b, c), (a, b, -c))
+                       if any(x) and c <= 30 and lattice.square(x) == 0})
+
+    def test_isotropic_marks_rejected_as_markers_and_kept_as_cusps(self, quartic, table):
+        iso = self.isotropic(quartic)
+        assert len(iso) == 388
+        scene = build_scene(quartic, table, (4, 4, -1), 1, cusps=iso)
+        assert len(scene.cusps) == 388
+        # the float radius^2 of these is below 1: only the exact test rejects them
+        inside = [x for x, (u, v) in zip(iso, scene.cusps) if u * u + v * v < 1.0]
+        assert len(inside) == 28 and (-25, -11, -10) in inside
+        for x in inside:
+            for kwargs in ({"markers": [(x, "iso")]}, {"path": ((4, 4, -1), x)},
+                           {"path": (x, (4, 4, -1))}):
+                with pytest.raises(PreconditionError, match="strictly inside the disk"):
+                    build_scene(quartic, table, (4, 4, -1), 1, **kwargs)
+
+    def test_far_interior_point_kept(self, quartic, table):
+        far = (1, 10 ** 17, 0)
+        assert quartic.square(far) == 599_999_999_999_999_998
+        scene = build_scene(quartic, table, (4, 4, -1), 1, markers=[(far, "far")],
+                            path=((4, 4, -1), far))
+        (u, v), label = scene.markers[0]
+        assert label == "far" and abs(u * u + v * v - 1.0) < 1e-15
+        assert scene.path[1] == (u, v) and scene.markers[-1] == ((u, v), "b")
+        assert "far</text>" in render_svg(scene)
 
 
 def image_mod_four(lattice, x):
