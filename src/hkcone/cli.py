@@ -237,6 +237,8 @@ def _torus_point(text: str, real: bool) -> torus.TorusPoint:
 def _cmd_sigma_orbit(args) -> int:
     from . import torus
     real = args.real
+    if args.grid is not None and not real:
+        raise PreconditionError("--grid sets the covering-radius grid of --real; exact mode has none")
     fiber = torus.MarkedFiber(
         e0=_torus_point(args.e0, real),
         e1=_torus_point(args.e1, real),
@@ -245,7 +247,8 @@ def _cmd_sigma_orbit(args) -> int:
     x = _torus_point(args.x, real)
     gens = torus.generators(fiber)
     if real:
-        size, radius = torus.orbit_density(fiber, x, args.depth, args.grid)
+        grid = 32 if args.grid is None else args.grid
+        size, radius = torus.orbit_density(fiber, x, args.depth, grid)
         # a generator coordinate t_j - t_i is irrational iff the tokens differ and one
         # is a root: 1, sqrt2, sqrt3 and sqrt5 are linearly independent over Q
         marks = [_tokens(t) for t in (args.e0, args.e1, args.e2)]
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--real", action="store_true")
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=int)  # real mode only; 32 there when not given
 
     return parser
 

@@ -226,14 +226,17 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     it is linear, and when L = 0 as well every z_k of the ellipsoid slice
     is tried.  Candidates x = B z then pass the region inequality,
     primitivity and the table match; x, and for a pinned row G x, are
-    integer dot products.  Set-up per L_d: B, G', M', k and the Schur
-    complement's Bareiss rows; per square: cap, lim.
+    integer dot products.  Set-up per walk: the discriminant group, when a
+    row pins a residue; per L_d: B, G', M', k and the Schur complement's
+    Bareiss rows; per square: cap, lim.
     """
     view = b == a
     ra = lattice.pairing_row(a)  # G a
     rb = ra if view else lattice.pairing_row(b)
     qab, rn, rd = sum(map(mul, a, rb)), rho.numerator, rho.denominator
     n = lattice.rank
+    pinned = any(o.disc_residue is not None for o in table.orbits)
+    disc = lattice.discriminant_group() if pinned else None
     found = []
     for d_s, squares in table.sublattices:  # all negative: an OrbitSignature checks it
         basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d_s)
@@ -288,7 +291,7 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
                 if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
                     raise InvariantError("a wall candidate pairs to zero with the whole lattice")
                 row = table.match(s, div, lambda: lattice.residues(
-                    [sum(map(mul, r, x)) for r in lattice.gram], div, fold=True))  # G x
+                    [sum(map(mul, r, x)) for r in lattice.gram], div, disc, fold=True))  # G x
                 if row is not None:
                     found.append((x, row))
 

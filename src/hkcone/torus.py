@@ -3,9 +3,9 @@
 A marked fiber carries three points e0, e1, e2; the degree-3
 correspondence sends x to the three translates x + e_i + e_j (i != j),
 and the induced relation is generated by translations by consecutive
-differences of the marks.  Exact mode works in (Q/Z)^2, where every
-point is torsion and orbits close up; real mode works in (R/Z)^2 with
-double precision for density experiments.
+differences of the marks.  A point's mode is its coordinate type: Fractions
+work exactly in (Q/Z)^2, where every point is torsion and orbits close
+up; floats work in (R/Z)^2 with double precision for density experiments.
 
 Real orbits are float64 coordinate arrays: one numpy core computes every
 translate with the float operations of the scalar expression, merges
@@ -21,7 +21,7 @@ does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -40,26 +40,27 @@ REAL_SIZE_CAP = 10 ** 7
 
 @dataclass(frozen=True, order=True)
 class TorusPoint:
+    """Two Fractions make an exact point, two floats a real one; ``exact``
+    is set from them, and compared and hashed: the two modes never meet."""
     x: Fraction | float
     y: Fraction | float
-    exact: bool = True
-    irrational: bool = False
+    exact: bool = field(init=False)
 
     def __post_init__(self):
-        if self.exact and not (isinstance(self.x, Fraction) and isinstance(self.y, Fraction)):
-            raise PreconditionError("exact points need Fraction coordinates")
+        kind = Fraction if isinstance(self.x, Fraction) else float
+        if not (isinstance(self.x, kind) and isinstance(self.y, kind)):
+            raise PreconditionError("coordinates must be two Fractions (exact) or two floats (real)")
         if not (0 <= self.x < 1 and 0 <= self.y < 1):
             raise PreconditionError("coordinates must be reduced mod 1")
+        object.__setattr__(self, "exact", kind is Fraction)
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         _same_mode(self, other)
-        return TorusPoint(_mod1(self.x + other.x), _mod1(self.y + other.y),
-                          self.exact, self.irrational or other.irrational)
+        return TorusPoint(_mod1(self.x + other.x), _mod1(self.y + other.y))
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         _same_mode(self, other)
-        return TorusPoint(_mod1(self.x - other.x), _mod1(self.y - other.y),
-                          self.exact, self.irrational or other.irrational)
+        return TorusPoint(_mod1(self.x - other.x), _mod1(self.y - other.y))
 
 
 def _mod1(v):
@@ -72,11 +73,11 @@ def _mod1(v):
 
 
 def exact_point(x, y) -> TorusPoint:
-    return TorusPoint(parse_frac(x) % 1, parse_frac(y) % 1, exact=True)
+    return TorusPoint(parse_frac(x) % 1, parse_frac(y) % 1)
 
 
-def real_point(x, y, irrational: bool = False) -> TorusPoint:
-    return TorusPoint(_mod1(_real(x)), _mod1(_real(y)), exact=False, irrational=irrational)
+def real_point(x, y) -> TorusPoint:
+    return TorusPoint(_mod1(_real(x)), _mod1(_real(y)))
 
 
 def _real(v) -> float:
@@ -159,12 +160,10 @@ def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ..
     t1, t2 = _steps(fiber, x, depth)
     if fiber.exact:
         pairs = {((x.x + gx) % 1, (x.y + gy) % 1) for gx, gy in _closure(t1, t2)}
-        return tuple(TorusPoint(px, py, True, x.irrational) for px, py in sorted(pairs))
-    irrational = x.irrational or t1.irrational or t2.irrational
+        return tuple(TorusPoint(px, py) for px, py in sorted(pairs))
     _check_depth(depth)
     xs, ys = _real_orbit(x, t1, t2, depth)
-    return tuple(TorusPoint(px, py, False, irrational)
-                 for px, py in zip(xs.tolist(), ys.tolist()))
+    return tuple(TorusPoint(px, py) for px, py in zip(xs.tolist(), ys.tolist()))
 
 
 def orbit_size(fiber: MarkedFiber, x: TorusPoint, depth: int) -> int:

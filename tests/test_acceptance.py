@@ -223,8 +223,8 @@ def test_criterion_8_sigma_orbit():
 
         rfiber = torus.MarkedFiber(
             torus.real_point(0, 0),
-            torus.real_point(sqrt(2), 0, irrational=True),
-            torus.real_point(sqrt(2), sqrt(3), irrational=True))
+            torus.real_point(sqrt(2), 0),
+            torus.real_point(sqrt(2), sqrt(3)))
         g1, g2, _ = torus.generators(rfiber)
         assert (abs(g1.x - sqrt(2) % 1) < 1e-15 and g1.y == 0)
         assert (g2.x == 0 and abs(g2.y - sqrt(3) % 1) < 1e-15)

@@ -288,6 +288,15 @@ class TestSigmaOrbit:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["finite"] is finite
 
+    @pytest.mark.parametrize("grid", ["4", "32", "0", "-3"])
+    def test_grid_without_real_exit_2(self, capsys, grid):
+        rc = main(["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2",
+                   "--x", "0,0", "--grid", grid])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "hkcone: --grid sets the covering-radius grid of --real; " \
+            "exact mode has none\n"
+
     def test_real_coordinate_beyond_the_float_range_exit_2(self, capsys):
         rc = main(["sigma-orbit", "--e0", "0,0", "--e1", "1e400,0", "--e2", "0,1/2",
                    "--x", "0,0", "--real"])

@@ -1155,6 +1155,8 @@ class TestPinnedResidues:
         assert calls["divisibility"] == 0
 
     def test_walk_reads_the_group_once_per_pinned_candidate(self, quartic, monkeypatch):
+        """Once per walk, in fact: the walk reads the group once for all its
+        pinned candidates, so the count does not grow with the bound."""
         calls = Counter()
         cls = lattice_module.IntegralLattice
         for name in ("discriminant_group", "residues"):
@@ -1162,10 +1164,14 @@ class TestPinnedResidues:
                 calls[name] += 1
                 return original(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
-        walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), F(15))
-        assert len(walls) == 35
-        # 34 pinned candidates, plus the one read of the table check before the walk
-        assert calls["residues"] == 34 and calls["discriminant_group"] == 34 + 1, calls
+        reads = []
+        for bound in (F(4), F(15)):
+            calls.clear()
+            walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), bound)
+            reads.append(calls["discriminant_group"])
+        assert len(walls) == 35 and calls["residues"] == 34, calls
+        # the table check's read before the walk, and the walk's one
+        assert reads == [2, 2], reads
 
     @pytest.mark.parametrize("pinned", [(27,), (45,), (-9,)])
     def test_unfolded_residue_rejected(self, quartic, table, pinned):

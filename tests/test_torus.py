@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -72,6 +73,28 @@ class TestRealPoint:
 
     def test_rationals_convert_as_float_does(self):
         assert real_point(F(7, 2), F(-1, 3)) == real_point(0.5, float(F(-1, 3)) % 1)
+
+
+class TestModeFromCoordinates:
+    def test_the_coordinate_type_sets_the_mode(self):
+        assert TorusPoint(F(1, 2), F(0)).exact is True
+        assert TorusPoint(0.5, 0.25).exact is False
+
+    @pytest.mark.parametrize("x, y", [(F(1, 2), 0.5), (0.5, F(1, 2)), (0, 0), (True, 0.5)])
+    def test_other_coordinates_rejected(self, x, y):
+        with pytest.raises(PreconditionError, match=r"^coordinates must be two Fractions "
+                                                    r"\(exact\) or two floats \(real\)$"):
+            TorusPoint(x, y)
+
+    def test_the_modes_stay_apart_in_eq_and_hash(self):
+        exact, real = TorusPoint(F(0), F(0)), TorusPoint(0.0, 0.0)
+        assert exact == exact_point(0, 0) and real == real_point(0, 0)
+        assert exact != real and len({exact, real}) == 2
+
+    def test_x_and_y_are_the_only_arguments(self):
+        assert list(inspect.signature(real_point).parameters) == ["x", "y"]
+        with pytest.raises(TypeError):
+            TorusPoint(F(0), F(0), True)
 
 
 class TestRelated:
@@ -157,8 +180,8 @@ class TestOrbit:
 
     def test_real_orbit_grows_with_depth(self):
         e0 = real_point(0, 0)
-        e1 = real_point(math.sqrt(2), 0, irrational=True)
-        e2 = real_point(math.sqrt(2), math.sqrt(3), irrational=True)
+        e1 = real_point(math.sqrt(2), 0)
+        e2 = real_point(math.sqrt(2), math.sqrt(3))
         f = MarkedFiber(e0, e1, e2)
         x = real_point(0, 0)
         n10 = len(orbit(f, x, 10))
@@ -236,8 +259,8 @@ class TestCoveringRadiusAgainstLoops:
                 assert covering_radius(pts, grid) == covering_radius_loops(pts, grid)
 
     def test_real_orbit(self):
-        e1 = real_point(math.sqrt(2), 0, irrational=True)
-        e2 = real_point(math.sqrt(2), math.sqrt(3), irrational=True)
+        e1 = real_point(math.sqrt(2), 0)
+        e2 = real_point(math.sqrt(2), math.sqrt(3))
         pts = orbit(MarkedFiber(real_point(0, 0), e1, e2), real_point(0.1, 0.7), 8)
         for grid in (1, 7, 12):
             assert covering_radius(pts, grid) == covering_radius_loops(pts, grid)
@@ -272,8 +295,7 @@ def orbit_loops(fiber, x, depth):
             px = reduced(x.x + a * t1.x + b * t2.x)
             py = reduced(x.y + a * t1.y + b * t2.y)
             seen.setdefault((round(px, 12) % 1.0, round(py, 12) % 1.0), (px, py))
-    irrational = x.irrational or t1.irrational or t2.irrational
-    return tuple(TorusPoint(px, py, False, irrational) for px, py in sorted(seen.values()))
+    return tuple(TorusPoint(px, py) for px, py in sorted(seen.values()))
 
 
 def covering_radius_cells(points, grid):
@@ -296,8 +318,8 @@ SQRT = {"sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3), "sqrt5": math.sqrt(5)}
 
 
 def irrational_fiber(s1, s2):
-    return MarkedFiber(real_point(0, 0), real_point(SQRT[s1], 0, irrational=True),
-                       real_point(SQRT[s1], SQRT[s2], irrational=True))
+    return MarkedFiber(real_point(0, 0), real_point(SQRT[s1], 0),
+                       real_point(SQRT[s1], SQRT[s2]))
 
 
 class TestRealOrbitAgainstLoops:
@@ -307,7 +329,7 @@ class TestRealOrbitAgainstLoops:
             f = irrational_fiber(rng.choice(list(SQRT)), rng.choice(list(SQRT)))
             x = real_point(rng.random(), rng.random())
             assert orbit(f, x, depth) == orbit_loops(f, x, depth)
-        marks = [real_point(rng.random(), rng.random(), irrational=True) for _ in range(3)]
+        marks = [real_point(rng.random(), rng.random()) for _ in range(3)]
         for depth in (1, 4, 30):
             x = real_point(rng.random(), rng.random())
             assert orbit(MarkedFiber(*marks), x, depth) == orbit_loops(MarkedFiber(*marks), x, depth)
@@ -370,7 +392,7 @@ class TestRealOrbitAgainstLoops:
 
         def point(text):
             xy = [SQRT[t] if t in SQRT else float(F(t)) for t in text.split(",")]
-            return real_point(*xy, irrational=any(t in SQRT for t in text.split(",")))
+            return real_point(*xy)
 
         for _ in range(200):
             texts = [f"{rng.choice(tokens)},{rng.choice(tokens)}" for _ in range(4)]
