@@ -15,9 +15,9 @@ p with rho = B q(p), and the walls that meet a segment [a, b] are those
 of rho = 0, so ``--bound`` plays no part in a segment's search.  A wall x
 of square s in the region has F(x) = 2 q(x, a) q(x, b) - q(a, b) q(x) <=
 (2 rho + q(a, b)) |s|, and F is positive definite (``_majorant``).  Each
-table square s has its own walk on a Smith-form basis of L_d, where d =
-d_s, the gcd of the divisibilities of the rows of s, divides the
-divisibility; the squares of one d_s share the set-up on L_d.  One
+table square s has its own walk on a basis of L_d (``_sublattice``),
+where d = d_s, the gcd of the divisibilities of the rows of s, divides
+the divisibility; the squares of one d_s share the set-up on L_d.  One
 coordinate is solved for exactly, by an ``isqrt`` perfect-square test;
 the others walk the projected ellipsoid Fincke-Pohst style (U. Fincke and
 M. Pohst, Math. Comp. 44 (1985); H. Cohen, A Course in Computational
@@ -45,7 +45,7 @@ from operator import mul
 
 from . import linalg
 from .errors import InvariantError, PreconditionError
-from .lattice import IntegralLattice, pairing_ideal
+from .lattice import IntegralLattice, _smith_form, pairing_ideal
 from .mbm import OrbitSignature, SignatureTable, primitive_rescale
 from .rational import frac_str, integral, parse_frac, vector_strs
 
@@ -108,15 +108,20 @@ def _majorant(ga, gb, qab, gram) -> list[list[int]]:
 def _sublattice(gram, ambient_ideals, d):
     """(B, B^t G B), B a basis of L_d = {x : d | divisibility(x)}.
 
-    The divisibility is the content of A x, A = diag(ambient ideals) or G;
-    with U A V = D the Smith form, d | A x iff d / gcd(d, D_ii) divides
-    (V^-1 x)_i, so B = V diag(d / gcd(d, D_ii)), or I if every scale is 1.
+    With ambient ideals a_i the divisibility is gcd_i(a_i x_i), so
+    d | a_i x_i for each i and B = diag(d / gcd(d, a_i)); nothing is
+    factored.  Otherwise it is the content of G x: with U G V = D the Smith
+    form that ``lattice`` keeps once per Gram matrix, d | G x iff
+    d / gcd(d, D_ii) divides (V^-1 x)_i, so B = V diag(d / gcd(d, D_ii)).
+    B is I when every scale is 1.
     """
     n = len(gram)
-    a = gram if ambient_ideals is None else \
-        [[c * (i == j) for j in range(n)] for i, c in enumerate(ambient_ideals)]
-    _u, dm, v = linalg.smith_normal_form(a)
-    scales = [d // gcd(d, dm[i][i]) for i in range(n)]
+    if ambient_ideals is None:
+        _u, dm, v = _smith_form(gram)
+        ideals = [dm[i][i] for i in range(n)]
+    else:
+        ideals, v = ambient_ideals, linalg.identity(n)
+    scales = [d // gcd(d, a) for a in ideals]
     if scales == [1] * n:
         return linalg.identity(n), gram
     basis = tuple(tuple(c * e for c, e in zip(row, scales)) for row in v)
@@ -217,10 +222,10 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     q(x, b) - q(a, b) q(x) <= cap = floor((2 rho + q(a, b)) |s|) for the
     positive definite F of ``_majorant``, and lie on L_d, d = d_s the gcd
     of the divisibilities of the rows of square s, so x = B z on the
-    Smith-form basis of ``_sublattice``, with Gram matrix G' and
-    majorant M'.  One coordinate z_k, the one of least M'_kk, is
-    solved for; the others (the prefix) walk the projection of the
-    ellipsoid, the Schur complement of M'_kk, one of each +-pair.  Per
+    basis B of ``_sublattice``, with Gram matrix G' and majorant M'.
+    One coordinate z_k, the one of least M'_kk, is solved for; the others
+    (the prefix) walk the projection of the ellipsoid, the Schur
+    complement of M'_kk, one of each +-pair.  Per
     prefix, q(x) = s is G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly
     by an ``isqrt`` perfect-square test and divisibility; when G'_kk = 0
     it is linear, and when L = 0 as well every z_k of the ellipsoid slice

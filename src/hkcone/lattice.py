@@ -160,10 +160,16 @@ class IntegralLattice:
 # Keyed by the Gram matrix, not by the lattice: a dropped lattice is
 # freed, lattices with one Gram matrix share the work (every CLI call
 # loads its lattice file again), and the bound caps what a long-lived
-# process keeps.
+# process keeps.  The Smith form is computed once per Gram matrix, here:
+# the discriminant group and cone's sublattices L_d both read it.
+@functools.lru_cache(maxsize=256)
+def _smith_form(gram):
+    return linalg.smith_normal_form(gram)
+
+
 @functools.lru_cache(maxsize=256)
 def _discriminant_group(gram) -> DiscriminantGroup:
-    u, d, _v = linalg.smith_normal_form(gram)
+    u, d, _v = _smith_form(gram)
     factors = [d[i][i] for i in range(len(gram))]
     if not factors[-1]:  # an invariant factor 0: the Gram matrix is singular
         raise PreconditionError("degenerate lattice")

@@ -9,13 +9,15 @@ fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968),
 optionally on to d times the reduced row echelon form.  It returns
 (rows, pivots, d, swaps, scale): the integer rows, the pivot columns,
 the last pivot, the number of row swaps and the product of the row
-scales.  Fractions are formed only from d at the end.  Without swaps
-the rows are the fraction-free LDL^t that cone's Fincke-Pohst walk reads.
+scales.  Without swaps the rows are the fraction-free LDL^t that cone's
+Fincke-Pohst walk reads.  congruence_diagonalize (Lagrange's pivot rule)
+runs the same exact-division Schur steps on the integer rows of [cG | I],
+with the symmetric column operations its pivots need.
 smith_normal_form (over Z) keeps V by columns, so every step on U and V
-is a whole-row operation; its entries follow rational.parse_int.
-congruence_diagonalize (Lagrange, over Q) keeps T by columns and replaces
-the rows below each pivot by their Schur complement.  Ragged matrices
-are rejected, and so are non-square ones where a square one is needed.
+is a whole-row operation; its entries follow rational.parse_int.  Every
+core works in integers and forms Fractions only for what it returns.
+Ragged matrices are rejected, and so are non-square ones where a square
+one is needed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import PreconditionError
-from .rational import integral, parse_frac, parse_ints
+from .rational import integral, parse_ints
 
 
 def mat(rows):
@@ -197,35 +199,39 @@ def congruence_diagonalize(g):
     active diagonal vanishes identically, add row and column j of the
     first nonzero pair (i, j) to row and column i (rank-2 hyperbolic
     split).  The rows below each pivot become their Schur complement, so
-    the active block stays symmetric; T is kept by columns (tt).  Works
+    the active block stays symmetric.  Works on the integer rows of
+    [cG | I], c the lcm of G's denominators, with every Schur step divided
+    exactly by the previous pivot, as in _echelon: row i ends as s_i times
+    (c diag_i, t_i), s_i the last pivot above row i (1 for none) and t_i
+    the i-th column of T, so Fractions are formed only at the end.  Works
     for singular input; zero diagonal entries mark the radical.
     """
     n = _order(g)
-    m = [[parse_frac(x) for x in row] for row in g]
-    tt = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    flat, c = integral([x for row in g for x in row])
+    rows = [list(flat[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    scales = [1]  # the rows from k on hold scales[k] times their rational values
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i]), None)
+        piv = next((i for i in range(k, n) if rows[i][i]), None)
         if piv is None:
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]), None)
-            if pair is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if rows[i][j]), None)
+            if pair is None:  # the active block is zero
                 break
             piv, j = pair
-            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
-            for row in m[k:]:
+            rows[piv] = [x + y for x, y in zip(rows[piv], rows[j])]
+            for row in rows[k:]:
                 row[piv] += row[j]
-            tt[piv] = [x + y for x, y in zip(tt[piv], tt[j])]
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m[k:]:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            for row in rows[k:]:
                 row[k], row[piv] = row[piv], row[k]
-            tt[k], tt[piv] = tt[piv], tt[k]
-        top, col = m[k][k:], tt[k]
-        for row, t in zip(m[k + 1:], tt[k + 1:]):
-            if row[k]:
-                f = row[k] / top[0]
-                row[k:] = [x - f * y for x, y in zip(row[k:], top)]
-                t[:] = [x - f * y for x, y in zip(t, col)]
-    return mat(zip(*tt)), tuple(m[i][i] for i in range(n))
+        p, d = rows[k][k], scales[-1]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k:] = [(x * p - f * y) // d for x, y in zip(row[k:], rows[k][k:])]
+        scales.append(p)
+    scales += scales[-1:] * n  # a zero block keeps the last pivot
+    return (mat(zip(*([Fraction(x, s) for x in row[n:]] for row, s in zip(rows, scales)))),
+            tuple(Fraction(row[i], c * s) for i, (row, s) in enumerate(zip(rows, scales))))
 
 
 def smith_normal_form(a):

@@ -10,14 +10,15 @@ unit circle at (z0 n +- h n_perp) / |n|^2 with
 h^2 = |n|^2 - z0^2 = -q(w)/d0, exact and positive for every wall class.
 
 The disk frame is built once per lattice (cached by Gram matrix): rows
-R_i and scales L_i with z_i = (x . R_i) / L_i for integral x, and the
-numerators and denominators of -d1/d0 and -d2/d0, all integers.  A wall
-costs three integer dot products and a few integer products.  All
-incidence decisions are exact; floats only enter at the final quotients,
-each one int / int (correctly rounded, so equal to float() of the same
-Fraction), and in the square roots of the screen projection.  Whether a
-marker or a path end lies strictly inside the disk is such a decision:
-H < 0, a positive square, whatever its float radius.
+R_i and scales L_i with z_i = (x . R_i) / L_i for integral x, G t_i / d_i
+in lowest terms, and the numerators and denominators of -d1/d0 and
+-d2/d0, all integers.  A wall costs three integer dot products and a few
+integer products.  All incidence decisions are exact; floats only enter
+at the final quotients, each one int / int (correctly rounded, so equal
+to float() of the same Fraction), and in the square roots of the screen
+projection.  Whether a marker or a path end lies strictly inside the
+disk is such a decision: H < 0, a positive square, whatever its float
+radius.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.  The enumerated table row of a wall carries its divisibility d,
@@ -73,8 +74,9 @@ class DiskScene:
 class _DiskFrame:
     """The orthogonal basis of a rank-3 Lorentzian lattice, in integers.
 
-    Rows R_i and scales L_i > 0 give z_i = a_i / (m L_i), a_i = X . R_i,
-    for x = X / m with X integral; -d1/d0 = p1/q1 and -d2/d0 = p2/q2.
+    Each row R_i over its scale L_i > 0 is G t_i / d_i in lowest terms
+    (``rational.integral``), so z_i = a_i / (m L_i), a_i = X . R_i, for
+    x = X / m with X integral; -d1/d0 = p1/q1 and -d2/d0 = p2/q2.
     With s = (a1 L2, a2 L1), P1 = p1 q2, P2 = p2 q1, K = q1 q2 L1 L2 and
     Q = K L1 L2:
       |n|^2 = N / (Q m^2),  N = P1 s1^2 + P2 s2^2 > 0 for a wall,
@@ -91,20 +93,13 @@ class _DiskFrame:
         t, diag = lattice.diagonalize()
         if not (diag[0] > 0 and diag[1] < 0 and diag[2] < 0):
             raise PreconditionError("diagonalization must be Lorentzian, positive entry first")
-        rows, scales = [], []
-        for column, d in zip(zip(*t), diag):
-            # t_i = C / c with C integral, so G t_i / d_i = G C / r with r = c d_i
-            big, c = integral(column)
-            r = c * d
-            sign = 1 if r > 0 else -1
-            rows.append(tuple(sign * r.denominator * g for g in lattice.pairing_row(big)))
-            scales.append(abs(r.numerator))
-        self.rows, self.scales = tuple(rows), tuple(scales)
+        self.rows, self.scales = zip(*(integral([g / d for g in lattice.pairing_row(column)])
+                                       for column, d in zip(zip(*t), diag)))  # G t_i / d_i
         e1, e2 = -diag[1] / diag[0], -diag[2] / diag[0]
         self.p1 = e1.numerator * e2.denominator
         self.p2 = e2.numerator * e1.denominator
-        self.k = e1.denominator * e2.denominator * scales[1] * scales[2]
-        self.q = self.k * scales[1] * scales[2]
+        self.k = e1.denominator * e2.denominator * self.scales[1] * self.scales[2]
+        self.q = self.k * self.scales[1] * self.scales[2]
         self.sx, self.sy = math.sqrt(float(e1)), math.sqrt(float(e2))
 
     def _polar(self, x):

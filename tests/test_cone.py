@@ -11,6 +11,7 @@ import pytest
 from hkcone import fixtures, linalg
 from hkcone import cone as cone_module
 from hkcone import lattice as lattice_module
+from hkcone import render as render_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
                          WallCrossing, _ellipsoid_slices, _fix_endpoint,
                          _integral_cone_point, _majorant, _segment_walls, _short_shift, _sides,
@@ -20,6 +21,7 @@ from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, classify, primitive_rescale
 from hkcone.rational import integral
+from hkcone.render import build_scene
 
 F = Fraction
 
@@ -1373,6 +1375,72 @@ class TestSublattice:
     def test_cache_is_bounded_like_the_lattice_caches(self):
         assert _sublattice.cache_info().maxsize == \
             lattice_module._discriminant_group.cache_info().maxsize == 256
+
+
+# (3, 3, 15): a group with three factors, whose transform mixes coordinates
+NONCYCLIC = make_lattice([[6, 3, 0], [3, -6, 0], [0, 0, -3]])
+
+
+class TestPinnedCoordinates:
+    """Golden values of the coordinates the code reads lattices in.  A
+    pinned ``disc_residue`` is read in the rows of ``transform``, so a
+    change to the Smith form's pivot rule would change the meaning of
+    every pinned table without an error; the walk basis of each L_d fixes
+    the order in which a walk visits its points."""
+
+    @pytest.mark.parametrize("lat, factors, transform", [
+        (fixtures.quartic_lattice(), (36,), ((48, 8, -9),)),
+        (U24, (2, 4), ((0, 0, -1, 0), (0, 0, 0, -1))),
+        (NONCYCLIC, (3, 3, 15), ((1, 0, 0), (0, 0, -1), (2, 1, 0))),
+    ])
+    def test_discriminant_group(self, lat, factors, transform):
+        disc = lat.discriminant_group()
+        assert (disc.invariant_factors, disc.transform) == (factors, transform)
+
+    def test_walk_bases_of_the_bundled_table(self, quartic, table):
+        assert [d for d, _squares in table.sublattices] == [4, 2, 1]
+        assert [_sublattice(quartic.gram, quartic.ambient_ideals, d)[0] for d in (4, 2, 1)] == [
+            ((4, 0, 0), (0, 4, 0), (0, 0, 1)),
+            ((2, 0, 0), (0, 2, 0), (0, 0, 1)),
+            linalg.identity(3)]
+
+    def test_walk_bases_of_u24(self):
+        assert [d for d, _squares in U24_EVEN_TABLE.sublattices] == [2]
+        assert [_sublattice(U24.gram, None, d)[0] for d in (1, 2, 4)] == [
+            linalg.identity(4),
+            ((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            ((0, 4, 0, 0), (4, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))]
+
+
+def test_one_smith_form_per_gram_matrix(quartic, table, monkeypatch):
+    """Call counts on cold caches: the discriminant group and every L_d of
+    a lattice share one Smith form of G, and with ambient ideals L_d
+    needs none."""
+    calls = Counter()
+    smith = linalg.smith_normal_form
+
+    def counted(a):
+        calls[linalg.mat(a)] += 1
+        return smith(a)
+
+    def cold(run):
+        for module in (lattice_module, cone_module, render_module):
+            for fn in vars(module).values():
+                getattr(fn, "cache_clear", lambda: None)()
+        calls.clear()
+        run()
+        return sum(calls.values())
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    base = (4, 4, -1)
+    assert cold(lambda: enumerate_wall_classes(quartic, table, base, 15)) == 0
+    assert cold(lambda: build_scene(quartic, table, base, 15)) == 1
+    assert calls == {quartic.gram: 1}
+    two = orbit_rows([(-4, 2), (-2, 1)])
+    assert [d for d, _squares in two.sublattices] == [2, 1]
+    assert cold(lambda: enumerate_wall_classes(U24, two, (2, 1, 0, 0), 4)) == 1
+    assert cold(lambda: (U24.discriminant_group(), _sublattice(U24.gram, None, 2))) == 1
+    assert lattice_module._smith_form.cache_info().maxsize == 256
 
 
 def covering_bound(lattice, a, b):

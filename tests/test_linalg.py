@@ -260,6 +260,44 @@ def congruence_cases(seed):
         if k % 7 == 0:
             a = [[Fraction(x, 2) for x in row] for row in a]
         yield a
+    yield from large_congruence_cases(seed + 1000)
+
+
+def large_congruence_cases(seed):
+    """Seeded symmetric matrices of size 1 to 7 with entries up to 10^12 in
+    absolute value over denominators up to 10^6: far beyond the small cases,
+    so every exact division of the integer Schur steps meets big pivots.
+    Zero diagonals and singular P B P^t are among them."""
+    rng = random.Random(seed)
+    big = 10 ** 12
+    for k in range(400):
+        n = rng.randint(1, 7)
+        if k % 4 == 3:  # rank at most n - 1
+            r = rng.randint(0, n - 1)
+            b = random_symmetric(rng, r, big)
+            p = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            a = [list(row) for row in linalg.mat_mul(linalg.mat_mul(p, b), linalg.transpose(p))] \
+                if r else [[0] * n for _ in range(n)]
+        else:
+            a = random_symmetric(rng, n, big)
+        kind = k % 5
+        for i in range(n):
+            if kind == 0 or (kind == 1 and rng.random() < 0.5):
+                a[i][i] = 0
+        if k % 3:  # D^-1 A D^-1 keeps the rank and the zero diagonal
+            q = [rng.randint(1, 10 ** 3) for _ in range(n)]
+            a = [[Fraction(x, q[i] * q[j]) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        yield a
+
+
+def test_large_congruence_cases_reach_their_sizes():
+    cases = list(large_congruence_cases(1014))
+    entries = [x for a in cases for row in a for x in row]
+    assert {len(a) for a in cases} == set(range(1, 8))
+    assert max(map(abs, entries)) > 10 ** 11
+    assert max(Fraction(x).denominator for x in entries) > 10 ** 5
+    assert sum(bool(a) and not any(a[i][i] for i in range(len(a))) for a in cases) >= 50
+    assert sum(linalg.rank(a) < len(a) for a in cases) >= 80
 
 
 def test_congruence_diagonalize_equals_closure_oracle():

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import hkcone
 
 SRC = Path(hkcone.__file__).parent
@@ -19,26 +21,46 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _bounded(decorator) -> bool:
-    """True for lru_cache(maxsize=<int literal>), under any import name."""
-    if not isinstance(decorator, ast.Call):
-        return False
-    sizes = [kw.value for kw in decorator.keywords if kw.arg == "maxsize"] + decorator.args[:1]
+def _bounded(call) -> bool:
+    """True for a call lru_cache(maxsize=<int literal>), under any import name."""
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
     return any(isinstance(v, ast.Constant) and type(v.value) is int for v in sizes)
+
+
+def _unbounded_caches(tree) -> list[int]:
+    """Line numbers where ``cache`` or ``lru_cache`` is named other than as
+    a call with an integer maxsize: a bare decorator, cache(f),
+    lru_cache(maxsize=None)(f) or an alias all escape a bound."""
+    bounded = {id(node.func) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _bounded(node)}
+    return [node.lineno for node in ast.walk(tree)
+            if (node.attr if isinstance(node, ast.Attribute) else
+                getattr(node, "id", None)) in ("cache", "lru_cache") and id(node) not in bounded]
 
 
 def test_caches_are_bounded():
     # a cache without an integer maxsize grows for as long as the process lives
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            for dec in getattr(node, "decorator_list", ()):
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else \
-                    getattr(target, "id", None)
-                if name in ("cache", "lru_cache") and not _bounded(dec):
-                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
     assert found == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("@functools.lru_cache(maxsize=256)\ndef f(x):\n    return x\n", []),
+    ("@lru_cache(64)\ndef f(x):\n    return x\n", []),
+    ("g = functools.lru_cache(maxsize=8)(f)\n", []),
+    ("from functools import cache, lru_cache\n", []),
+    ("@functools.cache\ndef f(x):\n    return x\n", [1]),
+    ("@functools.lru_cache\ndef f(x):\n    return x\n", [1]),
+    ("@lru_cache(maxsize=None)\ndef f(x):\n    return x\n", [1]),
+    ("g = functools.cache(f)\n", [1]),
+    ("g = cache(f)\n", [1]),
+    ("g = functools.lru_cache(maxsize=None)(f)\n", [1]),
+    ("g = functools.lru_cache()(f)\n", [1]),
+    ("memo = functools.lru_cache\ng = memo(maxsize=8)(f)\n", [1]),
+])
+def test_cache_check_sees_every_form(source, lines):
+    assert _unbounded_caches(ast.parse(source)) == lines
 
 
 def test_private_helpers_are_referenced():
