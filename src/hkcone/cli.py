@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=int, default=10,
+                   help="orbit depth of --real; exact mode only checks it is at least 1")
     p.add_argument("--real", action="store_true")
     p.add_argument("--grid", type=int)  # real mode only; 32 there when not given
 

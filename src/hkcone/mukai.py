@@ -4,16 +4,21 @@ A point of T*P^k is a pair (u, phi) with u != 0 and phi(u) = 0: its
 matrix A = u phi^t maps into the line of u and squares to zero; phi = 0 is
 the zero section.  Contraction forgets u.  The flop reads the same pair
 from the other side, ([phi], phi u^t) with matrix A^t (S. Mukai, Invent.
-Math. 77, 1984).  Every point checks its pair when built (lengths, nonzero
-marked vector, one dot product), so a flop re-checks the pair it relabels
-but re-derives no covector.  Everything is exact; projective data is
-compared by proportionality (vanishing 2x2 minors), never normal forms.
+Math. 77, 1984).  Every point checks its pair once, when built, on the
+integral forms (U, m) and (W, n) of its two vectors (rational.integral):
+lengths, a nonzero marked vector and one integer dot product.  It keeps
+the forms, and its matrix is built from them once, on first read, with
+entries U_i W_j / (m n).  So a flop re-checks the pair it relabels but
+re-derives no covector.  Floats and bools are rejected, naming the
+vector.  Everything is exact; projective data is compared by
+proportionality (vanishing 2x2 minors), never normal forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import PreconditionError
@@ -40,45 +45,60 @@ def proportional(v, w) -> bool:
 
 
 def _check_pair(marked, cov, names):
-    """The one membership test: marked != 0 and cov(marked) = 0."""
+    """The one membership test, on the integral forms (rational.integral)
+    of marked and cov: marked != 0 and cov(marked) = 0 is one integer dot
+    product.  Returns the two forms."""
+    forms = []
+    for v, name in zip((marked, cov), names):
+        try:
+            forms.append(integral(v))
+        except PreconditionError as exc:
+            raise PreconditionError(f"{name}: {exc}") from exc
+    (marked, _), (cov, _) = forms
     if len(cov) != len(marked):
         raise PreconditionError("{} and {} must have the same length".format(*names))
     if not any(marked):
         raise PreconditionError("{} must be nonzero".format(*names))
     if linalg.dot(cov, marked) != 0:
         raise PreconditionError("{1} must vanish on {0}".format(*names))
+    return tuple(forms)
 
 
-def _outer(v, w):
-    return tuple(tuple(vi * wj for wj in w) for vi in v)
+def _outer(forms):
+    """v w^t from the integral forms (V, m) of v and (W, n) of w: V_i W_j / (m n)."""
+    (v, m), (w, n) = forms
+    d = m * n
+    return tuple(tuple(Fraction(vi * wj, d) for wj in w) for vi in v)
 
 
 @dataclass(frozen=True)
 class MukaiPoint:
-    """([u], u phi^t) on T*P^k."""
+    """([u], u phi^t) on T*P^k; ``forms`` are the integral forms of u and phi."""
     u: tuple[Fraction, ...]
     phi: tuple[Fraction, ...]
+    forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_pair(self.u, self.phi, ("u", "phi"))
+        object.__setattr__(self, "forms", _check_pair(self.u, self.phi, ("u", "phi")))
 
-    @property
+    @cached_property
     def a(self):
-        return _outer(self.u, self.phi)
+        return _outer(self.forms)
 
 
 @dataclass(frozen=True)
 class DualMukaiPoint:
-    """([phi], phi u^t) on the dual side T*P^k dual."""
+    """([phi], phi u^t) on the dual side T*P^k dual; ``forms`` as for MukaiPoint, phi's first."""
     phi: tuple[Fraction, ...]
     u: tuple[Fraction, ...]
+    forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_pair(self.phi, self.u, ("phi", "u"))
+        object.__setattr__(self, "forms", _check_pair(self.phi, self.u, ("phi", "u")))
 
-    @property
+    @cached_property
     def b(self):
-        return _outer(self.phi, self.u)
+        return _outer(self.forms)
 
 
 def make_point(u, phi) -> MukaiPoint:

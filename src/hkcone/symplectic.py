@@ -6,7 +6,10 @@ most dim W, and at least dim W - codim W with equality exactly for
 coisotropic W, as rank(omega|_W) = dim W - dim(W cap W^perp), dim W^perp =
 codim W.  So isotropy is the vanishing of the pairings, and coisotropy is
 read off that bound: false for 2 dim W < dim, isotropy at equality, a rank
-only above it.  Entries follow rational.parse_exact; ranks are exact.
+only above it.  The restricted form and its rank are built once per
+(space, vectors): _form_rank keeps the last 64, so restriction_rank and
+is_coisotropic on one subspace make one.  Entries follow
+rational.parse_exact; ranks are exact.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ class SymplecticSpace:
     omega: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "omega", linalg.mat(self.omega))  # hashed by _form_rank
         n = len(self.omega)
         if n == 0 or n % 2:
             raise PreconditionError("dimension must be even and positive")
@@ -60,6 +64,7 @@ class Subspace:
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "basis", linalg.mat(self.basis))  # hashed by _form_rank
         if not self.basis:
             raise PreconditionError("subspace needs at least one basis vector")
         if linalg.rank(self.basis) != len(self.basis):
@@ -82,6 +87,7 @@ def _pairings(space: SymplecticSpace, vectors):
             yield i, j, linalg.dot(vectors[i], omega_u)
 
 
+@functools.lru_cache(maxsize=64)
 def _form_rank(space: SymplecticSpace, vectors) -> int:
     """rank(m^t omega m), m with the vectors as columns: omega pulled back along m."""
     form = [[0] * len(vectors) for _ in vectors]

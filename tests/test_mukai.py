@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,3 +190,101 @@ class TestAgainstMatrixRoute:
             zero = tuple((0,) * (k + 1) for _ in range(k + 1))
             assert make_point(u, _row_covector(u, zero)) == make_point(u, (0,) * (k + 1))
             assert make_point(u, (0,) * (k + 1)).a == zero
+
+
+class TestIntegralForms:
+    """A point checks its pair on the integral forms of u and phi, which it keeps."""
+
+    @pytest.mark.parametrize("cls, first, second", [
+        (MukaiPoint, "u", "phi"), (DualMukaiPoint, "phi", "u")])
+    @pytest.mark.parametrize("bad", [0.5, True, 1.0])
+    def test_floats_and_bools_are_rejected_naming_the_vector(self, cls, first, second, bad):
+        with pytest.raises(PreconditionError, match=rf"^{first}: not a rational: {bad!r}$"):
+            cls((bad, 0), (0, 1))
+        with pytest.raises(PreconditionError, match=rf"^{second}: not a rational: {bad!r}$"):
+            cls((1, 0), (0, bad))
+
+    @pytest.mark.parametrize("cls", [MukaiPoint, DualMukaiPoint])
+    def test_ints_and_fractions_still_build(self, cls):
+        for marked, cov in [((1, 0), (0, 1)), ((F(1, 2), F(-1, 3)), (F(2), F(3))),
+                            ((3, F(1, 2)), (F(1, 6), -1))]:
+            point = cls(marked, cov)
+            matrix = point.a if cls is MukaiPoint else point.b
+            assert matrix == tuple(tuple(F(x) * F(y) for y in cov) for x in marked)
+            assert all(type(c) is F for row in matrix for c in row)
+            assert point == cls(tuple(map(F, marked)), tuple(map(F, cov)))
+
+    def test_forms_are_kept_and_not_compared(self):
+        point = make_point((F(1, 2), F(-1, 3), 2), (2, 3, 0))
+        assert point.forms == (((3, -2, 12), 6), ((2, 3, 0), 1))
+        assert point.a is point.a  # built once
+        assert "forms" not in repr(point)
+        assert point == make_point((F(1, 2), F(-1, 3), 2), (2, 3, 0))
+        assert hash(point) == hash(make_point((F(1, 2), F(-1, 3), 2), (2, 3, 0)))
+
+
+def _sympy_outer(u, phi):
+    """u phi^t by sympy, entries back as Fractions."""
+    m = sympy.Matrix(u) * sympy.Matrix(phi).T
+    return tuple(tuple(F(int(e.p), int(e.q)) for e in m.row(i)) for i in range(m.rows))
+
+
+def _wide_frac(rng):
+    """A Fraction with a denominator up to 10^12, zero one time in four."""
+    if rng.random() < 0.25:
+        return F(0)
+    return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+
+
+def _wide_pair(rng, k, vanishing):
+    """(u, phi) in Q^(k+1) from _wide_frac, u != 0; if ``vanishing``,
+    phi(u) = 0 by solving for phi at the first nonzero entry of u."""
+    while True:
+        u = [_wide_frac(rng) for _ in range(k + 1)]
+        if any(u):
+            break
+    phi = [_wide_frac(rng) for _ in range(k + 1)]
+    if vanishing:
+        i0 = next(i for i, c in enumerate(u) if c)
+        phi[i0] = 0
+        phi[i0] = -sum(p * c for p, c in zip(phi, u)) / u[i0]
+    return u, phi
+
+
+class TestAgainstSympy:
+    """The integral forms against sympy's exact outer product, on Fractions
+    with negative and zero entries and denominators up to 10^12."""
+
+    def test_matrices_and_diagram(self):
+        rng = random.Random(27)
+        for k in range(1, 7):
+            for _ in range(12):
+                u, phi = _wide_pair(rng, k, vanishing=True)
+                if not any(phi):
+                    continue
+                p = make_point(u, phi)
+                d = flop(p)
+                back = flop_dual(d)
+                a = _sympy_outer(u, phi)
+                for got, want in [(p.a, a), (d.b, _sympy_outer(phi, u)), (back.a, a)]:
+                    assert got == want
+                    assert all(type(c) is F for row in got for c in row)
+                assert check_diagram(p)
+                assert d.b == linalg.transpose(a)
+
+    def test_pair_check_rejects_exactly_the_nonvanishing_pairs(self):
+        rng = random.Random(28)
+        verdicts = []
+        for k in range(1, 7):
+            for j in range(40):
+                u, phi = _wide_pair(rng, k, vanishing=j % 2 == 1)
+                vanishes = sum(p * c for p, c in zip(phi, u)) == 0
+                try:
+                    MukaiPoint(tuple(u), tuple(phi))
+                    accepted = True
+                except PreconditionError as exc:
+                    assert str(exc) == "phi must vanish on u"
+                    accepted = False
+                assert accepted == vanishes
+                verdicts.append(vanishes)
+        assert 100 < sum(verdicts) < 240

@@ -12,6 +12,12 @@ from hkcone.symplectic import (is_coisotropic, is_isotropic, pullback_rank, rest
 F = Fraction
 
 
+@pytest.fixture(autouse=True)
+def fresh_form_cache():
+    # each test counts its own work, whatever ranks earlier tests cached
+    symplectic._form_rank.cache_clear()
+
+
 def random_subspace(rng, dim, m):
     while True:
         rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(m)]
@@ -387,3 +393,34 @@ class TestWorkCounts:
                       [0, 0, 1, 0, 0, 0]])
         assert not is_isotropic(s, w)
         assert len(calls) == 1
+
+
+class TestFormReuse:
+    """The restricted form is built once per (space, subspace)."""
+
+    def test_rank_then_coisotropy_eliminate_once(self, monkeypatch):
+        s = standard_space(2)
+        w = subspace([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])  # 2 dim W > dim
+        again = subspace(w.basis)
+        calls = []
+        monkeypatch.setattr(linalg, "rank", lambda m, rank=linalg.rank: calls.append(m) or rank(m))
+        assert restriction_rank(s, w) == 2
+        assert is_coisotropic(s, w)
+        assert calls == [[[0, 0, 1], [0, 0, 0], [-1, 0, 0]]]  # one restricted form
+        assert restriction_rank(standard_space(2), again) == 2  # an equal key shares it
+        assert len(calls) == 1
+
+    def test_cache_is_bounded(self):
+        s = standard_space(1)
+        for a in range(100):
+            restriction_rank(s, subspace([[1, a]]))
+        info = symplectic._form_rank.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+
+    def test_list_entries_are_kept_as_tuples(self):
+        # the cache keys on the space and the basis, so both must hash
+        s = symplectic.SymplecticSpace(omega=[[0, 1], [-1, 0]])
+        w = symplectic.Subspace(basis=[[1, 0], [0, 1]])
+        assert s.omega == ((0, 1), (-1, 0)) and w.basis == ((1, 0), (0, 1))
+        assert restriction_rank(s, w) == 2 and is_coisotropic(s, w)
+        assert pullback_rank(s, [[1, 0], [0, 1]]) == 2
