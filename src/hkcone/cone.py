@@ -18,21 +18,24 @@ of square s in the region has F(x) = 2 q(x, a) q(x, b) - q(a, b) q(x) <=
 table square s has its own walk on a basis of L_d (``_sublattice``),
 where d = d_s, the gcd of the divisibilities of the rows of s, divides
 the divisibility; the squares of one d_s share the set-up on L_d.  One
-coordinate is solved for exactly, by an ``isqrt`` perfect-square test;
-the others walk the projected ellipsoid Fincke-Pohst style (U. Fincke and
-M. Pohst, Math. Comp. 44 (1985); H. Cohen, A Course in Computational
-Algebraic Number Theory, 2.7.3), one of each +-pair, on linalg's Bareiss
-rows.  Segment work is in integers: each endpoint p becomes P / m once
-(``rational.integral``), and its side list holds the pairings q(x, P)
-with every wall x of the segment, dot products with the rows x^t G.  A
-zero marks incidence; opposite signs a crossing, at
-t = q(x, A) mb / (q(x, A) mb - q(x, B) ma).  A perturbed endpoint is
-y / d, d = 64 m 2^h: a shift adds 1 to one y_j and column j of the rows
-to the side list, and halving the shift doubles y, d and the side list.
-A shift of x to y needs no walk when an integer certificate
-(``_short_shift``) shows that only walls through x can meet [x, y]: those
-are walls of the segment, so the side list decides; otherwise [x, y] is
-walked.  Fractions are built only for the reported endpoints and t.
+coordinate is solved for exactly; the others walk the projected ellipsoid
+Fincke-Pohst style (U. Fincke and M. Pohst, Math. Comp. 44 (1985); H.
+Cohen, A Course in Computational Algebraic Number Theory, 2.7.3), one of
+each +-pair, on linalg's Bareiss rows.  Along a slice of that walk the
+discriminant of q(x) = s is a quadratic in the innermost coordinate y_0,
+stepped by its differences; ``isqrt`` runs only where it is nonnegative,
+as the perfect-square test of an exact root.  Segment work is in
+integers: each endpoint p becomes P / m once (``rational.integral``), and
+its side list holds the pairings q(x, P) with every wall x of the
+segment, dot products with the rows x^t G.  A zero marks incidence;
+opposite signs a crossing, at t = q(x, A) mb / (q(x, A) mb - q(x, B) ma).
+A perturbed endpoint is y / d, d = 64 m 2^h: a shift adds 1 to one y_j
+and column j of the rows to the side list, and halving the shift doubles
+y, d and the side list.  A shift of x to y needs no walk when an
+integer certificate (``_short_shift``) shows that only walls through x
+can meet [x, y]: those are walls of the segment, so the side list
+decides; otherwise [x, y] is walked.  Fractions are built only for the
+reported endpoints and t.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 from operator import mul
 
@@ -224,24 +228,33 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     of the divisibilities of the rows of square s, so x = B z on the
     basis B of ``_sublattice``, with Gram matrix G' and majorant M'.
     One coordinate z_k, the one of least M'_kk, is solved for; the others
-    (the prefix) walk the projection of the ellipsoid, the Schur
-    complement of M'_kk, one of each +-pair.  Per
-    prefix, q(x) = s is G'_kk z_k^2 + 2 L z_k + Q - s = 0, solved exactly
-    by an ``isqrt`` perfect-square test and divisibility; when G'_kk = 0
-    it is linear, and when L = 0 as well every z_k of the ellipsoid slice
-    is tried.  Candidates x = B z then pass the region inequality,
-    primitivity and the table match; x, and for a pinned row G x, are
-    integer dot products.  Set-up per walk: the discriminant group, when a
-    row pins a residue; per L_d: B, G', M', k and the Schur complement's
-    Bareiss rows; per square: cap, lim.
+    (the prefix y = (y_0, outer)) walk the projection of the ellipsoid, the
+    Schur complement of M'_kk, one of each +-pair, after the zero prefix,
+    which keeps z_k > 0.  Per prefix, q(x) = s is G'_kk z_k^2 + 2 L z_k +
+    Q - s = 0.  Along a slice L is linear and Q quadratic in y_0, so the
+    discriminant L^2 - G'_kk (Q - s) is stepped along y_0 by its
+    differences, two integer additions per prefix, and ``isqrt`` runs only
+    where it is nonnegative; a perfect square r^2 gives the roots
+    (-L +- r) / G'_kk that are integers.  When G'_kk = 0 the discriminant
+    is L^2 and the root is (s - Q) / 2L; when L = 0 as well every z_k of
+    the ellipsoid slice is tried.  A root passes the region inequality
+    first, then x = B z, its sign, primitivity and the table match, all
+    integer dot products (G x too for a pinned row).  Set-up per walk: the
+    discriminant group, when a row pins a residue; per L_d: B, G', M', k,
+    the Schur complement's Bareiss rows and the prefix rows of G', B^t G a
+    and B^t G b; per square: cap, lim; per slice: L, Q, q(x, a) and
+    q(x, b) at y_0 = 0, and the discriminant's coefficients.
     """
+    n = lattice.rank
+    if n == 1:  # a rank-one Lorentzian lattice is positive definite: no wall
+        return []
     view = b == a
     ra = lattice.pairing_row(a)  # G a
     rb = ra if view else lattice.pairing_row(b)
     qab, rn, rd = sum(map(mul, a, rb)), rho.numerator, rho.denominator
-    n = lattice.rank
     pinned = any(o.disc_residue is not None for o in table.orbits)
     disc = lattice.discriminant_group() if pinned else None
+    origin, zero = (0,) * n, (0,) * (n - 2)
     found = []
     for d_s, squares in table.sublattices:  # all negative: an OrbitSignature checks it
         basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d_s)
@@ -250,72 +263,76 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
         mt = _majorant(ga, gb, qab, gram)
         k = min(range(n), key=lambda i: mt[i][i])
         free = [j for j in range(n) if j != k]
-        mkk, gkk = mt[k][k], gram[k][k]
-        if free:
-            echelon = linalg._echelon([[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free]
-                                       for i in free])  # of the Schur complement
-            gk = [gram[k][j] for j in free]
-            gf = [[gram[i][j] for j in free] for i in free]
-            pf = [ga[j] for j in free]
-            g00, gk0, pf0 = gf[0][0], gk[0], pf[0]
+        mkk, gkk, gak, gbk = mt[k][k], gram[k][k], ga[k], gb[k]
+        echelon = linalg._echelon([[mkk * mt[i][j] - mt[i][k] * mt[k][j] for j in free]
+                                   for i in free])  # of the Schur complement
+        # the prefix rows of G'_k., G', B^t G a and B^t G b, split at y_0
+        (gk0, *gk1), (pa0, *pa1), (pb0, *pb1) = ([v[j] for j in free] for v in (gram[k], ga, gb))
+        gf = [[gram[i][j] for j in free] for i in free]
+        (g00, *g01), g11 = gf[0], [row[1:] for row in gf[1:]]
+        c2 = gk0 * gk0 - gkk * g00  # the discriminant is c2 y0^2 + c1 y0 + c0
         for s in squares:
             cap = -s * (2 * rn + qab * rd) // rd  # M'(z) <= cap
             lim = -s * rn // rd  # the region: q(x, a) q(x, b) <= lim
-
-            def roots(y, lin, quad):
-                """Integers z with q(x) = s, x = B z' for z' = y with z at k,
-                where q(x) = G'_kk z^2 + 2 lin z + quad."""
-                if gkk:
-                    disc = lin * lin - gkk * (quad - s)
-                    r = isqrt(max(disc, 0))
-                    return [num // gkk for num in {r - lin, -r - lin}
-                            if r * r == disc and num % gkk == 0]
-                if lin:
-                    return [(s - quad) // (2 * lin)] if (s - quad) % (2 * lin) == 0 else ()
-                if quad != s:
-                    return ()
-                # q(x) = s on the whole line: scan the ellipsoid slice, where
-                # top = mkk cap - y^t schur y >= 0 since y is a walked prefix
-                b = sum(mt[k][j] * v for j, v in zip(free, y))
-                rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
-                r = isqrt(mkk * (cap - rest) + b * b)
-                return range(-((r + b) // mkk), (r - b) // mkk + 1)
-
-            def emit(y, t, z):
-                # t = q(x, a) less the z_k term
-                t += ga[k] * z
-                z = y[:k] + (z,) + y[k:]
-                if t * (t if view else sum(map(mul, gb, z))) > lim:
-                    return
-                x = tuple(sum(map(mul, r, z)) for r in basis)  # B z
-                if next(c for c in x if c) < 0:
-                    x = tuple(-c for c in x)
-                if gcd(*x) != 1:
-                    return
-                div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
-                if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
-                    raise InvariantError("a wall candidate pairs to zero with the whole lattice")
-                row = table.match(s, div, lambda: lattice.residues(
-                    [sum(map(mul, r, x)) for r in lattice.gram], div, disc, fold=True))  # G x
-                if row is not None:
-                    found.append((x, row))
-
-            # the zero prefix: z = z_k e_k, one of +-z
-            zero = (0,) * len(free)
-            for z in roots(zero, 0, 0):
-                if z > 0:
-                    emit(zero, 0, z)
-            for outer, lo, hi in _ellipsoid_slices(echelon, mkk * cap) if free else ():
-                # lin, quad and t of the prefix as polynomials in y0
-                lin0 = sum(c * v for c, v in zip(gk[1:], outer))
-                quad0 = sum(v * gf[i][j] * w for i, v in enumerate(outer, 1)
-                            for j, w in enumerate(outer, 1))
-                cross0 = 2 * sum(c * v for c, v in zip(gf[0][1:], outer))
-                t0 = sum(c * v for c, v in zip(pf[1:], outer))
+            for outer, lo, hi in chain([(zero, 0, 0)], _ellipsoid_slices(echelon, mkk * cap)):
+                # L = lin0 + gk0 y0, Q = quad0 + y0 (cross0 + g00 y0), and
+                # q(x, a), q(x, b) are t0 + pa0 y0, u0 + pb0 y0 plus their z_k terms
+                lin0 = sum(map(mul, gk1, outer))
+                quad0 = sum(map(mul, outer, [sum(map(mul, row, outer)) for row in g11]))
+                cross0 = 2 * sum(map(mul, g01, outer))
+                t0 = sum(map(mul, pa1, outer))
+                u0 = t0 if view else sum(map(mul, pb1, outer))
+                c1 = 2 * lin0 * gk0 - gkk * cross0
+                y0 = lo - 1  # the discriminant and its step at lo - 1
+                delta = (c2 * y0 + c1) * y0 + lin0 * lin0 - gkk * (quad0 - s)
+                step = c2 * (2 * y0 + 1) + c1
                 for y0 in range(lo, hi + 1):
-                    y = (y0,) + outer
-                    for z in roots(y, lin0 + gk0 * y0, quad0 + y0 * (cross0 + g00 * y0)):
-                        emit(y, t0 + pf0 * y0, z)
+                    delta += step
+                    step += 2 * c2
+                    if delta < 0:
+                        continue
+                    lin = lin0 + gk0 * y0
+                    if gkk:
+                        root = isqrt(delta)
+                        if root * root != delta:
+                            continue
+                        zs = [num // gkk for num in {root - lin, -root - lin} if num % gkk == 0]
+                    elif lin:  # delta = L^2: 2 L z_k = s - Q
+                        rem = s - quad0 - y0 * (cross0 + g00 * y0)
+                        if rem % (2 * lin):
+                            continue
+                        zs = (rem // (2 * lin),)
+                    elif quad0 + y0 * (cross0 + g00 * y0) == s:
+                        # q(x) = s on the whole line: scan the ellipsoid slice, where
+                        # mkk (cap - rest) + mid^2 = mkk cap - y^t schur y >= 0
+                        # since y is a walked prefix
+                        y = (y0,) + outer
+                        mid = sum(mt[k][j] * v for j, v in zip(free, y))
+                        rest = sum(v * mt[i][j] * w for i, v in zip(free, y) for j, w in zip(free, y))
+                        root = isqrt(mkk * (cap - rest) + mid * mid)
+                        zs = range(-((root + mid) // mkk), (root - mid) // mkk + 1)
+                    else:
+                        continue
+                    for z in zs:
+                        if z < 0 and not y0 and not any(outer):  # the zero prefix: z_k > 0
+                            continue
+                        t = t0 + pa0 * y0 + gak * z
+                        if t * (t if view else u0 + pb0 * y0 + gbk * z) > lim:
+                            continue
+                        y = (y0,) + outer
+                        y = y[:k] + (z,) + y[k:]
+                        x = tuple(sum(map(mul, r, y)) for r in basis)  # B z
+                        if x < origin:
+                            x = tuple(-c for c in x)
+                        if gcd(*x) != 1:
+                            continue
+                        div = pairing_ideal(lattice.gram, lattice.ambient_ideals, x)
+                        if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
+                            raise InvariantError("a wall candidate pairs to zero with the whole lattice")
+                        row = table.match(s, div, lambda: lattice.residues(
+                            [sum(map(mul, r, x)) for r in lattice.gram], div, disc, fold=True))  # G x
+                        if row is not None:
+                            found.append((x, row))
     found.sort(key=lambda item: item[0])
     return found
 

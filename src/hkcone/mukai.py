@@ -9,9 +9,10 @@ integral forms (U, m) and (W, n) of its two vectors (rational.integral):
 lengths, a nonzero marked vector and one integer dot product.  It keeps
 the forms, and its matrix is built from them once, on first read, with
 entries U_i W_j / (m n).  So a flop re-checks the pair it relabels but
-re-derives no covector.  Floats and bools are rejected, naming the
-vector.  Everything is exact; projective data is compared by
-proportionality (vanishing 2x2 minors), never normal forms.
+re-derives no covector.  Floats, bools and strings are rejected, naming
+the vector; ``make_point`` parses strings.  Everything is exact;
+projective data is compared by proportionality (vanishing 2x2 minors),
+never normal forms.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def _check_pair(marked, cov, names):
     forms = []
     for v, name in zip((marked, cov), names):
         try:
+            for c in v:
+                if isinstance(c, str):  # make_point parses strings; a point takes numbers
+                    raise PreconditionError(f"not a rational: {c!r}")
             forms.append(integral(v))
         except PreconditionError as exc:
             raise PreconditionError(f"{name}: {exc}") from exc

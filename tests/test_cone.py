@@ -1259,6 +1259,87 @@ class TestPerSquareWalks:
                     enumerate_one_ellipsoid(lat, tab, base, bound)
 
 
+def walk_shapes(lattice, table, base, bound):
+    """The shapes the prefix loops of a view meet, read off its walk set-up:
+    (sign of G'_kk, G'_k,y0 == 0) per L_d, and "lo < 0" when some slice
+    starts below y0 = 0.  G'_kk = 0 makes q(x) = s linear in z_k, and with
+    G'_k,y0 = 0 as well L stays constant along each slice, so a slice with
+    L = 0 scans its whole line."""
+    p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
+    g, n = lattice.square(p), lattice.rank
+    shapes = set()
+    for d, squares in table.sublattices:
+        basis, gram = _sublattice(lattice.gram, lattice.ambient_ideals, d)
+        gp = linalg.mat_vec(linalg.transpose(basis), lattice.pairing_row(p))
+        mt = _majorant(gp, gp, g, gram)
+        k = min(range(n), key=lambda i: mt[i][i])
+        free = [j for j in range(n) if j != k]
+        shapes.add(((gram[k][k] > 0) - (gram[k][k] < 0), gram[k][free[0]] == 0))
+        echelon = linalg._echelon([[mt[k][k] * mt[i][j] - mt[i][k] * mt[k][j] for j in free]
+                                   for i in free])
+        for s in squares:
+            budget = mt[k][k] * floor(-s * g * (2 * Fraction(bound) + 1))
+            if any(lo < 0 for _outer, lo, _hi in _ellipsoid_slices(echelon, budget)):
+                shapes.add("lo < 0")
+    return shapes
+
+
+# U + <-2> with the hyperbolic plane on the outer coordinates: at base
+# (1, 0, 1) the solved coordinate is z_0, with G'_00 = G'_01 = 0
+U2 = make_lattice([[0, 0, 1], [0, -2, 0], [1, 0, 0]])
+U2_TABLE = orbit_rows([(-2, 1), (-2, 2), (-4, 1), (-6, 1)])
+
+
+class TestSteppedDiscriminant:
+    """The prefix loop steps the discriminant of q(x) = s along y0 and
+    roots it only where it is nonnegative.  Its walls are ``==`` to those of
+    the single-ellipsoid walk, which solves every prefix afresh, on walks
+    that meet every shape of the loop: G'_kk < 0, > 0 and = 0, G'_k,y0 = 0
+    or not, and slices that start below y0 = 0."""
+
+    def test_pinned_quartic_at_400(self, quartic):
+        walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), 400)
+        assert walls == enumerate_one_ellipsoid(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), 400)
+        assert len(walls) == 253
+        assert any(sig.disc_residue is not None for _x, sig in walls)  # residues are read
+        assert walk_shapes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), 400) == \
+            {(-1, False), (-1, True), "lo < 0"}
+
+    def test_random_lorentzian(self):
+        shapes = set()
+        for rank, bounds in ((3, (F(7, 3), F(100))), (4, (F(7, 3), F(10))), (5, (F(1, 2), F(3)))):
+            for ideals in (False, True):
+                rng = random.Random(1000 + 10 * rank + ideals)
+                for _ in range(2):
+                    lat, tab = random_lorentzian(rng, rank, ideals)
+                    for base, bound in itertools.product(cone_points(rng, lat, 2, 2), bounds):
+                        assert enumerate_wall_classes(lat, tab, base, bound) == \
+                            enumerate_one_ellipsoid(lat, tab, base, bound)
+                        shapes |= walk_shapes(lat, tab, base, bound)
+        assert shapes >= {(-1, False), (-1, True), (1, False), "lo < 0"}, shapes
+
+    @pytest.mark.parametrize("lat, tab, bases", [
+        (U24, U_TABLE, [(3, 1, 0, 0), (4, 2, 1, 1), (1, 7, 0, 1)]),
+        (U24, U24_EVEN_TABLE, [(3, 1, 0, 0), (4, 2, 1, 1)]),
+        (U2, U2_TABLE, [(1, 0, 1), (2, 1, 3), (3, 0, 1)])])
+    def test_isotropic_solved_coordinate(self, lat, tab, bases):
+        shapes = set()
+        for base, bound in itertools.product(bases, (F(1, 2), F(4), F(100) if lat is U2 else F(8))):
+            walls = enumerate_wall_classes(lat, tab, base, bound)
+            assert walls == enumerate_one_ellipsoid(lat, tab, base, bound)
+            shapes |= walk_shapes(lat, tab, base, bound)
+        assert (0, False) in shapes and "lo < 0" in shapes, shapes
+
+    def test_whole_line(self):
+        # at base (1, 0, 1) the prefix (y1, y2) = (+-1, 0) has L = y2 = 0 and
+        # Q = -2 y1^2 = -2: every z_0 of its slice is a root of square -2
+        assert walk_shapes(U2, U2_TABLE, (1, 0, 1), 4) == {(0, True), "lo < 0"}
+        walls = enumerate_wall_classes(U2, U2_TABLE, (1, 0, 1), 4)
+        assert walls == enumerate_one_ellipsoid(U2, U2_TABLE, (1, 0, 1), 4)
+        line = [x for x, _sig in walls if x[1:] in ((1, 0), (-1, 0))]
+        assert len(line) > 1 and all(U2.square(x) == -2 for x in line)
+
+
 class TestOneCandidatePath:
     """Every candidate, on a unit basis or not, is x = B z by integer dot
     products, and reads its divisibility and a pinned row's G x the same

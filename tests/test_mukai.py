@@ -204,6 +204,27 @@ class TestIntegralForms:
         with pytest.raises(PreconditionError, match=rf"^{second}: not a rational: {bad!r}$"):
             cls((1, 0), (0, bad))
 
+    @pytest.mark.parametrize("cls, first, second", [
+        (MukaiPoint, "u", "phi"), (DualMukaiPoint, "phi", "u")])
+    @pytest.mark.parametrize("bad", ["1", "0", "1/2"])
+    def test_strings_are_rejected_naming_the_vector(self, cls, first, second, bad):
+        with pytest.raises(PreconditionError, match=rf"^{first}: not a rational: {bad!r}$"):
+            cls((bad, 1), (0, 0))
+        with pytest.raises(PreconditionError, match=rf"^{second}: not a rational: {bad!r}$"):
+            cls((1, 0), (0, bad))
+
+    def test_strings_are_parsed_only_by_make_point(self):
+        point = make_point(("1", "0"), ("0", "1"))
+        assert point == make_point((1, 0), (0, 1)) == MukaiPoint((F(1), F(0)), (F(0), F(1)))
+        assert all(type(c) is F for c in point.u + point.phi)
+        with pytest.raises(PreconditionError, match=r"^u: not a rational: '1'$"):
+            MukaiPoint(("1", "0"), ("0", "1"))
+        # a string zero section is rejected when built, before flop could read it
+        with pytest.raises(PreconditionError, match=r"^phi: not a rational: '0'$"):
+            MukaiPoint((1, 0), ("0", "0"))
+        with pytest.raises(PreconditionError, match="^flop is undefined on the zero section$"):
+            flop(make_point(("1", "0"), ("0", "0")))
+
     @pytest.mark.parametrize("cls", [MukaiPoint, DualMukaiPoint])
     def test_ints_and_fractions_still_build(self, cls):
         for marked, cov in [((1, 0), (0, 1)), ((F(1, 2), F(-1, 3)), (F(2), F(3))),
