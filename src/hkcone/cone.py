@@ -28,10 +28,14 @@ as the perfect-square test of an exact root.  Segment work is in
 integers: each endpoint p becomes P / m once (``rational.integral``), and
 its side list holds the pairings q(x, P) with every wall x of the
 segment, dot products with the rows x^t G.  A zero marks incidence;
-opposite signs a crossing, at t = q(x, A) mb / (q(x, A) mb - q(x, B) ma).
-A perturbed endpoint is y / d, d = 64 m 2^h: a shift adds 1 to one y_j
-and column j of the rows to the side list, and halving the shift doubles
-y, d and the side list.  A shift of x to y needs no walk when an
+opposite signs a crossing, at t = q(x, A) mb / (q(x, A) mb - q(x, B) ma);
+whether those t are distinct is decided on the integer pairs in lowest
+terms (``_distinct_crossings``).  A perturbed endpoint is y / d,
+d = 64 m 2^h, and carries its side list, G y, q(y), q(x, y) and
+q(base, y): a shift y_j += 1 steps each of them by integer entries of
+column j (``_fix_endpoint``), and halving the shift doubles y, d and
+the linear ones and quadruples q(y), so no pairing is formed afresh per
+candidate.  A shift of x to y needs no walk when an
 integer certificate (``_short_shift``) shows that only walls through x
 can meet [x, y]: those are walls of the segment, so the side list
 decides; otherwise [x, y] is walked.  Fractions are built only for the
@@ -50,7 +54,7 @@ from operator import mul
 from . import linalg
 from .errors import InvariantError, PreconditionError
 from .lattice import IntegralLattice, _smith_form, pairing_ideal
-from .mbm import OrbitSignature, SignatureTable, primitive_rescale
+from .mbm import OrbitSignature, SignatureTable
 from .rational import frac_str, integral, parse_frac, vector_strs
 
 STATUS_OK = "ok"
@@ -61,9 +65,10 @@ _PERTURB_ATTEMPTS = 64
 
 
 def _integral_cone_point(lattice: IntegralLattice, p) -> tuple[tuple[int, ...], int, int]:
-    """(X, m, q(X)) with p = X / m, checked to have positive square."""
+    """(X, m, q(X)) with p = X / m, checked for length and to have positive
+    square; q(X) is an integer dot with G X."""
     x, m = integral(p)
-    q = lattice.square(x)
+    q = sum(map(mul, x, _sides(lattice.gram, lattice.check_length(x))))
     if q <= 0:
         raise PreconditionError("point must have positive square")
     return x, m, q
@@ -193,8 +198,10 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     if bound <= 0:
         raise PreconditionError("bound must be positive")
     _check_table(lattice, table)
-    p = primitive_rescale(_integral_cone_point(lattice, base)[0])[0]
-    return _walls(lattice, table, p, p, bound * lattice.square(p))
+    x, _m, q = _integral_cone_point(lattice, base)
+    g = gcd(*x)
+    p = tuple(c // g for c in x)
+    return _walls(lattice, table, p, p, bound * (q // (g * g)))
 
 
 def _check_table(lattice, table):
@@ -209,8 +216,8 @@ def _segment_walls(lattice, table, a, b):
     """The walls that meet the closed segment [a, b], for integral a and b
     in one component of the cone: the ``_walls`` region of the primitive
     a and b with rho = 0, q(x, a) q(x, b) <= 0."""
-    a, b = primitive_rescale(a)[0], primitive_rescale(b)[0]
-    return _walls(lattice, table, a, b, 0)
+    ga, gb = gcd(*a), gcd(*b)
+    return _walls(lattice, table, tuple(c // ga for c in a), tuple(c // gb for c in b), 0)
 
 
 def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignature]]:
@@ -249,8 +256,8 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     if n == 1:  # a rank-one Lorentzian lattice is positive definite: no wall
         return []
     view = b == a
-    ra = lattice.pairing_row(a)  # G a
-    rb = ra if view else lattice.pairing_row(b)
+    ra = _sides(lattice.gram, a)  # G a
+    rb = ra if view else _sides(lattice.gram, b)
     qab, rn, rd = sum(map(mul, a, rb)), rho.numerator, rho.denominator
     pinned = any(o.disc_residue is not None for o in table.orbits)
     disc = lattice.discriminant_group() if pinned else None
@@ -344,7 +351,8 @@ def _covers(bound, qq, q_base, q_y) -> bool:
 
 
 def _sides(rows, x) -> list[int]:
-    """q(w, x) for every wall row w^t G; a zero means x lies on that wall."""
+    """q(w, x) for every wall row w^t G; a zero means x lies on that wall.
+    On the rows of G itself it is G x."""
     return [sum(map(mul, row, x)) for row in rows]
 
 
@@ -371,33 +379,42 @@ def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
     disjoint coordinate support needs moves in more than one direction.
     They halve, so a wall within the first can reject them all; a second
     pass then starts again from x with c = 64 2^(attempts div n).
-    The candidate is y / d with d = c m 2^h, so a shift adds 1 to y_j
-    and column j of ``rows`` to its side list, and a halving doubles y,
-    d and the side list.  It is accepted once it has positive square,
-    keeps the original's component, stays in the region around ``base``,
-    lies on no wall and on the original's side of every wall, and
-    ``ok(side list, d)`` holds; returns y, d and the side list.
+    The candidate is y / d with d = c m 2^h.  Beside y it carries its
+    side list, G y, q(y), q(x, y) and q(base, y), each stepped in O(1)
+    per entry: a shift y_j += 1 adds column j of ``rows`` to the side
+    list, column j of G to G y, 2 (G y)_j + G_jj to q(y), (G x)_j to
+    q(x, y) and (G base)_j to q(base, y); a halving doubles y, d, the
+    side list, G y, q(x, y) and q(base, y) and quadruples q(y).  It is
+    accepted once it has positive square, keeps the original's component,
+    stays in the region around ``base``, lies on no wall and on the
+    original's side of every wall, and ``ok(side list, d)`` holds;
+    returns y, d and the side list.
 
     ``rows`` are the walls of the segment x ends, and ``sides`` their
     pairings with x.  A wall that y lies on or that separates y from x
     meets [x, y], so when ``_short_shift`` shows that only walls through
     x do, the side list decides; otherwise the walls of [x, y] are
-    walked.  Either way y is judged against every wall of the (convex)
+    walked, and their pairings with x and y are dot products with G x
+    and G y.  Either way y is judged against every wall of the (convex)
     region around ``base``, which holds x and y.
     """
-    q_base, q_x = lattice.square(base), lattice.square(x)
-    q_prim, s_max = lattice.square(primitive_rescale(x)[0]), -table.squares[0]
-    for scale in (64, 64 << (_PERTURB_ATTEMPTS // len(x))):
+    gram, n, g = lattice.gram, len(x), gcd(*x)
+    gx, gbase = _sides(gram, x), _sides(gram, base)
+    q_x, q_bx, q_base = sum(map(mul, x, gx)), sum(map(mul, x, gbase)), sum(map(mul, base, gbase))
+    q_prim, s_max = q_x // (g * g), -table.squares[0]
+    for scale in (64, 64 << (_PERTURB_ATTEMPTS // n)):
         y, d, cand = [scale * c for c in x], scale * m, [scale * s for s in sides]
+        gy, q_y, q_xy, q_by = [scale * c for c in gx], scale * scale * q_x, scale * q_x, scale * q_bx
         for k in range(_PERTURB_ATTEMPTS):
-            j = k % len(x)
+            j = k % n
             if k and not j:
-                y, d, cand = [2 * c for c in y], 2 * d, [2 * s for s in cand]
+                y, d, cand, gy = [2 * c for c in y], 2 * d, [2 * s for s in cand], [2 * c for c in gy]
+                q_y, q_xy, q_by = 4 * q_y, 2 * q_xy, 2 * q_by
             y[j] += 1
+            q_y, q_xy, q_by = q_y + 2 * gy[j] + gram[j][j], q_xy + gx[j], q_by + gbase[j]
+            gy = [c + e for c, e in zip(gy, gram[j])]  # G is symmetric: column j is row j
             cand = [s + row[j] for s, row in zip(cand, rows)]
-            q_y, q_xy = lattice.square(y), lattice.pairing(y, x)
-            if q_y <= 0 or q_xy <= 0 \
-                    or not _covers(bound, lattice.pairing(base, y), q_base, q_y):
+            if q_y <= 0 or q_xy <= 0 or not _covers(bound, q_by, q_base, q_y):
                 continue
             if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
                 continue
@@ -405,10 +422,19 @@ def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
                 continue
             if _short_shift(q_x, q_y, q_xy, q_prim, s_max) or all(
                     tx == 0 != ty for tx, ty in (
-                        (lattice.pairing(w, x), lattice.pairing(w, y))
+                        (sum(map(mul, w, gx)), sum(map(mul, w, gy)))
                         for w, _sig in _segment_walls(lattice, table, x, y))):
                 return tuple(y), d, cand
     raise PreconditionError("could not perturb an endpoint into general position")
+
+
+def _distinct_crossings(sa, ma, sb, mb) -> bool:
+    """True when no two walls with opposite sides at a = A/ma and b = B/mb
+    cross [a, b] at one t, from their integer sides as in
+    ``_strict_crossings``: t = u / v with u = qa mb and v = qa mb - qb ma
+    of one sign, compared as the pairs (|u|, |v|) / gcd(u, v)."""
+    ts = [(abs(qa * mb), abs(qa * mb - qb * ma)) for qa, qb in zip(sa, sb) if qa * qb < 0]
+    return len({(u // gcd(u, v), v // gcd(u, v)) for u, v in ts}) == len(ts)
 
 
 def _strict_crossings(walls, sa, ma, sb, mb):
@@ -463,7 +489,7 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     bound = parse_frac(bound)
     pa, da, q_a = _integral_cone_point(lattice, a)
     pb, db, q_b = _integral_cone_point(lattice, b)
-    q_ab = lattice.pairing(pa, pb)
+    q_ab = sum(map(mul, pa, _sides(lattice.gram, pb)))
     if q_ab <= 0:
         raise PreconditionError("endpoints lie in different components of the positive cone")
     if bound < 1 or not _covers(bound, q_ab, q_a, q_b):
@@ -481,8 +507,7 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
         perturbed = True
 
     def b_ok(sides, d):
-        ts = [s.t for s in _strict_crossings(walls, sa, da, sides, d)]
-        return len(ts) == len(set(ts))
+        return _distinct_crossings(sa, da, sides, d)
 
     if 0 in sb or not b_ok(sb, db):
         pb, db, sb = _fix_endpoint(lattice, table, rows, bound, base, pb, db, sb, b_ok)

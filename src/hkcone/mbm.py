@@ -63,8 +63,13 @@ class SignatureTable:
     @functools.cached_property
     def sublattices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(d, squares): the squares s, ascending, whose rows' divisibilities have gcd d_s = d."""
-        ds = {s: math.gcd(*(d for q, d in self._rows if q == s)) for s in self.squares}
-        return tuple((d, tuple(s for s in ds if ds[s] == d)) for d in dict.fromkeys(ds.values()))
+        ds = {}
+        for s, d in sorted(self._rows):  # one pass over the rows, squares ascending
+            ds[s] = math.gcd(ds.get(s, 0), d)
+        groups = {}
+        for s, d in ds.items():
+            groups[d] = groups.get(d, ()) + (s,)
+        return tuple(groups.items())
 
     @functools.cached_property
     def _rows(self) -> dict:

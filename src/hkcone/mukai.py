@@ -8,8 +8,9 @@ Math. 77, 1984).  Every point checks its pair once, when built, on the
 integral forms (U, m) and (W, n) of its two vectors (rational.integral):
 lengths, a nonzero marked vector and one integer dot product.  It keeps
 the forms, and its matrix is built from them once, on first read, with
-entries U_i W_j / (m n).  So a flop re-checks the pair it relabels but
-re-derives no covector.  Floats, bools and strings are rejected, naming
+entries U_i W_j / (m n).  A flop relabels the checked pair and its
+forms: it checks nothing again (only the zero section) and re-derives no
+covector.  Floats, bools and strings are rejected, naming
 the vector; ``make_point`` parses strings.  Everything is exact;
 projective data is compared by proportionality (vanishing 2x2 minors),
 never normal forms.
@@ -105,6 +106,16 @@ class DualMukaiPoint:
         return _outer(self.forms)
 
 
+def _relabel(cls, point):
+    """cls on the pair of a checked point of the other side, its forms
+    swapped: the dot product and lengths are the same, and the caller has
+    checked that the new marked vector is nonzero."""
+    new = object.__new__(cls)
+    for name, value in (("u", point.u), ("phi", point.phi), ("forms", point.forms[::-1])):
+        object.__setattr__(new, name, value)
+    return new
+
+
 def make_point(u, phi) -> MukaiPoint:
     """([u], u phi^t) for a covector phi vanishing on u; phi = 0 gives the zero section."""
     return MukaiPoint(_qvec(u), _qvec(phi))
@@ -114,14 +125,14 @@ def flop(point: MukaiPoint) -> DualMukaiPoint:
     """([u], u phi^t) -> ([phi], phi u^t); undefined on the zero section."""
     if not any(point.phi):
         raise PreconditionError("flop is undefined on the zero section")
-    return DualMukaiPoint(point.phi, point.u)
+    return _relabel(DualMukaiPoint, point)
 
 
 def flop_dual(point: DualMukaiPoint) -> MukaiPoint:
     """Inverse direction, identifying the double dual with V."""
     if not any(point.u):
         raise PreconditionError("flop is undefined on the zero section")
-    return MukaiPoint(point.u, point.phi)
+    return _relabel(MukaiPoint, point)
 
 
 def check_diagram(point: MukaiPoint) -> bool:

@@ -13,7 +13,7 @@ from hkcone import cone as cone_module
 from hkcone import lattice as lattice_module
 from hkcone import render as render_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
-                         WallCrossing, _ellipsoid_slices, _fix_endpoint,
+                         WallCrossing, _distinct_crossings, _ellipsoid_slices, _fix_endpoint,
                          _integral_cone_point, _majorant, _segment_walls, _short_shift, _sides,
                          _strict_crossings, _sublattice, enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau)
@@ -609,6 +609,15 @@ class TestFactorPath:
         ts = [s.t for s in f.steps]
         assert len(ts) == len(set(ts)) and len(ts) >= 3
 
+    @pytest.mark.parametrize("call, got", [
+        (lambda q, t: factor_path(q, t, (1, 2), (4, 4, -1), 8), 2),
+        (lambda q, t: factor_path(q, t, (4, 4, -1), (1, 2, 3, 4), 8), 4),
+        (lambda q, t: enumerate_wall_classes(q, t, (4, 4), 8), 2)])
+    def test_wrong_length_point_names_the_lengths(self, quartic, table, call, got):
+        with pytest.raises(PreconditionError,
+                           match=rf"^dimension mismatch: expected 3 coordinates, got {got}$"):
+            call(quartic, table)
+
     def test_report_schema(self, quartic, table):
         f = factor_path(quartic, table, M1, M4, fixtures.PATH_BOUND)
         rep = factorization_report(f)
@@ -935,6 +944,25 @@ class TestAgainstFractionOracle:
                    for a, b in random_segments(lat, tab, rng, 16, F(3), reach=3, den=3)]
         done = [f for f in results if not isinstance(f, str)]
         assert any(f.perturbed for f in done) and any(f.steps for f in done)
+
+
+class TestTightRegion:
+    """At the smallest bound that covers b, the region around a binds on
+    b's perturbation: the carried q(a, y) must reject exactly the
+    candidates the Fraction route rejects."""
+
+    def test_against_the_fraction_route(self, quartic, table):
+        results = []
+        for a in [(2, F(3, 2), -1), (1, 2, F(-5, 4))]:
+            for b in itertools.product(range(1, 5), range(1, 5), range(-2, 2)):
+                if quartic.square(b) <= 0:
+                    continue
+                bound = F(quartic.pairing(a, b)) ** 2 / (quartic.square(a) * quartic.square(b))
+                got = outcome(factor_path, quartic, table, a, b, bound)
+                assert got == outcome(fraction_factor_path, quartic, table, a, b, bound), (a, b)
+                results.append(got)
+        assert sum(not isinstance(f, str) and f.perturbed for f in results) > 10
+        assert "could not perturb an endpoint into general position" in results
 
 
 class TestSameChamber:
@@ -1360,9 +1388,76 @@ class TestOneCandidatePath:
             calls.clear()
             walls = enumerate_wall_classes(quartic, tab, (4, 4, -1), bound)
             per_bound[bound] = (len(walls), dict(calls))
-        # the base's square, q(p) and G p; 35 and 108 walls
-        assert per_bound == {15: (35, {"mat_vec": 3, "pairing_row": 3}),
-                             100: (108, {"mat_vec": 3, "pairing_row": 3})}
+        # the base's G X and q(X) and the walk's G p are integer dots, so
+        # neither runs at all; 35 and 108 walls
+        assert per_bound == {15: (35, {}), 100: (108, {})}
+
+
+class TestPathWorkCounts:
+    """factor_path builds Fractions and WallCrossings only for what it
+    reports and calls no generic pairing: less the report's share (the
+    coordinates of both endpoints and one t and one crossing per step),
+    the counts are the same, none, on a path that accepts its first shift
+    and on paths whose perturbation tries more than 64 candidates."""
+
+    def work(self, monkeypatch, lattice, table, a, b, bound):
+        factor_path(lattice, table, a, b, bound)  # fills the per-Gram and per-table caches
+        calls = Counter()
+        for owner, name, key in ((Fraction, "__new__", "Fraction"),
+                                 (WallCrossing, "__init__", "WallCrossing"),
+                                 (lattice_module.IntegralLattice, "pairing", "pairing"),
+                                 (lattice_module.IntegralLattice, "square", "square"),
+                                 (lattice_module.IntegralLattice, "pairing_row", "pairing_row")):
+            def counted(*args, key=key, original=getattr(owner, name), **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        f = factor_path(lattice, table, a, b, bound)
+        monkeypatch.undo()
+        calls.subtract({"Fraction": 2 * lattice.rank + len(f.steps), "WallCrossing": len(f.steps)})
+        return f, {key: n for key, n in calls.items() if n}
+
+    def test_no_work_per_candidate(self, quartic, table, monkeypatch):
+        a, b = (2, F(3, 2), -1), (1, 2, -1)
+        f, first = self.work(monkeypatch, quartic, table, a, b, F(12))
+        assert f.perturbed and f.a == a and f.b == (1 + F(1, 64), 2, -1)  # the first shift
+        work = [first]
+        for end in SECOND_PASS_ENDS:
+            f, counts = self.work(monkeypatch, quartic, SECOND_PASS_TABLE, (1, 1, 0), end, F(8))
+            assert f.a[0].denominator == 64 << (64 // 3)  # the second pass
+            work.append(counts)
+        assert work == [{}] * 4
+
+
+class TestDistinctCrossings:
+    """``_distinct_crossings`` on reduced integer pairs agrees with the set
+    of Fraction parameters t = qa mb / (qa mb - qb ma) it replaced."""
+
+    def test_against_fraction_parameters(self):
+        rng = random.Random(29)
+        verdicts = Counter()
+        for _ in range(6000):
+            ma, mb = rng.randint(1, 12), rng.randint(1, 12)
+            pool = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 8))]
+            sa, sb = [], []
+            for _ in range(rng.randint(0, 5)):
+                # a multiple k of a pool pair repeats its t, in either sign
+                # order; zero sides are never crossings
+                qa, qb = rng.choice(pool)
+                k = rng.choice([-3, -2, -1, 1, 2, 3])
+                sa.append(k * qa)
+                sb.append(k * qb)
+            ts = [F(qa * mb, qa * mb - qb * ma) for qa, qb in zip(sa, sb) if qa * qb < 0]
+            want = len(ts) == len(set(ts))
+            assert _distinct_crossings(sa, ma, sb, mb) == want, (sa, ma, sb, mb)
+            verdicts[want, len(ts) > 1, 0 in sa + sb] += 1
+        assert all(verdicts[want, True, zero] > 50 for want in (True, False) for zero in (True, False))
+
+    def test_both_sign_orders_of_one_parameter(self):
+        # (3, -1) and (-6, 2) cross at one t, (3, -1) and (1, -3) do not
+        assert not _distinct_crossings([3, -6], 1, [-1, 2], 1)
+        assert _distinct_crossings([3, 1], 1, [-1, -3], 1)
+        assert _distinct_crossings([0, 3, -2], 2, [5, 0, -1], 3)
 
 
 class TestSharedSetUp:

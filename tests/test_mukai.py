@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcone import linalg
+from hkcone import linalg, mukai
 from hkcone.errors import PreconditionError
 from hkcone.mukai import (DualMukaiPoint, MukaiPoint, check_diagram, flop, flop_dual, make_point,
                           proportional)
@@ -94,6 +94,28 @@ class TestFlop:
     def test_kernel_direction_k2(self):
         m = make_point((1, 0, 0), (0, 2, 3))
         assert proportional(flop(m).phi, (0, 2, 3))
+
+    def test_flops_relabel_the_checked_pair(self, monkeypatch):
+        checked = []
+        original = mukai._check_pair
+        monkeypatch.setattr(mukai, "_check_pair",
+                            lambda *args: checked.append(args[2]) or original(*args))
+        point = make_point((F(1, 2), F(-1, 3), 2), (2, 3, 0))
+        image = flop(point)
+        back = flop_dual(image)
+        assert checked == [("u", "phi")]  # make_point's only
+        # the relabelled points equal the checked constructions, forms included
+        direct = DualMukaiPoint(point.phi, point.u)
+        assert (image, image.forms) == (direct, direct.forms)
+        assert (back, back.forms) == (point, point.forms)
+        assert image.b == linalg.transpose(point.a) and back.a == point.a
+        assert checked == [("u", "phi"), ("phi", "u")]  # direct constructors still check
+        with pytest.raises(PreconditionError, match="^flop is undefined on the zero section$"):
+            flop(make_point((1, 0), (0, 0)))
+        with pytest.raises(PreconditionError, match="^flop is undefined on the zero section$"):
+            flop_dual(DualMukaiPoint((0, 1), (0, 0)))
+        with pytest.raises(PreconditionError, match="^u must be nonzero$"):
+            MukaiPoint((0, 0), (0, 1))
 
     def test_involution(self):
         rng = random.Random(2)
