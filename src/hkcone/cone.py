@@ -12,9 +12,14 @@ Enumeration visits the integer points of an ellipsoid, not of its
 bounding box.  A region is q(x, a) q(x, b) <= rho |q(x)|, for cone
 points a and b in one component and rho >= 0: a view around p is a = b =
 p with rho = B q(p), and the walls that meet a segment [a, b] are those
-of rho = 0, so ``--bound`` plays no part in a segment's search.  A wall x
-of square s in the region has F(x) = 2 q(x, a) q(x, b) - q(a, b) q(x) <=
-(2 rho + q(a, b)) |s|, and F is positive definite (``_majorant``).  Each
+of rho = 0, so ``--bound`` plays no part in a segment's search.  The walk
+(``_walls``) reads a and b only through their pairing rows G a and G b
+and q(a, b), at any positive scale: with rho = 0 the region does not
+change when a or b is scaled, and a view of g p with rho = B q(g p) is
+the view of p with rho = B q(p), so no point is made primitive first.
+A wall x of square s in the region has F(x) = 2 q(x, a) q(x, b) -
+q(a, b) q(x) <= (2 rho + q(a, b)) |s|, and F is positive definite
+(``_majorant``).  Each
 table square s has its own walk on a basis of L_d (``_sublattice``),
 where d = d_s, the gcd of the divisibilities of the rows of s, divides
 the divisibility; the squares of one d_s share the set-up on L_d.  One
@@ -25,9 +30,10 @@ each +-pair, on linalg's Bareiss rows.  Along a slice of that walk the
 discriminant of q(x) = s is a quadratic in the innermost coordinate y_0,
 stepped by its differences; ``isqrt`` runs only where it is nonnegative,
 as the perfect-square test of an exact root.  Segment work is in
-integers: each endpoint p becomes P / m once (``rational.integral``), and
-its side list holds the pairings q(x, P) with every wall x of the
-segment, dot products with the rows x^t G.  A zero marks incidence;
+integers: each endpoint p becomes P / m, with its row G P, once
+(``_integral_cone_point``), and its side list holds the pairings
+q(x, P) with every wall x of the segment, dot products with the rows
+x^t G.  A zero marks incidence;
 opposite signs a crossing, at t = q(x, A) mb / (q(x, A) mb - q(x, B) ma);
 whether those t are distinct is decided on the integer pairs in lowest
 terms (``_distinct_crossings``).  A perturbed endpoint is y / d,
@@ -38,8 +44,8 @@ the linear ones and quadruples q(y), so no pairing is formed afresh per
 candidate.  A shift of x to y needs no walk when an
 integer certificate (``_short_shift``) shows that only walls through x
 can meet [x, y]: those are walls of the segment, so the side list
-decides; otherwise [x, y] is walked.  Fractions are built only for the
-reported endpoints and t.
+decides; otherwise [x, y] is walked on the G x, G y and q(x, y) it
+carries.  Fractions are built only for the reported endpoints and t.
 """
 
 from __future__ import annotations
@@ -64,14 +70,17 @@ STATUS_REGULAR = "regular_in_codim_two"
 _PERTURB_ATTEMPTS = 64
 
 
-def _integral_cone_point(lattice: IntegralLattice, p) -> tuple[tuple[int, ...], int, int]:
-    """(X, m, q(X)) with p = X / m, checked for length and to have positive
-    square; q(X) is an integer dot with G X."""
+def _integral_cone_point(lattice: IntegralLattice, p) -> tuple[tuple[int, ...], int, list[int], int]:
+    """(X, m, G X, q(X)) with p = X / m, checked for length and to have
+    positive square.  G X, the pairing row of X, is the one the walks and
+    the perturbation read: it is formed here, once per endpoint or base,
+    and q(X) is its dot with X."""
     x, m = integral(p)
-    q = sum(map(mul, x, _sides(lattice.gram, lattice.check_length(x))))
+    gx = _sides(lattice.gram, lattice.check_length(x))
+    q = sum(map(mul, x, gx))
     if q <= 0:
         raise PreconditionError("point must have positive square")
-    return x, m, q
+    return x, m, gx, q
 
 
 @dataclass(frozen=True)
@@ -191,17 +200,15 @@ def enumerate_wall_classes(lattice: IntegralLattice, table: SignatureTable,
     nonzero coordinate positive, its (square, divisibility[, residue])
     matches a table row, and q(x, base)^2 <= B |q(x)| q(base).  The
     search region is compact, so the output is complete: it is the
-    ``_walls`` region of a = b = p, the primitive base, and rho = B q(p).
+    ``_walls`` region of a = b = X, the integral base, and rho = B q(X).
     """
     _require_lorentzian(lattice)
     bound = parse_frac(bound)
     if bound <= 0:
         raise PreconditionError("bound must be positive")
     _check_table(lattice, table)
-    x, _m, q = _integral_cone_point(lattice, base)
-    g = gcd(*x)
-    p = tuple(c // g for c in x)
-    return _walls(lattice, table, p, p, bound * (q // (g * g)))
+    _x, _m, gx, q = _integral_cone_point(lattice, base)
+    return _walls(lattice, table, gx, gx, q, bound * q)
 
 
 def _check_table(lattice, table):
@@ -212,22 +219,21 @@ def _check_table(lattice, table):
     table.check_residues(lattice)
 
 
-def _segment_walls(lattice, table, a, b):
-    """The walls that meet the closed segment [a, b], for integral a and b
-    in one component of the cone: the ``_walls`` region of the primitive
-    a and b with rho = 0, q(x, a) q(x, b) <= 0."""
-    ga, gb = gcd(*a), gcd(*b)
-    return _walls(lattice, table, tuple(c // ga for c in a), tuple(c // gb for c in b), 0)
-
-
-def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignature]]:
+def _walls(lattice, table, ra, rb, qab, rho) -> list[tuple[tuple[int, ...], OrbitSignature]]:
     """The wall classes x with q(x, a) q(x, b) <= rho |q(x)|, sorted
-    lexicographically, for a and b integral in one component of the cone
+    lexicographically, for a and b integral in one component of the cone,
+    given by their pairing rows ra = G a and rb = G b and by qab = q(a, b),
     and rational rho >= 0.
 
     A class qualifies when it is primitive, one per +-pair with the first
     nonzero coordinate positive, lies in the region and its (square,
-    divisibility[, residue]) matches a table row; b == a (a view) reuses q(x, a).
+    divisibility[, residue]) matches a table row; rb == ra (a view) reuses
+    q(x, a).  Nothing is rescaled: a and b enter at any positive scale.
+    With rho = 0 (a segment) scaling a or b scales both sides of the
+    region by the same factor; a view of X = g p with rho = B q(X) scales
+    them by g^2, the view of p with rho = B q(p).  The walls are the same,
+    and so are the integer points of the ellipsoid below, since F(x) is an
+    integer and cap is the floor of the scaled bound.
 
     Each table square s has its own walk: its walls have F(x) = 2 q(x, a)
     q(x, b) - q(a, b) q(x) <= cap = floor((2 rho + q(a, b)) |s|) for the
@@ -255,10 +261,8 @@ def _walls(lattice, table, a, b, rho) -> list[tuple[tuple[int, ...], OrbitSignat
     n = lattice.rank
     if n == 1:  # a rank-one Lorentzian lattice is positive definite: no wall
         return []
-    view = b == a
-    ra = _sides(lattice.gram, a)  # G a
-    rb = ra if view else _sides(lattice.gram, b)
-    qab, rn, rd = sum(map(mul, a, rb)), rho.numerator, rho.denominator
+    view = rb == ra
+    rn, rd = rho.numerator, rho.denominator
     pinned = any(o.disc_residue is not None for o in table.orbits)
     disc = lattice.discriminant_group() if pinned else None
     origin, zero = (0,) * n, (0,) * (n - 2)
@@ -371,9 +375,11 @@ def _short_shift(q_x, q_y, q_xy, q_prim, s_max) -> bool:
     return (q_xy * q_xy - q_x * q_y) * s_max * q_prim < q_x * q_y
 
 
-def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
+def _fix_endpoint(lattice, table, rows, bound, base, end, m, sides, ok):
     """Accumulate shifts until the endpoint x / m reaches general position.
 
+    ``base`` and ``end`` are the integral (X, G X) pairs of the region's
+    base and of x, as ``_integral_cone_point`` gives them.
     Shift k is eps e_j with j = k mod n and eps = 1/(c m 2^h), h = k div n,
     c = 64.  Shifts compound: a point on several walls whose normals have
     disjoint coordinate support needs moves in more than one direction.
@@ -388,20 +394,25 @@ def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
     accepted once it has positive square, keeps the original's component,
     stays in the region around ``base``, lies on no wall and on the
     original's side of every wall, and ``ok(side list, d)`` holds;
-    returns y, d and the side list.
+    returns y, d and the side list.  When no candidate is accepted the
+    error counts those that left the region, so a bound too tight to
+    perturb in is named as the cause.
 
     ``rows`` are the walls of the segment x ends, and ``sides`` their
     pairings with x.  A wall that y lies on or that separates y from x
     meets [x, y], so when ``_short_shift`` shows that only walls through
     x do, the side list decides; otherwise the walls of [x, y] are
-    walked, and their pairings with x and y are dot products with G x
-    and G y.  Either way y is judged against every wall of the (convex)
-    region around ``base``, which holds x and y.
+    walked on the rows G x and G y and q(x, y) already carried (the
+    region of rho = 0 does not depend on the scales of x and y), and
+    their pairings with x and y are dot products with G x and G y.
+    Either way y is judged against every wall of the (convex) region
+    around ``base``, which holds x and y.
     """
-    gram, n, g = lattice.gram, len(x), gcd(*x)
-    gx, gbase = _sides(gram, x), _sides(gram, base)
-    q_x, q_bx, q_base = sum(map(mul, x, gx)), sum(map(mul, x, gbase)), sum(map(mul, base, gbase))
+    gram, (bx, gbase), (x, gx) = lattice.gram, base, end
+    n, g = len(x), gcd(*x)
+    q_x, q_bx, q_base = sum(map(mul, x, gx)), sum(map(mul, x, gbase)), sum(map(mul, bx, gbase))
     q_prim, s_max = q_x // (g * g), -table.squares[0]
+    outside = 0
     for scale in (64, 64 << (_PERTURB_ATTEMPTS // n)):
         y, d, cand = [scale * c for c in x], scale * m, [scale * s for s in sides]
         gy, q_y, q_xy, q_by = [scale * c for c in gx], scale * scale * q_x, scale * q_x, scale * q_bx
@@ -414,7 +425,10 @@ def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
             q_y, q_xy, q_by = q_y + 2 * gy[j] + gram[j][j], q_xy + gx[j], q_by + gbase[j]
             gy = [c + e for c, e in zip(gy, gram[j])]  # G is symmetric: column j is row j
             cand = [s + row[j] for s, row in zip(cand, rows)]
-            if q_y <= 0 or q_xy <= 0 or not _covers(bound, q_by, q_base, q_y):
+            if q_y <= 0 or q_xy <= 0:
+                continue
+            if not _covers(bound, q_by, q_base, q_y):
+                outside += 1
                 continue
             if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
                 continue
@@ -423,9 +437,11 @@ def _fix_endpoint(lattice, table, rows, bound, base, x, m, sides, ok):
             if _short_shift(q_x, q_y, q_xy, q_prim, s_max) or all(
                     tx == 0 != ty for tx, ty in (
                         (sum(map(mul, w, gx)), sum(map(mul, w, gy)))
-                        for w, _sig in _segment_walls(lattice, table, x, y))):
+                        for w, _sig in _walls(lattice, table, gx, gy, q_xy, 0))):
                 return tuple(y), d, cand
-    raise PreconditionError("could not perturb an endpoint into general position")
+    raise PreconditionError(f"could not perturb an endpoint into general position: {outside} of "
+                            f"{2 * _PERTURB_ATTEMPTS} candidates left the region of bound "
+                            f"{frac_str(bound)}")
 
 
 def _distinct_crossings(sa, ma, sb, mb) -> bool:
@@ -480,29 +496,30 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     parameter, are resolved by a deterministic perturbation of the
     offending endpoint; the perturbed endpoints are reported.
 
-    Only the walls that meet the closed segment are walked
-    (``_segment_walls``); every other wall keeps one strict side at both
-    ends, perturbed or not.  The bound sets no search: its region around
-    a must cover b, and a perturbed endpoint must stay in that region.
+    Only the walls that meet the closed segment are walked (``_walls``
+    with rho = 0, on the endpoints' pairing rows); every other wall keeps
+    one strict side at both ends, perturbed or not.  The bound sets no
+    search: its region around a must cover b, and a perturbed endpoint
+    must stay in that region.
     """
     _require_lorentzian(lattice)
     bound = parse_frac(bound)
-    pa, da, q_a = _integral_cone_point(lattice, a)
-    pb, db, q_b = _integral_cone_point(lattice, b)
-    q_ab = sum(map(mul, pa, _sides(lattice.gram, pb)))
+    pa, da, ga, q_a = _integral_cone_point(lattice, a)
+    pb, db, gb, q_b = _integral_cone_point(lattice, b)
+    q_ab = sum(map(mul, pa, gb))
     if q_ab <= 0:
         raise PreconditionError("endpoints lie in different components of the positive cone")
     if bound < 1 or not _covers(bound, q_ab, q_a, q_b):
         raise PreconditionError("bound too small: the region does not cover the segment")
     _check_table(lattice, table)
 
-    walls = _segment_walls(lattice, table, pa, pb)
+    walls = _walls(lattice, table, ga, gb, q_ab, 0)
     rows = linalg.mat_mul([x for x, _sig in walls], lattice.gram)
-    base = pa  # the region stays the one around the original a
+    base = pa, ga  # the region stays the one around the original a
     sa, sb = _sides(rows, pa), _sides(rows, pb)
     perturbed = False
     if 0 in sa:
-        pa, da, sa = _fix_endpoint(lattice, table, rows, bound, base, pa, da, sa,
+        pa, da, sa = _fix_endpoint(lattice, table, rows, bound, base, base, da, sa,
                                    lambda _s, _d: True)
         perturbed = True
 
@@ -510,7 +527,7 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
         return _distinct_crossings(sa, da, sides, d)
 
     if 0 in sb or not b_ok(sb, db):
-        pb, db, sb = _fix_endpoint(lattice, table, rows, bound, base, pb, db, sb, b_ok)
+        pb, db, sb = _fix_endpoint(lattice, table, rows, bound, base, (pb, gb), db, sb, b_ok)
         perturbed = True
 
     # No check that the crossings stay in the cone: pa and pb lie in one

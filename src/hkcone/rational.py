@@ -91,7 +91,7 @@ def integral(x) -> tuple[tuple[int, ...], int]:
 
 
 def frac_str(value) -> str:
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

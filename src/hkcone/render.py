@@ -10,15 +10,15 @@ unit circle at (z0 n +- h n_perp) / |n|^2 with
 h^2 = |n|^2 - z0^2 = -q(w)/d0, exact and positive for every wall class.
 
 The disk frame is built once per lattice (cached by Gram matrix): rows
-R_i and scales L_i with z_i = (x . R_i) / L_i for integral x, G t_i / d_i
-in lowest terms, and the numerators and denominators of -d1/d0 and
--d2/d0, all integers.  A wall costs three integer dot products and a few
-integer products.  All incidence decisions are exact; floats only enter
-at the final quotients, each one int / int (correctly rounded, so equal
-to float() of the same Fraction), and in the square roots of the screen
-projection.  Whether a marker or a path end lies strictly inside the
-disk is such a decision: H < 0, a positive square, whatever its float
-radius.
+R_i over one denominator L with z_i = (x . R_i) / L for integral x, the
+nine entries of G t_i / d_i over their least common denominator, and
+the numerators and denominators of -d1/d0 and -d2/d0, all integers.  A
+wall costs three integer dot products and a few integer products.  All
+incidence decisions are exact; floats only enter at the final quotients,
+each one int / int (correctly rounded, so equal to float() of the same
+Fraction), and in the square roots of the screen projection.  Whether a
+marker or a path end lies strictly inside the disk is such a decision:
+H < 0, a positive square, whatever its float radius.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.  The enumerated table row of a wall carries its divisibility d,
@@ -74,69 +74,65 @@ class DiskScene:
 class _DiskFrame:
     """The orthogonal basis of a rank-3 Lorentzian lattice, in integers.
 
-    Each row R_i over its scale L_i > 0 is G t_i / d_i in lowest terms
-    (``rational.integral``), so z_i = a_i / (m L_i), a_i = X . R_i, for
-    x = X / m with X integral; -d1/d0 = p1/q1 and -d2/d0 = p2/q2.
-    With s = (a1 L2, a2 L1), P1 = p1 q2, P2 = p2 q1, K = q1 q2 L1 L2 and
-    Q = K L1 L2:
-      |n|^2 = N / (Q m^2),  N = P1 s1^2 + P2 s2^2 > 0 for a wall,
-      h^2 = |n|^2 - z0^2 = -q(x)/d0 = H / (Q L0^2 m^2),  H = N L0^2 - Q a0^2,
-      z0 z1 / |n|^2 = a0 K s1 / (L0 N),  z1 / |n|^2 = K s1 m / N,
-    and likewise for z2 with s2: each quotient is the exact rational of
-    the Fraction formulas, over a positive integer denominator.
+    The rows R_i over one denominator L > 0 are G t_i / d_i, all nine
+    entries through one ``rational.integral``, so z_i = a_i / (m L),
+    a_i = X . R_i, for x = X / m with X integral; -d1/d0 = p1/q1 and
+    -d2/d0 = p2/q2.  With P1 = p1 q2, P2 = p2 q1 and Q = q1 q2:
+      |n|^2 = N / (Q L^2 m^2),  N = P1 a1^2 + P2 a2^2 > 0 for a wall,
+      h^2 = |n|^2 - z0^2 = -q(x)/d0 = H / (Q L^2 m^2),  H = N - Q a0^2,
+      z0 z1 / |n|^2 = Q a0 a1 / N,  z1 / |n|^2 = Q L a1 m / N,
+    and likewise for z2 with a2; z1 / z0 = a1 / a0.  Each quotient is the
+    exact rational of the Fraction formulas, over a positive integer
+    denominator.
     """
 
-    __slots__ = ("rows", "scales", "p1", "p2", "k", "q", "sx", "sy")
+    __slots__ = ("rows", "den", "p1", "p2", "q", "sx", "sy")
 
     def __init__(self, lattice: IntegralLattice):
         _require_rank_3(lattice)
         t, diag = lattice.diagonalize()
         if not (diag[0] > 0 and diag[1] < 0 and diag[2] < 0):
             raise PreconditionError("diagonalization must be Lorentzian, positive entry first")
-        self.rows, self.scales = zip(*(integral([g / d for g in lattice.pairing_row(column)])
-                                       for column, d in zip(zip(*t), diag)))  # G t_i / d_i
+        flat, self.den = integral([g / d for column, d in zip(zip(*t), diag)
+                                   for g in lattice.pairing_row(column)])  # G t_i / d_i
+        self.rows = flat[:3], flat[3:6], flat[6:]
         e1, e2 = -diag[1] / diag[0], -diag[2] / diag[0]
         self.p1 = e1.numerator * e2.denominator
         self.p2 = e2.numerator * e1.denominator
-        self.k = e1.denominator * e2.denominator * self.scales[1] * self.scales[2]
-        self.q = self.k * self.scales[1] * self.scales[2]
+        self.q = e1.denominator * e2.denominator
         self.sx, self.sy = math.sqrt(float(e1)), math.sqrt(float(e2))
 
     def _polar(self, x):
-        """a0, s1, s2, N and H of an integral vector x."""
+        """a0, a1, a2, N and H of an integral vector x."""
         if len(x) != 3:
             raise PreconditionError("dimension mismatch")
         a0, a1, a2 = (x[0] * r[0] + x[1] * r[1] + x[2] * r[2] for r in self.rows)
-        l0, l1, l2 = self.scales
-        s1, s2 = a1 * l2, a2 * l1
-        n = self.p1 * s1 * s1 + self.p2 * s2 * s2
-        return a0, s1, s2, n, n * l0 * l0 - self.q * a0 * a0
+        n = self.p1 * a1 * a1 + self.p2 * a2 * a2
+        return a0, a1, a2, n, n - self.q * a0 * a0
 
     def chord(self, w):
         """Sorted ideal endpoints of the wall of an integral w."""
-        a0, s1, s2, n, h2 = self._polar(w)
+        a0, a1, a2, n, h2 = self._polar(w)
         if h2 <= 0:
             raise PreconditionError("wall classes have negative square")
-        l0, k, sx, sy = self.scales[0], self.k, self.sx, self.sy
-        h = math.sqrt(h2 / (self.q * l0 * l0))
+        q, ql, sx, sy = self.q, self.q * self.den, self.sx, self.sy
+        h = math.sqrt(h2 / (ql * self.den))
         # midpoint z0 n / |n|^2 and half-chord h n_perp / |n|^2
-        mx, my = (a0 * k * s1) / (l0 * n) * sx, (a0 * k * s2) / (l0 * n) * sy
-        hx, hy = -((k * s2) / n) * sy * h, ((k * s1) / n) * sx * h
+        mx, my = (q * a0 * a1) / n * sx, (q * a0 * a2) / n * sy
+        hx, hy = -((ql * a2) / n) * sy * h, ((ql * a1) / n) * sx * h
         return tuple(sorted([(mx + hx, my + hy), (mx - hx, my - hy)]))
 
     def point(self, x, *, inside=False) -> tuple[float, float]:
         """Disk coordinates (sx z1/z0, sy z2/z0) of a rational x; with
         ``inside``, x must have positive square (H < 0): a marker."""
-        a0, s1, s2, _n, h2 = self._polar(integral(x)[0])
+        a0, a1, a2, _n, h2 = self._polar(integral(x)[0])
         if h2 > 0:
             raise PreconditionError("point must have nonnegative square")
         if inside and h2 == 0:
             raise PreconditionError("markers must lie strictly inside the disk")
         if a0 == 0:
             raise PreconditionError("ray projects to infinity in the disk model")
-        l0, l1, l2 = self.scales
-        # z1/z0 = a1 L0 / (a0 L1) = s1 L0 / (a0 L1 L2)
-        return ((s1 * l0) / (a0 * l1 * l2) * self.sx, (s2 * l0) / (a0 * l1 * l2) * self.sy)
+        return a1 / a0 * self.sx, a2 / a0 * self.sy
 
 
 def _require_rank_3(lattice: IntegralLattice):

@@ -14,8 +14,8 @@ from hkcone import lattice as lattice_module
 from hkcone import render as render_module
 from hkcone.cone import (STATUS_DIVISORIAL, STATUS_OK, STATUS_REGULAR, FlopFactorization,
                          WallCrossing, _distinct_crossings, _ellipsoid_slices, _fix_endpoint,
-                         _integral_cone_point, _majorant, _segment_walls, _short_shift, _sides,
-                         _strict_crossings, _sublattice, enumerate_wall_classes, factor_path,
+                         _integral_cone_point, _majorant, _short_shift, _sides, _strict_crossings,
+                         _sublattice, _walls, enumerate_wall_classes, factor_path,
                          factorization_report, group_hu_yau)
 from hkcone.errors import InvariantError, PreconditionError
 from hkcone.lattice import make_lattice
@@ -172,12 +172,20 @@ U_TABLE = SignatureTable(orbits=tuple(
     for sq, ds in ((-2, (1, 2)), (-4, (1, 2, 4))) for d in ds))
 
 
+def segment_walls(lattice, table, a, b):
+    """The walls that meet the closed segment [a, b], for integral a and b
+    in one component of the cone: ``_walls`` of rho = 0 on G a and G b."""
+    ga, gb = _sides(lattice.gram, a), _sides(lattice.gram, b)
+    return _walls(lattice, table, ga, gb, linalg.dot(a, gb), 0)
+
+
 def spy_on_walks(monkeypatch):
-    """Lists that record, while the test runs, the second point of every
-    ``_segment_walls`` call and the verdict of every ``_short_shift``."""
+    """Lists that record, while the test runs, the second pairing row G b
+    and q(a, b) of every ``_walls`` call and the verdict of every
+    ``_short_shift``."""
     walks, certified = [], []
-    monkeypatch.setattr(cone_module, "_segment_walls",
-                        lambda *args: walks.append(tuple(args[3])) or _segment_walls(*args))
+    monkeypatch.setattr(cone_module, "_walls",
+                        lambda *args: walks.append((tuple(args[3]), args[4])) or _walls(*args))
     monkeypatch.setattr(cone_module, "_short_shift",
                         lambda *args: certified.append(_short_shift(*args)) or certified[-1])
     return walks, certified
@@ -559,7 +567,8 @@ class TestFactorPath:
         assert sides == [0, 1]
         first = (65, 64, 0)
         assert _sides(rows, first) == [-9, -1]
-        moved, d, moved_sides = _fix_endpoint(quartic, table, rows, F(8), original, original,
+        end = original, _sides(quartic.gram, original)
+        moved, d, moved_sides = _fix_endpoint(quartic, table, rows, F(8), end, end,
                                               1, sides, lambda _s, _d: True)
         assert tuple(F(c, d) for c in moved) != tuple(F(c, 64) for c in first)
         assert moved_sides == _sides(rows, moved)
@@ -575,10 +584,13 @@ class TestFactorPath:
         w2, original = (22, -7, 0), (1, 1, 0)
         one_wall = orbit_rows([(quartic.square(w2), quartic.divisibility(w2))])
         walks, certified = spy_on_walks(monkeypatch)
-        assert _fix_endpoint(quartic, one_wall, [], F(8), original, original, 1, [],
+        end = original, _sides(quartic.gram, original)
+        assert _fix_endpoint(quartic, one_wall, [], F(8), end, end, 1, [],
                              lambda _s, _d: True) == ((65, 65, 0), 64, [])
-        assert certified == [False, True] and walks == [(65, 64, 0)]
-        assert w2 in [x for x, _ in _segment_walls(quartic, one_wall, original, (65, 64, 0))]
+        shift = (65, 64, 0)
+        assert certified == [False, True]
+        assert walks == [(tuple(_sides(quartic.gram, shift)), quartic.pairing(original, shift))]
+        assert w2 in [x for x, _ in segment_walls(quartic, one_wall, original, shift)]
 
     @pytest.mark.parametrize("b", SECOND_PASS_ENDS)
     def test_second_pass_clears_a_wall_within_the_first_shift(self, quartic, b):
@@ -590,10 +602,10 @@ class TestFactorPath:
         f = factor_path(quartic, SECOND_PASS_TABLE, a, b, F(8))
         assert f.perturbed and f.status == STATUS_OK
         assert f.a != a
-        for x, _sig in _segment_walls(quartic, SECOND_PASS_TABLE, a, b):
+        for x, _sig in segment_walls(quartic, SECOND_PASS_TABLE, a, b):
             for moved, end in ((f.a, a), (f.b, b)):
                 assert quartic.pairing(x, moved) * quartic.pairing(x, end) >= 0
-        walls = _segment_walls(quartic, SECOND_PASS_TABLE, integral(f.a)[0], integral(f.b)[0])
+        walls = segment_walls(quartic, SECOND_PASS_TABLE, integral(f.a)[0], integral(f.b)[0])
         sa, sb = fraction_sides(quartic, walls, f.a), fraction_sides(quartic, walls, f.b)
         assert 0 not in sa + sb
         ts = [s.t for s in f.steps]
@@ -738,23 +750,28 @@ def fraction_covers(lattice, bound, base, point):
 def fraction_fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok):
     """Shifts eps e_j, eps = 1/(scale D) halving after each cycle, in
     Fractions: 64 shifts from the original with scale 64, then 64 more
-    from the original with scale 64 2^(64 div n)."""
+    from the original with scale 64 2^(64 div n).  The error counts the
+    candidates that left the region."""
     n = len(original)
     den = lcm(*(F(c).denominator for c in original))
+    outside = 0
     for scale in (64, 64 * 2 ** (64 // n)):
         current = list(original)
         for k in range(64):
             current[k % n] += F(1, scale * den) / 2 ** (k // n)
             cand = tuple(current)
-            if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0 \
-                    or not fraction_covers(lattice, bound, base, cand):
+            if lattice.square(cand) <= 0 or lattice.pairing(cand, original) <= 0:
+                continue
+            if not fraction_covers(lattice, bound, base, cand):
+                outside += 1
                 continue
             cand_sides = fraction_sides(lattice, walls, cand)
             if any(c == 0 or c * o < 0 for c, o in zip(cand_sides, sides)):
                 continue
             if extra_ok(cand_sides):
                 return cand, cand_sides
-    raise PreconditionError("could not perturb an endpoint into general position")
+    raise PreconditionError(f"could not perturb an endpoint into general position: {outside} "
+                            f"of 128 candidates left the region of bound {bound}")
 
 
 def fraction_crossings(walls, sa, sb):
@@ -962,7 +979,8 @@ class TestTightRegion:
                 assert got == outcome(fraction_factor_path, quartic, table, a, b, bound), (a, b)
                 results.append(got)
         assert sum(not isinstance(f, str) and f.perturbed for f in results) > 10
-        assert "could not perturb an endpoint into general position" in results
+        assert ("could not perturb an endpoint into general position: 124 of 128 candidates "
+                "left the region of bound 169/96") in results
 
 
 class TestSameChamber:
@@ -1429,6 +1447,82 @@ class TestPathWorkCounts:
         assert work == [{}] * 4
 
 
+class TestOnePairingRowPerPoint:
+    """Each endpoint or base gets its pairing row G X once, from
+    ``_integral_cone_point``; the walks and the perturbation read it."""
+
+    def rows_built(self, monkeypatch, lattice, run):
+        built = []
+        monkeypatch.setattr(cone_module, "_sides", lambda rows, x: (
+            built.append(x) if rows is lattice.gram else None) or _sides(rows, x))
+        run()
+        monkeypatch.undo()
+        return len(built)
+
+    def test_two_rows_per_factor_path_and_one_per_view(self, quartic, table, monkeypatch):
+        chain = (fixtures.chamber_point(1), fixtures.chamber_point(4), fixtures.PATH_BOUND)
+        perturbed = (fixtures.chamber_point(3), (F(3, 2), 1, -1), F(113, 15))
+        assert factor_path(quartic, table, *perturbed).perturbed
+        for a, b, bound in (chain, perturbed):
+            assert self.rows_built(monkeypatch, quartic,
+                                   lambda: factor_path(quartic, table, a, b, bound)) == 2
+        assert self.rows_built(monkeypatch, quartic, lambda: enumerate_wall_classes(
+            quartic, table, (8, 8, -2), 15)) == 1
+
+
+class TestPerturbationBound:
+    """When no shift of an endpoint is accepted, the error says how many
+    of the 128 candidates left the region of the bound."""
+
+    def test_a_tight_bound_is_named(self, quartic, table):
+        a, b, bound = (2, F(3, 2), -1), (1, 1, 0), F(169, 96)
+        assert quartic.pairing(a, b) ** 2 == bound * quartic.square(a) * quartic.square(b)
+        with pytest.raises(PreconditionError, match=re.escape(
+                "could not perturb an endpoint into general position: 124 of 128 candidates "
+                "left the region of bound 169/96")):
+            factor_path(quartic, table, a, b, bound)
+        assert factor_path(quartic, table, a, b, bound * F(101, 100)).perturbed
+
+
+class TestWallsAtAnyScale:
+    """``_walls`` takes its points at any positive scale: fed g a and h b
+    with rho = 0, or the view of g p with rho = B q(g p), it finds the
+    walls of the primitive call."""
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("ideals", [False, True])
+    def test_scaled_rows_find_the_same_walls(self, rank, ideals):
+        rng = random.Random(50 * rank + ideals)
+
+        def walls(lat, tab, a, b, rho):
+            ga, gb = _sides(lat.gram, a), _sides(lat.gram, b)
+            return _walls(lat, tab, ga, gb, linalg.dot(a, gb), rho * linalg.dot(a, ga))
+
+        segments = on_walls = 0
+        for _ in range({3: 3, 4: 2, 5: 2}[rank]):
+            lat, tab = random_lorentzian(rng, rank, ideals)
+            points = [primitive_rescale(p)[0] for p in cone_points(rng, lat, 3, 2)]
+            for p in list(points):  # and points on walls of the view around p
+                for w, _sig in enumerate_wall_classes(lat, tab, p, F(1))[:2]:
+                    x = project(lat, tuple(map(F, p)), w)
+                    if lat.square(x) > 0:
+                        points.append(primitive_rescale(x)[0])
+            for p in points:
+                g, bound = rng.randint(2, 6), rng.choice([F(1, 2), F(1), F(7, 3)])
+                gp = tuple(g * c for c in p)
+                assert walls(lat, tab, gp, gp, bound) == walls(lat, tab, p, p, bound)
+            for a, b in itertools.product(points, repeat=2):
+                if lat.pairing(a, b) <= 0:
+                    continue
+                g, h = rng.randint(2, 6), rng.randint(1, 6)
+                found = walls(lat, tab, a, b, 0)
+                assert walls(lat, tab, tuple(g * c for c in a), tuple(h * c for c in b), 0) \
+                    == found
+                segments += 1
+                on_walls += any(lat.pairing(x, a) * lat.pairing(x, b) == 0 for x, _ in found)
+        assert segments >= 10 and on_walls, (segments, on_walls)
+
+
 class TestDistinctCrossings:
     """``_distinct_crossings`` on reduced integer pairs agrees with the set
     of Fraction parameters t = qa mb / (qa mb - qb ma) it replaced."""
@@ -1669,7 +1763,7 @@ class TestSegmentWalls:
                 if lat.pairing(a, b) <= 0 or covering_bound(lat, a, b) > 6:
                     continue
                 walls = enumerate_wall_classes(lat, tab, a, covering_bound(lat, a, b))
-                assert _segment_walls(lat, tab, a, b) == \
+                assert segment_walls(lat, tab, a, b) == \
                     [(x, sig) for x, sig in walls if meets(lat, x, a, b)]
                 segments += 1
         assert segments >= 10
@@ -1682,7 +1776,7 @@ class TestSegmentWalls:
         for a, b in random_segments(lat, tab, rng, 40, bound, reach=3, den=3):
             a, b = integral(a)[0], integral(b)[0]
             walls = enumerate_wall_classes(lat, tab, a, bound)
-            assert _segment_walls(lat, tab, a, b) == \
+            assert segment_walls(lat, tab, a, b) == \
                 [(x, sig) for x, sig in walls if meets(lat, x, a, b)]
 
     @pytest.mark.parametrize("rank", [3, 4, 5])

@@ -9,7 +9,7 @@ import pytest
 
 from hkcone import cone, fixtures, linalg, mbm, mukai, render, symplectic as sp, torus
 from hkcone.errors import PreconditionError
-from hkcone.rational import integral, parse_field, parse_int, parse_ints
+from hkcone.rational import frac_str, integral, parse_field, parse_int, parse_ints
 
 F = Fraction
 
@@ -50,7 +50,7 @@ SITES = {
 # equals, so an int64 bound cannot overflow inside the walk.
 ACCEPTED = {
     "integral": (((3, 1), 1), ((3, 2), 2)),
-    "cone point": (((3, 4, -1), 1, 50), ((3, 8, -2), 2, 110)),
+    "cone point": (((3, 4, -1), 1, [6, 9, 4], 50), ((3, 8, -2), 2, [18, 9, 8], 110)),
     "disk point": ((-0.5, -0.23570226039551584), (-0.75, -0.23570226039551584)),
     "primitive_rescale": (((3, 1), F(1)), ((3, 2), F(2))),
     "elimination row": (F(6), F(3)),
@@ -117,6 +117,19 @@ def test_parse_int_keeps_ints():
             parse_int(value)
     with pytest.raises(PreconditionError, match=re.escape("not an integer: '1/2'")):
         parse_int("1/2")
+
+
+def test_frac_str_copies_no_fraction(monkeypatch):
+    # ints, Fractions and "p/q" strings print in lowest terms, as JSON
+    # wire strings; a Fraction is printed as it is, not copied
+    values = (3, -4, 0, F(6, 4), F(-5), F(7, -21), "3/6", "-7", np.int64(9))
+    want = ["3", "-4", "0", "3/2", "-5", "-1/3", "1/2", "-7", "9"]
+    assert [frac_str(v) for v in values] == want
+    built = []
+    monkeypatch.setattr(F, "__new__", lambda *args, original=F.__new__, **kwargs:
+                        built.append(args[1:]) or original(*args, **kwargs))
+    assert [frac_str(v) for v in values] == want
+    assert len(built) == sum(type(v) is not F for v in values)
 
 
 class TestOptionalField:

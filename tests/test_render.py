@@ -192,8 +192,7 @@ class TestAgainstInverseOracle:
             for x in points:
                 y = linalg.mat_vec(tinv, x)
                 big, m = integral(x)
-                assert tuple(F(linalg.dot(big, r), m * s)
-                             for r, s in zip(frame.rows, frame.scales)) == y
+                assert tuple(F(linalg.dot(big, r), m * frame.den) for r in frame.rows) == y
                 assert klein_coords(lat, x) == (float(y[1] / y[0]) * frame.sx,
                                                 float(y[2] / y[0]) * frame.sy)
 
