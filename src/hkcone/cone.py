@@ -32,20 +32,20 @@ stepped by its differences; ``isqrt`` runs only where it is nonnegative,
 as the perfect-square test of an exact root.  Segment work is in
 integers: each endpoint p becomes P / m, with its row G P, once
 (``_integral_cone_point``), and its side list holds the pairings
-q(x, P) with every wall x of the segment, dot products with the rows
-x^t G.  A zero marks incidence;
+q(x, P) with every wall x of the segment, dot products of the wall
+classes with G P.  A zero marks incidence;
 opposite signs a crossing, at t = q(x, A) mb / (q(x, A) mb - q(x, B) ma);
 whether those t are distinct is decided on the integer pairs in lowest
 terms (``_distinct_crossings``).  A perturbed endpoint is y / d,
-d = 64 m 2^h, and carries its side list, G y, q(y), q(x, y) and
-q(base, y): a shift y_j += 1 steps each of them by integer entries of
-column j (``_fix_endpoint``), and halving the shift doubles y, d and
-the linear ones and quadruples q(y), so no pairing is formed afresh per
-candidate.  A shift of x to y needs no walk when an
+d = 64 m 2^h, and carries only y, d and G y: a shift y_j += 1 adds row
+j of G to G y and halving the shift doubles all three
+(``_fix_endpoint``).  q(y), q(x, y), q(base, y) and the side list are
+dot products with G y, each formed only for a candidate that passed the
+tests before it.  A shift of x to y needs no walk when an
 integer certificate (``_short_shift``) shows that only walls through x
 can meet [x, y]: those are walls of the segment, so the side list
-decides; otherwise [x, y] is walked on the G x, G y and q(x, y) it
-carries.  Fractions are built only for the reported endpoints and t.
+decides; otherwise [x, y] is walked on G x, G y and q(x, y).
+Fractions are built only for the reported endpoints and t.
 """
 
 from __future__ import annotations
@@ -354,10 +354,11 @@ def _covers(bound, qq, q_base, q_y) -> bool:
     return bound.denominator * qq * qq <= bound.numerator * q_base * q_y
 
 
-def _sides(rows, x) -> list[int]:
-    """q(w, x) for every wall row w^t G; a zero means x lies on that wall.
-    On the rows of G itself it is G x."""
-    return [sum(map(mul, row, x)) for row in rows]
+def _sides(rows, v) -> list[int]:
+    """The dot of every row with v.  On wall classes w and v = G x it is
+    the side list, q(w, x) per wall, where a zero means x lies on that
+    wall; on the rows of G and v = x it is G x."""
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def _short_shift(q_x, q_y, q_xy, q_prim, s_max) -> bool:
@@ -375,7 +376,7 @@ def _short_shift(q_x, q_y, q_xy, q_prim, s_max) -> bool:
     return (q_xy * q_xy - q_x * q_y) * s_max * q_prim < q_x * q_y
 
 
-def _fix_endpoint(lattice, table, rows, bound, base, end, m, sides, ok):
+def _fix_endpoint(lattice, table, classes, bound, base, end, m, sides, other):
     """Accumulate shifts until the endpoint x / m reaches general position.
 
     ``base`` and ``end`` are the integral (X, G X) pairs of the region's
@@ -385,54 +386,53 @@ def _fix_endpoint(lattice, table, rows, bound, base, end, m, sides, ok):
     disjoint coordinate support needs moves in more than one direction.
     They halve, so a wall within the first can reject them all; a second
     pass then starts again from x with c = 64 2^(attempts div n).
-    The candidate is y / d with d = c m 2^h.  Beside y it carries its
-    side list, G y, q(y), q(x, y) and q(base, y), each stepped in O(1)
-    per entry: a shift y_j += 1 adds column j of ``rows`` to the side
-    list, column j of G to G y, 2 (G y)_j + G_jj to q(y), (G x)_j to
-    q(x, y) and (G base)_j to q(base, y); a halving doubles y, d, the
-    side list, G y, q(x, y) and q(base, y) and quadruples q(y).  It is
-    accepted once it has positive square, keeps the original's component,
-    stays in the region around ``base``, lies on no wall and on the
-    original's side of every wall, and ``ok(side list, d)`` holds;
-    returns y, d and the side list.  When no candidate is accepted the
-    error counts those that left the region, so a bound too tight to
-    perturb in is named as the cause.
+    The candidate is y / d with d = c m 2^h, and y, d and G y are all it
+    carries: a shift y_j += 1 adds row j of the symmetric G to G y, and a
+    halving doubles y, d and G y.  Everything it is judged by is a dot
+    product with G y, formed in this order and only once the tests before
+    have passed: q(y) > 0; q(x, y) > 0, the original's component;
+    q(base, y), for the region around ``base``; the side list, which must
+    have no zero and the original's sign on every wall; and, unless
+    ``other`` is None (for a), crossings at distinct parameters against
+    the other endpoint's (side list, denominator) = ``other``
+    (``_distinct_crossings``).  Returns y, d and the
+    side list.  When no candidate is accepted the error counts those that
+    left the region and those that gave two walls one crossing parameter,
+    so a bound too tight to perturb in, or such a tie, is named as the cause.
 
-    ``rows`` are the walls of the segment x ends, and ``sides`` their
-    pairings with x.  A wall that y lies on or that separates y from x
-    meets [x, y], so when ``_short_shift`` shows that only walls through
-    x do, the side list decides; otherwise the walls of [x, y] are
-    walked on the rows G x and G y and q(x, y) already carried (the
-    region of rho = 0 does not depend on the scales of x and y), and
-    their pairings with x and y are dot products with G x and G y.
-    Either way y is judged against every wall of the (convex) region
-    around ``base``, which holds x and y.
+    ``classes`` are the wall classes of the segment x ends, and
+    ``sides`` their pairings with x.  A wall that y lies on or that
+    separates y from x meets [x, y], so when ``_short_shift`` shows that
+    only walls through x do, the side list decides; otherwise the walls of
+    [x, y] are walked on G x, G y and q(x, y) (the region of rho = 0 does
+    not depend on the scales of x and y), and their pairings with x and y
+    are dot products with G x and G y.  Either way y is judged against
+    every wall of the (convex) region around ``base``, which holds x and y.
     """
     gram, (bx, gbase), (x, gx) = lattice.gram, base, end
     n, g = len(x), gcd(*x)
-    q_x, q_bx, q_base = sum(map(mul, x, gx)), sum(map(mul, x, gbase)), sum(map(mul, bx, gbase))
+    q_x, q_base = sum(map(mul, x, gx)), sum(map(mul, bx, gbase))
     q_prim, s_max = q_x // (g * g), -table.squares[0]
-    outside = 0
+    outside = tied = 0
     for scale in (64, 64 << (_PERTURB_ATTEMPTS // n)):
-        y, d, cand = [scale * c for c in x], scale * m, [scale * s for s in sides]
-        gy, q_y, q_xy, q_by = [scale * c for c in gx], scale * scale * q_x, scale * q_x, scale * q_bx
+        y, d, gy = [scale * c for c in x], scale * m, [scale * c for c in gx]
         for k in range(_PERTURB_ATTEMPTS):
             j = k % n
             if k and not j:
-                y, d, cand, gy = [2 * c for c in y], 2 * d, [2 * s for s in cand], [2 * c for c in gy]
-                q_y, q_xy, q_by = 4 * q_y, 2 * q_xy, 2 * q_by
+                y, d, gy = [2 * c for c in y], 2 * d, [2 * c for c in gy]
             y[j] += 1
-            q_y, q_xy, q_by = q_y + 2 * gy[j] + gram[j][j], q_xy + gx[j], q_by + gbase[j]
             gy = [c + e for c, e in zip(gy, gram[j])]  # G is symmetric: column j is row j
-            cand = [s + row[j] for s, row in zip(cand, rows)]
-            if q_y <= 0 or q_xy <= 0:
+            q_y = sum(map(mul, y, gy))
+            if q_y <= 0 or (q_xy := sum(map(mul, x, gy))) <= 0:
                 continue
-            if not _covers(bound, q_by, q_base, q_y):
+            if not _covers(bound, sum(map(mul, bx, gy)), q_base, q_y):
                 outside += 1
                 continue
+            cand = _sides(classes, gy)
             if any(c == 0 or c * o < 0 for c, o in zip(cand, sides)):
                 continue
-            if not ok(cand, d):
+            if other and not _distinct_crossings(*other, cand, d):
+                tied += 1
                 continue
             if _short_shift(q_x, q_y, q_xy, q_prim, s_max) or all(
                     tx == 0 != ty for tx, ty in (
@@ -441,7 +441,7 @@ def _fix_endpoint(lattice, table, rows, bound, base, end, m, sides, ok):
                 return tuple(y), d, cand
     raise PreconditionError(f"could not perturb an endpoint into general position: {outside} of "
                             f"{2 * _PERTURB_ATTEMPTS} candidates left the region of bound "
-                            f"{frac_str(bound)}")
+                            f"{frac_str(bound)}, {tied} gave two walls one crossing parameter")
 
 
 def _distinct_crossings(sa, ma, sb, mb) -> bool:
@@ -514,20 +514,15 @@ def factor_path(lattice: IntegralLattice, table: SignatureTable, a, b,
     _check_table(lattice, table)
 
     walls = _walls(lattice, table, ga, gb, q_ab, 0)
-    rows = linalg.mat_mul([x for x, _sig in walls], lattice.gram)
+    classes = [x for x, _sig in walls]
     base = pa, ga  # the region stays the one around the original a
-    sa, sb = _sides(rows, pa), _sides(rows, pb)
+    sa, sb = _sides(classes, ga), _sides(classes, gb)
     perturbed = False
     if 0 in sa:
-        pa, da, sa = _fix_endpoint(lattice, table, rows, bound, base, base, da, sa,
-                                   lambda _s, _d: True)
+        pa, da, sa = _fix_endpoint(lattice, table, classes, bound, base, base, da, sa, None)
         perturbed = True
-
-    def b_ok(sides, d):
-        return _distinct_crossings(sa, da, sides, d)
-
-    if 0 in sb or not b_ok(sb, db):
-        pb, db, sb = _fix_endpoint(lattice, table, rows, bound, base, (pb, gb), db, sb, b_ok)
+    if 0 in sb or not _distinct_crossings(sa, da, sb, db):
+        pb, db, sb = _fix_endpoint(lattice, table, classes, bound, base, (pb, gb), db, sb, (sa, da))
         perturbed = True
 
     # No check that the crossings stay in the cone: pa and pb lie in one

@@ -121,9 +121,18 @@ class IntegralLattice:
         """Residues of x/d, U (G x / d) mod the invariant factors, from the
         pairing row ``row`` = G x of a class x and a d that divides it; with
         ``fold``, those of x/d or of -x/d (read off as -r mod f), whichever
-        is smaller: x and -x describe the same wall.  The check on d comes
-        before the group is read; passing the group as ``disc`` lets a
-        caller with many classes of one lattice read it once."""
+        is smaller: x and -x describe the same wall.  The row must hold one
+        int per basis vector and d must be a positive int, as the Gram
+        matrix and the ambient ideals are checked.  A caller that passes
+        the group as ``disc`` reads it once for many classes, which it holds
+        as checked int rows and positive ints d (the wall walk,
+        ``mod_four_reader``), so those checks are skipped for it.  The check
+        that d divides the row comes before the group is read."""
+        if disc is None:
+            if not all(type(p) is int for p in self.check_length(row)):
+                raise PreconditionError(f"the pairing row must hold integers, got {row!r}")
+            if type(d) is not int or d < 1:
+                raise PreconditionError(f"d must be a positive integer, got {d!r}")
         if any(p % d for p in row):
             raise PreconditionError("divisibility does not divide the pairing row")
         if disc is None:

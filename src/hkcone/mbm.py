@@ -118,7 +118,9 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     """Table row whose invariants match the class x, or None.
 
     Invariant under x -> -x: square, divisibility and the sign-folded
-    residue all are.
+    residue all are.  A table that pins a residue is checked
+    (``check_residues``) for every class, after the match, so that d | G x
+    is still checked before the group is read.
     """
     v = lattice.primitive_class(x)
     row = linalg.mat_vec(lattice.gram, v)
@@ -126,13 +128,10 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
     if square >= 0:
         raise PreconditionError("class must have negative square")
     d = lattice.class_divisibility(v)
-
-    def residue():
-        r = lattice.residues(row, d, fold=True)  # d | G x is checked before the group is read
-        table.check_residues(lattice)
-        return r
-
-    return table.match(square, d, residue)
+    # the match checks d | G x before check_residues reads the group
+    found = table.match(square, d, lambda: lattice.residues(row, d, fold=True))
+    table.check_residues(lattice)
+    return found
 
 
 def dual_solve(lattice: IntegralLattice, constraints) -> tuple[Fraction, ...]:

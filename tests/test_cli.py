@@ -107,6 +107,23 @@ class TestClassify:
         assert main(["classify", "--lattice", LAT, "--table", str(tab), "--class", "4,0,-1"]) == 0
         assert json.loads(capsys.readouterr().out)["orbit"] == "codim2"
 
+    def test_malformed_pinned_table_exits_2_for_every_class(self, tmp_path, capsys):
+        # a pinned residue of the wrong length is rejected whether the class
+        # matches its row (4,0,-1), an unpinned row (1,0,0) or no row (0,0,1)
+        tab = tmp_path / "table.json"
+        tab.write_text(json.dumps({"orbits": [
+            {"name": "a", "square": -36, "divisibility": 4, "codimension": 2,
+             "disc_residue": [1, 2]},
+            {"name": "b", "square": -2, "divisibility": 1, "codimension": 1}]}))
+        for argv in (["classify", "--class", "4,0,-1"], ["classify", "--class", "1,0,0"],
+                     ["classify", "--class", "0,0,1"],
+                     ["enumerate-walls", "--base", "4,4,-1", "--bound", "15"]):
+            assert main([*argv, "--lattice", LAT, "--table", str(tab)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("hkcone: orbit 'a': disc_residue has 2 entries, but the "
+                           "discriminant group has 1 nontrivial factors\n")
+
 
 class TestBooleansAreNotNumbers:
     """JSON true and false are rejected wherever a document holds a number."""

@@ -568,8 +568,8 @@ class TestFactorPath:
         first = (65, 64, 0)
         assert _sides(rows, first) == [-9, -1]
         end = original, _sides(quartic.gram, original)
-        moved, d, moved_sides = _fix_endpoint(quartic, table, rows, F(8), end, end,
-                                              1, sides, lambda _s, _d: True)
+        moved, d, moved_sides = _fix_endpoint(quartic, table, [(3, -1, 0), (22, -7, 0)], F(8),
+                                              end, end, 1, sides, None)
         assert tuple(F(c, d) for c in moved) != tuple(F(c, 64) for c in first)
         assert moved_sides == _sides(rows, moved)
         for c, o in zip(moved_sides, sides):
@@ -586,7 +586,7 @@ class TestFactorPath:
         walks, certified = spy_on_walks(monkeypatch)
         end = original, _sides(quartic.gram, original)
         assert _fix_endpoint(quartic, one_wall, [], F(8), end, end, 1, [],
-                             lambda _s, _d: True) == ((65, 65, 0), 64, [])
+                             None) == ((65, 65, 0), 64, [])
         shift = (65, 64, 0)
         assert certified == [False, True]
         assert walks == [(tuple(_sides(quartic.gram, shift)), quartic.pairing(original, shift))]
@@ -751,10 +751,10 @@ def fraction_fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok
     """Shifts eps e_j, eps = 1/(scale D) halving after each cycle, in
     Fractions: 64 shifts from the original with scale 64, then 64 more
     from the original with scale 64 2^(64 div n).  The error counts the
-    candidates that left the region."""
+    candidates that left the region and those that extra_ok rejected."""
     n = len(original)
     den = lcm(*(F(c).denominator for c in original))
-    outside = 0
+    outside = tied = 0
     for scale in (64, 64 * 2 ** (64 // n)):
         current = list(original)
         for k in range(64):
@@ -770,8 +770,10 @@ def fraction_fix_endpoint(lattice, walls, bound, base, original, sides, extra_ok
                 continue
             if extra_ok(cand_sides):
                 return cand, cand_sides
+            tied += 1
     raise PreconditionError(f"could not perturb an endpoint into general position: {outside} "
-                            f"of 128 candidates left the region of bound {bound}")
+                            f"of 128 candidates left the region of bound {bound}, {tied} gave "
+                            "two walls one crossing parameter")
 
 
 def fraction_crossings(walls, sa, sb):
@@ -980,7 +982,8 @@ class TestTightRegion:
                 results.append(got)
         assert sum(not isinstance(f, str) and f.perturbed for f in results) > 10
         assert ("could not perturb an endpoint into general position: 124 of 128 candidates "
-                "left the region of bound 169/96") in results
+                "left the region of bound 169/96, 0 gave two walls one crossing parameter") \
+            in results
 
 
 class TestSameChamber:
@@ -1482,6 +1485,38 @@ class TestPerturbationBound:
                 "left the region of bound 169/96")):
             factor_path(quartic, table, a, b, bound)
         assert factor_path(quartic, table, a, b, bound * F(101, 100)).perturbed
+
+
+class TestTiedCrossings:
+    """When no shift of b is accepted because its crossings with the
+    walls of a share a parameter, the error counts those candidates too."""
+
+    def test_two_walls_one_parameter_is_named(self):
+        # b lies on 6 walls of U+<-2>+<-4>; of its 128 candidates 6 stay on
+        # a wall and 122 give two walls one crossing parameter
+        a, b = (3, 1, 0, 0), (4, 2, 1, 1)
+        assert sum(U24.pairing(x, b) == 0 for x, _ in segment_walls(U24, U_TABLE, a, b)) == 6
+        with pytest.raises(PreconditionError, match="^" + re.escape(
+                "could not perturb an endpoint into general position: 0 of 128 candidates "
+                "left the region of bound 8, 122 gave two walls one crossing parameter") + "$"):
+            factor_path(U24, U_TABLE, a, b, 8)
+
+
+class TestNoMatrixProductPerPath:
+    """A perturbation candidate is y, d and G y, and factor_path forms its
+    side lists as dots of the wall classes with G a and G b: once the
+    per-Gram caches are warm, a call multiplies no matrix."""
+
+    def test_warm_calls_make_no_mat_mul(self, quartic, table, monkeypatch):
+        chain = (fixtures.chamber_point(1), fixtures.chamber_point(4), fixtures.PATH_BOUND)
+        perturbed = (fixtures.chamber_point(3), (F(3, 2), 1, -1), F(113, 15))
+        for a, b, bound in (chain, perturbed):
+            factor_path(quartic, table, a, b, bound)
+        calls, mat_mul = [], linalg.mat_mul
+        monkeypatch.setattr(linalg, "mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
+        assert not factor_path(quartic, table, *chain).perturbed
+        assert factor_path(quartic, table, *perturbed).perturbed
+        assert calls == []
 
 
 class TestWallsAtAnyScale:

@@ -496,3 +496,54 @@ class TestClassLength:
         assert quartic.check_length((Fraction(1, 2), 0, -1)) == (Fraction(1, 2), 0, -1)
         with pytest.raises(PreconditionError, match="expected 3 coordinates, got 4"):
             quartic.check_length((1, 0, 0, 0))
+
+
+def residues_before(lat, row, d, fold=False):
+    """``residues`` as it was before its intake: the oracle for valid rows."""
+    if any(p % d for p in row):
+        raise PreconditionError("divisibility does not divide the pairing row")
+    disc = lat.discriminant_group()
+    plus = tuple(sum(u * p for u, p in zip(t, row)) // d % f
+                 for t, f in zip(disc.transform, disc.invariant_factors))
+    return lattice_module.fold_residue(plus, disc.invariant_factors) if fold else plus
+
+
+class TestResiduesIntake:
+    """``residues`` reads its row as ints of the lattice's length and its d
+    as a positive int, and rejects anything else as a precondition."""
+
+    @pytest.mark.parametrize("row, d, message", [
+        ((4, 8), 4, "dimension mismatch: expected 3 coordinates, got 2"),
+        ((4, 8, 0, 4), 4, "dimension mismatch: expected 3 coordinates, got 4"),
+        ((4.0, 8, 0), 4, "the pairing row must hold integers, got (4.0, 8, 0)"),
+        ((4, True, 0), 4, "the pairing row must hold integers, got (4, True, 0)"),
+        ((Fraction(4), 8, 0), 4,
+         "the pairing row must hold integers, got (Fraction(4, 1), 8, 0)"),
+        ((4, "8", 0), 4, "the pairing row must hold integers, got (4, '8', 0)"),
+        ((4, 8, 0), 4.0, "d must be a positive integer, got 4.0"),
+        ((4, 8, 0), True, "d must be a positive integer, got True"),
+        ((0, 0, 4), 0, "d must be a positive integer, got 0"),
+        ((0, 0, 4), -4, "d must be a positive integer, got -4"),
+        ((4, 8, 2), 4, "divisibility does not divide the pairing row"),
+    ])
+    def test_malformed_input_is_a_precondition(self, quartic, row, d, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            quartic.residues(row, d)
+
+    def test_valid_rows_give_the_same_residues(self, quartic):
+        assert quartic.residues((4, 8, 0), 4) == quartic.residues([4, 8, 0], 4) == (28,)
+        rng = random.Random(31)
+        compared = 0
+        for lat in (quartic, make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]]),
+                    make_lattice([[2, 1, 0], [1, -2, 0], [0, 0, -6]])):
+            for _ in range(100):
+                v = tuple(rng.randint(-9, 9) for _ in range(3))
+                if not any(v):
+                    continue
+                row, d = lat.pairing_row(v), lat.class_divisibility(v)
+                for fold in (False, True):
+                    want = residues_before(lat, row, d, fold)
+                    assert lat.residues(row, d, fold=fold) == want
+                    assert lat.residues(list(row), d, lat.discriminant_group(), fold) == want
+                    compared += 1
+        assert compared > 500

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkcone.errors import PreconditionError
+from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, classify, dual_solve, primitive_rescale, table_from_dict
 
 from conftest import NAMED_ORDER
@@ -66,6 +68,33 @@ class TestClassify:
              "disc_residue": [0]},
         ]})
         assert classify(quartic, pinned, named["delta"]).name == "a"
+
+    @pytest.mark.parametrize("x", [(4, 0, -1), (1, 0, 0), (0, 0, 1)])
+    def test_malformed_pinned_table_is_rejected_for_every_class(self, quartic, x):
+        # (4, 0, -1) matches the pinned row's (square, divisibility), (1, 0, 0)
+        # the unpinned row b and (0, 0, 1) no row: each is rejected
+        malformed = table_from_dict({"orbits": [
+            {"name": "a", "square": -36, "divisibility": 4, "codimension": 2,
+             "disc_residue": [1, 2]},
+            {"name": "b", "square": -2, "divisibility": 1, "codimension": 1}]})
+        with pytest.raises(PreconditionError, match="^" + re.escape(
+                "orbit 'a': disc_residue has 2 entries, but the discriminant group has 1 "
+                "nontrivial factors") + "$"):
+            classify(quartic, malformed, x)
+
+    def test_unpinned_match_reads_no_residue_under_a_pinned_table(self, quartic):
+        # with ambient ideals [1, 1, 8], (0, 0, 1) has divisibility 8, which does
+        # not divide G x = (0, 0, -4); its residue is read only for a pinned row
+        lat = make_lattice(quartic.gram, ambient_ideals=[1, 1, 8])
+        rows = [{"name": "a", "square": -36, "divisibility": 4, "codimension": 2,
+                 "disc_residue": [0]},
+                {"name": "b", "square": -4, "divisibility": 8, "codimension": 1}]
+        assert classify(lat, table_from_dict({"orbits": rows}), (0, 0, 1)).name == "b"
+        assert classify(lat, table_from_dict({"orbits": rows}), (1, 0, -1)) is None
+        rows[1]["disc_residue"] = [0]
+        with pytest.raises(PreconditionError,
+                           match="^divisibility does not divide the pairing row$"):
+            classify(lat, table_from_dict({"orbits": rows}), (0, 0, 1))
 
 
 class TestTable:
