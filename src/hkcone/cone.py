@@ -51,14 +51,13 @@ Fractions are built only for the reported endpoints and t.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 from operator import mul
 
 from . import linalg
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, Record
 from .lattice import IntegralLattice, _smith_form, pairing_ideal
 from .mbm import OrbitSignature, SignatureTable
 from .rational import frac_str, integral, parse_frac, vector_strs
@@ -83,8 +82,7 @@ def _integral_cone_point(lattice: IntegralLattice, p) -> tuple[tuple[int, ...], 
     return x, m, gx, q
 
 
-@dataclass(frozen=True)
-class WallCrossing:
+class WallCrossing(Record):
     wall_class: tuple[int, ...]
     t: Fraction
     signature: OrbitSignature
@@ -94,8 +92,7 @@ class WallCrossing:
         return self.signature.codimension
 
 
-@dataclass(frozen=True)
-class FlopFactorization:
+class FlopFactorization(Record):
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
     steps: tuple[WallCrossing, ...]

@@ -11,17 +11,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .rational import parse_array, parse_exact, parse_field, parse_frac, parse_int, parse_ints, parse_str
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Record):
     """Cokernel of the Gram matrix in invariant-factor form.
 
     ``invariant_factors`` lists the factors d_1 | d_2 | ... that exceed 1.
@@ -34,23 +32,31 @@ class DiscriminantGroup:
     transform: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
+class IntegralLattice(Record):
     gram: tuple[tuple[int, ...], ...]
     basis_names: tuple[str, ...]
     ambient_ideals: tuple[int, ...] | None = None
     fujiki_constant: Fraction | None = None  # metadata only, never computed with
 
     def __post_init__(self):
-        n = len(self.gram)
+        # sequences are kept as tuples, so that a lattice built from lists compares and hashes
+        try:
+            gram = linalg.mat(self.gram)
+        except TypeError:
+            raise PreconditionError("gram must be a square integer matrix") from None
+        object.__setattr__(self, "gram", gram)
+        n = len(gram)
         if n < 1:
             raise PreconditionError("rank must be >= 1")
-        for row in self.gram:
+        for row in gram:
             if len(row) != n or not all(type(x) is int for x in row):
                 raise PreconditionError("gram must be a square integer matrix")
-        if self.gram != linalg.transpose(self.gram):
+        if gram != linalg.transpose(gram):
             raise PreconditionError("gram must be symmetric")
         names = self.basis_names
+        if not isinstance(names, str):  # a bare string is rejected, not split
+            names = tuple(names)
+            object.__setattr__(self, "basis_names", names)
         if isinstance(names, str) or not all(isinstance(name, str) for name in names):
             raise PreconditionError(f"basis_names must be a sequence of strings, got {names!r}")
         if len(names) != n:
@@ -59,6 +65,7 @@ class IntegralLattice:
             dup = next(name for name in names if names.count(name) > 1)
             raise PreconditionError(f"basis_names must be unique; {dup!r} repeats")
         if self.ambient_ideals is not None:
+            object.__setattr__(self, "ambient_ideals", tuple(self.ambient_ideals))
             if len(self.ambient_ideals) != n or \
                not all(type(a) is int and a > 0 for a in self.ambient_ideals):
                 raise PreconditionError("ambient_ideals must be positive integers, one per basis vector")
@@ -246,12 +253,10 @@ def make_lattice(gram, basis_names=None, ambient_ideals=None,
     gram = linalg.mat(gram)
     if basis_names is None:
         basis_names = tuple(f"e{i + 1}" for i in range(len(gram)))
-    elif not isinstance(basis_names, str):  # a bare string is rejected, not split
-        basis_names = tuple(basis_names)
     return IntegralLattice(
         gram=gram,
         basis_names=basis_names,
-        ambient_ideals=None if ambient_ideals is None else tuple(ambient_ideals),
+        ambient_ideals=ambient_ideals,
         fujiki_constant=None if fujiki_constant is None else parse_frac(fujiki_constant),
     )
 

@@ -11,17 +11,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .lattice import IntegralLattice, fold_residue
 from .rational import integral, parse_array, parse_field, parse_frac, parse_int, parse_str
 
 
-@dataclass(frozen=True)
-class OrbitSignature:
+class OrbitSignature(Record):
     name: str
     square: int
     divisibility: int
@@ -29,6 +27,11 @@ class OrbitSignature:
     disc_residue: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for key in ("square", "divisibility", "codimension"):
+            if type(value := getattr(self, key)) is not int:
+                raise PreconditionError(f"orbit {self.name!r}: {key} must be an integer, got {value!r}")
+        if self.disc_residue is not None:  # a tuple, so that the row hashes
+            object.__setattr__(self, "disc_residue", tuple(self.disc_residue))
         if self.square >= 0:
             raise PreconditionError(f"orbit {self.name!r}: square must be negative")
         if self.divisibility < 1 or self.codimension < 1:
@@ -43,11 +46,11 @@ class OrbitSignature:
         return {key: getattr(self, key) for key in ("square", "divisibility", "codimension")}
 
 
-@dataclass(frozen=True)
-class SignatureTable:
+class SignatureTable(Record):
     orbits: tuple[OrbitSignature, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "orbits", tuple(self.orbits))  # a tuple, so that the table hashes
         names = [o.name for o in self.orbits]
         if len(set(names)) != len(names):
             raise PreconditionError("orbit names must be unique")

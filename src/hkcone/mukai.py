@@ -18,12 +18,11 @@ never normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .rational import integral, parse_frac
 
 
@@ -76,12 +75,11 @@ def _outer(forms):
     return tuple(tuple(Fraction(vi * wj, d) for wj in w) for vi in v)
 
 
-@dataclass(frozen=True)
-class MukaiPoint:
-    """([u], u phi^t) on T*P^k; ``forms`` are the integral forms of u and phi."""
+class MukaiPoint(Record):
+    """([u], u phi^t) on T*P^k.  ``forms``, the integral forms of u and phi,
+    is kept beside the fields, so it is neither compared nor shown."""
     u: tuple[Fraction, ...]
     phi: tuple[Fraction, ...]
-    forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "forms", _check_pair(self.u, self.phi, ("u", "phi")))
@@ -91,12 +89,10 @@ class MukaiPoint:
         return _outer(self.forms)
 
 
-@dataclass(frozen=True)
-class DualMukaiPoint:
+class DualMukaiPoint(Record):
     """([phi], phi u^t) on the dual side T*P^k dual; ``forms`` as for MukaiPoint, phi's first."""
     phi: tuple[Fraction, ...]
     u: tuple[Fraction, ...]
-    forms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "forms", _check_pair(self.phi, self.u, ("phi", "u")))

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .cone import enumerate_wall_classes
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .lattice import IntegralLattice, make_lattice, mod_four_reader
 from .mbm import SignatureTable
 from .rational import integral
@@ -47,15 +46,13 @@ PATH_COLOR = "#008800"
 MARKER_COLOR = "#444444"
 
 
-@dataclass(frozen=True)
-class WallChord:
+class WallChord(Record):
     endpoints: tuple[tuple[float, float], tuple[float, float]]
     residue: int
     wall_class: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DiskScene:
+class DiskScene(Record):
     walls: tuple[WallChord, ...] = ()
     markers: tuple[tuple[tuple[float, float], str], ...] = ()
     cusps: tuple[tuple[float, float], ...] = ()

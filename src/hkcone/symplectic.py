@@ -15,16 +15,14 @@ rational.parse_exact; ranks are exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .rational import parse_exact
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(Record):
     omega: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
@@ -59,8 +57,7 @@ def symplectic_space(omega) -> SymplecticSpace:
     return SymplecticSpace(omega=tuple(map(parse_exact, omega)))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):

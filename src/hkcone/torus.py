@@ -21,12 +21,12 @@ does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .rational import parse_frac
 
 # The most orbit points (2 d^2 + 2 d + 1 at depth d, before merging) or
@@ -38,13 +38,15 @@ from .rational import parse_frac
 REAL_SIZE_CAP = 10 ** 7
 
 
-@dataclass(frozen=True, order=True)
-class TorusPoint:
+@total_ordering
+class TorusPoint(Record):
     """Two Fractions make an exact point, two floats a real one; ``exact``
-    is set from them, and compared and hashed: the two modes never meet."""
+    is set from them, and compared, hashed and ordered on: the two modes
+    never meet.  Points sort as (x, y, exact)."""
     x: Fraction | float
     y: Fraction | float
-    exact: bool = field(init=False)
+    exact: bool
+    _derived = ("exact",)
 
     def __post_init__(self):
         kind = Fraction if isinstance(self.x, Fraction) else float
@@ -53,6 +55,9 @@ class TorusPoint:
         if not (0 <= self.x < 1 and 0 <= self.y < 1):
             raise PreconditionError("coordinates must be reduced mod 1")
         object.__setattr__(self, "exact", kind is Fraction)
+
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is TorusPoint else NotImplemented
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         _same_mode(self, other)
@@ -93,8 +98,7 @@ def _same_mode(p: TorusPoint, q: TorusPoint):
         raise PreconditionError("mixed exact/real torus points")
 
 
-@dataclass(frozen=True)
-class MarkedFiber:
+class MarkedFiber(Record):
     e0: TorusPoint
     e1: TorusPoint
     e2: TorusPoint

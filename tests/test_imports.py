@@ -121,3 +121,23 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         got = loaded(MAIN, *argv)
         want = sorted(m if m == "numpy" else f"hkcone.{m}" for m in modules)
         assert got == {"code": 0, "added": want}, argv
+
+
+# Records derive from errors.Record, not dataclasses: `import dataclasses`
+# and the inspect it loads cost every shell call several milliseconds.
+STDLIB = """
+import contextlib, io, json, sys
+import hkcone.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hkcone.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"code": code, "loaded": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
+"""
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    assert loaded(STDLIB) == {"code": 0, "loaded": []}
+    # numpy loads inspect itself, so sigma-orbit --real is held to dataclasses alone
+    assert loaded("import json, sys, numpy; print(json.dumps('inspect' in sys.modules))")
+    for argv, modules in readme_commands(tmp_path):
+        want = ["inspect"] if "numpy" in modules else []
+        assert loaded(STDLIB, *argv) == {"code": 0, "loaded": want}, argv

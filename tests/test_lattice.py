@@ -394,6 +394,21 @@ class TestConstruction:
             make_lattice([[2, 0, 0], [0, -1, 0], [0, 0, -1]], basis_names=["C", "C", "delta"])
 
 
+    def test_direct_build_keeps_lists_as_tuples(self):
+        # a symmetric Gram matrix given as lists is symmetric, and the lattice hashes
+        lat = IntegralLattice(gram=[[2, 1], [1, -2]], basis_names=("a", "b"))
+        assert lat.gram == ((2, 1), (1, -2))
+        assert lat == IntegralLattice(gram=((2, 1), (1, -2)), basis_names=("a", "b"))
+        named = IntegralLattice(gram=((2, 1), (1, -2)), basis_names=["a", "b"], ambient_ideals=[1, 3])
+        assert (named.basis_names, named.ambient_ideals) == (("a", "b"), (1, 3))
+        assert hash(named) == hash((((2, 1), (1, -2)), ("a", "b"), (1, 3), None))
+
+    @pytest.mark.parametrize("gram", [None, 5, [1, 2]])
+    def test_gram_that_is_not_a_matrix_rejected(self, gram):
+        with pytest.raises(PreconditionError, match="^gram must be a square integer matrix$"):
+            IntegralLattice(gram=gram, basis_names=("a",))
+
+
 class TestCaches:
     GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hkcone.errors import PreconditionError
 from hkcone.lattice import make_lattice
-from hkcone.mbm import OrbitSignature, classify, dual_solve, primitive_rescale, table_from_dict
+from hkcone.mbm import (OrbitSignature, SignatureTable, classify, dual_solve, primitive_rescale,
+                        table_from_dict)
 
 from conftest import NAMED_ORDER
 
@@ -144,6 +145,22 @@ class TestTable:
     def test_positive_square_rejected(self):
         with pytest.raises(PreconditionError):
             OrbitSignature(name="x", square=2, divisibility=1, codimension=1)
+
+    @pytest.mark.parametrize("key, value", [("square", "-2"), ("square", -2.5),
+                                            ("divisibility", Fraction(2)), ("codimension", True)])
+    def test_direct_build_names_a_field_that_is_not_an_int(self, key, value):
+        # the file loaders parse these fields (rational.parse_int); a direct build is checked
+        fields = {"name": "x", "square": -2, "divisibility": 1, "codimension": 1, key: value}
+        with pytest.raises(PreconditionError,
+                           match=f"^orbit 'x': {key} must be an integer, got {re.escape(repr(value))}$"):
+            OrbitSignature(**fields)
+
+    def test_direct_build_keeps_lists_as_tuples(self):
+        orbit = OrbitSignature(name="x", square=-2, divisibility=1, codimension=1, disc_residue=[1])
+        assert orbit.disc_residue == (1,) and orbit.key == (-2, 1, (1,))
+        assert hash(orbit) == hash(("x", -2, 1, 1, (1,)))
+        table = SignatureTable(orbits=[orbit])
+        assert table.orbits == (orbit,) and hash(table) == hash(((orbit,),))
 
 
 class TestDualSolve:
