@@ -393,7 +393,6 @@ class TestConstruction:
         with pytest.raises(PreconditionError, match="^basis_names must be unique; 'C' repeats$"):
             make_lattice([[2, 0, 0], [0, -1, 0], [0, 0, -1]], basis_names=["C", "C", "delta"])
 
-
     def test_direct_build_keeps_lists_as_tuples(self):
         # a symmetric Gram matrix given as lists is symmetric, and the lattice hashes
         lat = IntegralLattice(gram=[[2, 1], [1, -2]], basis_names=("a", "b"))
