@@ -249,8 +249,8 @@ def _walls(lattice, table, ra, rb, qab, rho) -> list[tuple[tuple[int, ...], Orbi
     is L^2 and the root is (s - Q) / 2L; when L = 0 as well every z_k of
     the ellipsoid slice is tried.  A root passes the region inequality
     first, then x = B z, its sign, primitivity and the table match, all
-    integer dot products (G x too for a pinned row).  Set-up per walk: the
-    discriminant group, when a row pins a residue; per L_d: B, G', M', k,
+    integer dot products (a pinned row reads ``lattice.residues`` of G x,
+    whose group is cached per Gram matrix).  Set-up per L_d: B, G', M', k,
     the Schur complement's Bareiss rows and the prefix rows of G', B^t G a
     and B^t G b; per square: cap, lim; per slice: L, Q, q(x, a) and
     q(x, b) at y_0 = 0, and the discriminant's coefficients.
@@ -260,8 +260,6 @@ def _walls(lattice, table, ra, rb, qab, rho) -> list[tuple[tuple[int, ...], Orbi
         return []
     view = rb == ra
     rn, rd = rho.numerator, rho.denominator
-    pinned = any(o.disc_residue is not None for o in table.orbits)
-    disc = lattice.discriminant_group() if pinned else None
     origin, zero = (0,) * n, (0,) * (n - 2)
     found = []
     for d_s, squares in table.sublattices:  # all negative: an OrbitSignature checks it
@@ -338,7 +336,7 @@ def _walls(lattice, table, ra, rb, qab, rho) -> list[tuple[tuple[int, ...], Orbi
                         if not div:  # x != 0, and a Lorentzian lattice is nondegenerate: a bug
                             raise InvariantError("a wall candidate pairs to zero with the whole lattice")
                         row = table.match(s, div, lambda: lattice.residues(
-                            [sum(map(mul, r, x)) for r in lattice.gram], div, disc, fold=True))  # G x
+                            [sum(map(mul, r, x)) for r in lattice.gram], div))  # G x
                         if row is not None:
                             found.append((x, row))
     found.sort(key=lambda item: item[0])

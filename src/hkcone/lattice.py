@@ -54,21 +54,26 @@ class IntegralLattice(Record):
         if gram != linalg.transpose(gram):
             raise PreconditionError("gram must be symmetric")
         names = self.basis_names
-        if not isinstance(names, str):  # a bare string is rejected, not split
+        if hasattr(names, "__iter__") and not isinstance(names, str):  # a bare string is not split
             names = tuple(names)
             object.__setattr__(self, "basis_names", names)
-        if isinstance(names, str) or not all(isinstance(name, str) for name in names):
+        if not isinstance(names, tuple) or not all(isinstance(name, str) for name in names):
             raise PreconditionError(f"basis_names must be a sequence of strings, got {names!r}")
         if len(names) != n:
             raise PreconditionError("basis_names length must equal rank")
         if len(set(names)) != n:
             dup = next(name for name in names if names.count(name) > 1)
             raise PreconditionError(f"basis_names must be unique; {dup!r} repeats")
-        if self.ambient_ideals is not None:
-            object.__setattr__(self, "ambient_ideals", tuple(self.ambient_ideals))
-            if len(self.ambient_ideals) != n or \
-               not all(type(a) is int and a > 0 for a in self.ambient_ideals):
+        if (ideals := self.ambient_ideals) is not None:
+            ideals = tuple(ideals) if hasattr(ideals, "__iter__") else ()  # () has the wrong length
+            object.__setattr__(self, "ambient_ideals", ideals)
+            if len(ideals) != n or not all(type(a) is int and a > 0 for a in ideals):
                 raise PreconditionError("ambient_ideals must be positive integers, one per basis vector")
+        if self.fujiki_constant is not None:
+            try:
+                object.__setattr__(self, "fujiki_constant", parse_frac(self.fujiki_constant))
+            except PreconditionError as exc:
+                raise PreconditionError(f"fujiki_constant: {exc}") from None
 
     @property
     def rank(self) -> int:
@@ -124,29 +129,22 @@ class IntegralLattice(Record):
     def discriminant_group(self) -> DiscriminantGroup:
         return _discriminant_group(self.gram)
 
-    def residues(self, row, d, disc=None, fold=False) -> tuple[int, ...]:
-        """Residues of x/d, U (G x / d) mod the invariant factors, from the
-        pairing row ``row`` = G x of a class x and a d that divides it; with
-        ``fold``, those of x/d or of -x/d (read off as -r mod f), whichever
-        is smaller: x and -x describe the same wall.  The row must hold one
-        int per basis vector and d must be a positive int, as the Gram
-        matrix and the ambient ideals are checked.  A caller that passes
-        the group as ``disc`` reads it once for many classes, which it holds
-        as checked int rows and positive ints d (the wall walk,
-        ``mod_four_reader``), so those checks are skipped for it.  The check
-        that d divides the row comes before the group is read."""
-        if disc is None:
-            if not all(type(p) is int for p in self.check_length(row)):
-                raise PreconditionError(f"the pairing row must hold integers, got {row!r}")
-            if type(d) is not int or d < 1:
-                raise PreconditionError(f"d must be a positive integer, got {d!r}")
+    def residues(self, row, d) -> tuple[int, ...]:
+        """Residues of x/d, U (G x / d) mod the invariant factors, folded by
+        sign (``fold_residue``): x and -x describe the same wall.  ``row`` is
+        the pairing row G x of a class x and d divides it; the row must hold
+        one int per basis vector and d must be a positive int, as the Gram
+        matrix and the ambient ideals are checked.  The check that d divides
+        the row comes before the group is read."""
+        if not all(type(p) is int for p in self.check_length(row)):
+            raise PreconditionError(f"the pairing row must hold integers, got {row!r}")
+        if type(d) is not int or d < 1:
+            raise PreconditionError(f"d must be a positive integer, got {d!r}")
         if any(p % d for p in row):
             raise PreconditionError("divisibility does not divide the pairing row")
-        if disc is None:
-            disc = self.discriminant_group()
-        plus = tuple(sum(map(mul, u, row)) // d % f
-                     for u, f in zip(disc.transform, disc.invariant_factors))
-        return fold_residue(plus, disc.invariant_factors) if fold else plus
+        disc = self.discriminant_group()
+        return fold_residue([sum(map(mul, u, row)) // d for u in disc.transform],
+                            disc.invariant_factors)
 
     def signature(self) -> tuple[int, int, int]:
         """Inertia (n_plus, n_minus, n_zero) by exact congruence diagonalization."""
@@ -211,8 +209,8 @@ def pairing_ideal(gram, ambient_ideals, v: tuple[int, ...]) -> int:
 
 def fold_residue(r, factors) -> tuple[int, ...]:
     """r reduced into [0, f) entry by entry, or -r so reduced, whichever
-    tuple is smaller: the form of ``residues(..., fold=True)``, which a
-    pinned ``disc_residue`` must have to match."""
+    tuple is smaller: the form ``residues`` returns, which a pinned
+    ``disc_residue`` must have to match."""
     plus = tuple(c % f for c, f in zip(r, factors))
     return min(plus, tuple(-c % f for c, f in zip(plus, factors)))
 
@@ -233,16 +231,19 @@ def mod_four_class(lattice: IntegralLattice, x) -> int:
 
 def mod_four_reader(lattice: IntegralLattice):
     """The map (G x, d(x)) -> ``mod_four_class`` of x, reading the group and
-    checking its last factor once.  4 divides that factor, so the last of
-    the unfolded ``residues`` mod 4, folded by sign, is the class."""
+    checking its last factor once.  A read checks that d divides G x and
+    takes one dot product, with the group's last row u: 4 divides the last
+    factor, so u . (G x / d) mod 4, folded by sign, is the class."""
     disc = lattice.discriminant_group()
     if disc.invariant_factors and disc.invariant_factors[-1] % 4:
         raise PreconditionError("residue mod 4 needs the last invariant factor divisible by 4; "
                                 f"got {disc.invariant_factors[-1]}")
+    u = disc.transform[-1] if disc.transform else ()  # a trivial group reads 0
 
     def read(row, d) -> int:
-        r = lattice.residues(row, d, disc)
-        m = r[-1] % 4 if r else 0
+        if any(p % d for p in row):
+            raise PreconditionError("divisibility does not divide the pairing row")
+        m = sum(map(mul, u, row)) // d % 4
         return min(m, 4 - m)
 
     return read
@@ -257,7 +258,7 @@ def make_lattice(gram, basis_names=None, ambient_ideals=None,
         gram=gram,
         basis_names=basis_names,
         ambient_ideals=ambient_ideals,
-        fujiki_constant=None if fujiki_constant is None else parse_frac(fujiki_constant),
+        fujiki_constant=fujiki_constant,
     )
 
 

@@ -27,11 +27,16 @@ class OrbitSignature(Record):
     disc_residue: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise PreconditionError(f"orbit name must be a string, got {self.name!r}")
         for key in ("square", "divisibility", "codimension"):
             if type(value := getattr(self, key)) is not int:
                 raise PreconditionError(f"orbit {self.name!r}: {key} must be an integer, got {value!r}")
-        if self.disc_residue is not None:  # a tuple, so that the row hashes
-            object.__setattr__(self, "disc_residue", tuple(self.disc_residue))
+        if (residue := self.disc_residue) is not None:
+            if not isinstance(residue, (list, tuple)) or not all(type(r) is int for r in residue):
+                raise PreconditionError(
+                    f"orbit {self.name!r}: disc_residue must be a list of integers, got {residue!r}")
+            object.__setattr__(self, "disc_residue", tuple(residue))  # a tuple, so that the row hashes
         if self.square >= 0:
             raise PreconditionError(f"orbit {self.name!r}: square must be negative")
         if self.divisibility < 1 or self.codimension < 1:
@@ -132,7 +137,7 @@ def classify(lattice: IntegralLattice, table: SignatureTable, x) -> OrbitSignatu
         raise PreconditionError("class must have negative square")
     d = lattice.class_divisibility(v)
     # the match checks d | G x before check_residues reads the group
-    found = table.match(square, d, lambda: lattice.residues(row, d, fold=True))
+    found = table.match(square, d, lambda: lattice.residues(row, d))
     table.check_residues(lattice)
     return found
 

@@ -22,9 +22,10 @@ H < 0, a positive square, whatever its float radius.
 
 Wall colors follow the discriminant residue mod 4: 0 black, +-1 blue,
 2 red.  The enumerated table row of a wall carries its divisibility d,
-so the color is ``lattice.residues`` of the pairing row Gx (integer dot
-products on the enumerated class) and d, its last entry folded mod 4;
-the group is read and its last factor checked once per scene
+so the color reads the pairing row Gx (integer dot products on the
+enumerated class) and d: d must divide Gx, and one more dot product
+with the group's last row gives the last residue, folded mod 4; the
+group is read and its last factor checked once per scene
 (``lattice.mod_four_reader``).  Marker labels are escaped as XML text.
 """
 

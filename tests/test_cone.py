@@ -22,6 +22,7 @@ from hkcone.lattice import make_lattice
 from hkcone.mbm import OrbitSignature, SignatureTable, classify, primitive_rescale
 from hkcone.rational import integral
 from hkcone.render import build_scene
+from test_lattice import discriminant_image_two_pass
 
 F = Fraction
 
@@ -156,7 +157,7 @@ def box_scan(lattice, table, base, bound):
         if t * t > bound * (-s) * g or gcd(*x) != 1:
             continue
         d = lattice.divisibility(x)
-        row = table.match(s, d, lambda: lattice.residues(lattice.pairing_row(x), d, fold=True))
+        row = table.match(s, d, lambda: lattice.residues(lattice.pairing_row(x), d))
         if row is not None:
             found.append((x, row))
     found.sort(key=lambda item: item[0])
@@ -1061,7 +1062,7 @@ def enumerate_one_ellipsoid(lattice, table, base, bound):
         if gcd(*x) != 1:
             return
         d = lattice.divisibility(x)
-        row = table.match(s, d, lambda: lattice.residues(lattice.pairing_row(x), d, fold=True))
+        row = table.match(s, d, lambda: lattice.residues(lattice.pairing_row(x), d))
         if row is not None:
             found.append((x, row))
 
@@ -1206,8 +1207,11 @@ class TestPinnedResidues:
         assert calls["divisibility"] == 0
 
     def test_walk_reads_the_group_once_per_pinned_candidate(self, quartic, monkeypatch):
-        """Once per walk, in fact: the walk reads the group once for all its
-        pinned candidates, so the count does not grow with the bound."""
+        """Each pinned candidate's ``residues`` reads the group, through the
+        cache per Gram matrix, after the table check's one read: the walk
+        computes no Smith form."""
+        quartic.discriminant_group()  # warm-up: the group of this Gram matrix is cached
+        misses = lattice_module._smith_form.cache_info().misses
         calls = Counter()
         cls = lattice_module.IntegralLattice
         for name in ("discriminant_group", "residues"):
@@ -1215,14 +1219,37 @@ class TestPinnedResidues:
                 calls[name] += 1
                 return original(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
-        reads = []
+        reads, residues = [], []
         for bound in (F(4), F(15)):
             calls.clear()
             walls = enumerate_wall_classes(quartic, QUARTIC_PINNED_TABLE, (4, 4, -1), bound)
             reads.append(calls["discriminant_group"])
-        assert len(walls) == 35 and calls["residues"] == 34, calls
-        # the table check's read before the walk, and the walk's one
-        assert reads == [2, 2], reads
+            residues.append(calls["residues"])
+        assert len(walls) == 35
+        assert reads == [16, 35] and residues == [15, 34], (reads, residues)
+        assert lattice_module._smith_form.cache_info().misses == misses
+
+    def test_walk_on_a_two_factor_group(self):
+        """U + <-4> + <-4> has group Z/4 x Z/4: around (3, 1, 0, 0) the key
+        (-4, 4) carries the residues (0, 1) and (1, 0), and (-8, 4) carries
+        (1, 1) and (1, 3), each pinned on its own row.  The walk agrees with a
+        box scan that reads residues by the two-pass oracle."""
+        lat = make_lattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -4, 0], [0, 0, 0, -4]])
+        assert lat.discriminant_group().invariant_factors == (4, 4)
+        tab = SignatureTable(orbits=tuple(
+            OrbitSignature(name=f"m{-sq}d{d}r{''.join(map(str, r))}", square=sq, divisibility=d,
+                           codimension=1, disc_residue=r)
+            for sq, d, r in [(-4, 4, (0, 1)), (-4, 4, (1, 0)), (-8, 4, (1, 1)), (-8, 4, (1, 3))]))
+        plain = orbit_rows([(-4, 4), (-8, 4)])
+        rows = {o.key: o for o in tab.orbits}
+        for bound in (F(2), F(4), F(8)):
+            # every wall of the two keys has one of the four residues: rows[...] finds it
+            want = [(x, rows[sig.square, sig.divisibility, discriminant_image_two_pass(lat, x)])
+                    for x, sig in box_scan(lat, plain, (3, 1, 0, 0), bound)]
+            walls = enumerate_wall_classes(lat, tab, (3, 1, 0, 0), bound)
+            assert walls == want, bound
+            assert {sig for _x, sig in walls} == set(tab.orbits), bound
+        assert len(walls) == 48
 
     @pytest.mark.parametrize("pinned", [(27,), (45,), (-9,)])
     def test_unfolded_residue_rejected(self, quartic, table, pinned):

@@ -33,11 +33,11 @@ def jacobi_signature(gram):
 
 def discriminant_image(lat, x):
     """Residue tuple of x/d(x) in the discriminant group, up to global
-    sign: the folded ``residues`` of the primitive class x, read as
-    ``classify`` reads it for a pinned row."""
+    sign: the ``residues`` of the primitive class x, read as ``classify``
+    reads it for a pinned row."""
     v = lat.primitive_class(x)
     row = lat.pairing_row(v)
-    return lat.residues(row, lat.class_divisibility(v), fold=True)
+    return lat.residues(row, lat.class_divisibility(v))
 
 
 def discriminant_image_two_pass(lat, x):
@@ -407,6 +407,24 @@ class TestConstruction:
         with pytest.raises(PreconditionError, match="^gram must be a square integer matrix$"):
             IntegralLattice(gram=gram, basis_names=("a",))
 
+    def test_direct_build_rejects_basis_names_that_are_not_a_sequence(self):
+        with pytest.raises(PreconditionError, match="^basis_names must be a sequence of strings, got 5$"):
+            IntegralLattice(gram=((2,),), basis_names=5)
+
+    def test_direct_build_rejects_ambient_ideals_that_are_not_a_sequence(self):
+        with pytest.raises(PreconditionError,
+                           match="^ambient_ideals must be positive integers, one per basis vector$"):
+            IntegralLattice(gram=((2,),), basis_names=("a",), ambient_ideals=5)
+
+    def test_direct_build_parses_the_fujiki_constant(self):
+        # the one rule for exact inputs, rational.parse_frac, as make_lattice reads it
+        lat = IntegralLattice(gram=((2,),), basis_names=("a",), fujiki_constant="15/2")
+        assert lat.fujiki_constant == Fraction(15, 2)
+        assert lat == make_lattice([[2]], basis_names=("a",), fujiki_constant="15/2")
+        for value, shown in (("x", "'x'"), (1.5, "1.5")):
+            with pytest.raises(PreconditionError, match=f"^fujiki_constant: not a rational: {shown}$"):
+                IntegralLattice(gram=((2,),), basis_names=("a",), fujiki_constant=value)
+
 
 class TestCaches:
     GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
@@ -512,14 +530,14 @@ class TestClassLength:
             quartic.check_length((1, 0, 0, 0))
 
 
-def residues_before(lat, row, d, fold=False):
+def residues_before(lat, row, d):
     """``residues`` as it was before its intake: the oracle for valid rows."""
     if any(p % d for p in row):
         raise PreconditionError("divisibility does not divide the pairing row")
     disc = lat.discriminant_group()
     plus = tuple(sum(u * p for u, p in zip(t, row)) // d % f
                  for t, f in zip(disc.transform, disc.invariant_factors))
-    return lattice_module.fold_residue(plus, disc.invariant_factors) if fold else plus
+    return lattice_module.fold_residue(plus, disc.invariant_factors)
 
 
 class TestResiduesIntake:
@@ -545,7 +563,7 @@ class TestResiduesIntake:
             quartic.residues(row, d)
 
     def test_valid_rows_give_the_same_residues(self, quartic):
-        assert quartic.residues((4, 8, 0), 4) == quartic.residues([4, 8, 0], 4) == (28,)
+        assert quartic.residues((4, 8, 0), 4) == quartic.residues([4, 8, 0], 4) == (8,)
         rng = random.Random(31)
         compared = 0
         for lat in (quartic, make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]]),
@@ -555,9 +573,32 @@ class TestResiduesIntake:
                 if not any(v):
                     continue
                 row, d = lat.pairing_row(v), lat.class_divisibility(v)
-                for fold in (False, True):
-                    want = residues_before(lat, row, d, fold)
-                    assert lat.residues(row, d, fold=fold) == want
-                    assert lat.residues(list(row), d, lat.discriminant_group(), fold) == want
-                    compared += 1
-        assert compared > 500
+                want = residues_before(lat, row, d)
+                assert lat.residues(row, d) == lat.residues(list(row), d) == want
+                compared += 1
+        assert compared > 250
+
+    def test_residues_are_folded_on_random_lattices(self):
+        """``residues`` has one form, the folded one: on seeded random
+        lattices it is a fixed point of ``fold_residue``, also where the
+        residue and its negative differ."""
+        rng = random.Random(33)
+        signed = 0
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+            if linalg.determinant(gram) == 0:
+                continue
+            lat = make_lattice(gram)
+            factors = lat.discriminant_group().invariant_factors
+            for _ in range(10):
+                v = tuple(rng.randint(-9, 9) for _ in range(n))
+                if not any(v):
+                    continue
+                r = lat.residues(lat.pairing_row(v), lat.class_divisibility(v))
+                assert lattice_module.fold_residue(r, factors) == r, (gram, v)
+                signed += r != tuple(-c % f for c, f in zip(r, factors))
+        assert signed > 50, signed

@@ -155,6 +155,21 @@ class TestTable:
                            match=f"^orbit 'x': {key} must be an integer, got {re.escape(repr(value))}$"):
             OrbitSignature(**fields)
 
+    def test_direct_build_rejects_a_name_that_is_not_a_string(self):
+        with pytest.raises(PreconditionError, match="^orbit name must be a string, got 5$"):
+            OrbitSignature(5, -4, 4, 1)
+
+    @pytest.mark.parametrize("residue", [("1",), (1.0,), (True,), 5, "1"])
+    def test_direct_build_names_a_residue_that_is_not_ints(self, residue):
+        want = f"orbit 'w': disc_residue must be a list of integers, got {residue!r}"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(want)}$"):
+            OrbitSignature("w", -4, 4, 1, residue)
+
+    def test_classify_never_meets_a_residue_that_is_not_ints(self, quartic):
+        # the row is rejected when it is built, not by a TypeError in the table check
+        with pytest.raises(PreconditionError, match="^orbit 'w': disc_residue must be"):
+            classify(quartic, SignatureTable((OrbitSignature("w", -36, 4, 2, ("1",)),)), (4, 0, -1))
+
     def test_direct_build_keeps_lists_as_tuples(self):
         orbit = OrbitSignature(name="x", square=-2, divisibility=1, codimension=1, disc_residue=[1])
         assert orbit.disc_residue == (1,) and orbit.key == (-2, 1, (1,))

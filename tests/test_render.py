@@ -480,8 +480,9 @@ def test_scene_colors_do_no_per_wall_lattice_work(quartic, table, monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     walls = build_scene(quartic, table, (4, 4, -1), fixtures.RENDER_BOUND).walls
     assert len(walls) >= 30
-    # one residue per wall, for its color: the bundled table pins no residue
-    assert calls["residues"] == len(walls), calls
+    # a color is one dot product with the group's last row, not a residue tuple;
+    # the bundled table pins no residue
+    assert calls["residues"] == 0, calls
     # the enumeration reads divisibilities through lattice.pairing_ideal, and
     # the scene reads the discriminant group once, through no cache of its own
     assert calls["divisibility"] == 0 and calls["_discriminant_group"] == 1, calls
