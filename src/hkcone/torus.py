@@ -9,14 +9,19 @@ up; floats work in (R/Z)^2 with double precision for density experiments.
 
 Real orbits are float64 coordinate arrays: one numpy core computes every
 translate with the float operations of the scalar expression, merges
-points that agree at 12 decimals exactly as round(v, 12) would, and
-feeds both `orbit` (which builds the points) and `orbit_density` (size
-and covering radius, no point objects).  The covering radius searches
-each sample column outward from the point spacing and returns the float
-of the full scan.  A real orbit of more than ``REAL_SIZE_CAP`` points, or
-a grid of more samples, is rejected before anything is allocated.  numpy
-is imported inside the real-mode functions, so importing the package
-does not load it.
+points that agree at 12 decimals exactly as round(v, 12) would, by one
+stable sort on that rounded key, and returns them in key order.  It
+feeds both `orbit`, which sorts the points by (x, y) as it builds them,
+and `orbit_density` (size and covering radius, neither of which reads
+the order, and no point objects).  The covering radius pairs each point
+with the grid samples within the point spacing of it on both axes; a
+sample whose least distance is below that spacing, less a float margin,
+is settled, and the few others (sparse or clustered orbits) take a
+column search.  Either way it returns the float of the full scan.  A
+real orbit of more than ``REAL_SIZE_CAP`` points, or a grid of more
+samples, is rejected before anything is allocated.  numpy is imported
+inside the real-mode functions, so importing the package does not load
+it.
 """
 
 from __future__ import annotations
@@ -24,17 +29,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import PreconditionError, Record
 from .rational import parse_frac
 
 # The most orbit points (2 d^2 + 2 d + 1 at depth d, before merging) or
-# grid samples (grid^2) that one real-mode call takes on.  A real orbit
-# peaks at about 80 bytes per point (105 MB at depth 700), so the cap
-# keeps a call near 1 GB; a larger input is rejected as a fault in the
-# input before any array is allocated.  Exact mode allocates nothing by
-# depth and has no cap.
+# grid samples (grid^2) that one real-mode call takes on.  As tracemalloc
+# sees numpy's buffers, a real orbit peaks at 72 bytes per point (71 MB at
+# depth 700, 720 MB at depth 2235) and its covering radius takes 10 bytes
+# per sample (101 MB at grid 3162), so the cap keeps a call near 1 GB;
+# tests/test_torus.py holds the peak to 73 bytes per point plus 11 per
+# sample.  A larger input is rejected as a fault in the input before any
+# array is allocated.  Exact mode allocates nothing by depth and has no
+# cap.
 REAL_SIZE_CAP = 10 ** 7
 
 
@@ -69,11 +77,23 @@ class TorusPoint(Record):
 
 
 def _mod1(v):
-    """v mod 1 in [0, 1), for a Fraction, a float or a float array.
+    """v mod 1 in [0, 1), for a Fraction or a float.
 
     For a float v just below 0, v % 1.0 rounds up to 1.0, which is 0 mod 1.
     """
     r = v % 1
+    return r - (r == 1)
+
+
+def _mod1_array(v):
+    """_mod1 of each entry of a float array.
+
+    v % 1.0 is fmod(v, 1.0), which is exact, plus 1.0 when that is
+    negative, rounded once; v - floor(v) rounds the same real number once,
+    so it is the same float, and cheaper than numpy's remainder.
+    """
+    import numpy as np
+    r = v - np.floor(v)
     return r - (r == 1)
 
 
@@ -155,11 +175,12 @@ def _steps(fiber: MarkedFiber, x: TorusPoint, depth: int):
 
 
 def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ...]:
-    """Points x + a t1 + b t2 with |a| + |b| <= depth, sorted.
+    """Points x + a t1 + b t2 with |a| + |b| <= depth, sorted by (x, y).
 
     In exact mode the generated subgroup is finite and the whole coset is
     returned, independent of depth.  Both modes work on coordinates and
-    build points only for the result.
+    build points only for the result; real coordinates come merged in key
+    order (_real_orbit) and are sorted by (x, y) here.
     """
     t1, t2 = _steps(fiber, x, depth)
     if fiber.exact:
@@ -167,7 +188,7 @@ def orbit(fiber: MarkedFiber, x: TorusPoint, depth: int) -> tuple[TorusPoint, ..
         return tuple(TorusPoint(px, py) for px, py in sorted(pairs))
     _check_depth(depth)
     xs, ys = _real_orbit(x, t1, t2, depth)
-    return tuple(TorusPoint(px, py) for px, py in zip(xs.tolist(), ys.tolist()))
+    return tuple(TorusPoint(px, py) for px, py in sorted(zip(xs.tolist(), ys.tolist())))
 
 
 def orbit_size(fiber: MarkedFiber, x: TorusPoint, depth: int) -> int:
@@ -185,7 +206,8 @@ def orbit_size(fiber: MarkedFiber, x: TorusPoint, depth: int) -> int:
 
 def orbit_density(fiber: MarkedFiber, x: TorusPoint, depth: int, grid: int) -> tuple[int, float]:
     """(size, covering radius) of a real orbit: len(orbit(...)) and
-    covering_radius(orbit(...), grid), without a point object per point."""
+    covering_radius(orbit(...), grid), without a point object per point
+    and without the (x, y) sort, which neither of them reads."""
     t1, t2 = _steps(fiber, x, depth)
     if fiber.exact:
         raise PreconditionError("orbit density is a real-mode measurement")
@@ -209,11 +231,14 @@ def _check_grid(grid: int):
 
 
 def _real_orbit(x: TorusPoint, t1: TorusPoint, t2: TorusPoint, depth: int):
-    """Coordinate arrays (xs, ys) of the real orbit, sorted by (x, y).
+    """Coordinate arrays (xs, ys) of the real orbit, in key order.
 
-    Points whose coordinates agree after rounding to 12 decimals are one
-    point; the first in (a, b) order represents it.  Each coordinate is
-    (x + a t) + b t' in this order, as a float expression would give it.
+    A point's key is its coordinates rounded to 12 decimals; points with
+    one key are one point, and the first in (a, b) order represents it.
+    One stable sort on the key (x first, then y) puts each key's points
+    next to each other in (a, b) order, and the merged points come back in
+    key order, which is not always the order of (x, y).  Each coordinate
+    is (x + a t) + b t' in this order, as a float expression would give it.
     """
     import numpy as np
     width = depth - np.abs(np.arange(-depth, depth + 1))
@@ -221,16 +246,16 @@ def _real_orbit(x: TorusPoint, t1: TorusPoint, t2: TorusPoint, depth: int):
     a = np.repeat(np.arange(-depth, depth + 1, dtype=float), counts)
     # b runs from -width to width within each a: index minus (group start + width)
     b = np.arange(len(a), dtype=float) - np.repeat(np.cumsum(counts) - counts + width, counts)
-    xs = _mod1((x.x + a * t1.x) + b * t2.x)
-    ys = _mod1((x.y + a * t1.y) + b * t2.y)
-    kx, ky = _round12(xs), _round12(ys)
-    order = np.lexsort((ky, kx))          # stable: (a, b) order within a key
-    kx, ky = kx[order], ky[order]
+    xs = _mod1_array((x.x + a * t1.x) + b * t2.x)
+    ys = _mod1_array((x.y + a * t1.y) + b * t2.y)
+    del a, b                              # 16 bytes a point off the peak of the sort
+    keys = np.empty(len(xs), dtype=complex)   # complex order is (real, imag)
+    keys.real, keys.imag = _round12(xs), _round12(ys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
-    xs, ys = xs[order[first]], ys[order[first]]
-    order = np.lexsort((ys, xs))
-    return xs[order], ys[order]
+    first[1:] = keys[1:] != keys[:-1]
+    return xs[order[first]], ys[order[first]]
 
 
 def _round12(c):
@@ -246,7 +271,7 @@ def _round12(c):
     keys = np.rint(scaled) / 1e12
     near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 2.0 ** -12
     keys[near_half] = [round(v, 12) for v in c[near_half].tolist()]
-    return np.remainder(keys, 1.0)
+    return keys - (keys == 1)             # keys lie in [0, 1]: % 1.0 only maps 1.0 to 0.0
 
 
 def covering_radius(points, grid: int) -> float:
@@ -263,30 +288,97 @@ def covering_radius(points, grid: int) -> float:
     return _covering_radius(xs, ys, grid)
 
 
-def _covering_radius(xs, ys, grid: int) -> float:
-    """covering_radius of the points (xs[k], ys[k]).
+# A sample's square holds about 6 points on average (_reach); its least
+# distance settles the sample once below the half-side less _MARGIN, far
+# above the few units of 2**-53 by which rounding moves a distance or a
+# square's edge.  The square search pairs at most _PAIRS (point, sample)
+# pairs at a time.
+_MARGIN = 2.0 ** -40
+_PAIRS = 1 << 14
 
-    For the samples of column i only points with dx <= r can be nearest
-    once some point lies within r; r starts at min(1/grid, N**-1/2) for N
-    points and doubles for the samples still without one.  Every distance
-    is |p - s| wrapped by min(d, 1 - d): the float of a full scan.
+
+def _reach(n: int) -> float:
+    """Half-side r of a sample's square for n points: (2 r)^2 n = 6."""
+    return min(0.25, (1.5 / n) ** 0.5)
+
+
+def _covering_radius(xs, ys, grid: int) -> float:
+    """covering_radius of the points (xs[k], ys[k]), by a square search.
+
+    Each sample owns the square of half-side r = _reach(N) around it.  A
+    point is paired with the samples whose square holds it: on each axis
+    the indices ceil((c - r) grid) to floor((c + r) grid), mod grid, read
+    off its coordinate c.  Each sample keeps the least distance over its
+    pairs.  A point outside the square is at least r away on one axis, less
+    rounding, so a least distance below r - _MARGIN is the sample's
+    distance to the set; the samples it leaves unsettled (sparse or
+    clustered point sets) take _column_search.  Every distance is |p - s|
+    wrapped by min(d, 1 - d), the larger of the two axes: the float of a
+    full scan.
     """
     import numpy as np
     samples = np.arange(grid) / grid
+    r = _reach(len(xs))
+    coord = np.tile(samples, 3)           # entry k + grid is sample k mod grid, for k >= -grid
+    index = np.tile(np.arange(grid), 3)
+    near = np.full(grid * grid, inf)      # sample (i, j) is entry i grid + j
+
+    def span(c):  # per coordinate: its first sample (plus grid) and the count within r
+        lo = np.ceil((c - r) * grid)
+        count = np.minimum(np.floor((c + r) * grid) - lo + 1, grid)
+        return lo.astype(np.intp) + grid, count.astype(np.intp)
+
+    chunk = max(1, _PAIRS // min(grid, int(2 * r * grid) + 2))   # a step pairs <= _PAIRS
+    for first in range(0, len(xs), chunk):
+        cx, cy = xs[first:first + chunk], ys[first:first + chunk]
+        (xlo, xn), (ylo, yn) = span(cx), span(cy)
+        for step in range(int(xn.max())):
+            m = np.flatnonzero(xn > step)          # points with a step-th sample column
+            col = xlo[m] + step
+            wx, base = _wrapped(cx[m], coord[col]), index[col] * grid
+            n = yn[m]
+            k = np.repeat(np.arange(len(m)), n)    # pair -> its point in m
+            row = ylo[m][k] + np.arange(len(k)) - np.repeat(np.cumsum(n) - n, n)
+            dist = np.maximum(wx[k], _wrapped(cy[m][k], coord[row]))
+            np.minimum.at(near, base[k] + index[row], dist)
+    near = near.reshape(grid, grid)
+    settled = near < r - _MARGIN
+    worst = float(np.max(near, where=settled, initial=0.0))
+    return max(worst, _column_search(xs, ys, samples, ~settled))
+
+
+def _wrapped(p, s):
+    """|p - s| wrapped by min(d, 1 - d): the torus distance on one axis."""
+    import numpy as np
+    d = np.abs(p - s)
+    return np.minimum(d, 1.0 - d, out=d)
+
+
+def _column_search(xs, ys, samples, pending) -> float:
+    """The largest distance from a sample (samples[i], samples[j]) with
+    pending[i, j] to the points (xs[k], ys[k]).
+
+    For the samples of column i only points with dx <= r can be nearest
+    once some point lies within r; r starts at min(1/grid, N**-1/2) for N
+    points and doubles for the samples still without one.  The samples of
+    a column take those points a few rows at a time, at most _PAIRS pairs
+    or one row.
+    """
+    import numpy as np
     worst = 0.0
-    for s in samples:
-        dx = np.abs(xs - s)
-        dx = np.minimum(dx, 1.0 - dx)
-        pending, r = samples, min(1.0 / grid, len(xs) ** -0.5)
-        while len(pending):
+    for i in np.flatnonzero(pending.any(axis=1)):
+        dx = _wrapped(xs, samples[i])
+        todo, r = samples[pending[i]], min(1.0 / len(samples), len(xs) ** -0.5)
+        while len(todo):
             near = dx <= r
             if near.any():
-                dy = np.abs(ys[near][None, :] - pending[:, None])
-                dy = np.minimum(dy, 1.0 - dy)
-                nearest = np.maximum(dx[near][None, :], dy).min(axis=1)
+                nx, ny = dx[near], ys[near]
+                rows = max(1, _PAIRS // len(nx))
+                nearest = np.concatenate([np.maximum(nx, _wrapped(ny, todo[k:k + rows, None]))
+                                          .min(axis=1) for k in range(0, len(todo), rows)])
                 done = (nearest <= r) | near.all()  # with every point in, exact at any r
                 if done.any():
                     worst = max(worst, float(nearest[done].max()))
-                pending = pending[~done]
+                todo = todo[~done]
             r *= 2
     return worst

@@ -559,3 +559,201 @@ def test_cli_import_leaves_numpy_out():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def covering_radius_columns(points, grid):
+    """The column search that computed covering_radius before the square
+    search: for the samples of column i only points with dx <= r can be
+    nearest once some point lies within r; r starts at min(1/grid, N**-1/2)
+    for N points and doubles for the samples still without one."""
+    import numpy as np
+    xs = np.array([p.x for p in points])
+    ys = np.array([p.y for p in points])
+    samples = np.arange(grid) / grid
+    worst = 0.0
+    for s in samples:
+        dx = np.abs(xs - s)
+        dx = np.minimum(dx, 1.0 - dx)
+        pending, r = samples, min(1.0 / grid, len(xs) ** -0.5)
+        while len(pending):
+            near = dx <= r
+            if near.any():
+                dy = np.abs(ys[near][None, :] - pending[:, None])
+                dy = np.minimum(dy, 1.0 - dy)
+                nearest = np.maximum(dx[near][None, :], dy).min(axis=1)
+                done = (nearest <= r) | near.all()
+                if done.any():
+                    worst = max(worst, float(nearest[done].max()))
+                pending = pending[~done]
+            r *= 2
+    return worst
+
+
+class TestCoveringRadiusRegimes:
+    """The square search against the loop, per-cell and column oracles,
+    with ==, for N points and grid**2 samples in each regime.  A sample's
+    square has half-side torus._reach(N); the samples it leaves unsettled
+    take the column search."""
+
+    def check_orbit(self, f, x, depth, grid, oracle):
+        points = orbit_loops(f, x, depth)
+        want = oracle(points, grid)
+        assert covering_radius(points, grid) == want
+        assert orbit_density(f, x, depth, grid) == (len(points), want)
+
+    @pytest.mark.parametrize("depth, grid, oracle", [
+        (20, 1, covering_radius_loops), (20, 4, covering_radius_loops),
+        (60, 8, covering_radius_cells), (100, 16, covering_radius_cells),
+    ])
+    def test_many_more_points_than_samples(self, depth, grid, oracle):
+        self.check_orbit(irrational_fiber("sqrt2", "sqrt5"), real_point(0.2, 0.9), depth, grid,
+                         oracle)
+
+    @pytest.mark.parametrize("depth, grid", [(22, 32), (30, 43), (45, 64)])
+    def test_about_as_many_points_as_samples(self, depth, grid):
+        self.check_orbit(irrational_fiber("sqrt3", "sqrt2"), real_point(F(5, 7), F(1, 7)), depth,
+                         grid, covering_radius_cells)
+
+    @pytest.mark.parametrize("depth, grid, oracle", [
+        (1, 64, covering_radius_loops), (3, 64, covering_radius_loops),
+        (5, 100, covering_radius_cells), (10, 128, covering_radius_cells),
+    ])
+    def test_many_fewer_points_than_samples(self, depth, grid, oracle):
+        self.check_orbit(irrational_fiber("sqrt5", "sqrt3"), real_point(0.61, 0.05), depth, grid,
+                         oracle)
+
+    def test_closing_rational_fibers(self):
+        rng = random.Random(91)
+        for _ in range(12):
+            marks = [real_point(F(rng.randint(0, 3), rng.randint(1, 4)),
+                                F(rng.randint(0, 3), rng.randint(1, 4))) for _ in range(3)]
+            x = real_point(F(rng.randint(0, 10), 11), rng.random())
+            self.check_orbit(MarkedFiber(*marks), x, rng.randint(9, 20), rng.choice((8, 32, 64)),
+                             covering_radius_cells)
+
+    def test_an_orbit_on_one_line(self):
+        # t2 = 0: the 2 d + 1 points share one y, and most samples are far from all of them
+        f = MarkedFiber(real_point(0, 0), real_point(math.sqrt(2), 0), real_point(math.sqrt(2), 0))
+        for grid in (4, 16, 32):
+            self.check_orbit(f, real_point(0.3, 0.4), 40, grid, covering_radius_cells)
+
+    @pytest.mark.parametrize("grid", [1, 8, 32])
+    def test_clusters_with_empty_gaps(self, grid):
+        # shaped like TestCoveringRadiusStartRadius, with enough points for small squares
+        rng = random.Random(92 + grid)
+        pts = [(0.1 + 0.01 * rng.random(), 0.15 + 0.01 * rng.random()) for _ in range(2000)]
+        pts += [(0.62 + 0.005 * rng.random(), 0.7 + 0.005 * rng.random()) for _ in range(60)]
+        pts += [(0.97 + 0.03 * rng.random(), 0.01 * rng.random()) for _ in range(40)]
+        points = [real_point(x, y) for x, y in pts]
+        assert covering_radius(points, grid) == covering_radius_cells(points, grid)
+
+    @pytest.mark.parametrize("grid", [3, 7, 16])
+    def test_points_on_sample_lines_and_square_edges(self, grid):
+        # coordinates k/grid and k/grid +- r, each also one float to either side
+        n = 5 * grid
+        r = torus._reach(n)
+        lines = []
+        for k in range(grid):
+            for v in (k / grid, k / grid + r, k / grid - r):
+                lines += [v, math.nextafter(v, -1.0), math.nextafter(v, 2.0)]
+        rng = random.Random(93 + grid)
+        points = [real_point(rng.choice(lines), rng.choice(lines)) for _ in range(n)]
+        assert covering_radius(points, grid) == covering_radius_loops(points, grid)
+
+    @pytest.mark.parametrize("grid", [1, 2, 8, 16])
+    def test_points_at_zero_and_just_below_one(self, grid):
+        below = math.nextafter(1.0, 0.0)
+        seam = [real_point(0, 0), real_point(below, below), real_point(0, below),
+                real_point(below, 0), real_point(below, 0.5), real_point(0.5, below)]
+        rng = random.Random(94 + grid)
+        for extra in (0, 10, 200):
+            points = seam + [real_point(rng.random(), rng.random()) for _ in range(extra)]
+            assert covering_radius(points, grid) == covering_radius_cells(points, grid)
+            assert covering_radius(seam[:1 + extra % 5], grid) == \
+                covering_radius_loops(seam[:1 + extra % 5], grid)
+
+    # (grid, sample column, q, p): q lies one float outside the square of
+    # sample (column/grid, 0) along x though it is nearer than r, and p lies
+    # inside it along y, between q's distance and r.  Without the margin the
+    # square search would settle that sample at p's distance.
+    @pytest.mark.parametrize("grid, column, q, p", [
+        (23, 13, 0.5275641128789375, 0.03765327842541034),
+        (25, 14, 0.5946410161513775, 0.0346410161513775),
+    ])
+    def test_the_margin_keeps_a_point_just_outside_a_square(self, grid, column, q, p):
+        # two points on every other sample: those samples are at 0, and their
+        # points lie 1/grid > r away from the lone sample's square
+        others = [real_point(i / grid, j / grid) for i in range(grid) for j in range(grid)
+                  if (i, j) != (column, 0)]
+        points = 2 * others + [real_point(q, 0.0), real_point(column / grid, p)]
+        r = torus._reach(len(points))
+        assert 1 / grid > r > p > abs(q - column / grid)
+        want = covering_radius_cells(points, grid)
+        assert want == abs(q - column / grid)
+        assert covering_radius(points, grid) == want
+
+    def test_depth_150_against_the_column_search(self):
+        f = irrational_fiber("sqrt3", "sqrt2")
+        x = real_point(F(1, 7), F(4, 7))
+        points = orbit(f, x, 150)
+        want = covering_radius_columns(points, 256)
+        assert covering_radius(points, 256) == want
+        assert orbit_density(f, x, 150, 256) == (len(points), want)
+
+
+class TestKeyOrderAndPointOrder:
+    """The merge returns points in key order (12-decimal x, then y); two
+    points whose x values differ by less than 1e-12 can share an x key with
+    their y values the other way round, and then only `orbit` sorts them
+    by (x, y)."""
+
+    FIBER = MarkedFiber(real_point(0, 0), real_point(3e-13, -0.3),
+                        real_point(math.sqrt(2), math.sqrt(3)))
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_orbit_sorts_by_x_then_y(self, depth):
+        x = real_point(0.25, 0.5)
+        t1, t2, _ = generators(self.FIBER)
+        xs, ys = torus._real_orbit(x, t1, t2, depth)
+        merged = list(zip(xs.tolist(), ys.tolist()))
+        assert merged != sorted(merged)
+        assert sorted(merged) == [(p.x, p.y) for p in orbit_loops(self.FIBER, x, depth)]
+        assert orbit(self.FIBER, x, depth) == orbit_loops(self.FIBER, x, depth)
+
+    @pytest.mark.parametrize("grid", [1, 4, 16])
+    def test_orbit_density(self, grid):
+        x = real_point(0.25, 0.5)
+        points = orbit_loops(self.FIBER, x, 6)
+        want = (len(points), covering_radius_cells(points, grid))
+        assert orbit_density(self.FIBER, x, 6, grid) == want
+
+
+CLUSTERED = MarkedFiber(real_point(0, 0), real_point(1e-6, 0), real_point(1e-6, 1e-6))
+
+
+@pytest.mark.parametrize("f, depth, grid", [
+    (irrational_fiber("sqrt2", "sqrt3"), 200, 500),
+    # every orbit point within 1e-4 of x: the column search takes nearly
+    # every sample, with all 20201 points near it
+    (CLUSTERED, 100, 32),
+])
+def test_orbit_density_peak_memory(f, depth, grid):
+    # REAL_SIZE_CAP's figures: at most 73 bytes per orbit point (before
+    # merging) plus 11 bytes per grid sample, as tracemalloc sees numpy's buffers
+    import tracemalloc
+    x = real_point(0.1, 0.2)
+    orbit_density(f, x, 3, 4)
+    tracemalloc.start()
+    try:
+        orbit_density(f, x, depth, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 73 * (2 * depth * (depth + 1) + 1) + 11 * grid ** 2
+
+
+def test_clustered_orbit_against_cells():
+    x = real_point(0.1, 0.2)
+    points = orbit_loops(CLUSTERED, x, 100)
+    want = (len(points), covering_radius_cells(points, 32))
+    assert orbit_density(CLUSTERED, x, 100, 32) == want
