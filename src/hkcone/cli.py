@@ -1,8 +1,13 @@
 """Command-line surface: JSON in, JSON/SVG out.
 
-Exit codes: 0 success, 1 I/O errors, files that are not JSON and running
-out of memory, 2 precondition violations (including a factorization whose
-status is not "ok"), 3 internal errors.
+Exit codes: 0 success, 1 I/O errors, files that are not UTF-8 JSON (named
+in the message) and running out of memory, 2 precondition violations
+(including a factorization whose status is not "ok"), 3 internal errors.
+An argv that starts with a subcommand's exact name is parsed once, by that
+subcommand's parser; any other argv goes through the full parser, and both
+routes print the same usage, help and errors.  JSON output is the bytes of
+``json.dumps(obj, indent=2)`` plus a newline, written by `_dumps` without
+json's pure-Python encoder.
 Diagnostics go to stderr; data goes to the declared output.  An --out
 file is rewritten in place and then truncated to the new length, not
 truncated first: on a delayed-allocation filesystem (ext4), closing a
@@ -22,10 +27,11 @@ import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import PreconditionError
+from .errors import DocumentError, PreconditionError
 from .lattice import load_lattice
-from .rational import (frac_str, parse_array, parse_field, parse_frac, parse_int,
+from .rational import (frac_str, load_json, parse_array, parse_field, parse_frac, parse_int,
                        parse_matrix, parse_vector, vector_strs)
 
 
@@ -52,13 +58,38 @@ def _emit(text: str, out: str | None):
         os.close(fd)
 
 
+def _dumps(obj, indent="\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, dict keys being str: json's
+    dispatch order, its C string quoting, and json.dumps for the rarer scalars."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        elif all(type(v) is str for v in obj):
+            items = map(_quote, obj)
+        else:
+            items = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj, out: str | None):
-    _emit(json.dumps(obj, indent=2) + "\n", out)
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    _emit(_dumps(obj) + "\n", out)
 
 
 def _option_vector(lattice, option: str, text: str):
@@ -73,7 +104,7 @@ def _load_point(lattice, option: str, spec_text: str):
     """A point is either inline coordinates "a,b,c" or a JSON file path."""
     if "," in spec_text:
         return _option_vector(lattice, option, spec_text)
-    return parse_field(_load_json(spec_text), "point",
+    return parse_field(load_json(spec_text), "point",
                        lambda v: lattice.check_length(parse_array(v)), spec_text)
 
 
@@ -81,7 +112,7 @@ def _named_classes(lattice, path: str | None) -> dict:
     names = {name: tuple(int(i == j) for j in range(lattice.rank))
              for i, name in enumerate(lattice.basis_names)}
     if path is not None:
-        doc = _load_json(path)
+        doc = load_json(path)
         if not isinstance(doc, dict):
             raise PreconditionError(f"{path}: expected an object of named classes")
         for key in doc:
@@ -172,7 +203,7 @@ def _cmd_render(args) -> int:
     base = _option_vector(lattice, "--base", args.base)
     path = None
     if args.path is not None:
-        doc = _load_json(args.path)
+        doc = load_json(args.path)
         path = tuple(parse_field(doc, key, lambda v: lattice.check_length(parse_array(v)), args.path)
                      for key in ("a", "b"))
     markers = []
@@ -190,6 +221,8 @@ def _cmd_mukai_flop(args) -> int:
     from . import mukai
     u = parse_vector(args.u)
     phi = parse_vector(args.phi)
+    if args.k is not None and args.k < 1:
+        raise PreconditionError(f"--k must be at least 1 (T*P^k for k >= 1), got {args.k}")
     if args.k is not None and len(u) != args.k + 1:
         raise PreconditionError(f"u must have k+1 = {args.k + 1} entries")
     point = mukai.make_point(u, phi)
@@ -203,7 +236,7 @@ def _cmd_mukai_flop(args) -> int:
 
 def _cmd_symp_rank(args) -> int:
     def matrix(path, key):
-        return parse_field(_load_json(path), key, parse_matrix, path)
+        return parse_field(load_json(path), key, parse_matrix, path)
 
     from . import symplectic
     space = symplectic.symplectic_space(matrix(args.omega, "omega"))
@@ -273,9 +306,10 @@ def _cmd_sigma_orbit(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing never changes it.  It holds
-    each subcommand's handler by name, and ``main`` looks the name up when
-    it calls it, so a handler replaced after the first build still runs."""
+    """The one parser of the process; parsing never changes it.  Its
+    ``commands`` map each subcommand's name to that subcommand's parser.
+    Each holds its handler by name, and ``main`` looks the name up when it
+    calls it, so a handler replaced after the first build still runs."""
     parser = argparse.ArgumentParser(
         prog="hkcone",
         description="Exact wall-and-chamber computations on a Picard lattice.",
@@ -340,17 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", action="store_true")
     p.add_argument("--grid", type=int)  # real mode only; 32 there when not given
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        # what the full parser does with it, without scanning argv twice
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return globals()[args.handler](args)
     except PreconditionError as exc:
         print(f"hkcone: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, DocumentError) as exc:
         print(f"hkcone: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # a resource fault, like an I/O error

@@ -23,6 +23,10 @@ class PreconditionError(ValueError):
     """An operation was called on input that violates its contract."""
 
 
+class DocumentError(ValueError):
+    """An input file is not a UTF-8 JSON document; the message names the file."""
+
+
 class InvariantError(RuntimeError):
     """An internal invariant failed: a bug, never a fault in the input."""
 

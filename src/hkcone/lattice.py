@@ -9,14 +9,14 @@ decided in floating point.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
 from operator import mul
 
 from . import linalg
 from .errors import PreconditionError, Record
-from .rational import parse_array, parse_exact, parse_field, parse_frac, parse_int, parse_ints, parse_str
+from .rational import (load_json, parse_array, parse_exact, parse_field, parse_frac, parse_int,
+                       parse_ints, parse_str)
 
 
 class DiscriminantGroup(Record):
@@ -282,5 +282,4 @@ def lattice_from_dict(doc: dict, where: str = "lattice document") -> IntegralLat
 
 
 def load_lattice(path) -> IntegralLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_dict(json.load(fh), str(path))
+    return lattice_from_dict(load_json(path), str(path))

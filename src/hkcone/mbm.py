@@ -9,14 +9,13 @@ primitive representative live here as well.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError, Record
 from .lattice import IntegralLattice, fold_residue
-from .rational import integral, parse_array, parse_field, parse_frac, parse_int, parse_str
+from .rational import integral, load_json, parse_array, parse_field, parse_frac, parse_int, parse_str
 
 
 class OrbitSignature(Record):
@@ -188,8 +187,7 @@ def table_from_dict(doc: dict) -> SignatureTable:
 
 
 def load_table(path) -> SignatureTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     try:
         return table_from_dict(doc)
     except PreconditionError as exc:

@@ -1,4 +1,6 @@
-"""Parsing and serialization of exact rationals.
+"""Parsing and serialization of exact rationals, and `load_json`, the one
+reader of input documents: a file that is not UTF-8 JSON raises
+DocumentError naming it.
 
 Wire format: rationals are strings "p/q" in lowest terms with q > 0,
 or bare integer strings; integers proper stay JSON integers.  parse_frac
@@ -7,11 +9,20 @@ is the one rule for exact inputs, library calls included; parse_int and parse_ex
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .errors import PreconditionError
+from .errors import DocumentError, PreconditionError
+
+
+def load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
 def parse_frac(value) -> Fraction:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_dispatch
 from hkcone import cli, fixtures
 from hkcone.cli import build_parser, main
 
@@ -224,6 +225,12 @@ class TestMukaiFlop:
 
     def test_k_mismatch_exit_2(self):
         assert main(["mukai-flop", "--k", "2", "--u", "1,0", "--phi", "0,1"]) == 2
+
+    @pytest.mark.parametrize("k", ["0", "-1", "-2"])
+    def test_k_below_1_exit_2_by_name(self, capsys, k):
+        # T*P^k needs k >= 1: at k = 0 every point is the zero section
+        assert main(["mukai-flop", f"--k={k}", "--u", "1", "--phi", "1"]) == 2
+        assert capsys.readouterr().err == f"hkcone: --k must be at least 1 (T*P^k for k >= 1), got {k}\n"
 
 
 class TestSympRank:
@@ -595,6 +602,135 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "hkcone: out of memory\n"
         assert "internal error" not in err
+
+
+class TestDispatch:
+    """An argv that starts with a subcommand's name is parsed by that
+    subcommand's parser alone, with what the full parser would print."""
+
+    def test_both_routes_agree_on_the_corpus(self):
+        assert cli_dispatch.mismatches() == []
+
+    def test_a_subcommand_argv_skips_the_full_parser(self, monkeypatch, capsys):
+        def full(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(build_parser(), "parse_args", full)
+        assert main(["mukai-flop", "--k", "1", "--u", "1,0", "--phi", "0,1"]) == 0
+        with pytest.raises(AssertionError, match="the full parser ran"):
+            main(["mukai"])
+
+    def test_extra_arguments_are_the_full_parsers_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mukai-flop", "--u", "1,0", "--phi", "0,1", "x", "--y"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: hkcone [-h]") and "{classify," in err
+        assert err.endswith("hkcone: error: unrecognized arguments: x --y\n")
+
+
+_TEXT = st.text(st.characters() | st.characters(categories=("Cs",))
+                | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600'), max_size=8)
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+           | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+           | _TEXT)
+_JSON = st.recursive(
+    _SCALAR | st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4) | st.lists(_TEXT, max_size=4)
+    | st.lists(st.integers() | st.booleans(), max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=16)
+
+
+class TestJsonWriter:
+    """`cli._dumps` is json.dumps(obj, indent=2), byte for byte."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(value=_JSON)
+    def test_equals_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), {"a": [1, {2, 3}]}, [b"x"], (1, {"k": 1j})])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError, match=f"^{want.value}$"):
+            cli._dumps(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--lattice", LAT, "--table", TAB, "--class", "4,0,-1"],
+        ["classify", "--lattice", LAT, "--table", TAB, "--class", "1,0,-1"],
+        ["dual-solve", "--lattice", LAT, "--classes", NAMED,
+         "--pair", "C=1", "--pair", "F=3", "--pair", "eps=1"],
+        ["enumerate-walls", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1", "--bound", "2"],
+        ["factor-path", "--lattice", LAT, "--table", TAB, "--from", CH1, "--to", CH4,
+         "--bound", "8"],
+        ["factor-path", "--lattice", LAT, "--table", TAB, "--from", CH1, "--to", CH1,
+         "--bound", "8"],
+        ["mukai-flop", "--k", "1", "--u", "1,0", "--phi", "0,1"],
+        ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "0,0"],
+        ["sigma-orbit", "--e0", "0,0", "--e1", "sqrt2,0", "--e2", "sqrt2,sqrt3", "--x", "0,0",
+         "--depth", "5", "--real"],
+    ], ids=lambda argv: argv[0])
+    def test_readme_commands_write_json_dumps(self, capsys, argv):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_symp_rank_writes_json_dumps(self, tmp_path, capsys):
+        omega, basis = tmp_path / "omega.json", tmp_path / "basis.json"
+        omega.write_text('{"omega": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]}')
+        basis.write_text('{"basis": [[1, 0, 0, 0], [0, 1, 0, 0]]}')
+        assert main(["symp-rank", "--omega", str(omega), "--basis", str(basis)]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_BOTH = ["--lattice", LAT, "--table", TAB]
+# one call per document option; the document under test is "{doc}"
+DOCUMENT_ARGVS = {
+    "--lattice": ["classify", "--lattice", "{doc}", "--table", TAB, "--class", "4,0,-1"],
+    "--table": ["classify", "--lattice", LAT, "--table", "{doc}", "--class", "4,0,-1"],
+    "--from": ["factor-path", *_BOTH, "--from", "{doc}", "--to", CH4, "--bound", "8"],
+    "--classes": ["dual-solve", "--lattice", LAT, "--classes", "{doc}", "--pair", "C=1"],
+    "--omega": ["symp-rank", "--omega", "{doc}", "--basis", "{omega}"],
+    "--basis": ["symp-rank", "--omega", "{omega}", "--basis", "{doc}"],
+    "--path": ["render-cone", *_BOTH, "--base", "4,4,-1", "--bound", "4", "--path", "{doc}"],
+}
+
+
+class TestNotUtf8Document:
+    """An input file that is not UTF-8 JSON exits 1 with a message that
+    names the file, for every option that reads a document."""
+
+    @staticmethod
+    def run(tmp_path, option, data: bytes) -> tuple:
+        doc, omega = tmp_path / "doc.json", tmp_path / "omega.json"
+        doc.write_bytes(data)
+        omega.write_text('{"omega": [[0, 1], [-1, 0]]}')
+        argv = [a.format(doc=doc, omega=omega) for a in DOCUMENT_ARGVS[option]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        return rc, out.getvalue(), err.getvalue(), str(doc)
+
+    @pytest.mark.parametrize("option", DOCUMENT_ARGVS)
+    @pytest.mark.parametrize("data", [
+        '{"basis_names": ["\xe9"]}'.encode("latin-1"),
+        '{"gram": [[2]]}'.encode("utf-16"),
+    ], ids=["latin-1", "utf-16"])
+    def test_exit_1_names_the_file(self, tmp_path, option, data):
+        rc, out, err, doc = self.run(tmp_path, option, data)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"hkcone: {doc}: 'utf-8' codec can't decode byte 0x")
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("option", DOCUMENT_ARGVS)
+    def test_not_json_exit_1_names_the_file(self, tmp_path, option):
+        rc, out, err, doc = self.run(tmp_path, option, b"{")
+        assert (rc, out) == (1, "")
+        assert err == (f"hkcone: {doc}: Expecting property name enclosed in double quotes:"
+                       " line 1 column 2 (char 1)\n")
 
 
 GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
