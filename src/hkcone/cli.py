@@ -5,7 +5,10 @@ in the message) and running out of memory, 2 precondition violations
 (including a factorization whose status is not "ok"), 3 internal errors.
 An argv that starts with a subcommand's exact name is parsed once, by that
 subcommand's parser; any other argv goes through the full parser, and both
-routes print the same usage, help and errors.  JSON output is the bytes of
+routes print the same usage, help and errors.  Before either parses, a
+word of "-" and a digit after an option that takes a value (full name,
+before any "--") is joined to it, "--class -4,0,1" as "--class=-4,0,1":
+argparse would read it as an option.  JSON output is the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, written by `_dumps` without
 json's pure-Python encoder.
 Diagnostics go to stderr; data goes to the declared output.  An --out
@@ -307,7 +310,8 @@ def _cmd_sigma_orbit(args) -> int:
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing never changes it.  Its
-    ``commands`` map each subcommand's name to that subcommand's parser.
+    ``commands`` map each subcommand's name to that subcommand's parser,
+    and ``valued`` holds every name of an option that takes a value.
     Each holds its handler by name, and ``main`` looks the name up when it
     calls it, so a handler replaced after the first build still runs."""
     parser = argparse.ArgumentParser(
@@ -375,12 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int)  # real mode only; 32 there when not given
 
     parser.commands = sub.choices
+    parser.valued = {s for p in sub.choices.values() for a in p._actions if a.nargs != 0
+                     for s in a.option_strings}
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # "--opt -4,0,1" is read as "--opt=-4,0,1" where --opt takes a value, up to a "--":
+    # argparse takes a "-" and a digit for an option unless the token is a plain number
+    end = argv.index("--") if "--" in argv else len(argv)
+    for i in range(end - 1, 0, -1):  # from the right, so a join moves nothing still to read
+        if argv[i][:1] == "-" and argv[i][1:2].isdigit() and argv[i - 1] in parser.valued:
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     if argv and argv[0] in parser.commands:
         # what the full parser does with it, without scanning argv twice
         args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])

@@ -37,14 +37,15 @@ classes with G P.  A zero marks incidence;
 opposite signs a crossing, at t = q(x, A) mb / (q(x, A) mb - q(x, B) ma);
 whether those t are distinct is decided on the integer pairs in lowest
 terms (``_distinct_crossings``).  A perturbed endpoint is y / d,
-d = 64 m 2^h, and carries only y, d and G y: a shift y_j += 1 adds row
-j of G to G y and halving the shift doubles all three
-(``_fix_endpoint``).  q(y), q(x, y), q(base, y) and the side list are
-dot products with G y, each formed only for a candidate that passed the
-tests before it.  A shift of x to y needs no walk when an
-integer certificate (``_short_shift``) shows that only walls through x
-can meet [x, y]: those are walls of the segment, so the side list
-decides; otherwise [x, y] is walked on G x, G y and q(x, y).
+d = c m 2^h with c = 64, or c = 64 2^(64 div n) on the second pass,
+and carries only y, d and G y: a shift y_j += 1 adds row j of G to
+G y and halving the shift doubles all three (``_fix_endpoint``).
+q(y), q(x, y), q(base, y) and the side list are dot products with G y,
+each formed only for a candidate that passed the tests before it.
+A shift of x to y needs no walk when an integer certificate
+(``_short_shift``) shows that only walls through x can meet [x, y]:
+those are walls of the segment, so the side list decides; otherwise
+[x, y] is walked on G x, G y and q(x, y).
 Fractions are built only for the reported endpoints and t.
 """
 

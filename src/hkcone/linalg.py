@@ -9,10 +9,13 @@ fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968),
 optionally on to d times the reduced row echelon form.  It returns
 (rows, pivots, d, swaps, scale): the integer rows, the pivot columns,
 the last pivot, the number of row swaps and the product of the row
-scales.  Without swaps the rows are the fraction-free LDL^t that cone's
-Fincke-Pohst walk reads.  congruence_diagonalize (Lagrange's pivot rule)
-runs the same exact-division Schur steps on the integer rows of [cG | I],
-with the symmetric column operations its pivots need.
+scales.  invert and solve read from the pivots whether one landed in
+their augmented columns.  Without swaps the rows are the fraction-free
+LDL^t that cone's Fincke-Pohst walk reads.  One Bareiss step,
+_bareiss_step, does every exact-division update: _echelon calls it per
+pivot, and congruence_diagonalize (Lagrange's pivot rule) calls it on
+the integer rows of [cG | I] after the symmetric column operations its
+pivots need.
 smith_normal_form (over Z) keeps V by columns, so every step on U and V
 is a whole-row operation; its entries follow rational.parse_int.  Every
 core works in integers and forms Fractions only for what it returns.
@@ -78,16 +81,40 @@ def mat_mul(a, b):
     return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
-def _echelon(m, width=None, reduce=False):
+def _bareiss_step(rows, r, c, d, reduce=False):
+    """One fraction-free Bareiss step on the pivot p = rows[r][c]; returns p.
+
+    Every row below r (with ``reduce``, every row but r) becomes
+    ``(row * p - row[c] * rows[r]) // d``, divided exactly by d, the
+    previous pivot, so column c ends at 0 off the pivot.  Rows below r
+    are already 0 left of c, and only their columns right of c change.
+    """
+    top = rows[r]
+    p = top[c]
+    for i in range(0 if reduce else r + 1, len(rows)):
+        if i == r:
+            continue
+        row = rows[i]
+        f = row[c]
+        # rows above hold earlier pivots and free columns left of c,
+        # which must be rescaled too
+        for j in range(0 if i < r else c + 1, len(top)):
+            row[j] = (row[j] * p - f * top[j]) // d
+        row[c] = 0
+    return p
+
+
+def _echelon(m, reduce=False):
     """Fraction-free (Bareiss) row echelon form of m.
 
     Each row holding a non-integer is first scaled to integers by the lcm
     of its denominators; ``scale`` is the product of those factors.  The
-    integer rows are then eliminated over the first ``width`` columns
-    (default: all), pivoting on the first nonzero entry at or below the
-    current row, with every update divided exactly by the previous pivot.
-    With ``reduce`` the entries above each pivot are cleared as well, so
-    the pivot rows end as ``d`` times the reduced row echelon form.
+    integer rows are then eliminated column by column, pivoting on the
+    first nonzero entry at or below the current row, one _bareiss_step
+    per pivot.  With ``reduce`` the entries above each pivot are cleared
+    as well, so the pivot rows end as ``d`` times the reduced row echelon
+    form.  Callers of an augmented matrix read from the pivots whether
+    one landed in the augmented columns.
 
     Returns ``(rows, pivots, d, swaps, scale)``: the eliminated integer rows
     (pivot rows first), the pivot columns, the last pivot (1 if none), the
@@ -105,7 +132,7 @@ def _echelon(m, width=None, reduce=False):
     pivots = []
     d = 1
     swaps = 0
-    for c in range(ncols if width is None else width):
+    for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
@@ -115,19 +142,7 @@ def _echelon(m, width=None, reduce=False):
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             swaps += 1
-        top = rows[r]
-        p = top[c]
-        for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            # rows above hold earlier pivots and free columns left of c,
-            # which must be rescaled too
-            for j in range(0 if i < r else c + 1, ncols):
-                row[j] = (row[j] * p - f * top[j]) // d
-            row[c] = 0
-        d = p
+        d = _bareiss_step(rows, r, c, d, reduce)
         pivots.append(c)
     return rows, pivots, d, swaps, scale
 
@@ -147,8 +162,8 @@ def determinant(m):
 def invert(m):
     n = _order(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots, d, _swaps, _scale = _echelon(aug, width=n, reduce=True)
-    if len(pivots) < n:
+    rows, pivots, d, _swaps, _scale = _echelon(aug, reduce=True)
+    if pivots[:n] != list(range(n)):
         raise PreconditionError("singular matrix")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
@@ -166,11 +181,10 @@ def solve(a, b):
     if len(b) != nrows:
         raise PreconditionError("dimension mismatch")
     aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rows, pivots, d, _swaps, _scale = _echelon(aug, width=ncols, reduce=True)
+    rows, pivots, d, _swaps, _scale = _echelon(aug, reduce=True)
+    if ncols in pivots:
+        raise PreconditionError("inconsistent system")
     r = len(pivots)
-    for row in rows[r:]:
-        if row[ncols] != 0:
-            raise PreconditionError("inconsistent system")
     if r < ncols:
         raise PreconditionError("underdetermined system")
     return tuple(Fraction(row[ncols], d) for row in rows[:r])
@@ -200,8 +214,8 @@ def congruence_diagonalize(g):
     first nonzero pair (i, j) to row and column i (rank-2 hyperbolic
     split).  The rows below each pivot become their Schur complement, so
     the active block stays symmetric.  Works on the integer rows of
-    [cG | I], c the lcm of G's denominators, with every Schur step divided
-    exactly by the previous pivot, as in _echelon: row i ends as s_i times
+    [cG | I], c the lcm of G's denominators, by _bareiss_step, whose
+    updates divide exactly by the previous pivot: row i ends as s_i times
     (c diag_i, t_i), s_i the last pivot above row i (1 for none) and t_i
     the i-th column of T, so Fractions are formed only at the end.  Works
     for singular input; zero diagonal entries mark the radical.
@@ -224,11 +238,7 @@ def congruence_diagonalize(g):
             rows[k], rows[piv] = rows[piv], rows[k]
             for row in rows[k:]:
                 row[k], row[piv] = row[piv], row[k]
-        p, d = rows[k][k], scales[-1]
-        for row in rows[k + 1:]:
-            f = row[k]
-            row[k:] = [(x * p - f * y) // d for x, y in zip(row[k:], rows[k][k:])]
-        scales.append(p)
+        scales.append(_bareiss_step(rows, k, k, scales[-1]))
     scales += scales[-1:] * n  # a zero block keeps the last pivot
     return (mat(zip(*([Fraction(x, s) for x in row[n:]] for row, s in zip(rows, scales)))),
             tuple(Fraction(row[i], c * s) for i, (row, s) in enumerate(zip(rows, scales))))

@@ -56,6 +56,15 @@ CORPUS = [
     ["symp-rank", "--omega", "/nonexistent.json", "--basis", "/nonexistent.json"],
     ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "0,0"],
     ["classify", *BOTH, "--class", "0,1,0"],
+    # a value of "-" and a digit after an option that takes one, a flag, "--"
+    ["factor-path", *BOTH, "--from", "-1,-1,0", "--to", "-3,-2,0", "--bound", "8"],
+    ["dual-solve", "--lattice", LAT, "--pair", "-4,0,1=3", "--pair", "C=1", "--pair", "F=2"],
+    ["render-cone", *BOTH, "--base", "4,4,-1", "--bound", "4", "--mark", "-4,-4,1:neg",
+     "--out", OUT],
+    ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "-1/3,0"],
+    ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "0,0", "--real",
+     "-4,0"],
+    ["classify", *BOTH, "--", "--class", "-4,0,1"], ["classify", *BOTH, "--cl", "-4,0,1"],
 ]
 
 

@@ -629,6 +629,65 @@ class TestDispatch:
         assert err.endswith("hkcone: error: unrecognized arguments: x --y\n")
 
 
+class TestNegativeCoordinates:
+    """A vector value that starts with "-" and a digit may follow its option
+    as a separate word: it means what the --opt=value form means."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        return (rc, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv, rc", [
+        # both ends in the negative component: the walk leaves the birational cone
+        (["factor-path", "--lattice", LAT, "--table", TAB, "--from", "-1,-1,0",
+          "--to", "-3,-2,0", "--bound", "8"], 2),
+        (["dual-solve", "--lattice", LAT, "--pair", "-4,0,1=3", "--pair", "C=1",
+          "--pair", "F=2"], 0),
+        (["mukai-flop", "--k", "1", "--u", "-1,0", "--phi", "0,1"], 0),
+        (["sigma-orbit", "--e0", "-1/2,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "-1/3,0"], 0),
+    ])
+    def test_separate_value_is_the_joined_one(self, argv, rc, capsys):
+        joined = argv[:1] + [f"{o}={v}" for o, v in zip(argv[1::2], argv[2::2])]
+        got = self.run(argv, capsys)
+        assert got == self.run(joined, capsys)
+        assert got[0] == rc and "expected one argument" not in got[2]
+
+    def test_class_prints_the_equals_form(self, capsys):
+        both = ["classify", "--lattice", LAT, "--table", TAB]
+        got = self.run([*both, "--class", "-4,0,1"], capsys)
+        assert got == self.run([*both, "--class=-4,0,1"], capsys)
+        assert got[0] == 0 and json.loads(got[1]) == {
+            "orbit": "codim2", "square": -36, "divisibility": 4, "codimension": 2}
+
+    def test_mark(self, tmp_path, capsys):
+        svgs = []
+        for i, mark in enumerate([["--mark", "-4,-4,1:neg"], ["--mark=-4,-4,1:neg"]]):
+            svgs.append(tmp_path / f"{i}.svg")
+            assert self.run(["render-cone", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1",
+                             "--bound", "4", *mark, "--out", str(svgs[-1])], capsys) == (0, "", "")
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
+        assert b">neg</text>" in svgs[0].read_bytes()
+
+    def test_flag_and_double_dash_are_left_alone(self, capsys):
+        # --real takes no value, and after "--" nothing is an option
+        rc, out, err = self.run(["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2",
+                                 "--x", "0,0", "--real", "-4,0"], capsys)
+        assert (rc, out) == (2, "") and err.endswith("unrecognized arguments: -4,0\n")
+        rc, out, err = self.run(["classify", "--lattice", LAT, "--table", TAB,
+                                 "--", "--class", "-4,0,1"], capsys)
+        assert (rc, out) == (2, "") and "required: --class" in err
+
+    def test_abbreviated_option_needs_the_equals_form(self, capsys):
+        both = ["classify", "--lattice", LAT, "--table", TAB]
+        rc, _out, err = self.run([*both, "--cl", "-4,0,1"], capsys)
+        assert rc == 2 and "argument --class: expected one argument" in err
+        assert self.run([*both, "--cl=-4,0,1"], capsys)[0] == 0
+
+
 _TEXT = st.text(st.characters() | st.characters(categories=("Cs",))
                 | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600'), max_size=8)
 _SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
+import linalg_oracle
 from hkcone import linalg
 from hkcone.errors import PreconditionError
 
@@ -558,3 +559,126 @@ class TestRaggedMatrices:
             linalg.congruence_diagonalize([[1, 2], [2]])
         with pytest.raises(PreconditionError, match="square"):
             linalg.congruence_diagonalize([[1, 2, 0], [2, 1, 0]])
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the name and text of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # any exception: the oracle must raise the same
+        return "error", type(exc).__name__, str(exc)
+
+
+def gram_cases(seed):
+    """The bundled and benchmark-shaped Gram matrices: the quartic K3
+    lattice, U + <-2>, the rank-4 U + <-2> + <-4>, and seeded symmetric
+    matrices of size 3 to 5 with entries in [-4, 4], as the benchmark's
+    Lorentzian batches draw them (nondegenerate ones kept)."""
+    yield [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
+    yield [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -4]]
+    yield [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
+    rng = random.Random(seed)
+    kept = 0
+    while kept < 150:
+        g = random_symmetric(rng, 3 + kept % 3, 4)
+        if linalg_oracle.determinant(g):
+            kept += 1
+            yield g
+
+
+def elimination_cases(seed):
+    """Matrices of every shape from 0 x 0 to 6 x 6, int and rational, a
+    third with a row a multiple of another, and 12 x 12 integer ones as
+    the benchmark's matrix batch draws them, a quarter of rank 8 to 11."""
+    rng = random.Random(seed)
+    yield []
+    yield [[]]
+    for k in range(2500):
+        nr, nc = rng.randint(1, 6), rng.randint(0, 6) if k % 9 else rng.randint(1, 6)
+        rational = k % 2
+
+        def entry():
+            if rational and rng.random() < 0.6:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            return rng.randint(-6, 6) if k % 5 else rng.randint(-1, 1)
+
+        m = [[entry() for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and k % 3 == 0:
+            i, j = rng.sample(range(nr), 2)
+            m[i] = [rng.randint(-3, 3) * x for x in m[j]]
+        yield m
+    for k in range(40):
+        if k % 4 == 3:
+            r = rng.randint(8, 11)
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(12)]
+            right = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(r)]
+            yield [list(row) for row in linalg.mat_mul(left, right)]
+        else:
+            yield [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+
+
+def right_hand_sides(rng, m):
+    """b for A x = b: a consistent one, a random one, one of the wrong
+    length and, for a single row, a rational one."""
+    nc = len(m[0]) if m else 0
+    x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+    yield [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in m]
+    yield [rng.randint(-4, 4) for _ in m]
+    yield [1] * (len(m) + 1)
+    if len(m) == 1:
+        yield [Fraction(1, 3)]
+
+
+def congruence_symmetric_cases(seed):
+    """Symmetric matrices P B P^t of size 1 to 6 and rank at most 1 to 6,
+    int and rational, a third with a zero diagonal to force the hyperbolic
+    split."""
+    rng = random.Random(seed)
+    for k in range(3000):
+        n = rng.randint(1, 6)
+        r = rng.randint(1, n)  # P B P^t has rank at most r
+        p = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        b = random_symmetric(rng, r, rng.choice((1, 3, 9)))
+        a = [list(row) for row in linalg.mat_mul(linalg.mat_mul(p, b), linalg.transpose(p))]
+        if k % 3 == 0:
+            for i in range(n):
+                a[i][i] = 0
+        if k % 4 == 1:  # D^-1 A D^-1 keeps the rank and the zero diagonal
+            q = [rng.randint(1, 6) for _ in range(n)]
+            a = [[Fraction(x, q[i] * q[j]) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        yield a
+
+
+class TestAgainstLoopOracle:
+    """One shared `_bareiss_step` changes no result: every value, error type
+    and error text of the entry points equals that of the elimination kept
+    verbatim in `linalg_oracle`, where `_echelon` and `congruence_diagonalize`
+    each run their own update loop."""
+
+    def test_rank_determinant_invert_nullspace(self):
+        calls = 0
+        for m in elimination_cases(361):
+            for name in ("rank", "determinant", "invert", "nullspace"):
+                got = _outcome(getattr(linalg, name), m)
+                assert got == _outcome(getattr(linalg_oracle, name), m), (name, m)
+                calls += 1
+        assert calls == 4 * 2542
+
+    def test_solve(self):
+        rng = random.Random(362)
+        seen = set()
+        for m in elimination_cases(363):
+            for b in right_hand_sides(rng, m):
+                got = _outcome(linalg.solve, m, b)
+                assert got == _outcome(linalg_oracle.solve, m, b), (m, b)
+                seen.add(got[0] if got[0] == "value" else got[2])
+        assert seen == {"value", "empty system", "dimension mismatch", "inconsistent system",
+                        "underdetermined system"}
+
+    def test_congruence_diagonalize(self):
+        zero_diagonal = 0
+        for g in chain(congruence_symmetric_cases(364), gram_cases(365)):
+            got = _outcome(linalg.congruence_diagonalize, g)
+            assert got == _outcome(linalg_oracle.congruence_diagonalize, g), g
+            zero_diagonal += not any(g[i][i] for i in range(len(g)))
+        assert zero_diagonal >= 500
