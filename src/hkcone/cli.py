@@ -1,14 +1,23 @@
 """Command-line surface: JSON in, JSON/SVG out.
 
-Exit codes: 0 success, 1 I/O errors, files that are not UTF-8 JSON (named
-in the message) and running out of memory, 2 precondition violations
-(including a factorization whose status is not "ok"), 3 internal errors.
+Exit codes: 0 success, 1 I/O errors, files that are not UTF-8 JSON or that
+json cannot read (named in the message) and running out of memory, 2
+precondition violations (including a factorization whose status is not
+"ok"), 3 internal errors.
 An argv that starts with a subcommand's exact name is parsed once, by that
 subcommand's parser; any other argv goes through the full parser, and both
 routes print the same usage, help and errors.  Before either parses, a
-word of "-" and a digit after an option that takes a value (full name,
-before any "--") is joined to it, "--class -4,0,1" as "--class=-4,0,1":
-argparse would read it as an option.  JSON output is the bytes of
+word of "-" or "-." and a digit after an option that takes a value (full
+name, before any "--") is joined to it, "--class -4,0,1" as
+"--class=-4,0,1" and "--x -.5,0" as "--x=-.5,0": argparse would read it
+as an option.
+Each ``_cmd_*`` handler maps the parsed arguments, and the lattice and
+table that `main` loaded for it, to the document it prints: a dict for
+JSON, the SVG text for render-cone.  `main` alone loads --lattice, then
+--table (importing `mbm` only for the subcommands that take one), writes
+the document and maps every outcome to its exit code; a factor-path report
+whose status is not "ok" is written first, and then its status goes to
+stderr and the call exits 2.  JSON output is the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, written by `_dumps` without
 json's pure-Python encoder.
 Diagnostics go to stderr; data goes to the declared output.  An --out
@@ -19,7 +28,6 @@ fails leaves the file empty, but the rewrite is not crash-safe: after a
 crash the file can hold a new prefix and the old tail.
 A handler imports what it runs: a call loads only its subcommand's modules.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -91,10 +99,6 @@ def _dumps(obj, indent="\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(obj, out: str | None):
-    _emit(_dumps(obj) + "\n", out)
-
-
 def _option_vector(lattice, option: str, text: str):
     """Inline coordinates "a,b,c" of an option; errors name the option."""
     try:
@@ -103,12 +107,18 @@ def _option_vector(lattice, option: str, text: str):
         raise PreconditionError(f"{option}: {exc}") from exc
 
 
+def _file_points(lattice, path: str, *keys) -> tuple:
+    """The points under keys of the JSON object in the file at path."""
+    doc = load_json(path)
+    return tuple(parse_field(doc, key, lambda v: lattice.check_length(parse_array(v)), path)
+                 for key in keys)
+
+
 def _load_point(lattice, option: str, spec_text: str):
     """A point is either inline coordinates "a,b,c" or a JSON file path."""
     if "," in spec_text:
         return _option_vector(lattice, option, spec_text)
-    return parse_field(load_json(spec_text), "point",
-                       lambda v: lattice.check_length(parse_array(v)), spec_text)
+    return _file_points(lattice, spec_text, "point")[0]
 
 
 def _named_classes(lattice, path: str | None) -> dict:
@@ -124,24 +134,19 @@ def _named_classes(lattice, path: str | None) -> dict:
     return names
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, lattice, table) -> dict:
     from . import mbm
-    lattice = load_lattice(args.lattice)
-    table = mbm.load_table(args.table)
     sig = mbm.classify(lattice, table, _option_vector(lattice, "--class", getattr(args, "class")))
     if sig is None:
-        _emit_json({"orbit": None}, args.out)
-        return 0
-    _emit_json({
+        return {"orbit": None}
+    return {
         "orbit": sig.name,
         **sig.report_fields(),
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_dual_solve(args) -> int:
+def _cmd_dual_solve(args, lattice) -> dict:
     from . import mbm
-    lattice = load_lattice(args.lattice)
     names = _named_classes(lattice, args.classes)
     constraints = []
     for pair in args.pair:
@@ -158,21 +163,18 @@ def _cmd_dual_solve(args) -> int:
         constraints.append((cls, parse_frac(value.strip())))
     x = mbm.dual_solve(lattice, constraints)
     primitive, scale = mbm.primitive_rescale(x)
-    _emit_json({
+    return {
         "vector": vector_strs(x),
         "primitive": list(primitive),
         "scale": frac_str(scale),
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_enumerate(args) -> int:
-    from . import cone, mbm
-    lattice = load_lattice(args.lattice)
-    table = mbm.load_table(args.table)
+def _cmd_enumerate(args, lattice, table) -> dict:
+    from . import cone
     base = _option_vector(lattice, "--base", args.base)
     walls = cone.enumerate_wall_classes(lattice, table, base, parse_frac(args.bound))
-    _emit_json({
+    return {
         "walls": [
             {
                 "class": list(x),
@@ -181,34 +183,21 @@ def _cmd_enumerate(args) -> int:
             }
             for x, sig in walls
         ]
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_factor_path(args) -> int:
-    from . import cone, mbm
-    lattice = load_lattice(args.lattice)
-    table = mbm.load_table(args.table)
+def _cmd_factor_path(args, lattice, table) -> dict:
+    from . import cone
     a = _load_point(lattice, "--from", getattr(args, "from"))
     b = _load_point(lattice, "--to", args.to)
     result = cone.factor_path(lattice, table, a, b, parse_frac(args.bound))
-    _emit_json(cone.factorization_report(result), args.out)
-    if result.status != cone.STATUS_OK:
-        print(f"factorization status: {result.status}", file=sys.stderr)
-        return 2
-    return 0
+    return cone.factorization_report(result)
 
 
-def _cmd_render(args) -> int:
-    from . import mbm, render
-    lattice = load_lattice(args.lattice)
-    table = mbm.load_table(args.table)
+def _cmd_render(args, lattice, table) -> str:
+    from . import render
     base = _option_vector(lattice, "--base", args.base)
-    path = None
-    if args.path is not None:
-        doc = load_json(args.path)
-        path = tuple(parse_field(doc, key, lambda v: lattice.check_length(parse_array(v)), args.path)
-                     for key in ("a", "b"))
+    path = None if args.path is None else _file_points(lattice, args.path, "a", "b")
     markers = []
     for mark in args.mark or ():
         coords_text, _, label = mark.partition(":")
@@ -216,11 +205,10 @@ def _cmd_render(args) -> int:
     cusps = [_option_vector(lattice, "--cusp", c) for c in args.cusp or ()]
     scene = render.build_scene(lattice, table, base, parse_frac(args.bound),
                                markers=markers, cusps=cusps, path=path)
-    _emit(render.render_svg(scene), args.out)
-    return 0
+    return render.render_svg(scene)
 
 
-def _cmd_mukai_flop(args) -> int:
+def _cmd_mukai_flop(args) -> dict:
     from . import mukai
     u = parse_vector(args.u)
     phi = parse_vector(args.phi)
@@ -230,26 +218,24 @@ def _cmd_mukai_flop(args) -> int:
         raise PreconditionError(f"u must have k+1 = {args.k + 1} entries")
     point = mukai.make_point(u, phi)
     image = mukai.flop(point)
-    _emit_json({
+    return {
         "phi": vector_strs(image.phi),
         "Astar": [vector_strs(row) for row in image.b],
-    }, args.out)
-    return 0
+    }
 
 
-def _cmd_symp_rank(args) -> int:
+def _cmd_symp_rank(args) -> dict:
     def matrix(path, key):
         return parse_field(load_json(path), key, parse_matrix, path)
 
     from . import symplectic
     space = symplectic.symplectic_space(matrix(args.omega, "omega"))
     w = symplectic.subspace(matrix(args.basis, "basis"))
-    _emit_json({
+    return {
         "rank": symplectic.restriction_rank(space, w),
         "isotropic": symplectic.is_isotropic(space, w),
         "coisotropic": symplectic.is_coisotropic(space, w),
-    }, args.out)
-    return 0
+    }
 
 
 _IRRATIONAL = {"sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3), "sqrt5": math.sqrt(5)}
@@ -270,26 +256,22 @@ def _torus_point(text: str, real: bool) -> torus.TorusPoint:
     return torus.real_point(*(_IRRATIONAL[p] if p in _IRRATIONAL else parse_frac(p) for p in parts))
 
 
-def _cmd_sigma_orbit(args) -> int:
+def _cmd_sigma_orbit(args) -> dict:
     from . import torus
-    real = args.real
-    if args.grid is not None and not real:
+    if args.grid is not None and not args.real:
         raise PreconditionError("--grid sets the covering-radius grid of --real; exact mode has none")
-    fiber = torus.MarkedFiber(
-        e0=_torus_point(args.e0, real),
-        e1=_torus_point(args.e1, real),
-        e2=_torus_point(args.e2, real),
-    )
-    x = _torus_point(args.x, real)
+    marks = (args.e0, args.e1, args.e2)
+    fiber = torus.MarkedFiber(*(_torus_point(t, args.real) for t in marks))
+    x = _torus_point(args.x, args.real)
     gens = torus.generators(fiber)
-    if real:
+    if args.real:
         grid = 32 if args.grid is None else args.grid
         size, radius = torus.orbit_density(fiber, x, args.depth, grid)
         # a generator coordinate t_j - t_i is irrational iff the tokens differ and one
         # is a root: 1, sqrt2, sqrt3 and sqrt5 are linearly independent over Q
-        marks = [_tokens(t) for t in (args.e0, args.e1, args.e2)]
+        tokens = [_tokens(t) for t in marks]
         finite = False if any(ti != tj and (ti in _IRRATIONAL or tj in _IRRATIONAL)
-                              for mi, mj in itertools.combinations(marks, 2)
+                              for mi, mj in itertools.combinations(tokens, 2)
                               for ti, tj in zip(mi, mj)) else None
     else:
         size, finite = torus.orbit_size(fiber, x, args.depth), True
@@ -297,14 +279,13 @@ def _cmd_sigma_orbit(args) -> int:
         "size": size,
         "finite": finite,
         "generators": [
-            [frac_str(g.x), frac_str(g.y)] if not real else [repr(float(g.x)), repr(float(g.y))]
+            [repr(float(g.x)), repr(float(g.y))] if args.real else [frac_str(g.x), frac_str(g.y)]
             for g in gens
         ],
     }
-    if real:
+    if args.real:
         doc["covering_radius"] = radius
-    _emit_json(doc, args.out)
-    return 0
+    return doc
 
 
 @functools.lru_cache(maxsize=1)
@@ -388,10 +369,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     # "--opt -4,0,1" is read as "--opt=-4,0,1" where --opt takes a value, up to a "--":
-    # argparse takes a "-" and a digit for an option unless the token is a plain number
+    # argparse takes "-" and a digit, or "-." and a digit, for an option unless the token is a
+    # plain number; a bare "-" is left alone
     end = argv.index("--") if "--" in argv else len(argv)
     for i in range(end - 1, 0, -1):  # from the right, so a join moves nothing still to read
-        if argv[i][:1] == "-" and argv[i][1:2].isdigit() and argv[i - 1] in parser.valued:
+        if argv[i][:1] == "-" and argv[i][1:].removeprefix(".")[:1].isdigit() \
+                and argv[i - 1] in parser.valued:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     if argv and argv[0] in parser.commands:
         # what the full parser does with it, without scanning argv twice
@@ -401,13 +384,20 @@ def main(argv=None) -> int:
     else:
         args = parser.parse_args(argv)
     try:
-        return globals()[args.handler](args)
-    except PreconditionError as exc:
+        docs = [load_lattice(args.lattice)] if "lattice" in args else []
+        if "table" in args:
+            from . import mbm
+            docs.append(mbm.load_table(args.table))
+        doc = globals()[args.handler](args, *docs)
+        _emit(doc if isinstance(doc, str) else _dumps(doc) + "\n", args.out)
+        # a factorization whose status is not "ok": its report is written, then exit 2
+        if not isinstance(doc, str) and doc.get("status", "ok") != "ok":
+            print(f"factorization status: {doc['status']}", file=sys.stderr)
+            return 2
+        return 0
+    except (PreconditionError, OSError, DocumentError) as exc:
         print(f"hkcone: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, DocumentError) as exc:
-        print(f"hkcone: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, PreconditionError) else 1
     except MemoryError:  # a resource fault, like an I/O error
         print("hkcone: out of memory", file=sys.stderr)
         return 1

@@ -24,7 +24,8 @@ class PreconditionError(ValueError):
 
 
 class DocumentError(ValueError):
-    """An input file is not a UTF-8 JSON document; the message names the file."""
+    """An input file is not a UTF-8 JSON document that json can read (too
+    deep a nesting or too long an integer are not); the message names the file."""
 
 
 class InvariantError(RuntimeError):

@@ -1,6 +1,7 @@
 """Parsing and serialization of exact rationals, and `load_json`, the one
-reader of input documents: a file that is not UTF-8 JSON raises
-DocumentError naming it.
+reader of input documents: a file that is not UTF-8 JSON, or that json
+cannot read (arrays or objects nested past the recursion limit, an
+integer literal past the int digit limit), raises DocumentError naming it.
 
 Wire format: rationals are strings "p/q" in lowest terms with q > 0,
 or bare integer strings; integers proper stay JSON integers.  parse_frac
@@ -21,7 +22,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, too many digits
         raise DocumentError(f"{path}: {exc}") from exc
 
 

@@ -65,6 +65,10 @@ CORPUS = [
     ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "0,0", "--real",
      "-4,0"],
     ["classify", *BOTH, "--", "--class", "-4,0,1"], ["classify", *BOTH, "--cl", "-4,0,1"],
+    # "-." and a digit is joined as well; "-." alone is not
+    ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "-.5,0"],
+    ["enumerate-walls", *BOTH, "--base", "4,4,-1", "--bound", "-.5"],
+    ["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "-.,0"],
 ]
 
 

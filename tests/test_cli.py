@@ -213,6 +213,29 @@ class TestFactorPath:
         assert [s["orbit"] for s in doc["steps"]] == ["codim3"]
 
 
+class TestFactorPathStatus:
+    """A factorization whose status is not "ok" writes its report to --out,
+    then prints the status alone on stderr and exits 2."""
+
+    @pytest.mark.parametrize("ends, status", [
+        (["--from", "4,4,-1", "--to", "4,4,-1", "--bound", "1"], "regular_in_codim_two"),
+        (["--from", "4,2,0", "--to", "1,5,-2", "--bound", "20"], "leaves_birational_cone"),
+    ])
+    def test_report_in_out_file_then_status(self, tmp_path, capsys, ends, status):
+        out = tmp_path / "path.json"
+        assert main(["factor-path", "--lattice", LAT, "--table", TAB, *ends,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"factorization status: {status}\n")
+        assert json.loads(out.read_bytes())["status"] == status
+
+    def test_unwritable_out_exit_1_without_status(self, tmp_path, capsys):
+        assert main(["factor-path", "--lattice", LAT, "--table", TAB, "--from", "4,4,-1",
+                     "--to", "4,4,-1", "--bound", "1", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("hkcone: ")
+        assert "factorization status" not in err and "internal error" not in err
+
+
 class TestMukaiFlop:
     def test_worked_point(self, capsys):
         rc = main(["mukai-flop", "--k", "1", "--u", "1,0", "--phi", "0,1"])
@@ -528,9 +551,10 @@ class TestSharedParser:
         argv = ["classify", "--lattice", LAT, "--table", TAB, "--class", "4,0,-1"]
         assert main(argv) == 0  # the parser is built and cached
         capsys.readouterr()
-        monkeypatch.setattr(cli, "_cmd_classify", lambda args: 7)
-        assert main(argv) == 7
-        assert capsys.readouterr().out == ""
+        doc = {"orbit": "patched", "t": ["2/3"]}
+        monkeypatch.setattr(cli, "_cmd_classify", lambda args, lattice, table: doc)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (json.dumps(doc, indent=2) + "\n", "")
 
 
 README_SVG_B15 = "39d92a3866e525826b6f60d4650685aa8c8edc783cbf2d632836a60e9ebc83b6"
@@ -578,6 +602,119 @@ class TestGoldenReports:
         assert main([argv[0], "--lattice", LAT, "--table", TAB, *argv[1:]]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+FX = os.path.dirname(LAT)
+_QUARTIC = "--lattice {fixtures}/k3_3_quartic.json --table {fixtures}/mbm.json"
+# the README's commands, its files in "{tmp}" and its --out as "{out}"
+README_ARGVS = [
+    f"classify {_QUARTIC} --class 4,0,-1",
+    "dual-solve --lattice {fixtures}/k3_3_quartic.json --classes {fixtures}/named_classes.json"
+    " --pair C=1 --pair F=3 --pair eps=1",
+    f"enumerate-walls {_QUARTIC} --base 4,4,-1 --bound 2",
+    f"factor-path {_QUARTIC} --from {{fixtures}}/chamber1.json --to {{fixtures}}/chamber4.json"
+    " --bound 8",
+    f"render-cone {_QUARTIC} --base 4,4,-1 --bound 15 --out {{out}} --cusp 0,1,0 --cusp 1,1,-1"
+    " --path {tmp}/path.json",
+    "mukai-flop --k 1 --u 1,0 --phi 0,1",
+    "symp-rank --omega {tmp}/omega.json --basis {tmp}/basis.json",
+    "sigma-orbit --e0 0,0 --e1 1/3,0 --e2 0,1/2 --x 0,0 --depth 5",
+]
+# sha256 of (exit code, stdout, stderr, --out bytes) with the fixtures directory
+# and the scratch directory as placeholders, for each README command and each
+# argv of tests/cli_dispatch.py that gets past the parser
+GOLDEN_OUTCOMES = {
+    f"classify {_QUARTIC} --class 4,0,-1":
+        "5dff038d9d22fa6aa4a87631d8f64c3a0605c4b68dd7e664e574d50e1b34f73a",
+    "dual-solve --lattice {fixtures}/k3_3_quartic.json --classes "
+        "{fixtures}/named_classes.json --pair C=1 --pair F=3 --pair eps=1":
+        "a74a3861acd0a2ab9a158e121ca53063cf66d66cc2fdf71e207e7e6cda72898c",
+    f"enumerate-walls {_QUARTIC} --base 4,4,-1 --bound 2":
+        "d09aa0339abb9bac12cbd518218b4470eb7adccb2388f5f6dbe8eb1eb1a2a6ba",
+    f"factor-path {_QUARTIC} --from {{fixtures}}/chamber1.json --to "
+        f"{{fixtures}}/chamber4.json --bound 8":
+        "6eb493f4e3137d7adc8b737db6603e47daf0fb764c6b6d6051b39052d6d0e87b",
+    f"render-cone {_QUARTIC} --base 4,4,-1 --bound 15 --out {{out}} --cusp 0,1,0 --cusp "
+        f"1,1,-1 --path {{tmp}}/path.json":
+        "0568770bca125d36ae3bcddf4886631e9d207b5922bcb011606e1eaeaaf37f1e",
+    "mukai-flop --k 1 --u 1,0 --phi 0,1":
+        "7ecb60754701a37db5921eb9f48e3a612f6daa2bd1083879d40d5512ce9b95bc",
+    "symp-rank --omega {tmp}/omega.json --basis {tmp}/basis.json":
+        "8cc3fab293d991ce50cb8231714ac605ac0b6f909fd224f858e8bc902a5a0e65",
+    "sigma-orbit --e0 0,0 --e1 1/3,0 --e2 0,1/2 --x 0,0 --depth 5":
+        "c209b3271609bba9c616878c5713c56151ff31129d9579ed1544302ee763c6cd",
+    "classify --lattice={fixtures}/k3_3_quartic.json --table={fixtures}/mbm.json "
+        "--class=4,0,-1":
+        "5dff038d9d22fa6aa4a87631d8f64c3a0605c4b68dd7e664e574d50e1b34f73a",
+    "classify --lat {fixtures}/k3_3_quartic.json --tab {fixtures}/mbm.json --cl 4,0,-1":
+        "5dff038d9d22fa6aa4a87631d8f64c3a0605c4b68dd7e664e574d50e1b34f73a",
+    f"classify {_QUARTIC} --class -4,0,1":
+        "5dff038d9d22fa6aa4a87631d8f64c3a0605c4b68dd7e664e574d50e1b34f73a",
+    f"classify {_QUARTIC} --class=-4,0,1":
+        "5dff038d9d22fa6aa4a87631d8f64c3a0605c4b68dd7e664e574d50e1b34f73a",
+    f"classify {_QUARTIC} --class 4,0,-1 --class 0,1,0":
+        "e233cb6b93cd3c991ff4a9ba8c1480349ba319a7bfe22691c3bc2b5e82bb6f0d",
+    "mukai-flop --u=1,0 --phi=0,1 --k=1":
+        "7ecb60754701a37db5921eb9f48e3a612f6daa2bd1083879d40d5512ce9b95bc",
+    "mukai-flop --k 1 --u 1,0 --phi 0,1 --out {out}":
+        "e74361ab6d102a3ba0902f66df118936ebed86154719b0ac64d899e933bbed29",
+    f"enumerate-walls {_QUARTIC} --base 4,4,-1 --bound 2 --out {{out}}":
+        "6479047868664aa9ec08421675fd541c9466091440058e03df2ffb242d4b5e36",
+    f"factor-path {_QUARTIC} --from {{fixtures}}/chamber1.json --to "
+        f"{{fixtures}}/chamber1.json --bound 8":
+        "27b38ba3133a7882e3cb16367883778237fc318dfd599140f313d4db0601e8ea",
+    f"render-cone {_QUARTIC} --base 4,4,-1 --bound 4 --out {{out}}":
+        "2f12daab14e8cfcbc97127746af82a97883e15587ef241a29e3993c0174c8061",
+    "symp-rank --omega /nonexistent.json --basis /nonexistent.json":
+        "b57c8a9b79a258e20772b51de2940e38e35c2cbf16b49892287bbe2a2284b20e",
+    "sigma-orbit --e0 0,0 --e1 1/3,0 --e2 0,1/2 --x 0,0":
+        "c209b3271609bba9c616878c5713c56151ff31129d9579ed1544302ee763c6cd",
+    f"classify {_QUARTIC} --class 0,1,0":
+        "e233cb6b93cd3c991ff4a9ba8c1480349ba319a7bfe22691c3bc2b5e82bb6f0d",
+    f"factor-path {_QUARTIC} --from -1,-1,0 --to -3,-2,0 --bound 8":
+        "df33e6091a3b949fcf3ea1a1195ba3fdc891bb3e3909794b9d6d0c77aadf8d4c",
+    "dual-solve --lattice {fixtures}/k3_3_quartic.json --pair -4,0,1=3 --pair C=1 --pair F=2":
+        "7cb3a48d6d2c71c5a37f6f0f76df37e09d53e3af356486fe0ed315d6db509e37",
+    f"render-cone {_QUARTIC} --base 4,4,-1 --bound 4 --mark -4,-4,1:neg --out {{out}}":
+        "5e7239f1af6652e3bb0d48c24606a60669824da8bbd9e727c702604481808368",
+    "sigma-orbit --e0 0,0 --e1 1/3,0 --e2 0,1/2 --x -1/3,0":
+        "c209b3271609bba9c616878c5713c56151ff31129d9579ed1544302ee763c6cd",
+    f"enumerate-walls {_QUARTIC} --base 4,4,-1 --bound -.5":
+        "562025779752f0ccff5f21f5f8c62fff0975da1c4a571b9d15e88cc607f35544",
+}
+
+
+class TestGoldenOutcomes:
+    """Every README command and every corpus argv that gets past the parser
+    exits, prints and writes what the digests record, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def tmp(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("golden")
+        (tmp / "omega.json").write_text(
+            '{"omega": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]}')
+        (tmp / "basis.json").write_text('{"basis": [[1, 0, 0, 0], [0, 1, 0, 0]]}')
+        assert main(["factor-path", "--lattice", LAT, "--table", TAB, "--from", CH1,
+                     "--to", CH4, "--bound", "8", "--out", str(tmp / "path.json")]) == 0
+        return str(tmp)
+
+    @staticmethod
+    def digest(key, tmp) -> str:
+        argv = [w.replace("{fixtures}", FX).replace("{tmp}", tmp) for w in key.split(" ")]
+        code, out, err, data = cli_dispatch.outcome(argv, os.path.join(tmp, "out"))
+        texts = [t.replace(os.path.join(tmp, "out"), "{out}").replace(tmp, "{tmp}")
+                 .replace(FX, "{fixtures}") for t in (out, err)]
+        if data is not None:
+            data = (data.replace(os.path.join(tmp, "out").encode(), b"{out}")
+                    .replace(tmp.encode(), b"{tmp}").replace(FX.encode(), b"{fixtures}"))
+        return hashlib.sha256(repr((code, *texts, data)).encode("utf-8")).hexdigest()
+
+    def test_every_readme_command_is_recorded(self):
+        assert set(README_ARGVS) <= set(GOLDEN_OUTCOMES)
+
+    @pytest.mark.parametrize("key", GOLDEN_OUTCOMES)
+    def test_outcome(self, tmp, key):
+        assert self.digest(key, tmp) == GOLDEN_OUTCOMES[key]
 
 
 class TestExitCodes:
@@ -649,6 +786,10 @@ class TestNegativeCoordinates:
           "--pair", "F=2"], 0),
         (["mukai-flop", "--k", "1", "--u", "-1,0", "--phi", "0,1"], 0),
         (["sigma-orbit", "--e0", "-1/2,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "-1/3,0"], 0),
+        # "-." and a digit: -.5 is -1/2
+        (["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2", "--x", "-.5,0"], 0),
+        (["enumerate-walls", "--lattice", LAT, "--table", TAB, "--base", "4,4,-1",
+          "--bound", "-.5"], 2),
     ])
     def test_separate_value_is_the_joined_one(self, argv, rc, capsys):
         joined = argv[:1] + [f"{o}={v}" for o, v in zip(argv[1::2], argv[2::2])]
@@ -680,6 +821,11 @@ class TestNegativeCoordinates:
         rc, out, err = self.run(["classify", "--lattice", LAT, "--table", TAB,
                                  "--", "--class", "-4,0,1"], capsys)
         assert (rc, out) == (2, "") and "required: --class" in err
+
+    def test_dash_dot_without_a_digit_is_left_alone(self, capsys):
+        rc, out, err = self.run(["sigma-orbit", "--e0", "0,0", "--e1", "1/3,0", "--e2", "0,1/2",
+                                 "--x", "-.,0"], capsys)
+        assert (rc, out) == (2, "") and "argument --x: expected one argument" in err
 
     def test_abbreviated_option_needs_the_equals_form(self, capsys):
         both = ["classify", "--lattice", LAT, "--table", TAB]
@@ -758,9 +904,13 @@ DOCUMENT_ARGVS = {
 }
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class TestNotUtf8Document:
-    """An input file that is not UTF-8 JSON exits 1 with a message that
-    names the file, for every option that reads a document."""
+    """An input file that is not UTF-8 JSON, or that json cannot read,
+    exits 1 with a message that names the file, for every option that
+    reads a document."""
 
     @staticmethod
     def run(tmp_path, option, data: bytes) -> tuple:
@@ -790,6 +940,19 @@ class TestNotUtf8Document:
         assert (rc, out) == (1, "")
         assert err == (f"hkcone: {doc}: Expecting property name enclosed in double quotes:"
                        " line 1 column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("option", DOCUMENT_ARGVS)
+    @pytest.mark.parametrize("data, cause", [
+        pytest.param(b"[" * 100_000, "recursion", id="nested"),
+        pytest.param(b'{"gram": [[' + b"9" * 5000 + b"]]}", "digits", id="digits",
+                     marks=pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000,
+                                              reason="needs an int digit limit below 5000")),
+    ])
+    def test_unreadable_json_exit_1_names_the_file(self, tmp_path, option, data, cause):
+        rc, out, err, doc = self.run(tmp_path, option, data)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"hkcone: {doc}: ") and cause in err
+        assert "internal error" not in err
 
 
 GRAM = [[-2, 3, 0], [3, 0, 0], [0, 0, -4]]
